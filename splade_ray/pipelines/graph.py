@@ -49,15 +49,22 @@ def _bucket(node: np.ndarray, nbuckets: int) -> np.ndarray:
     return (splitmix64(node.astype(np.uint64)) % np.uint64(nbuckets)).astype(np.int32)
 
 
-def _coalesce_small(ds: Dataset, max_rows: int = 2_000_000, target_blocks: int = 4) -> Dataset:
-    """Small inputs arrive over-partitioned (a parquet scan's block count
+def _prepare_edges(edges: Dataset, nbuckets: int | None) -> tuple[Dataset, int]:
+    """Materialize the edge list and count it once; that count both gates
+    the coalesce and sizes the bucket count (when not given).
+
+    Small inputs arrive over-partitioned (a parquet scan's block count
     reflects the source layout, not the data size) and every power-step
     exchange pays per-task scheduling for blocks × buckets tasks.  Coalesce
     tiny edge lists once up front; at scale blocks are data-sized and this
     no-ops."""
-    if ds.count() <= max_rows and ds.num_blocks() > target_blocks:
-        return ds.repartition(target_blocks).materialize()
-    return ds
+    edges = edges.materialize()
+    n_edges = edges.count()
+    if n_edges <= 2_000_000 and edges.num_blocks() > 4:
+        edges = edges.repartition(4).materialize()
+    if nbuckets is None:
+        nbuckets = int(max(8, min(256, n_edges // 500_000 + 8)))
+    return edges, nbuckets
 
 
 def _bound_blocks(ds: Dataset, nbuckets: int) -> Dataset:
@@ -327,9 +334,7 @@ def pagerank_table(
     the personalized variant).  ``edges``: (src:int64, dst:int64),
     self-loop-free.  ``alpha`` is ``restart`` when given (PPR) else
     ``1 − damping``.  Nothing node- or edge-scale touches the driver."""
-    edges = _coalesce_small(edges.materialize())
-    if nbuckets is None:
-        nbuckets = int(max(8, min(256, edges.count() // 500_000 + 8)))
+    edges, nbuckets = _prepare_edges(edges, nbuckets)
     alpha = (1.0 - damping) if restart is None else restart
     vertex = _build_vertex_table(nodes, edges, nbuckets, weight_col)
     edges_g = edges.map_batches(
@@ -381,9 +386,7 @@ def hits_table(
     table, so each element is divided exactly once — the same arithmetic
     as the dense path.  ``nodes``: (node:int64) — the vertex universe
     (rows absent from every edge still emit auth = hub = 0)."""
-    edges = _coalesce_small(edges.materialize())
-    if nbuckets is None:
-        nbuckets = int(max(8, min(256, edges.count() // 500_000 + 8)))
+    edges, nbuckets = _prepare_edges(edges, nbuckets)
     nb = nbuckets
 
     # vertex table: (bkt, node, auth, hub) — raw (unnormalized) values
@@ -607,9 +610,7 @@ def label_propagation_table(
             )
 
         edges = edges.map_batches(mirror, batch_format="pyarrow")
-    edges = _coalesce_small(edges.materialize())
-    if nbuckets is None:
-        nbuckets = int(max(8, min(256, edges.count() // 500_000 + 8)))
+    edges, nbuckets = _prepare_edges(edges, nbuckets)
     nb = nbuckets
     edges_g = edges.map_batches(
         lambda b: _tag_edges_gather(b, nb, "src", "dst"), batch_format="pyarrow"

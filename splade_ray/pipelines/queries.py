@@ -1263,8 +1263,8 @@ def bm25f_topk(sf_dir: str) -> pd.DataFrame:
             matched = np.zeros(n_docs, dtype=bool)
             for f, boost in _FIELD_BOOSTS.items():
                 r = readers[f]
-                tid = int(r.vocab_index.get_indexer(np.asarray([t], dtype=object))[0])
-                if tid < 0:
+                tid = r.term_id.get(t)
+                if tid is None:
                     continue
                 for sh in r.shards:
                     for _qi, s, e, _tid in sh._term_slices(np.asarray([tid], dtype=np.int64)):
@@ -1328,8 +1328,8 @@ def cross_fields_topk(sf_dir: str) -> pd.DataFrame:
             df_blend = 0.0
             for f in _FIELD_BOOSTS:
                 r = readers[f]
-                tid = int(r.vocab_index.get_indexer(np.asarray([t], dtype=object))[0])
-                if tid < 0:
+                tid = r.term_id.get(t)
+                if tid is None:
                     continue
                 slices = []
                 df_f = 0
@@ -1578,8 +1578,8 @@ def suggest_phrase(sf_dir: str) -> pd.DataFrame:
     rows = []
     for sid, text in PHRASE_SUGGEST_QUERIES:
         for pos, t in enumerate(reader.tok.tokenize(text)):
-            tid = int(reader.vocab_index.get_indexer(np.asarray([t], dtype=object))[0])
-            if tid >= 0:
+            tid = reader.term_id.get(t)
+            if tid is not None:
                 rows.append((sid, pos, t, t, 0, int(reader.df[tid])))
                 continue
             cands = reader.suggest_spelling(t, k=1, max_edits=2)
@@ -1765,7 +1765,7 @@ def neural_topk(sf_dir: str) -> pd.DataFrame:
 
 
 def _external_ids(reader: IndexReader, docs: np.ndarray) -> list[int]:
-    return [int(reader.url_of(int(d)).removeprefix("doc://")) for d in docs]
+    return [int(u.removeprefix("doc://")) for u in reader.url_of(np.asarray(docs, dtype=np.int64))]
 
 
 def boolean_and_match(sf_dir: str) -> pd.DataFrame:
@@ -1834,6 +1834,13 @@ def hybrid_topk(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "rrf_r"])
 
 
+def _facet_counts(code_by_id: np.ndarray, ext: np.ndarray, n_values: int) -> np.ndarray:
+    """Per-facet-value counts of the docs ``ext``; a doc id absent from
+    documents.parquet (code -1) is in no bucket."""
+    codes = code_by_id[ext]
+    return np.bincount(codes[codes >= 0], minlength=n_values)
+
+
 def search_facets(sf_dir: str) -> pd.DataFrame:
     """Faceted search counts: per query, the number of matching docs
     (>= 1 query term, i.e. the disjunctive candidate set) per ``lang``
@@ -1863,7 +1870,7 @@ def search_facets(sf_dir: str) -> pd.DataFrame:
         ext = np.asarray(_external_ids(reader, min_should_match(reader, text, 1)), dtype=np.int64)
         if ext.size == 0:
             continue
-        counts = np.bincount(code_by_id[ext], minlength=vocab.size)
+        counts = _facet_counts(code_by_id, ext, vocab.size)
         order = np.argsort(vocab.astype(str), kind="stable")
         rows.extend(
             (qid, str(vocab[i]), int(counts[i])) for i in order if counts[i] > 0
@@ -6643,8 +6650,8 @@ def combined_fields_topk(sf_dir: str) -> pd.DataFrame:
             matched = np.zeros(n_docs, dtype=bool)
             for f, boost in _FIELD_BOOSTS.items():
                 r = readers[f]
-                tid = int(r.vocab_index.get_indexer(np.asarray([t], dtype=object))[0])
-                if tid < 0:
+                tid = r.term_id.get(t)
+                if tid is None:
                     continue
                 for sh in r.shards:
                     for _qi, s, e, _tid in sh._term_slices(np.asarray([tid], dtype=np.int64)):
@@ -7297,6 +7304,12 @@ PPR_RESTART: float = 0.15
 PPR_ITERS: int = 3
 
 
+def _no_ppr_seeds() -> pd.DataFrame:
+    """With no lang='en' doc there is no restart distribution to
+    personalize on: the ranking is empty (not a division by zero)."""
+    return pd.DataFrame({"doc_id": np.zeros(0, np.int64), "ppr_r": np.zeros(0, np.float64)})
+
+
 def personalized_pagerank(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
     """(doc_id, ppr_r) — PERSONALIZED PageRank over the deterministic link
     fixture: the restart vector concentrates on the lang='en' seed set
@@ -7330,6 +7343,8 @@ def personalized_pagerank(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
             .to_pandas()
         )
         n_seeds = float(cnt_parts["c"].sum())
+        if n_seeds == 0:
+            return _no_ppr_seeds()
         inv_s = 1.0 / n_seeds
 
         def node_rows(batch: pa.Table) -> pa.Table:
@@ -7363,10 +7378,11 @@ def personalized_pagerank(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
             lambda b: b.filter(pc.equal(b.column("lang"), "en")).select(["doc_id"]),
             batch_format="pyarrow",
         )
-        .to_pandas()["doc_id"]
-        .to_numpy()
+        .to_pandas()
     )
-    seed_set = np.sort(seeds)
+    if seeds.empty:  # no rows, so no doc_id column either
+        return _no_ppr_seeds()
+    seed_set = np.sort(seeds["doc_id"].to_numpy())
     n_seeds = float(seed_set.size)
     d = 1.0 - PPR_RESTART
 
@@ -8084,7 +8100,9 @@ def err_at10(sf_dir: str) -> pd.DataFrame:
     # 0.5·0.5^above / rank summed per query (groupby-cumsum, no row loop)
     run = run.sort_values(["query_id", "rank"], ignore_index=True)
     rel = (
-        run.merge(qrels[["query_id", "doc_id"]].assign(_rel=1), on=["query_id", "doc_id"], how="left")["_rel"]
+        run.merge(
+            qrels[["query_id", "doc_id"]].drop_duplicates().assign(_rel=1), on=["query_id", "doc_id"], how="left"
+        )["_rel"]
         .fillna(0)
         .to_numpy(np.int64)
     )

@@ -386,28 +386,29 @@ class ShardIndex:
 
     def _term_slices(self, qtids: np.ndarray) -> list[tuple[int, int, int, int]]:
         """(query-term position, start, end, term row) for terms present."""
-        pos = np.searchsorted(self.term_ids, qtids)
-        out = []
-        for i, tid in enumerate(qtids):
-            p = pos[i]
-            if p < self.term_ids.size and self.term_ids[p] == tid:
-                out.append((i, int(self.term_ptr[p]), int(self.term_ptr[p + 1]), int(p)))
-        return out
+        # one searchsorted, then a loop over plain ints: queries carry a
+        # handful of terms, where each further numpy call costs more than
+        # the loop it would replace
+        ids, ptr = self.term_ids, self.term_ptr
+        n = ids.size
+        pos = np.searchsorted(ids, qtids).tolist()
+        return [
+            (i, int(ptr[p]), int(ptr[p + 1]), p)
+            for i, (p, t) in enumerate(zip(pos, qtids.tolist()))
+            if p < n and ids[p] == t
+        ]
 
     def _topk_from_scores(self, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        nz = np.nonzero(scores)[0]
-        if nz.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        kk = min(k, nz.size)
-        if nz.size > kk:
+        # a bool mask + flatnonzero is several times faster than nonzero()
+        # reading the float64 vector itself
+        cand = np.flatnonzero(scores != 0)
+        if cand.size > k:
             # partition for the kth score, then keep every candidate >= it so
             # the (-score, doc_id) tie-break is exact at the boundary
-            part = np.argpartition(-scores[nz], kk - 1)[:kk]
-            kth = scores[nz[part]].min()
-            cand = nz[scores[nz] >= kth]
-        else:
-            cand = nz
-        order = cand[np.lexsort((cand, -scores[cand]))][:kk]
+            sv = scores[cand]
+            kth = -np.partition(-sv, k - 1)[k - 1]
+            cand = cand[sv >= kth]
+        order = cand[np.lexsort((cand, -scores[cand]))][:k]
         return self.doc_ids[order], scores[order]
 
     def score_exhaustive(
@@ -1209,17 +1210,21 @@ class IndexReader:
             vocab = pq.read_table(os.path.join(stats_dir, "vocab.parquet"))
             tid_index = vocab.column("term_id").to_numpy(zero_copy_only=False).astype(np.int64)
             dfv = vocab.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
-            self.vocab_index, self.df = None, (tid_index, dfv)
+            self.vocab_index, self.term_id, self.df = None, None, (tid_index, dfv)
             if "cf" in vocab.column_names:
                 self.cf = (tid_index, vocab.column("cf").to_numpy(zero_copy_only=False).astype(np.int64))
         elif self.encoder == "bm25":
             vocab = pq.read_table(os.path.join(stats_dir, "vocab.parquet"))
-            self.vocab_index = pd.Index(vocab.column("term").to_pylist())
+            terms = vocab.column("term").to_pylist()
+            self.vocab_index = pd.Index(terms)
+            # term -> vocab term id: the per-query lookup (a dict probe per
+            # token costs far less than a pandas get_indexer call)
+            self.term_id = dict(zip(terms, range(len(terms))))
             self.df = vocab.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
             if "cf" in vocab.column_names:
                 self.cf = vocab.column("cf").to_numpy(zero_copy_only=False).astype(np.int64)
         else:
-            self.vocab_index, self.df = None, None
+            self.vocab_index, self.term_id, self.df = None, None, None
         if global_stats is not None:
             if self.vocab_index is None:
                 raise ValueError("global_stats override needs a sorted-vocab bm25 index")
@@ -1286,11 +1291,26 @@ class IndexReader:
             self._doc_index = np.zeros(0, np.int64)
             self._url_arr = pa.array([], type=pa.string())
 
-    def url_of(self, doc_id: int) -> str:
-        i = int(np.searchsorted(self._doc_index, doc_id))
-        if i >= self._doc_index.size or self._doc_index[i] != doc_id:
-            raise KeyError(doc_id)
-        return self._url_arr[i].as_py()
+    def url_of(self, doc_id):
+        """Url of one internal doc id, or the list of urls of an array of
+        ids (one searchsorted for the whole array; per-position scalar
+        reads, which beat an Arrow ``take`` + ``to_pylist`` at top-k
+        sizes).  Raises ``KeyError`` on an id the loaded shards do not
+        hold."""
+        ids = np.atleast_1d(np.asarray(doc_id, dtype=np.int64))
+        pos = np.searchsorted(self._doc_index, ids)
+        hit = pos < self._doc_index.size
+        hit[hit] = self._doc_index[pos[hit]] == ids[hit]
+        if not hit.all():
+            raise KeyError(int(ids[~hit][0]))
+        urls = [self._url_arr[p].as_py() for p in pos.tolist()]
+        return urls if np.ndim(doc_id) else urls[0]
+
+    def term_ids_of(self, toks: list[str]) -> list[int]:
+        """Vocab term ids of the in-vocabulary tokens, in token order
+        (out-of-vocabulary tokens dropped)."""
+        get = self.term_id.get
+        return [tid for t in toks if (tid := get(t)) is not None]
 
     def encode_query(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Bag-of-words query encoding (reference doc-only mode,
@@ -1315,15 +1335,11 @@ class IndexReader:
                 return np.zeros(0, np.int64), np.zeros(0, np.float64)
             uniq, counts = np.unique(h, return_counts=True)
             return uniq, counts.astype(np.float64)
-        toks = self.tok.tokenize(text)
-        if not toks:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        tids = self.vocab_index.get_indexer(np.asarray(toks, dtype=object))
-        tids = tids[tids >= 0]
-        if tids.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        uniq, counts = np.unique(tids, return_counts=True)
-        return uniq.astype(np.int64), counts.astype(np.float64)
+        counts: dict[int, int] = {}
+        for tid in self.term_ids_of(self.tok.tokenize(text)):
+            counts[tid] = counts.get(tid, 0) + 1
+        tids = sorted(counts)
+        return np.asarray(tids, np.int64), np.asarray([counts[t] for t in tids], np.float64)
 
     def search(self, text: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
         if method == "phrase":
@@ -1331,16 +1347,9 @@ class IndexReader:
         qtids, qw = self.encode_query(text)
         if qtids.size == 0:
             return []
-        cands: list[tuple[np.ndarray, np.ndarray]] = []
-        for sh in self.shards:
-            fn = sh.score_wand if method == "wand" else sh.score_exhaustive
-            cands.append(fn(qtids, qw, k))
-        docs = np.concatenate([c[0] for c in cands]) if cands else np.zeros(0, np.int64)
-        scores = np.concatenate([c[1] for c in cands]) if cands else np.zeros(0)
-        if docs.size == 0:
-            return []
-        order = np.lexsort((docs, -scores))[:k]
-        return [(int(docs[i]), float(scores[i]), self.url_of(int(docs[i]))) for i in order]
+        wand = method == "wand"
+        cands = [(sh.score_wand if wand else sh.score_exhaustive)(qtids, qw, k) for sh in self.shards]
+        return self._merge_shard_topk(cands, k)
 
     def search_after(
         self, text: str, k: int = 10, after: tuple[float, int] | None = None
@@ -1389,10 +1398,7 @@ class IndexReader:
         g_tids, g_idf = [], []
         for terms in groups:
             toks = [n for t in terms for n in self.tok.tokenize(t)]
-            if not toks:
-                continue
-            tids = self.vocab_index.get_indexer(np.asarray(toks, dtype=object))
-            tids = np.unique(tids[tids >= 0])
+            tids = np.unique(np.asarray(self.term_ids_of(toks), np.int64))
             if tids.size == 0:
                 continue
             dfb = float(self.df[tids].max())
@@ -1442,8 +1448,8 @@ class IndexReader:
             qtf[t] = qtf.get(t, 0) + 1
         out = []
         for term in sorted(qtf):
-            tid = int(self.vocab_index.get_indexer([term])[0])
-            if tid < 0:
+            tid = self.term_id.get(term)
+            if tid is None:
                 out.append((term, float(qtf[term]), 0, 0, 0.0, 0.0))
                 continue
             df = int(self.df[tid])
@@ -1472,8 +1478,8 @@ class IndexReader:
             norm = self.tok.tokenize(t)
             if len(norm) != 1:
                 raise ValueError(f"term must normalize to one token, got {norm!r}")
-            tid = int(self.vocab_index.get_indexer([norm[0]])[0])
-            if tid < 0:
+            tid = self.term_id.get(norm[0])
+            if tid is None:
                 out.append((norm[0], 0, 0))
             else:
                 cf = int(self.cf[tid]) if self.cf is not None else 0
@@ -1520,7 +1526,8 @@ class IndexReader:
         d = np.concatenate([c[0] for c in cands])
         v = np.concatenate([c[1] for c in cands])
         order = np.lexsort((d, -v))[:k]
-        return [(int(d[i]), int(v[i]), self.url_of(int(d[i]))) for i in order]
+        top = d[order]
+        return list(zip(top.tolist(), v[order].tolist(), self.url_of(top)))
 
     def search_index_ordered(self, text: str, k: int = 10) -> tuple[list[int], int]:
         """Early-terminated retrieval on an INDEX-SORTED build (Lucene
@@ -2029,17 +2036,10 @@ class IndexReader:
         replays it.  Needs the sorted-string vocab (df aligned to it)."""
         if self.vocab_index is None or self.df is None:
             raise ValueError("more_like_this needs the sorted-string vocab + df stats")
-        toks = self.tok.tokenize(text)
-        if not toks:
-            return np.zeros(0, np.int64)
-        tids = self.vocab_index.get_indexer(np.asarray(toks, dtype=object))
-        tids = tids[tids >= 0]
-        if tids.size == 0:
-            return np.zeros(0, np.int64)
-        uniq, counts = np.unique(tids, return_counts=True)
+        uniq, counts = self.encode_query(text)
         df = self.df[uniq].astype(np.float64)
         idf = np.log1p((self.n_docs - df + 0.5) / (df + 0.5))
-        sc = counts.astype(np.float64) * idf
+        sc = counts * idf
         # uniq is ascending term-id == ascending term (sorted vocab): the
         # lexsort secondary key IS the term-asc tie-break
         order = np.lexsort((uniq, -sc))[:max_terms]
@@ -2438,12 +2438,15 @@ class IndexReader:
         return [(str(t), int(b), int(f)) for t, b, f in rows]
 
     def _merge_shard_topk(self, cands: list[tuple[np.ndarray, np.ndarray]], k: int) -> list[tuple[int, float, str]]:
-        docs = np.concatenate([c[0] for c in cands]) if cands else np.zeros(0, np.int64)
-        scores = np.concatenate([c[1] for c in cands]) if cands else np.zeros(0)
-        if docs.size == 0:
+        """Global (-score, doc_id) top-k of per-shard candidates, with the
+        winners' urls from one batched lookup."""
+        if not cands:
             return []
+        docs = np.concatenate([c[0] for c in cands])
+        scores = np.concatenate([c[1] for c in cands])
         order = np.lexsort((docs, -scores))[:k]
-        return [(int(docs[i]), float(scores[i]), self.url_of(int(docs[i]))) for i in order]
+        top = docs[order]
+        return list(zip(top.tolist(), scores[order].tolist(), self.url_of(top)))
 
 
 class FederatedReader:
@@ -2687,17 +2690,19 @@ class ShardScorerActor:
         self.corpus_path = corpus_path
         self.tok = Tokenizer(cfg)
 
+    def _with_urls(self, cands: list[tuple[np.ndarray, np.ndarray]]):
+        """Concatenated per-shard (docs, scores) candidates plus their urls
+        (one batched lookup): the (docs, scores, urls) triple every top-k
+        scatter leg returns."""
+        d = np.concatenate([c[0] for c in cands]) if cands else np.zeros(0, np.int64)
+        s = np.concatenate([c[1] for c in cands]) if cands else np.zeros(0)
+        return d, s, self.reader.url_of(d)
+
     def score(self, qtids: np.ndarray, qw: np.ndarray, k: int, method: str = "exhaustive"):
-        cands_d, cands_s, cands_u = [], [], []
-        for sh in self.reader.shards:
-            fn = sh.score_wand if method == "wand" else sh.score_exhaustive
-            d, s = fn(qtids, qw, k)
-            cands_d.append(d)
-            cands_s.append(s)
-            cands_u.extend(self.reader.url_of(int(x)) for x in d)
-        d = np.concatenate(cands_d) if cands_d else np.zeros(0, np.int64)
-        s = np.concatenate(cands_s) if cands_s else np.zeros(0)
-        return d, s, cands_u
+        wand = method == "wand"
+        return self._with_urls(
+            [(sh.score_wand if wand else sh.score_exhaustive)(qtids, qw, k) for sh in self.reader.shards]
+        )
 
     def mscore(self, encoded: list[tuple[np.ndarray, np.ndarray]], k: int, method: str = "exhaustive"):
         """Multi-search scatter leg (ES ``_msearch``): ONE RPC carries the
@@ -2712,68 +2717,28 @@ class ShardScorerActor:
         pinned shard composes the clause masks locally (phrase verify
         included when the shard stores forward streams) and ships ≤ k
         candidates."""
-        cands_d, cands_s, cands_u = [], [], []
-        for sh in self.reader.shards:
-            d, s = sh.score_query_string(spec, k)
-            cands_d.append(d)
-            cands_s.append(s)
-            cands_u.extend(self.reader.url_of(int(x)) for x in d)
-        d = np.concatenate(cands_d) if cands_d else np.zeros(0, np.int64)
-        s = np.concatenate(cands_s) if cands_s else np.zeros(0)
-        return d, s, cands_u
+        return self._with_urls([sh.score_query_string(spec, k) for sh in self.reader.shards])
 
     def score_after(self, qtids: np.ndarray, qw: np.ndarray, k: int, after_score: float, after_doc: int):
         """Deep-pagination scatter leg: each pinned shard masks its own
         docs at-or-before the (score, doc_id) cursor BEFORE top-k, so the
         actor ships at most k candidates per shard regardless of page
         depth — pages 1..N never cross the network again."""
-        cands_d, cands_s, cands_u = [], [], []
-        for sh in self.reader.shards:
-            d, s = sh.score_after(qtids, qw, k, after_score, after_doc)
-            cands_d.append(d)
-            cands_s.append(s)
-            cands_u.extend(self.reader.url_of(int(x)) for x in d)
-        d = np.concatenate(cands_d) if cands_d else np.zeros(0, np.int64)
-        s = np.concatenate(cands_s) if cands_s else np.zeros(0)
-        return d, s, cands_u
+        return self._with_urls([sh.score_after(qtids, qw, k, after_score, after_doc) for sh in self.reader.shards])
 
     def score_synonyms(self, groups: list[np.ndarray], idfs: np.ndarray, k: int):
         """SynonymQuery scatter leg: blended-tf scoring over each pinned
         shard — the driver ships the expanded group tids + blended idfs."""
-        cands_d, cands_s, cands_u = [], [], []
-        for sh in self.reader.shards:
-            d, s = sh.score_synonyms(groups, idfs, k)
-            cands_d.append(d)
-            cands_s.append(s)
-            cands_u.extend(self.reader.url_of(int(x)) for x in d)
-        d = np.concatenate(cands_d) if cands_d else np.zeros(0, np.int64)
-        s = np.concatenate(cands_s) if cands_s else np.zeros(0)
-        return d, s, cands_u
+        return self._with_urls([sh.score_synonyms(groups, idfs, k) for sh in self.reader.shards])
 
     def score_dismax(self, qtids: np.ndarray, qw: np.ndarray, k: int, tie: float):
         """DisMax scatter leg: each pinned shard returns its local
         max+tie·rest top-k — exact under scatter-gather because the score
         is per-doc and every doc lives in exactly one shard."""
-        cands_d, cands_s, cands_u = [], [], []
-        for sh in self.reader.shards:
-            d, s = sh.score_dismax(qtids, qw, k, tie)
-            cands_d.append(d)
-            cands_s.append(s)
-            cands_u.extend(self.reader.url_of(int(x)) for x in d)
-        d = np.concatenate(cands_d) if cands_d else np.zeros(0, np.int64)
-        s = np.concatenate(cands_s) if cands_s else np.zeros(0)
-        return d, s, cands_u
+        return self._with_urls([sh.score_dismax(qtids, qw, k, tie) for sh in self.reader.shards])
 
     def score_phrase(self, qtids: np.ndarray, qw: np.ndarray, h_seq: np.ndarray, k: int):
-        cands_d, cands_s, cands_u = [], [], []
-        for sh in self.reader.shards:
-            d, s = sh.phrase_topk(qtids, qw, h_seq, k)
-            cands_d.append(d)
-            cands_s.append(s)
-            cands_u.extend(self.reader.url_of(int(x)) for x in d)
-        d = np.concatenate(cands_d) if cands_d else np.zeros(0, np.int64)
-        s = np.concatenate(cands_s) if cands_s else np.zeros(0)
-        return d, s, cands_u
+        return self._with_urls([sh.phrase_topk(qtids, qw, h_seq, k) for sh in self.reader.shards])
 
     def _attr_for_shards(self, attr_col: str) -> list[np.ndarray]:
         """Per-shard doc-attribute arrays (aligned to local doc order),
@@ -2954,7 +2919,7 @@ class ShardScorerActor:
           rank_feature default): score += boost·attr/(attr + pivot)
         """
         attrs = self._attr_for_shards(attr_col)
-        cands_d, cands_s, cands_u = [], [], []
+        cands = []
         for sh, attr in zip(self.reader.shards, attrs):
             slices = sh._term_slices(qtids)
             if not slices:
@@ -2974,13 +2939,8 @@ class ShardScorerActor:
                 scores[m] += boost * (fa[m] / (fa[m] + pivot))
             else:
                 raise ValueError(f"unknown boost feature: {feature!r}")
-            d, s = sh._topk_from_scores(scores, k)
-            cands_d.append(d)
-            cands_s.append(s)
-            cands_u.extend(self.reader.url_of(int(x)) for x in d)
-        d = np.concatenate(cands_d) if cands_d else np.zeros(0, np.int64)
-        s = np.concatenate(cands_s) if cands_s else np.zeros(0)
-        return d, s, cands_u
+            cands.append(sh._topk_from_scores(scores, k))
+        return self._with_urls(cands)
 
     def score_terms_set(self, qtids: np.ndarray, k: int, attr_col: str, mod: int):
         """``terms_set`` scatter leg (ES terms_set with a per-DOC
@@ -2993,7 +2953,7 @@ class ShardScorerActor:
         its own idf), computed and top-k'd inside the shard owner."""
         attrs = self._attr_for_shards(attr_col)
         qw = np.ones(qtids.size, np.float64)
-        cands_d, cands_s, cands_u = [], [], []
+        cands = []
         for sh, attr in zip(self.reader.shards, attrs):
             slices = sh._term_slices(qtids)
             if not slices:
@@ -3005,13 +2965,8 @@ class ShardScorerActor:
             required = 1 + (np.asarray(attr, dtype=np.int64) % np.int64(mod))
             w = np.concatenate([sh.post_w[s:e] * qw[i] for i, s, e, _ in slices])
             scores = np.bincount(ids, weights=w, minlength=sh.n_local)
-            d, s = sh._topk_from_scores(np.where(cnt >= required, scores, 0.0), k)
-            cands_d.append(d)
-            cands_s.append(s)
-            cands_u.extend(self.reader.url_of(int(x)) for x in d)
-        d = np.concatenate(cands_d) if cands_d else np.zeros(0, np.int64)
-        s = np.concatenate(cands_s) if cands_s else np.zeros(0)
-        return d, s, cands_u
+            cands.append(sh._topk_from_scores(np.where(cnt >= required, scores, 0.0), k))
+        return self._with_urls(cands)
 
     def adjacency_counts(self, filter_tids: list[np.ndarray], ms: np.ndarray) -> np.ndarray:
         """Adjacency-matrix aggregation (ES ``adjacency_matrix``): for M
@@ -3083,7 +3038,7 @@ class ShardScorerActor:
         Multiplicative, so zero stays zero and tombstones are untouched."""
         attrs = self._attr_for_shards(attr_col)
         sigma2 = scale * scale / (2.0 * np.log(2.0))
-        cands_d, cands_s, cands_u = [], [], []
+        cands = []
         for sh, attr in zip(self.reader.shards, attrs):
             slices = sh._term_slices(qtids)
             if not slices:
@@ -3093,13 +3048,8 @@ class ShardScorerActor:
             scores = np.bincount(ids, weights=w, minlength=sh.n_local)
             fa = np.asarray(attr, dtype=np.float64)
             scores *= np.exp(-((fa - origin) ** 2) / (2.0 * sigma2))
-            d, s = sh._topk_from_scores(scores, k)
-            cands_d.append(d)
-            cands_s.append(s)
-            cands_u.extend(self.reader.url_of(int(x)) for x in d)
-        d = np.concatenate(cands_d) if cands_d else np.zeros(0, np.int64)
-        s = np.concatenate(cands_s) if cands_s else np.zeros(0)
-        return d, s, cands_u
+            cands.append(sh._topk_from_scores(scores, k))
+        return self._with_urls(cands)
 
     def score_function_score(
         self,
@@ -3123,7 +3073,7 @@ class ShardScorerActor:
             f["filter"][0] for f in functions if f.get("filter")
         }
         attrs = {c: self._attr_for_shards(c) for c in attr_cols}
-        cands_d, cands_s, cands_u = [], [], []
+        cands = []
         for si, sh in enumerate(self.reader.shards):
             slices = sh._term_slices(qtids)
             if not slices:
@@ -3159,13 +3109,8 @@ class ShardScorerActor:
             factor[~applied] = 1.0
             scores *= np.minimum(factor, max_boost)
             scores[scores < min_score] = 0.0
-            d, s = sh._topk_from_scores(scores, k)
-            cands_d.append(d)
-            cands_s.append(s)
-            cands_u.extend(self.reader.url_of(int(x)) for x in d)
-        d = np.concatenate(cands_d) if cands_d else np.zeros(0, np.int64)
-        s = np.concatenate(cands_s) if cands_s else np.zeros(0)
-        return d, s, cands_u
+            cands.append(sh._topk_from_scores(scores, k))
+        return self._with_urls(cands)
 
     def score_snippets(self, qtids: np.ndarray, qw: np.ndarray, qh: np.ndarray, k: int, W: int, method: str = "exhaustive"):
         """Local top-k + best-window snippets for THIS actor's shards.
@@ -3207,6 +3152,18 @@ class ShardScorerActor:
             hits.append(nh)
             snips.append(" ".join(toks[st:en]))
         return d, s, urls, starts, hits, snips
+
+
+def _merge_parts(parts, k: int) -> list[tuple[int, float, str]]:
+    """Global (-score, doc_id) top-k over the scatter legs' (docs, scores,
+    urls) triples (no legs when the index has no shards)."""
+    if not parts:
+        return []
+    d = np.concatenate([p[0] for p in parts])
+    s = np.concatenate([p[1] for p in parts])
+    urls = [u for p in parts for u in p[2]]
+    order = np.lexsort((d, -s))[:k]
+    return [(int(d[i]), float(s[i]), urls[i]) for i in order]
 
 
 class ShardedSearcher:
@@ -3288,20 +3245,7 @@ class ShardedSearcher:
             parts = self._scatter(lambda a: a.score_phrase.remote(qtids, qw, h_seq, k))
         else:
             parts = self._scatter(lambda a: a.score.remote(qtids, qw, k, method))
-        docs, scores, urls = [], [], []
-        for d, s, u in parts:
-            docs.append(d)
-            scores.append(s)
-            urls.extend(u)
-        if not docs:  # empty index: zero shards, zero actors
-            return []
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if d.size == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        urls_arr = np.asarray(urls, dtype=object)
-        return [(int(d[i]), float(s[i]), str(urls_arr[i])) for i in order]
+        return _merge_parts(parts, k)
 
     def msearch(
         self, texts: list[str], k: int = 10, method: str = "exhaustive"
@@ -3321,21 +3265,7 @@ class ShardedSearcher:
         batch = [encoded[i] for i in live]
         parts = self._scatter(lambda a: a.mscore.remote(batch, k, method))
         for bi, qi in enumerate(live):
-            docs, scores, urls = [], [], []
-            for per_query in parts:  # one entry per shard group
-                d, s, u = per_query[bi]
-                docs.append(d)
-                scores.append(s)
-                urls.extend(u)
-            if not docs:
-                continue
-            d = np.concatenate(docs)
-            s = np.concatenate(scores)
-            if d.size == 0:
-                continue
-            order = np.lexsort((d, -s))[:k]
-            urls_arr = np.asarray(urls, dtype=object)
-            out[qi] = [(int(d[i]), float(s[i]), str(urls_arr[i])) for i in order]
+            out[qi] = _merge_parts([per_group[bi] for per_group in parts], k)
         return out
 
     def search_query_string(self, qstring: str, k: int = 10) -> list[tuple[int, float, str]]:
@@ -3347,20 +3277,7 @@ class ShardedSearcher:
         if spec is None:
             return []
         parts = self._scatter(lambda a: a.score_query_string.remote(spec, k))
-        docs, scores, urls = [], [], []
-        for d, s, u in parts:
-            docs.append(d)
-            scores.append(s)
-            urls.extend(u)
-        if not docs:
-            return []
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if d.size == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        urls_arr = np.asarray(urls, dtype=object)
-        return [(int(d[i]), float(s[i]), str(urls_arr[i])) for i in order]
+        return _merge_parts(parts, k)
 
     def search_collapse(self, text: str, k: int = 10, attr_col: str = "source") -> list[tuple[str, int, float, str]]:
         """Field collapsing (Lucene grouping / ES ``collapse``): the single
@@ -3461,20 +3378,7 @@ class ShardedSearcher:
             a.score_boosted.remote(qtids, qw, k, attr_col, boost, pivot, feature, origin)
             for a in self.actors
         ]
-        docs, scores, urls = [], [], []
-        for d, s, u in ray.get(futs):
-            docs.append(d)
-            scores.append(s)
-            urls.extend(u)
-        if not docs:
-            return []
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if d.size == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        urls_arr = np.asarray(urls, dtype=object)
-        return [(int(d[i]), float(s[i]), str(urls_arr[i])) for i in order]
+        return _merge_parts(ray.get(futs), k)
 
     def search_terms_set(
         self, terms: list[str], k: int = 10, attr_col: str = "n_chars", mod: int = 3
@@ -3494,20 +3398,7 @@ class ShardedSearcher:
         if qtids.size == 0:
             return []
         futs = [a.score_terms_set.remote(qtids, k, attr_col, mod) for a in self.actors]
-        docs, scores, urls = [], [], []
-        for d, s, u in ray.get(futs):
-            docs.append(d)
-            scores.append(s)
-            urls.extend(u)
-        if not docs:
-            return []
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if d.size == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        urls_arr = np.asarray(urls, dtype=object)
-        return [(int(d[i]), float(s[i]), str(urls_arr[i])) for i in order]
+        return _merge_parts(ray.get(futs), k)
 
     def search_synonyms(self, groups: list[list[str]], k: int = 10) -> list[tuple[int, float, str]]:
         """SynonymQuery top-k on the sharded path: the driver expands the
@@ -3517,20 +3408,7 @@ class ShardedSearcher:
         if not g_tids:
             return []
         futs = [a.score_synonyms.remote(g_tids, g_idf, k) for a in self.actors]
-        docs, scores, urls = [], [], []
-        for d, s, u in ray.get(futs):
-            docs.append(d)
-            scores.append(s)
-            urls.extend(u)
-        if not docs:
-            return []
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if d.size == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        urls_arr = np.asarray(urls, dtype=object)
-        return [(int(d[i]), float(s[i]), str(urls_arr[i])) for i in order]
+        return _merge_parts(ray.get(futs), k)
 
     def search_dismax(self, text: str, k: int = 10, tie: float = 0.0) -> list[tuple[int, float, str]]:
         """DisMax top-k on the sharded path — semantics identical to
@@ -3540,20 +3418,7 @@ class ShardedSearcher:
         if qtids.size == 0:
             return []
         futs = [a.score_dismax.remote(qtids, qw, k, tie) for a in self.actors]
-        docs, scores, urls = [], [], []
-        for d, s, u in ray.get(futs):
-            docs.append(d)
-            scores.append(s)
-            urls.extend(u)
-        if not docs:
-            return []
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if d.size == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        urls_arr = np.asarray(urls, dtype=object)
-        return [(int(d[i]), float(s[i]), str(urls_arr[i])) for i in order]
+        return _merge_parts(ray.get(futs), k)
 
     def search_after(
         self, text: str, k: int = 10, after: tuple[float, int] | None = None
@@ -3570,20 +3435,7 @@ class ShardedSearcher:
             return []
         a_s, a_d = float(after[0]), int(after[1])
         futs = [a.score_after.remote(qtids, qw, k, a_s, a_d) for a in self.actors]
-        docs, scores, urls = [], [], []
-        for d, s, u in ray.get(futs):
-            docs.append(d)
-            scores.append(s)
-            urls.extend(u)
-        if not docs:
-            return []
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if d.size == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        urls_arr = np.asarray(urls, dtype=object)
-        return [(int(d[i]), float(s[i]), str(urls_arr[i])) for i in order]
+        return _merge_parts(ray.get(futs), k)
 
     def _scatter_expanded(self, qtids: np.ndarray, k: int, method: str) -> list[tuple[int, float, str]]:
         """Scatter-gather an expanded-OR term-id set (unit weights) to the
@@ -3592,20 +3444,7 @@ class ShardedSearcher:
             return []
         qw = np.ones(qtids.size, np.float64)
         futs = [a.score.remote(qtids, qw, k, method) for a in self.actors]
-        docs, scores, urls = [], [], []
-        for d, s, u in ray.get(futs):
-            docs.append(d)
-            scores.append(s)
-            urls.extend(u)
-        if not docs:
-            return []
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if d.size == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        urls_arr = np.asarray(urls, dtype=object)
-        return [(int(d[i]), float(s[i]), str(urls_arr[i])) for i in order]
+        return _merge_parts(ray.get(futs), k)
 
     def search_index_ordered(self, text: str, k: int = 10) -> list[int]:
         """Early-terminated sort-by-field retrieval on the sharded path
@@ -3733,20 +3572,7 @@ class ShardedSearcher:
         if qtids.size == 0:
             return []
         futs = [a.score_decay.remote(qtids, qw, k, attr_col, origin, scale) for a in self.actors]
-        docs, scores, urls = [], [], []
-        for d, s, u in ray.get(futs):
-            docs.append(d)
-            scores.append(s)
-            urls.extend(u)
-        if not docs:
-            return []
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if d.size == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        urls_arr = np.asarray(urls, dtype=object)
-        return [(int(d[i]), float(s[i]), str(urls_arr[i])) for i in order]
+        return _merge_parts(ray.get(futs), k)
 
     def search_function_score(
         self,
@@ -3768,20 +3594,7 @@ class ShardedSearcher:
             a.score_function_score.remote(qtids, qw, k, functions, max_boost, min_score)
             for a in self.actors
         ]
-        docs, scores, urls = [], [], []
-        for d, s, u in ray.get(futs):
-            docs.append(d)
-            scores.append(s)
-            urls.extend(u)
-        if not docs:
-            return []
-        d = np.concatenate(docs)
-        s = np.concatenate(scores)
-        if d.size == 0:
-            return []
-        order = np.lexsort((d, -s))[:k]
-        urls_arr = np.asarray(urls, dtype=object)
-        return [(int(d[i]), float(s[i]), str(urls_arr[i])) for i in order]
+        return _merge_parts(ray.get(futs), k)
 
     def adjacency_matrix(self, filters: list[tuple[str, str, int]]) -> list[tuple[str, str, int]]:
         """Adjacency-matrix aggregation over named boolean filters

@@ -874,6 +874,141 @@ def test_empty_and_oov_queries(reader):
     assert reader.search("...!!!", 10) == []
 
 
+def _encode_via_get_indexer(reader, text):
+    """Reference query encode: pandas get_indexer over the sorted vocab,
+    then one np.unique."""
+    toks = reader.tok.tokenize(text)
+    if not toks:
+        return np.zeros(0, np.int64), np.zeros(0, np.float64)
+    tids = reader.vocab_index.get_indexer(np.asarray(toks, dtype=object))
+    tids = tids[tids >= 0]
+    if tids.size == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.float64)
+    uniq, counts = np.unique(tids, return_counts=True)
+    return uniq.astype(np.int64), counts.astype(np.float64)
+
+
+def test_dict_encode_equals_get_indexer(built_index, reader):
+    """The dict-probe encode returns the same sorted int64 term ids and
+    float64 counts as the get_indexer encode, on the local reader and on a
+    federated segment scoring under union statistics."""
+    from splade_ray.pipelines.search import FederatedReader
+
+    index_dir, cfg = built_index
+    texts = generate_queries(60)["text"].to_pylist() + [
+        "w0001 w0093 w0001 W0001 w0093 w0001",  # repeated tokens, case folded
+        "zzznotaword qqqoov",  # OOV only
+        "...!!! ,,, ???",  # punctuation only
+        "",
+        "   ",
+        "w0001, zzznotaword; w0002!!",  # OOV and punctuation mixed in
+    ]
+    fed = FederatedReader([index_dir, index_dir], cfg)
+    for r in (reader, fed.readers[0]):
+        for text in texts:
+            got, want = r.encode_query(text), _encode_via_get_indexer(r, text)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype, text
+                np.testing.assert_array_equal(g, w, err_msg=text)
+
+
+def test_batched_url_of_equals_per_hit(reader):
+    rng = np.random.default_rng(7)
+    ids = rng.integers(0, reader.n_docs, 50).astype(np.int64)  # unsorted, repeats
+    assert reader.url_of(ids) == [reader.url_of(int(i)) for i in ids]
+    assert reader.url_of(ids.tolist()) == reader.url_of(ids)
+    assert reader.url_of(np.zeros(0, np.int64)) == []
+    assert isinstance(reader.url_of(np.int64(ids[0])), str)
+    for absent in (-1, reader.n_docs + 5):
+        with pytest.raises(KeyError):
+            reader.url_of(absent)
+        with pytest.raises(KeyError):
+            reader.url_of(np.append(ids, absent))
+
+
+def _topk_via_nonzero(sh, scores, k):
+    """Reference top-k select: nonzero() over the float64 scores, then
+    argpartition for the kth score."""
+    nz = np.nonzero(scores)[0]
+    if nz.size == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.float64)
+    kk = min(k, nz.size)
+    cand = nz
+    if nz.size > kk:
+        part = np.argpartition(-scores[nz], kk - 1)[:kk]
+        kth = scores[nz[part]].min()
+        cand = nz[scores[nz] >= kth]
+    order = cand[np.lexsort((cand, -scores[cand]))][:kk]
+    return sh.doc_ids[order], scores[order]
+
+
+def _term_slices_via_loop(sh, qtids):
+    pos = np.searchsorted(sh.term_ids, qtids)
+    out = []
+    for i, tid in enumerate(qtids):
+        p = pos[i]
+        if p < sh.term_ids.size and sh.term_ids[p] == tid:
+            out.append((i, int(sh.term_ptr[p]), int(sh.term_ptr[p + 1]), int(p)))
+    return out
+
+
+def test_shard_select_and_lookup_match_reference(reader):
+    """_topk_from_scores equals the nonzero()/argpartition reference on
+    vectors with zeroed (tombstoned) docs and a tie class straddling the
+    kth score; _term_slices equals the per-term loop, absent ids included."""
+    sh = reader.shards[0]
+    rng = np.random.default_rng(11)
+    n = sh.n_local
+    base = np.round(rng.random(n) * 10, 3)
+    base[rng.random(n) < 0.4] = 0.0  # unmatched docs
+    tied = np.flatnonzero(base)[[3, 17, 40, 41, 90]]
+    for k in (1, 3, 5, 10, n, n + 7):
+        scores = base.copy()
+        top = np.sort(scores)[::-1]
+        scores[tied] = top[min(k, n) - 1] if k <= n else top[0]  # ties at the kth score
+        scores[rng.choice(n, 25, replace=False)] = 0.0  # tombstones
+        got, want = sh._topk_from_scores(scores, k), _topk_via_nonzero(sh, scores, k)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+    for g, w in zip(sh._topk_from_scores(np.zeros(n), 10), _topk_via_nonzero(sh, np.zeros(n), 10)):
+        assert g.dtype == w.dtype and g.size == w.size == 0
+    absent = int(sh.term_ids.max()) + 1
+    for qtids in (
+        np.sort(rng.choice(sh.term_ids, 6, replace=False)),
+        np.asarray([-1, int(sh.term_ids[0]), absent, absent + 1], np.int64),
+        np.asarray([absent], np.int64),
+        np.zeros(0, np.int64),
+    ):
+        got = sh._term_slices(qtids.astype(np.int64))
+        assert got == _term_slices_via_loop(sh, qtids.astype(np.int64))
+        assert all(type(x) is int for row in got for x in row)
+
+
+def test_sharded_equals_local_tail_queries(built_index, reader):
+    """Selective queries (vocab-tail terms, OOV and punctuation mixed in)
+    give the same hits on the sharded and the local path, single and
+    batched."""
+    index_dir, cfg = built_index
+    tail = [str(t) for t in reader.vocab_index[np.flatnonzero(reader.df <= 3)[:40]]]
+    texts = [f"{a} {b}" for a, b in zip(tail[::2], tail[1::2])] + [
+        f"{tail[0]} zzznotaword",
+        f"!!! {tail[1]} ...",
+        f"{tail[2]} {tail[2]} {tail[3]}",
+        "zzznotaword",
+        "",
+    ]
+    ss = ShardedSearcher(index_dir, cfg, num_actors=2)
+    try:
+        want = [reader.search(t, 10) for t in texts]
+        assert any(want) and not all(want)
+        assert [ss.search(t, 10) for t in texts] == want
+        assert [ss.search(t, 10, method="wand") for t in texts] == want
+        assert ss.msearch(texts, 10) == want
+    finally:
+        ss.shutdown()
+
+
 def test_lineage_records(built_index):
     index_dir, cfg = built_index
     lineage = json.load(open(os.path.join(index_dir, "postings", "_LINEAGE.json")))

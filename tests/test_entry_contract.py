@@ -3,6 +3,8 @@ where an ``oracle_sql()`` entry exists, matches the DuckDB result
 (row count + column names + order-insensitive values, floats to 1e-6) — the
 same comparison the driver performs at sf0.01."""
 
+import glob
+import json
 import os
 
 import duckdb
@@ -102,6 +104,21 @@ def test_contract_md_matches_registry():
     for name, flag in listed.items():
         want = "SQL" if name in ORACLES else "rows-only"
         assert flag == want, f"CONTRACT.md: {name} marked {flag}, registry says {want}"
+
+
+SWEEPS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "SWEEP_sf*.json")))
+
+
+@pytest.mark.parametrize("sweep", SWEEPS, ids=os.path.basename)
+def test_sweep_matches_registry(sweep):
+    """Each committed contract sweep names exactly queries().keys() — a
+    query added to or dropped from the registry makes the sweep stale."""
+    with open(sweep) as f:
+        swept = json.load(f)["queries"]
+    assert set(swept) == set(QUERIES), (
+        f"{os.path.basename(sweep)} stale: missing={sorted(set(QUERIES) - set(swept))}, "
+        f"extra={sorted(set(swept) - set(QUERIES))} — re-run contract_sweep.py"
+    )
 
 
 def test_registry_exposes_all_ops(ray_session):

@@ -53,6 +53,24 @@ def test_pagerank_table_vs_dense(ray_session, seed, n, m, nbuckets):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def test_prepare_edges_counts_once(ray_session, monkeypatch):
+    """One count() per edge list feeds both the coalesce gate and the
+    bucket-count heuristic; a given bucket count is kept."""
+    from ray.data import Dataset
+
+    from splade_ray.pipelines.graph import _prepare_edges
+
+    calls = []
+    count = Dataset.count
+    monkeypatch.setattr(Dataset, "count", lambda self: calls.append(1) or count(self))
+    src, dst = _random_graph(5, 50, 300)
+    edges = rd.from_arrow(pa.table({"src": pa.array(src), "dst": pa.array(dst)})).repartition(12)
+    out, nb = _prepare_edges(edges, None)
+    assert len(calls) == 1
+    assert nb == 8 and out.num_blocks() == 4 and out.count() == src.size
+    assert _prepare_edges(edges, 5)[1] == 5
+
+
 def test_pagerank_table_personalized_restart(ray_session):
     from splade_ray.pipelines.graph import pagerank_table
 

@@ -912,6 +912,55 @@ def test_soft_dedup_weight_mass_conservation(ray_session):
     assert (singles["weight_r"] == 1.0).all()
 
 
+@pytest.mark.parametrize("mode", ["dense", "vertex"])
+def test_personalized_pagerank_without_seeds_is_empty(ray_session, tmp_path, mode):
+    """No lang='en' doc means an empty restart set: both modes return an
+    empty ranking rather than dividing by |seeds| = 0."""
+    import pyarrow.parquet as pq
+
+    from splade_ray.pipelines.queries import personalized_pagerank
+
+    n = 30
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": np.arange(n, dtype=np.int64),
+                "text": np.full(n, "x", dtype=object),
+                "lang": np.full(n, "de", dtype=object),
+                "source": np.full(n, "t", dtype=object),
+                "n_chars": np.ones(n, dtype=np.int64),
+            }
+        ),
+        str(tmp_path / "documents.parquet"),
+    )
+    got = personalized_pagerank(str(tmp_path), mode=mode)
+    assert list(got.columns) == ["doc_id", "ppr_r"] and len(got) == 0
+
+
+def test_err_at10_duplicate_qrels(monkeypatch):
+    """A (query_id, doc_id) pair listed twice in the qrels is one relevant
+    doc: ERR equals the deduplicated qrels' ERR."""
+    from splade_ray.pipelines import queries as q
+
+    run = pd.DataFrame({"query_id": ["a"] * 3, "rank": [1, 2, 3], "doc_id": [10, 11, 12]})
+    qrels = pd.DataFrame({"query_id": ["a", "a", "a"], "doc_id": [11, 11, 12]})
+    monkeypatch.setattr(q, "bm25_topk", lambda sf: run)
+    monkeypatch.setattr(q, "boolean_and_match", lambda sf: qrels)
+    got = q.err_at10("unused")
+    # cascade over ranks 2 and 3: 0.5/2 + 0.5·0.5/3
+    assert got["err_r"].tolist() == [round(0.5 / 2 + 0.25 / 3, 6)]
+
+
+def test_facet_counts_skip_ids_missing_from_documents():
+    """Matched doc ids absent from documents.parquet carry code -1 and fall
+    in no facet bucket (np.bincount would reject them)."""
+    from splade_ray.pipelines.queries import _facet_counts
+
+    code_by_id = np.asarray([0, -1, 1, 0, -1], dtype=np.int32)
+    counts = _facet_counts(code_by_id, np.asarray([0, 1, 2, 3, 4, 3], np.int64), 3)
+    assert counts.tolist() == [3, 1, 0]
+
+
 def test_err_at10_hand_computed(ray_session):
     """ERR replay: literal cascade product over the run/qrels join."""
     from splade_ray.pipelines.queries import bm25_topk, boolean_and_match, err_at10
