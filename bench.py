@@ -230,6 +230,7 @@ def run_bench() -> dict:
 
     qtimes: dict[str, float] = {}
     qtimes["index_build"] = round(build_s, 3)
+    failed: list[str] = []
     for name, fn in em.queries().items():
         t = time.perf_counter()
         try:
@@ -237,15 +238,16 @@ def run_bench() -> dict:
             if hasattr(res, "materialize"):
                 res.materialize()
             qtimes[name] = round(time.perf_counter() - t, 3)
-        except Exception as e:  # pragma: no cover - bench robustness
-            qtimes[name] = -1.0
-            print(f"# bench query {name} failed: {e}", file=sys.stderr)
+        except Exception as e:  # pragma: no cover - recorded, then fails the run
+            failed.append(name)
+            print(f"# bench query {name} failed: {e!r}", file=sys.stderr)
 
     result = {
         "metric": "index_build_seconds",
         "value": round(build_s, 3),
         "unit": "sec",
         "queries": qtimes,
+        "failed_queries": failed,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
         "bench_docs": summary["n_docs"],
@@ -387,10 +389,28 @@ def run_scaling() -> dict:
     return out
 
 
+def _git_sha() -> str | None:
+    """HEAD of the checkout this file runs from (None outside a git checkout)."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+        )
+    except OSError:
+        return None
+    return out.stdout.strip() or None
+
+
 if __name__ == "__main__":
     if "--scaling" in sys.argv:
-        print(json.dumps(run_scaling()))
+        result = run_scaling()
     elif os.environ.get("GRAFT_SERVING_ONLY"):
-        print(json.dumps(run_serving()))
+        result = run_serving()
     else:
-        print(json.dumps(run_bench()))
+        result = run_bench()
+    result["git_sha"] = _git_sha()
+    print(json.dumps(result))
+    if result.get("failed_queries"):
+        sys.exit(1)

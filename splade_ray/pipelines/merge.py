@@ -23,7 +23,6 @@ shard is skipped).
 from __future__ import annotations
 
 import os
-import re
 import time
 
 import numpy as np
@@ -37,7 +36,7 @@ import ray.data
 from ..codec import binary_concat, varint_decode
 from ..config import EngineConfig, DEFAULT_CONFIG
 from ..stages.postings import encode_shard_postings, _lineage_row
-from ..state.lineage import atomic_write_json, config_hash, read_json, shard_is_valid
+from ..state.lineage import atomic_write_json, config_hash, postings_shard_ids, read_json, shard_is_valid
 from ..util import pool_size
 
 
@@ -77,11 +76,7 @@ def decode_postings_table(
 
 def _segment_shards(seg_dir: str) -> dict[int, str]:
     pdir = os.path.join(seg_dir, "postings")
-    return {
-        int(m.group(1)): pdir
-        for f in sorted(os.listdir(pdir))
-        if (m := re.match(r"shard-(\d+)\.postings\.parquet$", f))
-    }
+    return {sid: pdir for sid in postings_shard_ids(pdir)}
 
 
 class PurgeStatsStage:

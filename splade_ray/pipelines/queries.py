@@ -256,13 +256,19 @@ def _rounded_topk(reader: IndexReader, text: str, k: int = None, margin: int = 5
     depends on the oracle's summation order (DuckDB aggregation is
     run-to-run order-unstable), so the contract for these queries ranks on
     the 6-decimal score, the same convention as collapse/diversified.  The
-    engine fetches k+margin raw candidates and re-ranks rounded; ties
-    crossing the raw boundary deeper than ``margin`` would need >margin
-    docs within 1e-6 of the kth score."""
+    engine fetches k+margin raw candidates and re-ranks rounded.  When the
+    fetch comes back full and its last candidate still rounds to the kth
+    re-ranked score, that tie class may extend past the fetch, so the
+    re-rank could be wrong: raise rather than answer."""
     k = k or BM25_K
     cand = reader.search(text, k + margin)
-    cand.sort(key=lambda r: (-round(r[1], 6), r[0]))
-    return cand[:k]
+    ranked = sorted(cand, key=lambda r: (-round(r[1], 6), r[0]))
+    if len(cand) == k + margin and round(cand[-1][1], 6) == round(ranked[k - 1][1], 6):
+        raise RuntimeError(
+            f"_rounded_topk: the round-6 tie class at rank {k} reaches the end of the "
+            f"{k + margin}-candidate fetch for {text!r}; raise margin ({margin})"
+        )
+    return ranked[:k]
 
 
 def lm_jm_topk(sf_dir: str) -> pd.DataFrame:
@@ -8275,8 +8281,7 @@ def rm3_topk(sf_dir: str) -> pd.DataFrame:
         qtids, qw = tids[ok].astype(np.int64), all_w[ok]
         o = np.argsort(qtids)
         qtids, qw = qtids[o], qw[o]
-        cands = [sh.score_exhaustive(qtids, qw, BM25_K) for sh in reader.shards]
-        for rank, (doc, score, _u) in enumerate(reader._merge_shard_topk(cands, BM25_K), 1):
+        for rank, (doc, score, _u) in enumerate(reader._topk(BM25_K, "score_exhaustive", qtids, qw, BM25_K), 1):
             rows.append((qid, rank, int(doc), round(float(score), 6)))
     return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
 

@@ -17,15 +17,18 @@ Engine kernels (per shard, all numpy-vectorized):
   path; the exhaustive kernel is the small-shard throughput path.
 
 Distribution: doc shards are disjoint, so per-shard exact top-k merge is
-globally exact (scatter-gather).  Two deployments:
+globally exact (scatter-gather).  :class:`QueryFront` writes each query
+once — driver-side encode and merge around a shard-local *leg* that is an
+:class:`IndexReader` method — and its two executors are:
 
-- :class:`SearcherStage` — a ``map_batches`` actor pool where each actor
-  holds the full (small) index: embarrassingly parallel over query batches;
-  the single-node bench path.
-- :class:`ShardedSearcher` — one ``@ray.remote`` scorer actor per shard
-  pinning its partition (reference T5 pattern: mmap'd postings + reusable
-  buffers, ``src/model/pl_module/retrieval.py:146-162``); the multi-node
-  path where no node holds the whole index.
+- :class:`IndexReader` — runs the legs in process over its own shards;
+  :class:`SearcherStage` wraps it as a ``map_batches`` actor pool where
+  each actor holds the full (small) index: the single-node bench path.
+- :class:`ShardedSearcher` — runs the legs on one ``@ray.remote`` scorer
+  actor per shard group pinning its partition (reference T5 pattern:
+  mmap'd postings + reusable buffers,
+  ``src/model/pl_module/retrieval.py:146-162``), with replica failover;
+  the multi-node path where no node holds the whole index.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -44,7 +48,7 @@ import ray
 from ..codec import binary_concat as _binary_concat, varint_decode
 from ..config import EngineConfig, DEFAULT_CONFIG
 from ..oracle import bm25_idf
-from ..state.lineage import read_json
+from ..state.lineage import postings_shard_ids, read_json
 from ..tokenizer import Tokenizer
 
 
@@ -398,6 +402,35 @@ class ShardIndex:
             if p < n and ids[p] == t
         ]
 
+    def accumulate(
+        self, slices, qweights: np.ndarray | None = None, counts: bool = False, tf: bool = False
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(scores, counts) over the local docs from the query terms'
+        posting ``slices`` (see :meth:`_term_slices`), in one pass over
+        their concatenation:
+
+        - scores: Σ_t qweights[t]·impact (raw tf when ``tf``), a float64
+          vector; None when ``qweights`` is None.
+        - counts: the number of distinct query terms each doc holds, with
+          tombstoned docs zeroed; None unless ``counts``.
+
+        Terms' postings hold each doc once, so one bincount of the
+        concatenated ids is the distinct-term count."""
+        pl = self.post_local
+        ids = np.concatenate([pl[s:e] for _, s, e, _ in slices]) if slices else np.zeros(0, np.int64)
+        scores = cnt = None
+        if qweights is not None and not slices:
+            scores = np.zeros(self.n_local, np.float64)  # bincount of nothing is int
+        elif qweights is not None:
+            src = self.post_tf if tf else self.post_w
+            w = np.concatenate([src[s:e] * qweights[i] for i, s, e, _ in slices])
+            scores = np.bincount(ids, weights=w, minlength=self.n_local)
+        if counts:
+            cnt = np.bincount(ids, minlength=self.n_local)
+            if self.deleted_local.size:
+                cnt[self.deleted_local] = 0
+        return scores, cnt
+
     def _topk_from_scores(self, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         # a bool mask + flatnonzero is several times faster than nonzero()
         # reading the float64 vector itself
@@ -425,9 +458,7 @@ class ShardIndex:
         slices = self._term_slices(qtids)
         if not slices:
             return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        ids = np.concatenate([self.post_local[s:e] for _, s, e, _ in slices])
-        w = np.concatenate([self.post_w[s:e] * qweights[i] for i, s, e, _ in slices])
-        scores = np.bincount(ids, weights=w, minlength=self.n_local)
+        scores, _ = self.accumulate(slices, qweights)
         if allow is not None:
             scores = np.where(allow, scores, 0.0)
         return self._topk_from_scores(scores, k)
@@ -441,18 +472,9 @@ class ShardIndex:
         containing AT LEAST one term of the expansion, regardless of tf
         or how many expansion terms it holds.  A prefix-only doc still
         matches (score exactly 1.0)."""
-        scores = np.zeros(self.n_local, np.float64)
-        slices = self._term_slices(qtids)
-        if slices:
-            ids = np.concatenate([self.post_local[s:e] for _, s, e, _ in slices])
-            w = np.concatenate([self.post_w[s:e] * qweights[i] for i, s, e, _ in slices])
-            scores = np.bincount(ids, weights=w, minlength=self.n_local)
-        p_slices = self._term_slices(prefix_tids)
-        if p_slices:
-            pids = np.concatenate([self.post_local[s:e] for _, s, e, _ in p_slices])
-            hit = np.zeros(self.n_local, bool)
-            hit[pids] = True
-            scores[hit] += 1.0
+        scores, _ = self.accumulate(self._term_slices(qtids), qweights)
+        _, hit = self.accumulate(self._term_slices(prefix_tids), counts=True)
+        scores[hit > 0] += 1.0
         return self._topk_from_scores(scores, k)
 
     def score_synonyms(
@@ -474,9 +496,7 @@ class ShardIndex:
             slices = self._term_slices(np.asarray(tids, dtype=np.int64))
             if not slices:
                 continue
-            ids = np.concatenate([self.post_local[s:e] for _, s, e, _ in slices])
-            tfv = np.concatenate([self.post_tf[s:e] for _, s, e, _ in slices]).astype(np.float64)
-            tfd = np.bincount(ids, weights=tfv, minlength=self.n_local)
+            tfd, _ = self.accumulate(slices, np.ones(len(tids)), tf=True)
             m = tfd > 0
             scores[m] += float(idf) * tfd[m] * (k1 + 1.0) / (tfd[m] + norm[m])
         return self._topk_from_scores(scores, k)
@@ -493,11 +513,11 @@ class ShardIndex:
         slices = self._term_slices(qtids)
         if not slices:
             return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        ids = np.concatenate([self.post_local[s:e] for _, s, e, _ in slices])
-        w = np.concatenate([self.post_w[s:e] * qweights[i] for i, s, e, _ in slices])
-        ssum = np.bincount(ids, weights=w, minlength=self.n_local)
+        ssum, _ = self.accumulate(slices, qweights)
         smax = np.zeros(self.n_local, dtype=np.float64)
-        np.maximum.at(smax, ids, w)
+        for i, s, e, _ in slices:  # a term holds each doc once: a plain gather-max
+            ids = self.post_local[s:e]
+            smax[ids] = np.maximum(smax[ids], self.post_w[s:e] * qweights[i])
         scores = smax + tie * (ssum - smax)
         return self._topk_from_scores(scores, k)
 
@@ -512,13 +532,9 @@ class ShardIndex:
         slices = self._term_slices(qtids)
         if not slices:
             return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        ids = np.concatenate([self.post_local[s:e] for _, s, e, _ in slices])
-        w = np.concatenate([self.post_w[s:e] * qweights[i] for i, s, e, _ in slices])
-        scores = np.bincount(ids, weights=w, minlength=self.n_local)
-        ex = self._term_slices(ex_tids)
-        if ex:
-            ex_ids = np.unique(np.concatenate([self.post_local[s:e] for _, s, e, _ in ex]))
-            scores[ex_ids] = 0.0
+        scores, _ = self.accumulate(slices, qweights)
+        _, ex = self.accumulate(self._term_slices(ex_tids), counts=True)
+        scores[ex > 0] = 0.0
         return self._topk_from_scores(scores, k)
 
     def score_after(
@@ -532,9 +548,7 @@ class ShardIndex:
         slices = self._term_slices(qtids)
         if not slices:
             return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        ids = np.concatenate([self.post_local[s:e] for _, s, e, _ in slices])
-        w = np.concatenate([self.post_w[s:e] * qweights[i] for i, s, e, _ in slices])
-        scores = np.bincount(ids, weights=w, minlength=self.n_local)
+        scores, _ = self.accumulate(slices, qweights)
         keep = (scores < after_score) | ((scores == after_score) & (self.doc_ids > after_doc))
         scores = np.where(keep, scores, 0.0)
         return self._topk_from_scores(scores, k)
@@ -607,11 +621,7 @@ class ShardIndex:
         (Lucene: a clause scores only where it matches)."""
         qtids, qw = c["qtids"], c["qw"]
         slices = self._term_slices(qtids)
-        vec = np.zeros(self.n_local, dtype=np.float64)
-        if slices:
-            ids = np.concatenate([self.post_local[s:e] for _, s, e, _ in slices])
-            w = np.concatenate([self.post_w[s:e] * qw[i] for i, s, e, _ in slices])
-            vec = np.bincount(ids, weights=w, minlength=self.n_local).astype(np.float64)
+        vec, _ = self.accumulate(slices, qw)
         if c.get("h_seq") is not None:
             mask = np.zeros(self.n_local, dtype=bool)
             mask[self._phrase_match_locals(qtids, c["h_seq"])] = True
@@ -660,11 +670,7 @@ class ShardIndex:
         """Local ids of docs holding ALL ``n_terms`` query terms (per-term
         posting locals are distinct, so a full AND hit accumulates exactly
         n_terms)."""
-        cnt = np.zeros(self.n_local, dtype=np.int64)
-        for _i, s, e, _p in slices:
-            cnt[self.post_local[s:e]] += 1
-        if self.deleted_local.size:
-            cnt[self.deleted_local] = 0  # tombstoned docs never match
+        _, cnt = self.accumulate(slices, counts=True)  # tombstoned docs never match
         return np.flatnonzero(cnt == n_terms)
 
     def _candidate_windows(self, cand: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -688,9 +694,7 @@ class ShardIndex:
         local docs; (-score, doc) tie-break."""
         if matched.size == 0:
             return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        ids = np.concatenate([self.post_local[s:e] for _, s, e, _ in slices])
-        w = np.concatenate([self.post_w[s:e] * qweights[i] for i, s, e, _ in slices])
-        scores = np.bincount(ids, weights=w, minlength=self.n_local)
+        scores, _ = self.accumulate(slices, qweights)
         mscores = scores[matched]
         kk = min(k, matched.size)
         order = np.lexsort((matched, -mscores))[:kk]
@@ -1034,13 +1038,9 @@ class ShardIndex:
         slices = self._term_slices(qtids)
         if not slices:
             return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        ids = np.concatenate([self.post_local[s:e] for _, s, e, _ in slices])
-        w = np.concatenate([self.post_w[s:e] * qweights[i] for i, s, e, _ in slices])
-        scores = np.bincount(ids, weights=w, minlength=self.n_local)
-        neg = self._term_slices(neg_tids)
-        if neg:
-            neg_ids = np.unique(np.concatenate([self.post_local[s:e] for _, s, e, _ in neg]))
-            scores[neg_ids] *= float(negative_boost)
+        scores, _ = self.accumulate(slices, qweights)
+        _, neg = self.accumulate(self._term_slices(neg_tids), counts=True)
+        scores[neg > 0] *= float(negative_boost)
         return self._topk_from_scores(scores, k)
 
     def _gather_zones(self, slices, zones: np.ndarray, qweights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1167,7 +1167,447 @@ def parse_query_string(qstring: str) -> list[tuple[str, str, str, float]]:
     return out
 
 
-class IndexReader:
+class Hits(NamedTuple):
+    """A shard-local leg's candidates: doc ids, scores, per-hit values (the
+    grouping value of an election leg, the window of a snippet leg) and
+    urls, which a shard actor fills in where the docs live; an in-process
+    leg leaves them None so only the merged winners' urls are looked up."""
+
+    docs: np.ndarray
+    scores: np.ndarray
+    vals: np.ndarray | list | None = None
+    urls: list[str] | None = None
+
+
+def _hits(cands) -> Hits:
+    """One :class:`Hits` of per-shard ``(docs, scores[, vals])`` candidates."""
+    if not cands:
+        return Hits(np.zeros(0, np.int64), np.zeros(0, np.float64), np.zeros(0, object))
+    if len(cands) == 1:  # a consolidated reader: the per-query hot path, no copy
+        return Hits(*cands[0])
+    return Hits(*(np.concatenate(c) for c in zip(*cands)))
+
+
+def _topk_kernel(method: str) -> str:
+    """The :class:`ShardIndex` top-k kernel a ``method`` names."""
+    return "score_wand" if method == "wand" else "score_exhaustive"
+
+
+class QueryFront:
+    """The queries :class:`IndexReader` and :class:`ShardedSearcher` both
+    serve, each written once: the driver side (encode, the early return on
+    an empty query, the merge) lives here, and the shard-local side is an
+    :class:`IndexReader` method, a *leg*, named by the query.  ``_legs``
+    is the one executor: the reader runs a leg in process over its own
+    shards, the sharded searcher runs it on every shard group's actor with
+    replica failover.  Doc shards are disjoint, so merging the legs'
+    per-shard exact results is globally exact.  ``reader`` is the
+    :class:`IndexReader` holding the query-side state (vocab, tokenizer,
+    dictionary expansions)."""
+
+    reader: "IndexReader"
+
+    def _legs(self, name: str, *args) -> list:
+        """One result of leg ``name`` per shard group."""
+        raise NotImplementedError
+
+    def _urls(self, parts: list[Hits], docs, idx) -> list[str]:
+        """Urls of the hits at positions ``idx`` of the legs' concatenated
+        candidates (doc ids ``docs``): one batched lookup when the legs ran
+        in process, else what the shard actors shipped."""
+        if len(idx) == 0:
+            return []
+        if parts[0].urls is None:
+            return self.url_of(docs)
+        shipped = [u for p in parts for u in p.urls]
+        return [shipped[i] for i in idx]
+
+    def _merge_hits(self, parts: list[Hits], k: int) -> list[tuple[int, float, str]]:
+        """Global (-score, doc_id) top-k of the legs' hits."""
+        if not parts:
+            return []
+        if len(parts) == 1:  # in process: no copy on the per-query hot path
+            d, s = parts[0].docs, parts[0].scores
+        else:
+            d = np.concatenate([p.docs for p in parts])
+            s = np.concatenate([p.scores for p in parts])
+        order = np.lexsort((d, -s))[:k]
+        top = d[order]
+        return list(zip(top.tolist(), s[order].tolist(), self._urls(parts, top, order)))
+
+    def _topk(self, k: int, kernel: str, *args) -> list[tuple[int, float, str]]:
+        """Top-k of the :class:`ShardIndex` kernel ``kernel`` run on every shard."""
+        return self._merge_hits(self._legs("_on_shards", kernel, *args), k)
+
+    def _elect(self, parts: list[Hits], per_value: int, rounded: bool = True) -> dict:
+        """Per grouping value, its ``per_value`` best candidates over every
+        leg as (score, doc_id, url) in (-score, doc_id) order — the score
+        compared at 6 decimals when ``rounded`` (the repo-wide compare
+        precision, so engine and SQL oracle agree when two docs tie at 6
+        decimals but differ at fp epsilon)."""
+        pool: dict = {}
+        pos = 0
+        for p in parts:
+            for s, d, v in zip(p.scores.tolist(), p.docs.tolist(), p.vals):
+                pool.setdefault(v, []).append((s, d, pos))
+                pos += 1
+        key = (lambda c: (-round(c[0], 6), c[1])) if rounded else (lambda c: (-c[0], c[1]))
+        won = {v: sorted(c, key=key)[:per_value] for v, c in pool.items()}
+        flat = [c for cand in won.values() for c in cand]
+        urls = iter(self._urls(parts, [c[1] for c in flat], [c[2] for c in flat]))
+        return {v: [(s, d, next(urls)) for s, d, _p in cand] for v, cand in won.items()}
+
+    def search(self, text: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
+        """BM25 top-k, exhaustive or block-max pruned (``method="wand"``);
+        ``method="phrase"`` is :meth:`search_phrase`."""
+        if method == "phrase":
+            return self.search_phrase(text, k)
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        return self._topk(k, _topk_kernel(method), qtids, qw, k)
+
+    def msearch(
+        self, texts: list[str], k: int = 10, method: str = "exhaustive"
+    ) -> list[list[tuple[int, float, str]]]:
+        """Batched multi-search (ES ``_msearch``): every query is encoded
+        once, then the WHOLE batch rides ONE leg per shard group — Q
+        queries cost Q·shards scoring but only |groups| round trips on the
+        sharded path.  Results equal Q independent :meth:`search` calls."""
+        encoded = [self.reader.encode_query(t) for t in texts]
+        live = [i for i, (qt, _) in enumerate(encoded) if qt.size > 0]
+        out: list[list[tuple[int, float, str]]] = [[] for _ in texts]
+        if not live:
+            return out
+        parts = self._legs("_leg_msearch", [encoded[i] for i in live], k, method)
+        for bi, qi in enumerate(live):
+            out[qi] = self._merge_hits([per_group[bi] for per_group in parts], k)
+        return out
+
+    def search_after(
+        self, text: str, k: int = 10, after: tuple[float, int] | None = None
+    ) -> list[tuple[int, float, str]]:
+        """Deep pagination: the top-k strictly after the ``(score, doc_id)``
+        cursor in the (-score, doc_id) total order (pass the last hit of
+        the previous page).  ``after=None`` degrades to :meth:`search`.
+        Per shard the cursor is applied INSIDE the scorer, so no page is
+        ever re-collected — the search_after contract."""
+        if after is None:
+            return self.search(text, k)
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        return self._topk(k, "score_after", qtids, qw, k, float(after[0]), int(after[1]))
+
+    def search_synonyms(self, groups: list[list[str]], k: int = 10) -> list[tuple[int, float, str]]:
+        """Synonym retrieval (Lucene SynonymQuery): each group of terms
+        scores as ONE pseudo-term — member tfs SUM before the BM25
+        saturation, under idf(max member df) — and group scores add.
+        Exhaustive only: blended-tf bounds aren't decomposable over the
+        stored per-term zone maxima, so WAND is out of scope (Lucene
+        likewise gives SynonymQuery its own scorer)."""
+        g_tids, g_idf = self.reader._expand_synonym_groups(groups)
+        if not g_tids:
+            return []
+        return self._topk(k, "score_synonyms", g_tids, g_idf, k)
+
+    def search_dismax(self, text: str, k: int = 10, tie: float = 0.0) -> list[tuple[int, float, str]]:
+        """Disjunction-max top-k (Lucene DisjunctionMaxQuery): each doc
+        scores its BEST single query-term contribution plus ``tie`` × the
+        rest, instead of the BM25 sum — the field-disjunction shape that
+        stops multi-term coordination from drowning out a strong single
+        match.  Exact per shard (the kernel sees every posting)."""
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        return self._topk(k, "score_dismax", qtids, qw, k, tie)
+
+    def search_phrase(self, text: str, k: int = 10) -> list[tuple[int, float, str]]:
+        """Exact-phrase top-k (requires a ``store_forward=True`` build):
+        docs whose token stream contains the query tokens CONSECUTIVELY,
+        ranked by the same BM25 bag score / (-score, doc) tie-break as
+        :meth:`search`.  An OOV phrase token ⇒ no match anywhere ⇒ []."""
+        from ..functions.hashing import md5_u64
+
+        toks = self.reader.tok.tokenize(text)
+        if not toks:
+            return []
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0 or int(qw.sum()) != len(toks):
+            return []  # at least one phrase token is OOV
+        return self._topk(k, "phrase_topk", qtids, qw, md5_u64(toks), k)
+
+    def search_query_string(self, qstring: str, k: int = 10) -> list[tuple[int, float, str]]:
+        """Lucene/ES ``query_string`` retrieval: ``+must``, ``-must_not``,
+        bare should terms, ``"quoted phrases"`` and ``^boost`` factors,
+        composed onto the existing BM25 / phrase kernels per shard.
+
+        Contract: docs must satisfy every must clause (when none exist, at
+        least one should clause) and no must_not clause; the score is the
+        boost-weighted sum of the BM25 bag scores of the must+should
+        clauses the doc matches, (-score, doc_id) ties.  A clause with an
+        OOV token can never match: as a must that empties the result, as a
+        should it's dropped, as a must_not it excludes nothing.  Phrase
+        clauses need ``store_forward=True`` builds."""
+        spec = self.reader.build_query_string_spec(qstring)
+        if spec is None:
+            return []
+        return self._topk(k, "score_query_string", spec, k)
+
+    def _search_expanded(self, qtids: np.ndarray, k: int, method: str) -> list[tuple[int, float, str]]:
+        """Score an expanded-OR term-id set (unit query weight, per-term
+        idf) through the unchanged kernels — shared by every dictionary
+        expansion (prefix / fuzzy / regexp / wildcard / substring)."""
+        if qtids.size == 0:
+            return []
+        return self._topk(k, _topk_kernel(method), qtids, np.ones(qtids.size, np.float64), k)
+
+    def search_prefix(self, prefix: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
+        """Wildcard top-k (``pre*``): the query expands to every vocab term
+        with the prefix, each with unit query weight and its OWN idf
+        (expanded-OR semantics), and scores through the unchanged BM25
+        kernels — exhaustive or block-max pruned."""
+        return self._search_expanded(self.reader.expand_prefix(prefix), k, method)
+
+    def search_fuzzy(
+        self, term: str, k: int = 10, max_edits: int = 1, method: str = "exhaustive"
+    ) -> list[tuple[int, float, str]]:
+        """Fuzzy top-k (Lucene FuzzyQuery shape): the term expands to every
+        vocab term within ``max_edits`` Levenshtein distance, each scored
+        with unit query weight and its OWN idf through the unchanged BM25
+        kernels — identical expanded-OR semantics to :meth:`search_prefix`."""
+        return self._search_expanded(self.reader.expand_fuzzy(term, max_edits), k, method)
+
+    def search_regexp(self, pattern: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
+        """Regexp top-k (Lucene RegexpQuery shape): the pattern expands to
+        every fully-matching vocab term, each with unit query weight and
+        its OWN idf — identical expanded-OR semantics to
+        :meth:`search_prefix` / :meth:`search_fuzzy`."""
+        return self._search_expanded(self.reader.expand_regexp(pattern), k, method)
+
+    def search_wildcard(self, pattern: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
+        """Wildcard top-k (Lucene WildcardQuery): ``*``/``?`` glob over
+        the term dictionary, expanded-OR semantics identical to
+        :meth:`search_prefix` / :meth:`search_regexp` — each matched term
+        carries unit query weight and its OWN idf."""
+        return self._search_expanded(self.reader.expand_wildcard(pattern), k, method)
+
+    def search_substring(self, sub: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
+        """Infix top-k (ES ``wildcard`` field ``*sub*`` shape): the needle
+        expands through the trigram dictionary to every containing vocab
+        term, each with unit query weight and its OWN idf — expanded-OR
+        semantics identical to :meth:`search_prefix` etc., but the
+        dictionary lookup is index-accelerated instead of a full scan."""
+        return self._search_expanded(self.reader.expand_substring(sub), k, method)
+
+    def _index_ordered(self, text: str, k: int) -> tuple[list[int], int]:
+        """(first ``k`` matching internal doc ids in index order,
+        postings touched) over every shard group's early-terminated walk."""
+        qtids, _qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return [], 0
+        parts = self._legs("_leg_index_ordered", qtids, k)
+        return sorted(i for ids, _t in parts for i in ids)[:k], sum(t for _ids, t in parts)
+
+    def search_collapse(self, text: str, k: int = 10, attr_col: str = "source") -> list[tuple[str, int, float, str]]:
+        """Field collapsing (Lucene grouping / ES ``collapse``): the single
+        best-scoring doc per ``attr_col`` value, values ranked by their
+        winner's (-score, doc_id), top ``k`` values.  Shard owners each
+        ship |values| cells; the match set itself never leaves them.
+        Returns (value, doc_id, score, url) rows."""
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        best = self._elect(self._legs("_leg_elect", qtids, qw, attr_col, 1), 1)
+        ranked = sorted(best.items(), key=lambda vc: (-round(vc[1][0][0], 6), vc[1][0][1]))[:k]
+        return [(v, d, s, u) for v, [(s, d, u)] in ranked]
+
+    def search_diversified(
+        self, text: str, k: int = 10, attr_col: str = "source", per_value: int = 2
+    ) -> list[tuple[int, float, str, str]]:
+        """Diversified top-k (ES ``diversified_sampler`` + top hits): at
+        most ``per_value`` docs per ``attr_col`` value survive, survivors
+        ranked by (-score, doc_id), top ``k``.  Exact, because a value's
+        global top ``per_value`` is a subset of the union of the per-shard
+        top ``per_value`` sets the legs ship.  Returns (doc_id, score, url,
+        value) rows."""
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        best = self._elect(self._legs("_leg_elect", qtids, qw, attr_col, per_value), per_value)
+        rows = [(d, s, u, v) for v, cand in best.items() for s, d, u in cand]
+        rows.sort(key=lambda r: (-round(r[1], 6), r[0]))
+        return rows[:k]
+
+    def search_collapse_inner(
+        self, text: str, n_groups: int = 3, per_value: int = 2, attr_col: str = "source"
+    ) -> list[tuple[str, int, int, int, float, str]]:
+        """Field collapsing WITH inner_hits (ES ``collapse.inner_hits``):
+        groups ranked by their winner's (-score, doc_id), top ``n_groups``
+        groups each expanded to their own top ``per_value`` docs — exact by
+        :meth:`search_diversified`'s argument.  Returns (value, group_rank,
+        inner_rank, doc_id, score, url) rows."""
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        best = self._elect(self._legs("_leg_elect", qtids, qw, attr_col, per_value), per_value)
+        groups = sorted(best.items(), key=lambda g: (-round(g[1][0][0], 6), g[1][0][1]))[:n_groups]
+        return [
+            (v, g, i, d, s, u) for g, (v, cand) in enumerate(groups, 1) for i, (s, d, u) in enumerate(cand, 1)
+        ]
+
+    def search_top_hits(self, text: str, attr_col: str = "lang", n: int = 3) -> list[tuple[str, int, int, float]]:
+        """Top-hits-per-bucket (ES ``terms`` agg + ``top_hits``): for each
+        ``attr_col`` value, the ``n`` best-scoring matched docs ((−score,
+        doc) order).  Returns (value, rank, doc_id, score) rows, values
+        sorted ascending."""
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        best = self._elect(self._legs("_leg_elect", qtids, qw, attr_col, n, False), n, rounded=False)
+        return [(v, r, d, s) for v in sorted(best) for r, (s, d, _u) in enumerate(best[v], 1)]
+
+    def search_boosted(
+        self,
+        text: str,
+        k: int = 10,
+        attr_col: str = "n_chars",
+        boost: float = 0.5,
+        pivot: float = 1000.0,
+        feature: str = "rank_log1p",
+        origin: float = 0.0,
+    ) -> list[tuple[int, float, str]]:
+        """Static-signal retrieval (Lucene FeatureField / ES
+        distance_feature / function_score field_value_factor, selected by
+        ``feature`` — see :meth:`IndexReader._leg_boosted`): BM25 with the
+        doc-value modifier applied inside each shard before its top-k."""
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        parts = self._legs("_leg_boosted", qtids, qw, k, attr_col, boost, pivot, feature, origin)
+        return self._merge_hits(parts, k)
+
+    def search_terms_set(
+        self, terms: list[str], k: int = 10, attr_col: str = "n_chars", mod: int = 3
+    ) -> list[tuple[int, float, str]]:
+        """``terms_set`` retrieval (ES terms_set query with a per-doc
+        ``minimum_should_match_field``): docs containing at least
+        ``1 + (doc_value mod mod)`` DISTINCT of ``terms`` rank by the
+        unit-weight expanded-OR BM25 bag over the term set."""
+        tids = []
+        for t in terms:
+            q, _ = self.reader.encode_query(t)
+            if q.size:
+                tids.append(int(q[0]))
+        qtids = np.unique(np.asarray(tids, dtype=np.int64))
+        if qtids.size == 0:
+            return []
+        return self._merge_hits(self._legs("_leg_terms_set", qtids, k, attr_col, mod), k)
+
+    def search_decay(
+        self, text: str, k: int = 10, attr_col: str = "n_chars", origin: float = 1000.0, scale: float = 500.0
+    ) -> list[tuple[int, float, str]]:
+        """Function-score retrieval with a gauss decay on a numeric
+        doc-value (ES ``function_score``/``gauss``): BM25 × exp(−(attr −
+        origin)²/(2σ²)), decay 0.5 at ``scale`` from ``origin``, applied
+        inside each shard before its top-k."""
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        return self._merge_hits(self._legs("_leg_decay", qtids, qw, k, attr_col, origin, scale), k)
+
+    def search_function_score(
+        self,
+        text: str,
+        k: int,
+        functions: list[dict],
+        max_boost: float = 3.0,
+        min_score: float = 0.0,
+    ) -> list[tuple[int, float, str]]:
+        """Multi-function ``function_score`` retrieval: each shard applies
+        the filtered functions (score_mode=sum, factor capped at
+        ``max_boost``, boost_mode=multiply, ``min_score`` cut) to its OWN
+        matched docs before its top-k."""
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        parts = self._legs("_leg_function_score", qtids, qw, k, functions, max_boost, min_score)
+        return self._merge_hits(parts, k)
+
+    def snippets(self, text: str, k: int = 5, W: int = 12, method: str = "exhaustive"):
+        """Top-k + best-W-token-window snippets: each shard group scores
+        its shards and reads only its own top-k hits' texts (k-bounded
+        point reads), the merge keeps the global top-k — no corpus scan.
+        Window rule identical to the ``search_snippets`` pipeline (shared
+        ``best_snippet_window``).
+
+        Returns [(doc_id, score, url, start_tok, n_hits, snippet)] in
+        (-score, doc_id) order."""
+        from ..functions.hashing import md5_u64
+
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        toks = self.reader.tok.tokenize(text)
+        qh = np.unique(md5_u64(toks)) if toks else np.zeros(0, np.uint64)
+        parts = self._legs("_leg_snippets", qtids, qw, qh, k, W, method)
+        window = {d: w for p in parts for d, w in zip(p.docs.tolist(), p.vals)}
+        return [(d, s, u, *window[d]) for d, s, u in self._merge_hits(parts, k)]
+
+    def facets(self, text: str, m: int = 1, attr_col: str = "lang") -> dict[str, int]:
+        """Faceted match-set counts: each shard counts its own matched docs
+        per facet value (>= m distinct query terms) and the merge sums
+        |facets| cells per shard group — the match set never leaves the
+        shard owners."""
+        qtids, _ = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return {}
+        return _sum_counts(self._legs("_leg_counts", qtids, m, attr_col))
+
+    def histogram(self, text: str, attr_col: str = "n_chars", width: int = 200, m: int = 1) -> list[tuple[int, int]]:
+        """Histogram aggregation (ES ``histogram``) over the disjunctive
+        match set: each shard buckets its own matched docs by
+        ``floor(doc_value / width)`` and the merge sums |buckets| cells per
+        shard group.  Returns (bucket_lo, n_docs) rows in bucket order."""
+        qtids, _ = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        total = _sum_counts(self._legs("_leg_counts", qtids, m, attr_col, width))
+        return [(b * width, total[b]) for b in sorted(total)]
+
+    def adjacency_matrix(self, filters: list[tuple[str, str, int]]) -> list[tuple[str, str, int]]:
+        """Adjacency-matrix aggregation over named boolean filters
+        (``(name, text, min_should_match)`` triples): (name_a, name_b,
+        n_docs) rows for every a <= b pair with a nonzero intersection —
+        the ES ``adjacency_matrix`` response shape (diagonal = per-filter
+        counts).  Each shard group ships M² cells.  A filter with any
+        OOV-only text matches nothing."""
+        names, tid_sets, ms = [], [], []
+        for name, text, m in filters:
+            qtids, _ = self.reader.encode_query(text)
+            names.append(name)
+            tid_sets.append(qtids)
+            ms.append(max(1, int(m)))
+        total = sum(self._legs("_leg_adjacency", tid_sets, np.asarray(ms)))
+        rows = []
+        for i, na in enumerate(names):
+            for j in range(i, len(names)):
+                c = int(total[i, j])
+                if c > 0:
+                    rows.append((na, names[j], c))
+        return rows
+
+
+def _sum_counts(parts: list[dict]) -> dict:
+    """Key-wise sum of the legs' count dicts."""
+    total: dict = {}
+    for part in parts:
+        for key, n in part.items():
+            total[key] = total.get(key, 0) + n
+    return total
+
+
+class IndexReader(QueryFront):
     """Loads index metadata + all shards of an index directory.
 
     ``consolidate``: merge loaded shards into one CSC serving view when the
@@ -1186,6 +1626,7 @@ class IndexReader:
         consolidate_budget_bytes: int = 8 << 30,
         deletes: list[str] | None = None,
         global_stats: dict | None = None,
+        corpus_path: str | None = None,
     ):
         """``deletes``: urls to tombstone at load (Lucene semantics — docs
         excluded from every result, global stats unchanged until merge).
@@ -1197,7 +1638,18 @@ class IndexReader:
         ``df``/``cf`` dense arrays ALIGNED to this index's own (sorted)
         vocab term ids.  This is the federation seam
         (:class:`FederatedReader`): a segment scoring under the UNION
-        corpus stats is score-identical to the physically merged build."""
+        corpus stats is score-identical to the physically merged build.
+
+        ``corpus_path``: the corpus parquet the index was built from (url,
+        text, doc-value columns) — the doc-value sidecar of the attribute
+        queries and the snippet texts.  Defaults to the
+        ``corpus_input.parquet`` the documents-index adapter caches inside
+        ``index_dir``, when present."""
+        if corpus_path is None:
+            cand = os.path.join(index_dir, "corpus_input.parquet")
+            corpus_path = cand if os.path.exists(cand) else None
+        self.corpus_path = corpus_path
+        self._attr_cache: dict[str, list[np.ndarray]] = {}
         stats_dir = os.path.join(index_dir, "stats")
         meta = read_json(os.path.join(stats_dir, "meta.json"))
         self.n_docs = meta["n_docs"]
@@ -1238,11 +1690,7 @@ class IndexReader:
         self.tok = Tokenizer(self.cfg)
 
         pdir = os.path.join(index_dir, "postings")
-        all_ids = sorted(
-            int(m.group(1))
-            for f in os.listdir(pdir)
-            if (m := re.match(r"shard-(\d+)\.postings\.parquet$", f))
-        )
+        all_ids = postings_shard_ids(pdir)
         if shard_ids is not None:
             all_ids = [s for s in all_ids if s in set(shard_ids)]
 
@@ -1290,6 +1738,352 @@ class IndexReader:
         else:
             self._doc_index = np.zeros(0, np.int64)
             self._url_arr = pa.array([], type=pa.string())
+
+    @property
+    def reader(self) -> "IndexReader":
+        """The query-side state of this reader's queries: its own."""
+        return self
+
+    def _legs(self, name: str, *args) -> list:
+        """In process: leg ``name`` over this reader's own shards, as the
+        one shard group."""
+        return [getattr(self, name)(*args)]
+
+    # -- shard-local legs: run in process, or on a ShardScorerActor's reader
+
+    def _on_shards(self, kernel: str, *args) -> Hits:
+        """The leg of a plain top-k query: :class:`ShardIndex` kernel
+        ``kernel`` on every shard, candidates concatenated."""
+        return _hits([getattr(sh, kernel)(*args) for sh in self.shards])
+
+    def _leg_msearch(self, encoded: list[tuple[np.ndarray, np.ndarray]], k: int, method: str) -> list[Hits]:
+        """One top-k leg per encoded query, in one visit (postings stay hot
+        across the batch)."""
+        kernel = _topk_kernel(method)
+        return [self._on_shards(kernel, qtids, qw, k) for qtids, qw in encoded]
+
+    def _scored_shards(self, qtids: np.ndarray, qw: np.ndarray):
+        """(shard position, shard, BM25 scores) of every shard holding a
+        query term."""
+        for si, sh in enumerate(self.shards):
+            slices = sh._term_slices(qtids)
+            if slices:
+                yield si, sh, sh.accumulate(slices, qw)[0]
+
+    def _attr_for_shards(self, attr_col: str) -> list[np.ndarray]:
+        """Per-shard doc-attribute arrays (aligned to local doc order),
+        loaded ONCE per reader from a column-pruned corpus read and cached —
+        the per-shard attribute column a facet module keeps alongside
+        postings (at cluster scale this is a co-located sidecar file, not
+        a corpus-wide read)."""
+        if self.corpus_path is None:
+            raise ValueError("doc-value queries need corpus_path")
+        if attr_col not in self._attr_cache:
+            tbl = pq.read_table(self.corpus_path, columns=["url", attr_col])
+            cu = np.asarray(tbl.column("url").to_pylist(), dtype=object)
+            ca = np.asarray(tbl.column(attr_col).to_pylist(), dtype=object)
+            order = np.argsort(cu)
+            cu, ca = cu[order], ca[order]
+            per_shard = []
+            for sh in self.shards:
+                su = np.asarray(sh.urls.to_pylist(), dtype=object)
+                pos = np.minimum(np.searchsorted(cu, su), max(cu.size - 1, 0))
+                if cu.size == 0 or not (cu[pos] == su).all():
+                    raise KeyError(
+                        f"facet corpus {self.corpus_path} is missing indexed "
+                        f"url(s): index/corpus mismatch"
+                    )
+                per_shard.append(ca[pos])
+            self._attr_cache[attr_col] = per_shard
+        return self._attr_cache[attr_col]
+
+    def _leg_counts(self, qtids: np.ndarray, m: int, attr_col: str, width: int | None = None) -> dict:
+        """Counts of this reader's docs matching >= ``m`` distinct query
+        terms (the disjunctive match set, tombstone-aware) per
+        ``attr_col`` value — or, given ``width``, per histogram bucket
+        ``floor(value / width)`` of a numeric doc-value."""
+        out: dict = {}
+        for sh, attr in zip(self.shards, self._attr_for_shards(attr_col)):
+            slices = sh._term_slices(qtids)
+            if not slices:
+                continue
+            _, cnt = sh.accumulate(slices, counts=True)
+            matched = cnt >= m
+            if not matched.any():
+                continue
+            if width is None:
+                keys = attr[matched].astype(str)
+            else:
+                keys = np.asarray(attr[matched], dtype=np.int64) // np.int64(width)
+            vals, c = np.unique(keys, return_counts=True)
+            for v, n in zip(vals.tolist(), c.tolist()):
+                out[v] = out.get(v, 0) + n
+        return out
+
+    def _leg_elect(self, qtids: np.ndarray, qw: np.ndarray, attr_col: str, per_value: int, rounded: bool = True) -> Hits:
+        """Per shard, the ``per_value`` best matched docs of each
+        ``attr_col`` value — one lexsort by (value, -score, doc_id), the
+        score compared at 6 decimals when ``rounded`` — with their values:
+        the candidates of collapse, diversified, collapse_inner and
+        top_hits.  A value's global winners are among the union of these,
+        so the merge's election over them is exact."""
+        attrs = self._attr_for_shards(attr_col)
+        cands = []
+        for si, sh, scores in self._scored_shards(qtids, qw):
+            nz = np.flatnonzero(scores)
+            if nz.size == 0:
+                continue
+            vals = np.asarray([str(v) for v in attrs[si][nz]], dtype=object)
+            docs, sc = sh.doc_ids[nz], scores[nz]
+            order = np.lexsort((docs, -np.round(sc, 6) if rounded else -sc, vals))
+            sv = vals[order]
+            grp_start = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+            rank = np.arange(sv.size) - np.repeat(grp_start, np.diff(np.append(grp_start, sv.size)))
+            keep = order[rank < per_value]
+            cands.append((docs[keep], sc[keep], vals[keep]))
+        return _hits(cands)
+
+    def _leg_boosted(
+        self,
+        qtids: np.ndarray,
+        qw: np.ndarray,
+        k: int,
+        attr_col: str,
+        boost: float,
+        pivot: float,
+        feature: str = "rank_log1p",
+        origin: float = 0.0,
+    ) -> Hits:
+        """Static-signal scoring functions over a numeric doc-value,
+        applied to matched docs before the shard's top-k (the modifier
+        never creates a match — zero scores stay zero, so tombstones and
+        the nonzero filter are untouched):
+
+        - ``rank_log1p`` (Lucene FeatureField / ES rank_feature):
+          score += boost·ln(1 + attr/pivot)
+        - ``distance`` (ES distance_feature on a numeric field):
+          score += boost·pivot/(pivot + |attr − origin|)
+        - ``fvf_log1p_mul`` (ES function_score field_value_factor,
+          modifier=log1p, boost_mode=multiply):
+          score *= boost·ln(1 + attr/pivot)
+        - ``saturation`` (ES rank_feature, saturation function — the
+          rank_feature default): score += boost·attr/(attr + pivot)
+        """
+        attrs = self._attr_for_shards(attr_col)
+        cands = []
+        for si, sh, scores in self._scored_shards(qtids, qw):
+            m = scores > 0
+            fa = np.asarray(attrs[si], dtype=np.float64)
+            if feature == "rank_log1p":
+                scores[m] += boost * np.log1p(fa[m] / pivot)
+            elif feature == "distance":
+                scores[m] += boost * pivot / (pivot + np.abs(fa[m] - origin))
+            elif feature == "fvf_log1p_mul":
+                scores[m] *= boost * np.log1p(fa[m] / pivot)
+            elif feature == "saturation":
+                scores[m] += boost * (fa[m] / (fa[m] + pivot))
+            else:
+                raise ValueError(f"unknown boost feature: {feature!r}")
+            cands.append(sh._topk_from_scores(scores, k))
+        return _hits(cands)
+
+    def _leg_terms_set(self, qtids: np.ndarray, k: int, attr_col: str, mod: int) -> Hits:
+        """``terms_set`` (ES terms_set with a per-DOC
+        ``minimum_should_match_field``): a doc matches when it contains at
+        least ``required`` DISTINCT of the query terms, where ``required =
+        1 + (doc_value mod ``mod``)`` — the corpus carries no native msm
+        field, so the per-doc minimum is synthesized from the numeric
+        doc-value sidecar (the SQL oracle replays the same expression).
+        Matched docs score the unit-weight expanded-OR BM25 bag (each term
+        its own idf)."""
+        attrs = self._attr_for_shards(attr_col)
+        qw = np.ones(qtids.size, np.float64)
+        cands = []
+        for si, sh in enumerate(self.shards):
+            slices = sh._term_slices(qtids)
+            if not slices:
+                continue
+            scores, cnt = sh.accumulate(slices, qw, counts=True)
+            required = 1 + (np.asarray(attrs[si], dtype=np.int64) % np.int64(mod))
+            cands.append(sh._topk_from_scores(np.where(cnt >= required, scores, 0.0), k))
+        return _hits(cands)
+
+    def _leg_adjacency(self, filter_tids: list[np.ndarray], ms: np.ndarray) -> np.ndarray:
+        """Adjacency-matrix aggregation (ES ``adjacency_matrix``): for M
+        named boolean filters (filter i = "matches >= ms[i] distinct terms
+        of filter_tids[i]"), the M×M matrix of co-match doc counts over
+        this reader's shards — an n_local×M boolean match matrix per shard,
+        then one M×M matmul."""
+        m_filters = len(filter_tids)
+        out = np.zeros((m_filters, m_filters), dtype=np.int64)
+        for sh in self.shards:
+            mat = np.zeros((sh.n_local, m_filters), dtype=np.int64)
+            for fi, (tids, need) in enumerate(zip(filter_tids, ms)):
+                slices = sh._term_slices(np.asarray(tids, dtype=np.int64))
+                if slices:
+                    mat[:, fi] = sh.accumulate(slices, counts=True)[1] >= int(need)
+            out += mat.T @ mat
+        return out
+
+    def _leg_index_ordered(self, qtids: np.ndarray, k: int) -> tuple[list[int], int]:
+        """First ``k`` matching internal doc ids in index order via a k-way
+        posting merge that never visits postings past the k-th match, plus
+        the postings touched.  Shards are walked in doc-range order and
+        the walk stops at the k-th match."""
+        if not self._ordered_layout_ok():
+            raise ValueError(
+                "search_index_ordered needs shards covering ascending "
+                "disjoint doc-id ranges (a num_buckets=1 index-sorted "
+                "build); this index's shard layout does not guarantee "
+                "that, so 'first k in index order' would be wrong"
+            )
+        out: list[int] = []
+        touched = 0
+        for sh in self.shards:
+            slices = sh._term_slices(qtids)
+            if not slices:
+                continue
+            del_mask = None
+            if sh.deleted_local.size:
+                del_mask = np.zeros(sh.n_local, dtype=bool)
+                del_mask[sh.deleted_local] = True
+            ptrs = [s for _, s, e, _ in slices]
+            ends = [e for _, s, e, _ in slices]
+            while len(out) < k:
+                nxt = -1
+                for j in range(len(ptrs)):
+                    if ptrs[j] < ends[j]:
+                        d0 = int(sh.post_local[ptrs[j]])
+                        if nxt < 0 or d0 < nxt:
+                            nxt = d0
+                if nxt < 0:
+                    break
+                for j in range(len(ptrs)):
+                    if ptrs[j] < ends[j] and int(sh.post_local[ptrs[j]]) == nxt:
+                        ptrs[j] += 1
+                        touched += 1
+                if del_mask is not None and del_mask[nxt]:
+                    continue
+                out.append(int(sh.doc_ids[nxt]))
+            if len(out) >= k:
+                break
+        return out[:k], touched
+
+    def _leg_decay(
+        self, qtids: np.ndarray, qw: np.ndarray, k: int, attr_col: str, origin: float, scale: float
+    ) -> Hits:
+        """Function-score gauss decay (ES ``function_score`` /
+        ``gauss``): matched docs' BM25 scores MULTIPLY by
+        ``exp(−(attr − origin)² / (2·σ²))`` with ``σ = scale /
+        sqrt(2·ln(1/0.5))`` (ES's decay=0.5-at-scale parametrization).
+        Multiplicative, so zero stays zero and tombstones are untouched."""
+        attrs = self._attr_for_shards(attr_col)
+        sigma2 = scale * scale / (2.0 * np.log(2.0))
+        cands = []
+        for si, sh, scores in self._scored_shards(qtids, qw):
+            fa = np.asarray(attrs[si], dtype=np.float64)
+            scores *= np.exp(-((fa - origin) ** 2) / (2.0 * sigma2))
+            cands.append(sh._topk_from_scores(scores, k))
+        return _hits(cands)
+
+    def _leg_function_score(
+        self,
+        qtids: np.ndarray,
+        qw: np.ndarray,
+        k: int,
+        functions: list[dict],
+        max_boost: float,
+        min_score: float,
+    ) -> Hits:
+        """Multi-function ``function_score`` (ES): each function carries an
+        optional doc-value filter; per matched doc the APPLICABLE function
+        values combine with ``score_mode=sum`` (1.0 when none apply — ES's
+        empty-functions neutral), the combined factor is capped at
+        ``max_boost`` BEFORE ``boost_mode=multiply``, and hits under
+        ``min_score`` are dropped before the shard's top-k.  Function
+        kinds: ``fvf`` (weight·ln(1 + attr/div)), ``gauss`` (weight·exp(−(attr −
+        origin)²/(2σ²)), decay-0.5-at-scale σ), ``weight`` (a constant).
+        Filters: ``(col, 'eq'|'prefix', value)`` over doc-value columns."""
+        attr_cols = {f["attr"] for f in functions if "attr" in f} | {
+            f["filter"][0] for f in functions if f.get("filter")
+        }
+        attrs = {c: self._attr_for_shards(c) for c in attr_cols}
+        cands = []
+        for si, sh, scores in self._scored_shards(qtids, qw):
+            factor = np.zeros(sh.n_local, dtype=np.float64)
+            applied = np.zeros(sh.n_local, dtype=bool)
+            for f in functions:
+                if f.get("filter"):
+                    col, op, val = f["filter"]
+                    fv = np.asarray(attrs[col][si], dtype=str)
+                    if op == "eq":
+                        m = fv == val
+                    elif op == "prefix":
+                        m = np.char.startswith(fv, val)
+                    else:  # pragma: no cover - spec typo guard
+                        raise ValueError(f"unknown filter op {op!r}")
+                else:
+                    m = np.ones(sh.n_local, dtype=bool)
+                if f["kind"] == "fvf":
+                    a = np.asarray(attrs[f["attr"]][si], dtype=np.float64)
+                    v = f["weight"] * np.log1p(a / f["div"])
+                elif f["kind"] == "gauss":
+                    a = np.asarray(attrs[f["attr"]][si], dtype=np.float64)
+                    sigma2 = f["scale"] * f["scale"] / (2.0 * np.log(1.0 / f["decay"]))
+                    v = f["weight"] * np.exp(-((a - f["origin"]) ** 2) / (2.0 * sigma2))
+                else:  # constant weight
+                    v = np.full(sh.n_local, f["weight"])
+                factor[m] += v[m]
+                applied |= m
+            factor[~applied] = 1.0
+            scores *= np.minimum(factor, max_boost)
+            scores[scores < min_score] = 0.0
+            cands.append(sh._topk_from_scores(scores, k))
+        return _hits(cands)
+
+    def _leg_snippets(
+        self, qtids: np.ndarray, qw: np.ndarray, qh: np.ndarray, k: int, W: int, method: str = "exhaustive"
+    ) -> Hits:
+        """This reader's top-k, each hit with its best-window snippet
+        ``(start_tok, n_hits, snippet)`` and url.  Texts come from a
+        url-IN-hits parquet read (k-bounded rows; row groups without
+        matches are pruned by column statistics)."""
+        if self.corpus_path is None:
+            raise ValueError("snippet serving needs corpus_path")
+        import pyarrow.dataset as pads
+
+        from ..functions.hashing import md5_u64
+
+        d, s, _v, _u = self._on_shards(_topk_kernel(method), qtids, qw, k)
+        # keep only the top-k — snippets for docs that cannot reach the
+        # global top-k are wasted fetches
+        order = np.lexsort((d, -s))[:k]
+        d, s = d[order], s[order]
+        if d.size == 0:
+            return Hits(d, s, [], [])
+        urls = self.url_of(d)
+        tbl = pq.read_table(
+            self.corpus_path, columns=["url", "text"], filters=pads.field("url").isin(urls)
+        )
+        text_of = dict(zip(tbl.column("url").to_pylist(), tbl.column("text").to_pylist()))
+        missing = [u for u in urls if u not in text_of]
+        if missing:
+            # a top-k url absent from the corpus parquet means the index and
+            # corpus_path have diverged (stale cache / rebuilt index) — fail
+            # loudly rather than serve an empty snippet for a real hit
+            raise KeyError(
+                f"snippet corpus {self.corpus_path} is missing {len(missing)} "
+                f"indexed url(s), e.g. {missing[0]!r}: index/corpus mismatch"
+            )
+        windows = []
+        for u in urls:
+            toks = self.tok.tokenize(text_of[u] or "")
+            th = md5_u64(toks) if toks else np.zeros(0, np.uint64)
+            st, en, nh = best_snippet_window(th, qh, W)
+            windows.append((st, nh, " ".join(toks[st:en])))
+        return Hits(d, s, windows, urls)
+
+    # -- query-side state and in-process-only queries
 
     def url_of(self, doc_id):
         """Url of one internal doc id, or the list of urls of an array of
@@ -1341,33 +2135,6 @@ class IndexReader:
         tids = sorted(counts)
         return np.asarray(tids, np.int64), np.asarray([counts[t] for t in tids], np.float64)
 
-    def search(self, text: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
-        if method == "phrase":
-            return self.search_phrase(text, k)
-        qtids, qw = self.encode_query(text)
-        if qtids.size == 0:
-            return []
-        wand = method == "wand"
-        cands = [(sh.score_wand if wand else sh.score_exhaustive)(qtids, qw, k) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
-
-    def search_after(
-        self, text: str, k: int = 10, after: tuple[float, int] | None = None
-    ) -> list[tuple[int, float, str]]:
-        """Deep pagination: the top-k strictly after the ``(score, doc_id)``
-        cursor in the (-score, doc_id) total order (pass the last hit of
-        the previous page).  ``after=None`` degrades to :meth:`search`.
-        Per shard the cursor is applied INSIDE the scorer, so no page is
-        ever re-collected — the search_after contract."""
-        if after is None:
-            return self.search(text, k)
-        qtids, qw = self.encode_query(text)
-        if qtids.size == 0:
-            return []
-        a_s, a_d = float(after[0]), int(after[1])
-        cands = [sh.score_after(qtids, qw, k, a_s, a_d) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
-
     def search_not(
         self, text: str, k: int = 10, exclude_terms: list[str] | None = None
     ) -> list[tuple[int, float, str]]:
@@ -1384,8 +2151,7 @@ class IndexReader:
         if exclude_terms:
             ex, _ = self.encode_query(" ".join(exclude_terms))
             ex_tids = ex
-        cands = [sh.score_excluding(qtids, qw, k, ex_tids) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
+        return self._topk(k, "score_excluding", qtids, qw, k, ex_tids)
 
     def _expand_synonym_groups(
         self, groups: list[list[str]]
@@ -1405,19 +2171,6 @@ class IndexReader:
             g_tids.append(tids.astype(np.int64))
             g_idf.append(float(bm25_idf(np.asarray([dfb]), self.n_docs)[0]))
         return g_tids, np.asarray(g_idf, dtype=np.float64)
-
-    def search_synonyms(self, groups: list[list[str]], k: int = 10) -> list[tuple[int, float, str]]:
-        """Synonym retrieval (Lucene SynonymQuery): each group of terms
-        scores as ONE pseudo-term — member tfs SUM before the BM25
-        saturation, under idf(max member df) — and group scores add.
-        Exhaustive only: blended-tf bounds aren't decomposable over the
-        stored per-term zone maxima, so WAND is out of scope (Lucene
-        likewise gives SynonymQuery its own scorer)."""
-        g_tids, g_idf = self._expand_synonym_groups(groups)
-        if not g_tids:
-            return []
-        cands = [sh.score_synonyms(g_tids, g_idf, k) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
 
     def explain(self, text: str, doc_id: int) -> list[tuple[str, float, int, int, float, float]]:
         """Lucene ``explain`` shape: the per-term BM25 score breakdown of
@@ -1512,9 +2265,7 @@ class IndexReader:
             slices = sh._term_slices(qtids)
             if not slices:
                 continue
-            local = np.unique(np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices]))
-            if sh.deleted_local.size:
-                local = np.setdiff1d(local, sh.deleted_local, assume_unique=True)
+            local = np.flatnonzero(sh.accumulate(slices, counts=True)[1])
             if local.size == 0:
                 continue
             dl = sh.dl[local]
@@ -1545,17 +2296,7 @@ class IndexReader:
         visited.  Returns (matched internal doc ids in index order,
         postings_touched) — the counter is the early-termination
         evidence the bench records."""
-        qtids, _qw = self.encode_query(text)
-        if qtids.size == 0:
-            return [], 0
-        if not self._ordered_layout_ok():
-            raise ValueError(
-                "search_index_ordered needs shards covering ascending "
-                "disjoint doc-id ranges (a num_buckets=1 index-sorted "
-                "build); this index's shard layout does not guarantee "
-                "that, so 'first k in index order' would be wrong"
-            )
-        return _ordered_walk(self.shards, qtids, k)
+        return self._index_ordered(text, k)
 
     def _ordered_layout_ok(self) -> bool:
         """True iff shards cover strictly ascending disjoint doc-id ranges
@@ -1577,19 +2318,6 @@ class IndexReader:
             self._ordered_ok = ok
         return ok
 
-    def search_dismax(self, text: str, k: int = 10, tie: float = 0.0) -> list[tuple[int, float, str]]:
-        """Disjunction-max top-k (Lucene DisjunctionMaxQuery): each doc
-        scores its BEST single query-term contribution plus ``tie`` × the
-        rest, instead of the BM25 sum — the field-disjunction shape that
-        stops multi-term coordination from drowning out a strong single
-        match.  Exact per shard (the kernel sees every posting), merged
-        with the standard (-score, doc_id) tie-break."""
-        qtids, qw = self.encode_query(text)
-        if qtids.size == 0:
-            return []
-        cands = [sh.score_dismax(qtids, qw, k, tie) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
-
     def search_filtered(self, text: str, k: int = 10, allow_urls=None) -> list[tuple[int, float, str]]:
         """Filtered top-k: BM25 over only the docs whose url passes the
         metadata predicate — the standard filtered-search serving feature.
@@ -1610,7 +2338,7 @@ class IndexReader:
         for sh in self.shards:
             allow = pa.compute.is_in(sh.urls, value_set=allow_urls).to_numpy(zero_copy_only=False)
             cands.append(sh.score_exhaustive(qtids, qw, k, allow=allow))
-        return self._merge_shard_topk(cands, k)
+        return self._merge_hits([_hits(cands)], k)
 
     def expand_prefix(self, prefix: str) -> np.ndarray:
         """Term-id range of vocab terms starting with ``prefix`` — the
@@ -1629,26 +2357,6 @@ class IndexReader:
         lo = int(self.vocab_index.searchsorted(p, side="left"))
         hi = int(self.vocab_index.searchsorted(p + "\U0010ffff", side="left"))
         return np.arange(lo, hi, dtype=np.int64)
-
-    def _search_expanded(self, qtids: np.ndarray, k: int, method: str) -> list[tuple[int, float, str]]:
-        """Score an expanded-OR term-id set (unit query weight, per-term
-        idf) through the unchanged kernels — shared by every dictionary
-        expansion (prefix / fuzzy / regexp)."""
-        if qtids.size == 0:
-            return []
-        qw = np.ones(qtids.size, np.float64)
-        cands = []
-        for sh in self.shards:
-            fn = sh.score_wand if method == "wand" else sh.score_exhaustive
-            cands.append(fn(qtids, qw, k))
-        return self._merge_shard_topk(cands, k)
-
-    def search_prefix(self, prefix: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
-        """Wildcard top-k (``pre*``): the query expands to every vocab term
-        with the prefix, each with unit query weight and its OWN idf
-        (expanded-OR semantics), and scores through the unchanged BM25
-        kernels — exhaustive or block-max pruned."""
-        return self._search_expanded(self.expand_prefix(prefix), k, method)
 
     def total_hits(self, text: str, threshold: int = 1000) -> tuple[int, str, int]:
         """ES ``track_total_hits``: the disjunctive match count, counted
@@ -1670,8 +2378,7 @@ class IndexReader:
             visited += 1
             slices = sh._term_slices(qtids)
             if slices:
-                ids = np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices])
-                total += int(np.unique(ids).size)
+                total += int(np.count_nonzero(sh.accumulate(slices, counts=True)[1]))
         if total > threshold:
             return threshold, "gte", visited
         return total, "eq", visited
@@ -1695,8 +2402,7 @@ class IndexReader:
         prefix_tids = self.expand_prefix(last)
         if qtids.size == 0 and prefix_tids.size == 0:
             return []
-        cands = [sh.score_bool_prefix(qtids, qw, prefix_tids, k) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
+        return self._topk(k, "score_bool_prefix", qtids, qw, prefix_tids, k)
 
     def _vocab_codepoints(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted vocab as a padded (V, maxlen) uint32 codepoint matrix
@@ -1754,15 +2460,6 @@ class IndexReader:
         dist = prev[np.arange(cand.size), clens]
         return cand[dist <= max_edits].astype(np.int64)
 
-    def search_fuzzy(
-        self, term: str, k: int = 10, max_edits: int = 1, method: str = "exhaustive"
-    ) -> list[tuple[int, float, str]]:
-        """Fuzzy top-k (Lucene FuzzyQuery shape): the term expands to every
-        vocab term within ``max_edits`` Levenshtein distance, each scored
-        with unit query weight and its OWN idf through the unchanged BM25
-        kernels — identical expanded-OR semantics to :meth:`search_prefix`."""
-        return self._search_expanded(self.expand_fuzzy(term, max_edits), k, method)
-
     def expand_regexp(self, pattern: str) -> np.ndarray:
         """Term ids of vocab terms FULLY matching ``pattern`` (Lucene
         RegexpQuery semantics: implicit ^...$ anchoring).  One
@@ -1778,13 +2475,6 @@ class IndexReader:
         hit = self.vocab_index.str.fullmatch(pattern)
         return np.flatnonzero(np.asarray(hit, dtype=bool)).astype(np.int64)
 
-    def search_regexp(self, pattern: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
-        """Regexp top-k (Lucene RegexpQuery shape): the pattern expands to
-        every fully-matching vocab term, each with unit query weight and
-        its OWN idf — identical expanded-OR semantics to
-        :meth:`search_prefix` / :meth:`search_fuzzy`."""
-        return self._search_expanded(self.expand_regexp(pattern), k, method)
-
     def expand_wildcard(self, pattern: str) -> np.ndarray:
         """Term ids of vocab terms matching a Lucene ``WildcardQuery``
         pattern (``*`` = any sequence, ``?`` = exactly one char).  The
@@ -1799,10 +2489,8 @@ class IndexReader:
                 "wildcard queries need the sorted-string vocab "
                 "(encoder='bm25', vocab_mode='sorted')"
             )
-        import re as _re
-
         pat = pattern.lower()
-        lit = _re.split(r"[*?]", pat, maxsplit=1)[0]
+        lit = re.split(r"[*?]", pat, maxsplit=1)[0]
         lo = int(self.vocab_index.searchsorted(lit, side="left")) if lit else 0
         hi = (
             int(self.vocab_index.searchsorted(lit + "\U0010ffff", side="left"))
@@ -1816,18 +2504,11 @@ class IndexReader:
         # by hand rather than fnmatch.translate, whose [seq] classes would
         # diverge from both Lucene and the SQL LIKE oracle.
         rx = "".join(
-            ".*" if c == "*" else "." if c == "?" else _re.escape(c) for c in pat
+            ".*" if c == "*" else "." if c == "?" else re.escape(c) for c in pat
         )
         sl = self.vocab_index[lo:hi]
         hit = np.asarray(sl.str.fullmatch(rx), dtype=bool)
         return (np.flatnonzero(hit) + lo).astype(np.int64)
-
-    def search_wildcard(self, pattern: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
-        """Wildcard top-k (Lucene WildcardQuery): ``*``/``?`` glob over
-        the term dictionary, expanded-OR semantics identical to
-        :meth:`search_prefix` / :meth:`search_regexp` — each matched term
-        carries unit query weight and its OWN idf."""
-        return self._search_expanded(self.expand_wildcard(pattern), k, method)
 
     def _trigram_dictionary(self) -> dict[str, np.ndarray]:
         """Char-trigram → sorted term-id postings over the VOCAB (the ES
@@ -1892,14 +2573,6 @@ class IndexReader:
         hit = np.asarray(sl.str.contains(sub, regex=False), dtype=bool)
         return cand[hit].astype(np.int64)
 
-    def search_substring(self, sub: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
-        """Infix top-k (ES ``wildcard`` field ``*sub*`` shape): the needle
-        expands through the trigram dictionary to every containing vocab
-        term, each with unit query weight and its OWN idf — expanded-OR
-        semantics identical to :meth:`search_prefix` etc., but the
-        dictionary lookup is index-accelerated instead of a full scan."""
-        return self._search_expanded(self.expand_substring(sub), k, method)
-
     def search_boosting(
         self, positive: str, negative: str, negative_boost: float = 0.5, k: int = 10
     ) -> list[tuple[int, float, str]]:
@@ -1912,8 +2585,7 @@ class IndexReader:
         if qtids.size == 0:
             return []
         neg_tids, _ = self.encode_query(negative)
-        cands = [sh.score_boosting(qtids, qw, neg_tids, negative_boost, k) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
+        return self._topk(k, "score_boosting", qtids, qw, neg_tids, negative_boost, k)
 
     def scores_for_docs(self, text: str, doc_ids) -> dict[int, float]:
         """Exact per-doc scores of ``text`` under THIS reader's similarity
@@ -1930,11 +2602,7 @@ class IndexReader:
             slices = sh._term_slices(qtids)
             if not slices:
                 continue
-            ids = np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices])
-            w = np.concatenate([sh.post_w[s:e] * qw[i] for i, s, e, _ in slices])
-            scores = np.bincount(ids, weights=w, minlength=sh.n_local)
-            if sh.deleted_local.size:
-                scores[sh.deleted_local] = 0.0
+            scores, _ = sh.accumulate(slices, qw)  # tombstoned docs' weights are zeroed
             for loc in np.flatnonzero(np.isin(sh.doc_ids, docs)):
                 out[int(sh.doc_ids[loc])] = float(scores[loc])
         return out
@@ -2058,46 +2726,10 @@ class IndexReader:
             return []
         qw = np.ones(qtids.size, np.float64)
         kk = k + (1 if exclude_url is not None else 0)
-        cands = [sh.score_exhaustive(qtids, qw, kk) for sh in self.shards]
-        merged = self._merge_shard_topk(cands, kk)
+        merged = self._topk(kk, "score_exhaustive", qtids, qw, kk)
         if exclude_url is not None:
             merged = [r for r in merged if r[2] != exclude_url][:k]
         return merged
-
-    def search_phrase(self, text: str, k: int = 10) -> list[tuple[int, float, str]]:
-        """Exact-phrase top-k (requires a ``store_forward=True`` build):
-        docs whose token stream contains the query tokens CONSECUTIVELY,
-        ranked by the same BM25 bag score / (-score, doc) tie-break as
-        :meth:`search`.  An OOV phrase token ⇒ no match anywhere ⇒ []."""
-        from ..functions.hashing import md5_u64
-
-        toks = self.tok.tokenize(text)
-        if not toks:
-            return []
-        qtids, qw = self.encode_query(text)
-        if qtids.size == 0 or int(qw.sum()) != len(toks):
-            return []  # at least one phrase token is OOV
-        h_seq = md5_u64(toks)
-        cands = [sh.phrase_topk(qtids, qw, h_seq, k) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
-
-    def search_query_string(self, qstring: str, k: int = 10) -> list[tuple[int, float, str]]:
-        """Lucene/ES ``query_string`` retrieval: ``+must``, ``-must_not``,
-        bare should terms, ``"quoted phrases"`` and ``^boost`` factors,
-        composed onto the existing BM25 / phrase kernels per shard.
-
-        Contract: docs must satisfy every must clause (when none exist, at
-        least one should clause) and no must_not clause; the score is the
-        boost-weighted sum of the BM25 bag scores of the must+should
-        clauses the doc matches, (-score, doc_id) ties.  A clause with an
-        OOV token can never match: as a must that empties the result, as a
-        should it's dropped, as a must_not it excludes nothing.  Phrase
-        clauses need ``store_forward=True`` builds."""
-        spec = self.build_query_string_spec(qstring)
-        if spec is None:
-            return []
-        cands = [sh.score_query_string(spec, k) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
 
     def build_query_string_spec(self, qstring: str) -> list[dict] | None:
         """Parse + vocab-encode a query_string into the shard kernels'
@@ -2157,8 +2789,7 @@ class IndexReader:
             seq = head + [term]
             qtids, _qw = self.encode_query(" ".join(seq))
             variants.append((qtids, md5_u64(seq)))
-        cands = [sh.phrase_prefix_topk(variants, head_tids, head_qw, k) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
+        return self._topk(k, "phrase_prefix_topk", variants, head_tids, head_qw, k)
 
     def search_near(self, term_a: str, term_b: str, window: int, k: int = 10) -> list[tuple[int, float, str]]:
         """Proximity top-k (requires ``store_forward=True``): docs where
@@ -2173,8 +2804,7 @@ class IndexReader:
         if qtids.size < 2:
             return []  # a term is OOV — no doc can satisfy the AND
         h = md5_u64([ta[0], tb[0]])
-        cands = [sh.near_topk(qtids, qw, int(h[0]), int(h[1]), window, k) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
+        return self._topk(k, "near_topk", qtids, qw, int(h[0]), int(h[1]), window, k)
 
     def search_sloppy(self, term_a: str, term_b: str, slop: int, k: int = 10) -> list[tuple[int, float, str]]:
         """Sloppy-phrase top-k (requires ``store_forward=True``): ordered
@@ -2194,13 +2824,9 @@ class IndexReader:
         df = self.df[qtids].astype(np.float64)
         idf_sum = float(np.log1p((self.n_docs - df + 0.5) / (df + 0.5)).sum())
         h = md5_u64([ta[0], tb[0]])
-        cands = [
-            sh.sloppy_topk(
-                qtids, int(h[0]), int(h[1]), slop, k, idf_sum, self.avgdl, self.cfg.k1, self.cfg.b
-            )
-            for sh in self.shards
-        ]
-        return self._merge_shard_topk(cands, k)
+        return self._topk(
+            k, "sloppy_topk", qtids, int(h[0]), int(h[1]), slop, k, idf_sum, self.avgdl, self.cfg.k1, self.cfg.b
+        )
 
     def search_span_near(self, text: str, slop: int, k: int = 10) -> list[tuple[int, float, str]]:
         """Ordered span-near top-k (requires ``store_forward=True``): the
@@ -2217,8 +2843,7 @@ class IndexReader:
         if qtids.size == 0 or int(qw.sum()) != len(toks):
             return []  # at least one span token is OOV
         h_seq = md5_u64(toks)
-        cands = [sh.span_near_topk(qtids, qw, h_seq, slop, k) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
+        return self._topk(k, "span_near_topk", qtids, qw, h_seq, slop, k)
 
     def search_span_not(
         self, text: str, exclude: str, slop: int, k: int = 10
@@ -2245,8 +2870,7 @@ class IndexReader:
             return []  # at least one include token is OOV
         h_seq = md5_u64(toks)
         h_excl = int(md5_u64(etoks)[0])
-        cands = [sh.span_not_topk(qtids, qw, h_seq, h_excl, slop, k) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
+        return self._topk(k, "span_not_topk", qtids, qw, h_seq, h_excl, slop, k)
 
     def search_span_containing(
         self, text: str, little: str, slop: int, k: int = 10
@@ -2272,11 +2896,7 @@ class IndexReader:
             return []  # at least one big token is OOV
         h_seq = md5_u64(toks)
         h_little = int(md5_u64(ltoks)[0])
-        cands = [
-            sh.span_not_topk(qtids, qw, h_seq, h_little, slop, k, contain=True)
-            for sh in self.shards
-        ]
-        return self._merge_shard_topk(cands, k)
+        return self._topk(k, "span_not_topk", qtids, qw, h_seq, h_little, slop, k, True)
 
     def search_span_within(
         self, text: str, little: str, slop: int, k: int = 10
@@ -2306,14 +2926,7 @@ class IndexReader:
             return []  # OOV little term matches nowhere
         h_seq = md5_u64(toks)
         h_little = int(md5_u64(ltoks)[0])
-        cands = [
-            sh.span_not_topk(
-                qtids, qw, h_seq, h_little, slop, k, contain=True,
-                score_tids=stids, score_weights=sw,
-            )
-            for sh in self.shards
-        ]
-        return self._merge_shard_topk(cands, k)
+        return self._topk(k, "span_not_topk", qtids, qw, h_seq, h_little, slop, k, True, stids, sw)
 
     def search_intervals(self, text: str, max_gaps: int, k: int = 10) -> list[tuple[int, float, str]]:
         """Unordered interval top-k (ES ``intervals`` / ``all_of(ordered:
@@ -2332,8 +2945,7 @@ class IndexReader:
         if qtids.size == 0 or int(qw.sum()) != len(toks):
             return []  # at least one interval token is OOV
         h_terms = md5_u64(toks)
-        cands = [sh.intervals_topk(qtids, qw, h_terms, max_gaps, k) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
+        return self._topk(k, "intervals_topk", qtids, qw, h_terms, max_gaps, k)
 
     def search_span_first(self, term: str, end: int, k: int = 10) -> list[tuple[int, float, str]]:
         """Span-first top-k (Lucene ``SpanFirstQuery``, requires
@@ -2350,8 +2962,7 @@ class IndexReader:
         if qtids.size == 0:
             return []
         h = int(md5_u64(toks)[0])
-        cands = [sh.span_first_topk(qtids, qw, h, int(end), k) for sh in self.shards]
-        return self._merge_shard_topk(cands, k)
+        return self._topk(k, "span_first_topk", qtids, qw, h, int(end), k)
 
     def significant_terms(
         self, text: str, k_docs: int = 50, k_terms: int = 10
@@ -2436,17 +3047,6 @@ class IndexReader:
         terms = self.vocab_index[tids[keep]]
         rows = sorted(zip(terms, bg[keep], fg_df[keep]), key=lambda r: (r[1], r[0]))[:k_terms]
         return [(str(t), int(b), int(f)) for t, b, f in rows]
-
-    def _merge_shard_topk(self, cands: list[tuple[np.ndarray, np.ndarray]], k: int) -> list[tuple[int, float, str]]:
-        """Global (-score, doc_id) top-k of per-shard candidates, with the
-        winners' urls from one batched lookup."""
-        if not cands:
-            return []
-        docs = np.concatenate([c[0] for c in cands])
-        scores = np.concatenate([c[1] for c in cands])
-        order = np.lexsort((docs, -scores))[:k]
-        top = docs[order]
-        return list(zip(top.tolist(), scores[order].tolist(), self.url_of(top)))
 
 
 class FederatedReader:
@@ -2609,51 +3209,12 @@ def apply_deletes(index_dir: str, urls: list[str]) -> int:
     return len(merged)
 
 
-def _ordered_walk(shards, qtids: np.ndarray, k: int) -> tuple[list[int], int]:
-    """First ``k`` matching internal doc ids in index order via a k-way
-    posting merge that never visits postings past the k-th match.  Shards
-    are walked in doc-range order; shared by the local reader and the
-    shard-owner actors (each actor walks only its own shards, so its
-    result is ≤ k ids and the driver merge is k·|actors| cells)."""
-    out: list[int] = []
-    touched = 0
-    for sh in shards:
-        slices = sh._term_slices(qtids)
-        if not slices:
-            continue
-        del_mask = None
-        if sh.deleted_local.size:
-            del_mask = np.zeros(sh.n_local, dtype=bool)
-            del_mask[sh.deleted_local] = True
-        ptrs = [s for _, s, e, _ in slices]
-        ends = [e for _, s, e, _ in slices]
-        while len(out) < k:
-            nxt = -1
-            for j in range(len(ptrs)):
-                if ptrs[j] < ends[j]:
-                    d0 = int(sh.post_local[ptrs[j]])
-                    if nxt < 0 or d0 < nxt:
-                        nxt = d0
-            if nxt < 0:
-                break
-            for j in range(len(ptrs)):
-                if ptrs[j] < ends[j] and int(sh.post_local[ptrs[j]]) == nxt:
-                    ptrs[j] += 1
-                    touched += 1
-            if del_mask is not None and del_mask[nxt]:
-                continue
-            out.append(int(sh.doc_ids[nxt]))
-        if len(out) >= k:
-            break
-    return out[:k], touched
-
-
 def best_snippet_window(th: np.ndarray, qh: np.ndarray, W: int) -> tuple[int, int, int]:
     """Best W-token window over one doc's md5 token stream: (start, end,
     n_hits) with the most query-term occurrence positions inside the
     window, earliest start on ties — the exact rule of the
-    ``search_snippets`` pipeline (queries.py), shared by the sharded
-    serving path so both produce identical windows."""
+    ``search_snippets`` pipeline (queries.py), shared by the snippet legs
+    so both produce identical windows."""
     n = th.size
     if qh.size:
         ins = np.searchsorted(qh, th)
@@ -2669,14 +3230,9 @@ def best_snippet_window(th: np.ndarray, qh: np.ndarray, W: int) -> tuple[int, in
 
 @ray.remote
 class ShardScorerActor:
-    """Pins one (or a few) shard partitions; serves scatter-gather scoring.
-    Reference T5 pattern (pinned postings + reusable buffers).
-
-    ``corpus_path`` (optional) points at the corpus parquet the index was
-    built from (url, text, ...): snippet requests then fetch ONLY the
-    local top-k candidates' rows via a url-predicate parquet read — the
-    k-bounded point lookup a doc-partitioned serving node does against
-    its own document store."""
+    """Pins one (or a few) shard partitions in an :class:`IndexReader` and
+    runs its shard-local legs for a :class:`ShardedSearcher` — the
+    reference T5 pattern (pinned postings + reusable buffers)."""
 
     def __init__(
         self,
@@ -2686,490 +3242,32 @@ class ShardScorerActor:
         corpus_path: str | None = None,
     ):
         cfg = EngineConfig(**(cfg_kwargs or {}))
-        self.reader = IndexReader(index_dir, cfg, shard_ids=shard_ids)
-        self.corpus_path = corpus_path
-        self.tok = Tokenizer(cfg)
+        self.reader = IndexReader(index_dir, cfg, shard_ids=shard_ids, corpus_path=corpus_path)
 
-    def _with_urls(self, cands: list[tuple[np.ndarray, np.ndarray]]):
-        """Concatenated per-shard (docs, scores) candidates plus their urls
-        (one batched lookup): the (docs, scores, urls) triple every top-k
-        scatter leg returns."""
-        d = np.concatenate([c[0] for c in cands]) if cands else np.zeros(0, np.int64)
-        s = np.concatenate([c[1] for c in cands]) if cands else np.zeros(0)
-        return d, s, self.reader.url_of(d)
+    def leg(self, name: str, *args):
+        """Run the reader's leg ``name``; every :class:`Hits` in its result
+        leaves with its urls, looked up here where the docs live."""
+        return _shipped(getattr(self.reader, name)(*args), self.reader.url_of)
 
     def score(self, qtids: np.ndarray, qw: np.ndarray, k: int, method: str = "exhaustive"):
-        wand = method == "wand"
-        return self._with_urls(
-            [(sh.score_wand if wand else sh.score_exhaustive)(qtids, qw, k) for sh in self.reader.shards]
-        )
-
-    def mscore(self, encoded: list[tuple[np.ndarray, np.ndarray]], k: int, method: str = "exhaustive"):
-        """Multi-search scatter leg (ES ``_msearch``): ONE RPC carries the
-        whole encoded query batch; the actor scores every query over its
-        pinned shards in a single visit, so per-query cost amortizes the
-        actor hop and the postings stay hot across the batch.  Returns one
-        (docs, scores, urls) triple per query, each ≤ k per shard."""
-        return [self.score(qtids, qw, k, method) for qtids, qw in encoded]
-
-    def score_query_string(self, spec: list[dict], k: int):
-        """query_string scatter leg: the driver parses/encodes ONCE, each
-        pinned shard composes the clause masks locally (phrase verify
-        included when the shard stores forward streams) and ships ≤ k
-        candidates."""
-        return self._with_urls([sh.score_query_string(spec, k) for sh in self.reader.shards])
-
-    def score_after(self, qtids: np.ndarray, qw: np.ndarray, k: int, after_score: float, after_doc: int):
-        """Deep-pagination scatter leg: each pinned shard masks its own
-        docs at-or-before the (score, doc_id) cursor BEFORE top-k, so the
-        actor ships at most k candidates per shard regardless of page
-        depth — pages 1..N never cross the network again."""
-        return self._with_urls([sh.score_after(qtids, qw, k, after_score, after_doc) for sh in self.reader.shards])
-
-    def score_synonyms(self, groups: list[np.ndarray], idfs: np.ndarray, k: int):
-        """SynonymQuery scatter leg: blended-tf scoring over each pinned
-        shard — the driver ships the expanded group tids + blended idfs."""
-        return self._with_urls([sh.score_synonyms(groups, idfs, k) for sh in self.reader.shards])
-
-    def score_dismax(self, qtids: np.ndarray, qw: np.ndarray, k: int, tie: float):
-        """DisMax scatter leg: each pinned shard returns its local
-        max+tie·rest top-k — exact under scatter-gather because the score
-        is per-doc and every doc lives in exactly one shard."""
-        return self._with_urls([sh.score_dismax(qtids, qw, k, tie) for sh in self.reader.shards])
-
-    def score_phrase(self, qtids: np.ndarray, qw: np.ndarray, h_seq: np.ndarray, k: int):
-        return self._with_urls([sh.phrase_topk(qtids, qw, h_seq, k) for sh in self.reader.shards])
-
-    def _attr_for_shards(self, attr_col: str) -> list[np.ndarray]:
-        """Per-shard doc-attribute arrays (aligned to local doc order),
-        loaded ONCE per actor from a column-pruned corpus read and cached —
-        the per-shard attribute column a facet module keeps alongside
-        postings (at cluster scale this is a co-located sidecar file, not
-        a corpus-wide read)."""
-        if self.corpus_path is None:
-            raise ValueError("facet serving needs corpus_path")
-        cache = getattr(self, "_attr_cache", None)
-        if cache is None:
-            cache = self._attr_cache = {}
-        if attr_col not in cache:
-            tbl = pq.read_table(self.corpus_path, columns=["url", attr_col])
-            cu = np.asarray(tbl.column("url").to_pylist(), dtype=object)
-            ca = np.asarray(tbl.column(attr_col).to_pylist(), dtype=object)
-            order = np.argsort(cu)
-            cu, ca = cu[order], ca[order]
-            per_shard = []
-            for sh in self.reader.shards:
-                su = np.asarray(sh.urls.to_pylist(), dtype=object)
-                pos = np.minimum(np.searchsorted(cu, su), max(cu.size - 1, 0))
-                if cu.size == 0 or not (cu[pos] == su).all():
-                    raise KeyError(
-                        f"facet corpus {self.corpus_path} is missing indexed "
-                        f"url(s): index/corpus mismatch"
-                    )
-                per_shard.append(ca[pos])
-            cache[attr_col] = per_shard
-        return cache[attr_col]
-
-    def facet_counts(self, qtids: np.ndarray, m: int, attr_col: str = "lang") -> dict[str, int]:
-        """Per-facet counts of THIS actor's docs matching >= m distinct
-        query terms (the disjunctive match set): one concatenated-postings
-        bincount per shard, tombstone-aware, then a unique-count over the
-        matched docs' attribute values.  The driver sums |facets| cells per
-        actor — match sets never leave the shard owners."""
-        attrs = self._attr_for_shards(attr_col)
-        out: dict[str, int] = {}
-        for sh, attr in zip(self.reader.shards, attrs):
-            slices = sh._term_slices(qtids)
-            if not slices:
-                continue
-            ids = np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices])
-            cnt = np.bincount(ids, minlength=sh.n_local)
-            if sh.deleted_local.size:
-                cnt[sh.deleted_local] = 0
-            matched = cnt >= m
-            if matched.any():
-                vals, c = np.unique(attr[matched].astype(str), return_counts=True)
-                for v, k in zip(vals, c):
-                    out[str(v)] = out.get(str(v), 0) + int(k)
-        return out
-
-    def histogram_counts(self, qtids: np.ndarray, m: int, attr_col: str, width: int) -> dict[int, int]:
-        """Histogram aggregation (ES ``histogram``) over the disjunctive
-        match set (docs matching >= ``m`` distinct query terms): per-shard
-        ``floor(value / width)`` bucket counts off the numeric doc-value
-        sidecar, tombstone-aware.  The driver sums |buckets| cells per
-        actor — the match set never leaves the shard owners."""
-        attrs = self._attr_for_shards(attr_col)
-        out: dict[int, int] = {}
-        for sh, attr in zip(self.reader.shards, attrs):
-            slices = sh._term_slices(qtids)
-            if not slices:
-                continue
-            ids = np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices])
-            cnt = np.bincount(ids, minlength=sh.n_local)
-            if sh.deleted_local.size:
-                cnt[sh.deleted_local] = 0
-            matched = cnt >= m
-            if matched.any():
-                buckets = np.asarray(attr[matched], dtype=np.int64) // np.int64(width)
-                b, c = np.unique(buckets, return_counts=True)
-                for bi, ci in zip(b, c):
-                    out[int(bi)] = out.get(int(bi), 0) + int(ci)
-        return out
-
-    def score_collapse(self, qtids: np.ndarray, qw: np.ndarray, attr_col: str) -> dict:
-        """Field collapsing (Lucene grouping / ES ``collapse``): this
-        actor's best-scoring doc PER attribute value over its full match
-        set — one lexsort by (value, -score, doc_id) per shard, first row
-        of each value group wins.  The driver merges |values| cells per
-        actor; the match set never leaves the shard owners."""
-        attrs = self._attr_for_shards(attr_col)
-        out: dict[str, tuple[float, int]] = {}
-        for sh, attr in zip(self.reader.shards, attrs):
-            slices = sh._term_slices(qtids)
-            if not slices:
-                continue
-            ids = np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices])
-            w = np.concatenate([sh.post_w[s:e] * qw[i] for i, s, e, _ in slices])
-            scores = np.bincount(ids, weights=w, minlength=sh.n_local)
-            nz = np.flatnonzero(scores)
-            if nz.size == 0:
-                continue
-            vals = np.asarray([str(v) for v in attr[nz]], dtype=object)
-            docs, sc = sh.doc_ids[nz], scores[nz]
-            # winner election on the 6-decimal score (the repo-wide compare
-            # precision) with doc-id tie-break, so engine and SQL oracle
-            # agree even when two docs tie at 6 decimals but differ at fp
-            # epsilon (ADVICE r3: block_join winning-child asymmetry)
-            order = np.lexsort((docs, -np.round(sc, 6), vals))
-            sv = vals[order]
-            first = np.ones(sv.size, dtype=bool)
-            first[1:] = sv[1:] != sv[:-1]
-            for i in np.flatnonzero(first):
-                j = order[i]
-                cand = (float(sc[j]), int(docs[j]))
-                prev = out.get(sv[i])
-                if prev is None or (-round(cand[0], 6), cand[1]) < (-round(prev[0], 6), prev[1]):
-                    out[sv[i]] = cand
-        return {v: (s, d, self.reader.url_of(d)) for v, (s, d) in out.items()}
-
-    def score_diversified(
-        self, qtids: np.ndarray, qw: np.ndarray, attr_col: str, per_value: int = 2
-    ) -> dict:
-        """Diversity-capped candidates (ES ``diversified_sampler``): this
-        actor's top ``per_value`` scoring docs PER attribute value over its
-        full match set.  Each value's GLOBAL top ``per_value`` docs are
-        necessarily inside some owner's local top ``per_value`` for that
-        value, so the driver merge over |values|·per_value cells per actor
-        is exact — the match set never leaves the shard owners."""
-        attrs = self._attr_for_shards(attr_col)
-        out: dict[str, list[tuple[float, int]]] = {}
-        for sh, attr in zip(self.reader.shards, attrs):
-            slices = sh._term_slices(qtids)
-            if not slices:
-                continue
-            ids = np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices])
-            w = np.concatenate([sh.post_w[s:e] * qw[i] for i, s, e, _ in slices])
-            scores = np.bincount(ids, weights=w, minlength=sh.n_local)
-            nz = np.flatnonzero(scores)
-            if nz.size == 0:
-                continue
-            vals = np.asarray([str(v) for v in attr[nz]], dtype=object)
-            docs, sc = sh.doc_ids[nz], scores[nz]
-            # repo-wide 6-decimal compare with doc-id tie-break (same
-            # election as score_collapse / the SQL oracles)
-            order = np.lexsort((docs, -np.round(sc, 6), vals))
-            sv = vals[order]
-            starts = np.r_[0, np.flatnonzero(sv[1:] != sv[:-1]) + 1, sv.size]
-            for gi in range(starts.size - 1):
-                lo, hi = starts[gi], min(starts[gi] + per_value, starts[gi + 1])
-                cand = out.setdefault(sv[lo], [])
-                cand.extend((float(sc[order[i]]), int(docs[order[i]])) for i in range(lo, hi))
-        for v, cand in out.items():
-            cand.sort(key=lambda sd: (-round(sd[0], 6), sd[1]))
-            del cand[per_value:]
-        return {
-            v: [(s, d, self.reader.url_of(d)) for s, d in cand] for v, cand in out.items()
-        }
-
-    def score_boosted(
-        self,
-        qtids: np.ndarray,
-        qw: np.ndarray,
-        k: int,
-        attr_col: str,
-        boost: float,
-        pivot: float,
-        feature: str = "rank_log1p",
-        origin: float = 0.0,
-    ):
-        """Static-signal scoring functions over a numeric doc-value,
-        applied to matched docs inside the shard owner before local top-k
-        (the modifier never creates a match — zero scores stay zero, so
-        tombstones and the nonzero filter are untouched):
-
-        - ``rank_log1p`` (Lucene FeatureField / ES rank_feature):
-          score += boost·ln(1 + attr/pivot)
-        - ``distance`` (ES distance_feature on a numeric field):
-          score += boost·pivot/(pivot + |attr − origin|)
-        - ``fvf_log1p_mul`` (ES function_score field_value_factor,
-          modifier=log1p, boost_mode=multiply):
-          score *= boost·ln(1 + attr/pivot)
-        - ``saturation`` (ES rank_feature, saturation function — the
-          rank_feature default): score += boost·attr/(attr + pivot)
-        """
-        attrs = self._attr_for_shards(attr_col)
-        cands = []
-        for sh, attr in zip(self.reader.shards, attrs):
-            slices = sh._term_slices(qtids)
-            if not slices:
-                continue
-            ids = np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices])
-            w = np.concatenate([sh.post_w[s:e] * qw[i] for i, s, e, _ in slices])
-            scores = np.bincount(ids, weights=w, minlength=sh.n_local)
-            m = scores > 0
-            fa = np.asarray(attr, dtype=np.float64)
-            if feature == "rank_log1p":
-                scores[m] += boost * np.log1p(fa[m] / pivot)
-            elif feature == "distance":
-                scores[m] += boost * pivot / (pivot + np.abs(fa[m] - origin))
-            elif feature == "fvf_log1p_mul":
-                scores[m] *= boost * np.log1p(fa[m] / pivot)
-            elif feature == "saturation":
-                scores[m] += boost * (fa[m] / (fa[m] + pivot))
-            else:
-                raise ValueError(f"unknown boost feature: {feature!r}")
-            cands.append(sh._topk_from_scores(scores, k))
-        return self._with_urls(cands)
-
-    def score_terms_set(self, qtids: np.ndarray, k: int, attr_col: str, mod: int):
-        """``terms_set`` scatter leg (ES terms_set with a per-DOC
-        ``minimum_should_match_field``): a doc matches when it contains at
-        least ``required`` DISTINCT of the query terms, where ``required =
-        1 + (doc_value mod ``mod``)`` — the corpus carries no native
-        msm field, so the per-doc minimum is synthesized from the numeric
-        doc-value sidecar (the SQL oracle replays the same expression).
-        Matched docs score the unit-weight expanded-OR BM25 bag (each term
-        its own idf), computed and top-k'd inside the shard owner."""
-        attrs = self._attr_for_shards(attr_col)
-        qw = np.ones(qtids.size, np.float64)
-        cands = []
-        for sh, attr in zip(self.reader.shards, attrs):
-            slices = sh._term_slices(qtids)
-            if not slices:
-                continue
-            ids = np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices])
-            cnt = np.bincount(ids, minlength=sh.n_local)
-            if sh.deleted_local.size:
-                cnt[sh.deleted_local] = 0
-            required = 1 + (np.asarray(attr, dtype=np.int64) % np.int64(mod))
-            w = np.concatenate([sh.post_w[s:e] * qw[i] for i, s, e, _ in slices])
-            scores = np.bincount(ids, weights=w, minlength=sh.n_local)
-            cands.append(sh._topk_from_scores(np.where(cnt >= required, scores, 0.0), k))
-        return self._with_urls(cands)
-
-    def adjacency_counts(self, filter_tids: list[np.ndarray], ms: np.ndarray) -> np.ndarray:
-        """Adjacency-matrix aggregation (ES ``adjacency_matrix``): for M
-        named boolean filters (filter i = "matches >= ms[i] distinct terms
-        of filter_tids[i]"), the M×M matrix of co-match doc counts over
-        THIS actor's shards.  One bincount per (shard, filter) builds an
-        n_local×M boolean match matrix; the pairwise counts are one
-        M×M matmul — the driver sums M² cells per actor, the match sets
-        never leave the shard owners."""
-        m_filters = len(filter_tids)
-        out = np.zeros((m_filters, m_filters), dtype=np.int64)
-        for sh in self.reader.shards:
-            mat = np.zeros((sh.n_local, m_filters), dtype=np.int64)
-            for fi, (tids, need) in enumerate(zip(filter_tids, ms)):
-                slices = sh._term_slices(np.asarray(tids, dtype=np.int64))
-                if not slices:
-                    continue
-                ids = np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices])
-                cnt = np.bincount(ids, minlength=sh.n_local)
-                if sh.deleted_local.size:
-                    cnt[sh.deleted_local] = 0
-                mat[:, fi] = cnt >= int(need)
-            out += mat.T @ mat
-        return out
-
-    def score_top_hits(self, qtids: np.ndarray, qw: np.ndarray, attr_col: str, n: int) -> dict:
-        """Top-hits-per-bucket (ES ``terms`` agg + ``top_hits``): this
-        actor's ``n`` best-scoring docs PER attribute value — one lexsort
-        by (value, −score, doc) per shard, segmented rank < n filter.  The
-        driver merges ≤ n·|values| cells per actor; the match set never
-        leaves the shard owners."""
-        attrs = self._attr_for_shards(attr_col)
-        out: dict[str, list[tuple[float, int]]] = {}
-        for sh, attr in zip(self.reader.shards, attrs):
-            slices = sh._term_slices(qtids)
-            if not slices:
-                continue
-            ids = np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices])
-            w = np.concatenate([sh.post_w[s:e] * qw[i] for i, s, e, _ in slices])
-            scores = np.bincount(ids, weights=w, minlength=sh.n_local)
-            nz = np.flatnonzero(scores)
-            if nz.size == 0:
-                continue
-            vals = np.asarray([str(v) for v in attr[nz]], dtype=object)
-            docs, sc = sh.doc_ids[nz], scores[nz]
-            order = np.lexsort((docs, -sc, vals))
-            sv = vals[order]
-            grp_start = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
-            seg_len = np.diff(np.append(grp_start, sv.size))
-            ranks = np.arange(sv.size, dtype=np.int64) - np.repeat(grp_start, seg_len)
-            for i in np.flatnonzero(ranks < n):
-                j = order[i]
-                out.setdefault(sv[i], []).append((float(sc[j]), int(docs[j])))
-        return out
-
-    def index_ordered(self, qtids: np.ndarray, k: int):
-        """First-k index-order matches among THIS actor's shards: the walk
-        stops at the actor-local k-th match, so at most k ids (plus the
-        postings_touched counter) ever leave the owner."""
-        return _ordered_walk(self.reader.shards, qtids, k)
-
-    def score_decay(
-        self, qtids: np.ndarray, qw: np.ndarray, k: int, attr_col: str, origin: float, scale: float
-    ):
-        """Function-score gauss decay (ES ``function_score`` /
-        ``gauss``): matched docs' BM25 scores MULTIPLY by
-        ``exp(−(attr − origin)² / (2·σ²))`` with ``σ = scale /
-        sqrt(2·ln(1/0.5))`` (ES's decay=0.5-at-scale parametrization).
-        Multiplicative, so zero stays zero and tombstones are untouched."""
-        attrs = self._attr_for_shards(attr_col)
-        sigma2 = scale * scale / (2.0 * np.log(2.0))
-        cands = []
-        for sh, attr in zip(self.reader.shards, attrs):
-            slices = sh._term_slices(qtids)
-            if not slices:
-                continue
-            ids = np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices])
-            w = np.concatenate([sh.post_w[s:e] * qw[i] for i, s, e, _ in slices])
-            scores = np.bincount(ids, weights=w, minlength=sh.n_local)
-            fa = np.asarray(attr, dtype=np.float64)
-            scores *= np.exp(-((fa - origin) ** 2) / (2.0 * sigma2))
-            cands.append(sh._topk_from_scores(scores, k))
-        return self._with_urls(cands)
-
-    def score_function_score(
-        self,
-        qtids: np.ndarray,
-        qw: np.ndarray,
-        k: int,
-        functions: list[dict],
-        max_boost: float,
-        min_score: float,
-    ):
-        """Multi-function ``function_score`` (ES): each function carries an
-        optional doc-value filter; per matched doc the APPLICABLE function
-        values combine with ``score_mode=sum`` (1.0 when none apply — ES's
-        empty-functions neutral), the combined factor is capped at
-        ``max_boost`` BEFORE ``boost_mode=multiply``, and hits under
-        ``min_score`` are dropped inside the shard owner.  Function kinds:
-        ``fvf`` (weight·ln(1 + attr/div)), ``gauss`` (weight·exp(−(attr −
-        origin)²/(2σ²)), decay-0.5-at-scale σ), ``weight`` (a constant).
-        Filters: ``(col, 'eq'|'prefix', value)`` over doc-value columns."""
-        attr_cols = {f["attr"] for f in functions if "attr" in f} | {
-            f["filter"][0] for f in functions if f.get("filter")
-        }
-        attrs = {c: self._attr_for_shards(c) for c in attr_cols}
-        cands = []
-        for si, sh in enumerate(self.reader.shards):
-            slices = sh._term_slices(qtids)
-            if not slices:
-                continue
-            ids = np.concatenate([sh.post_local[s:e] for _, s, e, _ in slices])
-            w = np.concatenate([sh.post_w[s:e] * qw[i] for i, s, e, _ in slices])
-            scores = np.bincount(ids, weights=w, minlength=sh.n_local)
-            factor = np.zeros(sh.n_local, dtype=np.float64)
-            applied = np.zeros(sh.n_local, dtype=bool)
-            for f in functions:
-                if f.get("filter"):
-                    col, op, val = f["filter"]
-                    fv = np.asarray(attrs[col][si], dtype=str)
-                    if op == "eq":
-                        m = fv == val
-                    elif op == "prefix":
-                        m = np.char.startswith(fv, val)
-                    else:  # pragma: no cover - spec typo guard
-                        raise ValueError(f"unknown filter op {op!r}")
-                else:
-                    m = np.ones(sh.n_local, dtype=bool)
-                if f["kind"] == "fvf":
-                    a = np.asarray(attrs[f["attr"]][si], dtype=np.float64)
-                    v = f["weight"] * np.log1p(a / f["div"])
-                elif f["kind"] == "gauss":
-                    a = np.asarray(attrs[f["attr"]][si], dtype=np.float64)
-                    sigma2 = f["scale"] * f["scale"] / (2.0 * np.log(1.0 / f["decay"]))
-                    v = f["weight"] * np.exp(-((a - f["origin"]) ** 2) / (2.0 * sigma2))
-                else:  # constant weight
-                    v = np.full(sh.n_local, f["weight"])
-                factor[m] += v[m]
-                applied |= m
-            factor[~applied] = 1.0
-            scores *= np.minimum(factor, max_boost)
-            scores[scores < min_score] = 0.0
-            cands.append(sh._topk_from_scores(scores, k))
-        return self._with_urls(cands)
-
-    def score_snippets(self, qtids: np.ndarray, qw: np.ndarray, qh: np.ndarray, k: int, W: int, method: str = "exhaustive"):
-        """Local top-k + best-window snippets for THIS actor's shards.
-        Texts come from a url-IN-candidates parquet read (k-bounded rows;
-        row groups without matches are pruned by column statistics)."""
-        if self.corpus_path is None:
-            raise ValueError("ShardScorerActor needs corpus_path for snippet serving")
-        from ..functions.hashing import md5_u64
-
-        d, s, urls = self.score(qtids, qw, k, method)
-        if d.size == 0:
-            return d, s, [], [], [], []
-        # keep only the local top-k — snippets for docs that cannot reach
-        # the global top-k are wasted fetches
-        order = np.lexsort((d, -s))[:k]
-        d, s = d[order], s[order]
-        urls = [urls[i] for i in order]
-        import pyarrow.dataset as pads
-
-        tbl = pq.read_table(
-            self.corpus_path, columns=["url", "text"], filters=pads.field("url").isin(urls)
-        )
-        text_of = dict(zip(tbl.column("url").to_pylist(), tbl.column("text").to_pylist()))
-        missing = [u for u in urls if u not in text_of]
-        if missing:
-            # a top-k url absent from the corpus parquet means the index and
-            # corpus_path have diverged (stale cache / rebuilt index) — fail
-            # loudly rather than serve an empty snippet for a real hit
-            raise KeyError(
-                f"snippet corpus {self.corpus_path} is missing {len(missing)} "
-                f"indexed url(s), e.g. {missing[0]!r}: index/corpus mismatch"
-            )
-        starts, hits, snips = [], [], []
-        for u in urls:
-            toks = self.tok.tokenize(text_of[u] or "")
-            th = md5_u64(toks) if toks else np.zeros(0, np.uint64)
-            st, en, nh = best_snippet_window(th, qh, W)
-            starts.append(st)
-            hits.append(nh)
-            snips.append(" ".join(toks[st:en]))
-        return d, s, urls, starts, hits, snips
+        """The plain top-k leg (also the cheapest liveness probe)."""
+        return self.leg("_on_shards", _topk_kernel(method), qtids, qw, k)
 
 
-def _merge_parts(parts, k: int) -> list[tuple[int, float, str]]:
-    """Global (-score, doc_id) top-k over the scatter legs' (docs, scores,
-    urls) triples (no legs when the index has no shards)."""
-    if not parts:
-        return []
-    d = np.concatenate([p[0] for p in parts])
-    s = np.concatenate([p[1] for p in parts])
-    urls = [u for p in parts for u in p[2]]
-    order = np.lexsort((d, -s))[:k]
-    return [(int(d[i]), float(s[i]), urls[i]) for i in order]
+def _shipped(out, url_of):
+    """A leg result as it leaves a shard actor: hits carry their urls."""
+    if isinstance(out, list):
+        return [_shipped(o, url_of) for o in out]
+    if isinstance(out, Hits) and out.urls is None:
+        return out._replace(urls=url_of(out.docs))
+    return out
 
 
-class ShardedSearcher:
+class ShardedSearcher(QueryFront):
     """Driver-side scatter-gather over per-shard scorer actors — the
     multi-node deployment shape (each actor would be scheduled on the node
-    owning its partition).
+    owning its partition).  Serves every :class:`QueryFront` query: the
+    driver encodes and merges, the actors run the legs.
 
     ``replication > 1`` spawns that many identical scorer actors per shard
     group (on a real cluster: replicas pinned to distinct nodes); a query
@@ -3186,22 +3284,13 @@ class ShardedSearcher:
         replication: int = 1,
     ):
         self.cfg = cfg
-        pdir = os.path.join(index_dir, "postings")
-        shard_ids = sorted(
-            int(m.group(1))
-            for f in os.listdir(pdir)
-            if (m := re.match(r"shard-(\d+)\.postings\.parquet$", f))
-        )
+        shard_ids = postings_shard_ids(os.path.join(index_dir, "postings"))
         n = num_actors or min(len(shard_ids), 8)
         groups = [shard_ids[i::n] for i in range(n) if shard_ids[i::n]]
         # actors must score under the SAME config the index was built with
         # (k1/b/zone_docs) — a default-config actor would misread zone ids
         # and diverge from the local reader
         cfg_kwargs = dataclasses.asdict(cfg)
-        if corpus_path is None:
-            # the documents-index adapter caches its corpus inside index_dir
-            cand = os.path.join(index_dir, "corpus_input.parquet")
-            corpus_path = cand if os.path.exists(cand) else None
         self.replica_groups = [
             [
                 ShardScorerActor.remote(index_dir, g, cfg_kwargs, corpus_path)
@@ -3212,6 +3301,10 @@ class ShardedSearcher:
         self.actors = [reps[0] for reps in self.replica_groups]
         # query-side state (vocab) loaded once locally, no shards
         self.reader = IndexReader(index_dir, cfg, shard_ids=[])
+
+    def _legs(self, name: str, *args) -> list:
+        """Leg ``name`` on every shard group's actor, with replica failover."""
+        return self._scatter(lambda a: a.leg.remote(name, *args))
 
     def _scatter(self, make_fut):
         """Call ``make_fut(actor)`` on each group's primary; on actor death
@@ -3231,409 +3324,13 @@ class ShardedSearcher:
                     fut = make_fut(self.replica_groups[gi][ri])
         return out
 
-    def search(self, text: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
-        qtids, qw = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        if method == "phrase":
-            toks = self.reader.tok.tokenize(text)
-            if int(qw.sum()) != len(toks):  # OOV phrase token
-                return []
-            from ..functions.hashing import md5_u64
-
-            h_seq = md5_u64(toks)
-            parts = self._scatter(lambda a: a.score_phrase.remote(qtids, qw, h_seq, k))
-        else:
-            parts = self._scatter(lambda a: a.score.remote(qtids, qw, k, method))
-        return _merge_parts(parts, k)
-
-    def msearch(
-        self, texts: list[str], k: int = 10, method: str = "exhaustive"
-    ) -> list[list[tuple[int, float, str]]]:
-        """Batched multi-search (ES ``_msearch``): every query is encoded
-        once on the driver, then the WHOLE batch rides ONE RPC per shard
-        group (with replica failover) — Q queries cost Q·shards scoring
-        but only |groups| network round-trips, the amortization a serving
-        tier relies on for bulk evaluation / offline rerank feeds.
-        Results are rank-identical to Q independent :meth:`search` calls
-        (pinned by pytest)."""
-        encoded = [self.reader.encode_query(t) for t in texts]
-        live = [i for i, (qt, _) in enumerate(encoded) if qt.size > 0]
-        out: list[list[tuple[int, float, str]]] = [[] for _ in texts]
-        if not live:
-            return out
-        batch = [encoded[i] for i in live]
-        parts = self._scatter(lambda a: a.mscore.remote(batch, k, method))
-        for bi, qi in enumerate(live):
-            out[qi] = _merge_parts([per_group[bi] for per_group in parts], k)
-        return out
-
-    def search_query_string(self, qstring: str, k: int = 10) -> list[tuple[int, float, str]]:
-        """query_string over the actor shards: parse/encode once on the
-        driver, scatter the clause spec, gather ≤ k candidates per group
-        (with replica failover) — identical results to
-        :meth:`IndexReader.search_query_string`."""
-        spec = self.reader.build_query_string_spec(qstring)
-        if spec is None:
-            return []
-        parts = self._scatter(lambda a: a.score_query_string.remote(spec, k))
-        return _merge_parts(parts, k)
-
-    def search_collapse(self, text: str, k: int = 10, attr_col: str = "source") -> list[tuple[str, int, float, str]]:
-        """Field collapsing (Lucene grouping / ES ``collapse``): the single
-        best-scoring doc per ``attr_col`` value, values ranked by their
-        winner's (-score, doc_id), top ``k`` values.  Shard owners each
-        ship |values| cells; the match set itself never crosses the
-        network.  Returns (value, doc_id, score, url) rows."""
-        qtids, qw = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        futs = [a.score_collapse.remote(qtids, qw, attr_col) for a in self.actors]
-        best: dict[str, tuple[float, int, str]] = {}
-        for part in ray.get(futs):
-            for v, (s, d, u) in part.items():
-                prev = best.get(v)
-                # 6-decimal compare with doc-id tie-break, matching the
-                # per-shard election and the SQL oracles
-                if prev is None or (-round(s, 6), d) < (-round(prev[0], 6), prev[1]):
-                    best[v] = (s, d, u)
-        ranked = sorted(best.items(), key=lambda kv: (-round(kv[1][0], 6), kv[1][1]))[:k]
-        return [(v, d, s, u) for v, (s, d, u) in ranked]
-
-    def search_diversified(
-        self, text: str, k: int = 10, attr_col: str = "source", per_value: int = 2
-    ) -> list[tuple[int, float, str, str]]:
-        """Diversified top-k (ES ``diversified_sampler`` + top hits): at
-        most ``per_value`` docs per ``attr_col`` value survive, survivors
-        ranked by (-score, doc_id), top ``k``.  Shard owners each ship
-        ≤ |values|·per_value cells; the driver re-elects per value then
-        ranks — exact, because a value's global top ``per_value`` is a
-        subset of the union of local top ``per_value`` sets.  Returns
-        (doc_id, score, url, value) rows."""
-        qtids, qw = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        futs = [a.score_diversified.remote(qtids, qw, attr_col, per_value) for a in self.actors]
-        best: dict[str, list[tuple[float, int, str]]] = {}
-        for part in ray.get(futs):
-            for v, cand in part.items():
-                best.setdefault(v, []).extend(cand)
-        rows = []
-        for v, cand in best.items():
-            cand.sort(key=lambda c: (-round(c[0], 6), c[1]))
-            rows.extend((d, s, u, v) for s, d, u in cand[:per_value])
-        rows.sort(key=lambda r: (-round(r[1], 6), r[0]))
-        return rows[:k]
-
-    def search_collapse_inner(
-        self, text: str, n_groups: int = 3, per_value: int = 2, attr_col: str = "source"
-    ) -> list[tuple[str, int, int, int, float, str]]:
-        """Field collapsing WITH inner_hits (ES ``collapse.inner_hits``):
-        groups ranked by their winner's (-score, doc_id), top ``n_groups``
-        groups each expanded to their own top ``per_value`` docs.  The
-        exactness argument is :meth:`search_diversified`'s — a value's
-        global top ``per_value`` is a subset of the union of the local top
-        ``per_value`` sets, so shard owners ship ≤ |values|·per_value cells
-        and the match set never crosses the network.  Returns
-        (value, group_rank, inner_rank, doc_id, score, url) rows."""
-        qtids, qw = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        futs = [a.score_diversified.remote(qtids, qw, attr_col, per_value) for a in self.actors]
-        pool: dict[str, list[tuple[float, int, str]]] = {}
-        for part in ray.get(futs):
-            for v, cand in part.items():
-                pool.setdefault(v, []).extend(cand)
-        groups = []
-        for v, cand in pool.items():
-            cand.sort(key=lambda c: (-round(c[0], 6), c[1]))
-            groups.append((v, cand[:per_value]))
-        groups.sort(key=lambda g: (-round(g[1][0][0], 6), g[1][0][1]))
-        rows = []
-        for grank, (v, cand) in enumerate(groups[:n_groups], 1):
-            rows.extend(
-                (v, grank, irank, d, s, u) for irank, (s, d, u) in enumerate(cand, 1)
-            )
-        return rows
-
-    def search_boosted(
-        self,
-        text: str,
-        k: int = 10,
-        attr_col: str = "n_chars",
-        boost: float = 0.5,
-        pivot: float = 1000.0,
-        feature: str = "rank_log1p",
-        origin: float = 0.0,
-    ) -> list[tuple[int, float, str]]:
-        """Static-signal retrieval (Lucene FeatureField / ES
-        distance_feature / function_score field_value_factor, selected by
-        ``feature`` — see :meth:`ShardScorerActor.score_boosted`): BM25
-        with the doc-value modifier applied inside each shard owner before
-        local top-k."""
-        qtids, qw = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        futs = [
-            a.score_boosted.remote(qtids, qw, k, attr_col, boost, pivot, feature, origin)
-            for a in self.actors
-        ]
-        return _merge_parts(ray.get(futs), k)
-
-    def search_terms_set(
-        self, terms: list[str], k: int = 10, attr_col: str = "n_chars", mod: int = 3
-    ) -> list[tuple[int, float, str]]:
-        """``terms_set`` retrieval (ES terms_set query with a per-doc
-        ``minimum_should_match_field``): docs containing at least
-        ``1 + (doc_value mod mod)`` DISTINCT of ``terms`` rank by the
-        unit-weight expanded-OR BM25 bag over the term set.  The driver
-        encodes the term set once; each shard owner applies ITS docs'
-        minima and ships ≤ k candidates."""
-        tids = []
-        for t in terms:
-            q, _ = self.reader.encode_query(t)
-            if q.size:
-                tids.append(int(q[0]))
-        qtids = np.unique(np.asarray(tids, dtype=np.int64))
-        if qtids.size == 0:
-            return []
-        futs = [a.score_terms_set.remote(qtids, k, attr_col, mod) for a in self.actors]
-        return _merge_parts(ray.get(futs), k)
-
-    def search_synonyms(self, groups: list[list[str]], k: int = 10) -> list[tuple[int, float, str]]:
-        """SynonymQuery top-k on the sharded path: the driver expands the
-        groups on its local vocab (tids + blended idfs) and scatter-gathers
-        — semantics identical to :meth:`IndexReader.search_synonyms`."""
-        g_tids, g_idf = self.reader._expand_synonym_groups(groups)
-        if not g_tids:
-            return []
-        futs = [a.score_synonyms.remote(g_tids, g_idf, k) for a in self.actors]
-        return _merge_parts(ray.get(futs), k)
-
-    def search_dismax(self, text: str, k: int = 10, tie: float = 0.0) -> list[tuple[int, float, str]]:
-        """DisMax top-k on the sharded path — semantics identical to
-        :meth:`IndexReader.search_dismax` (per-doc score, so the
-        scatter-gather merge is exact)."""
-        qtids, qw = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        futs = [a.score_dismax.remote(qtids, qw, k, tie) for a in self.actors]
-        return _merge_parts(ray.get(futs), k)
-
-    def search_after(
-        self, text: str, k: int = 10, after: tuple[float, int] | None = None
-    ) -> list[tuple[int, float, str]]:
-        """Deep pagination on the sharded serving path: the driver fans
-        the (score, doc_id) cursor out to every shard owner, each owner
-        returns its local top-k strictly after the cursor, the driver
-        merges — semantics identical to :meth:`IndexReader.search_after`.
-        ``after=None`` degrades to :meth:`search`."""
-        if after is None:
-            return self.search(text, k)
-        qtids, qw = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        a_s, a_d = float(after[0]), int(after[1])
-        futs = [a.score_after.remote(qtids, qw, k, a_s, a_d) for a in self.actors]
-        return _merge_parts(ray.get(futs), k)
-
-    def _scatter_expanded(self, qtids: np.ndarray, k: int, method: str) -> list[tuple[int, float, str]]:
-        """Scatter-gather an expanded-OR term-id set (unit weights) to the
-        shard owners — shared by every dictionary expansion."""
-        if qtids.size == 0:
-            return []
-        qw = np.ones(qtids.size, np.float64)
-        futs = [a.score.remote(qtids, qw, k, method) for a in self.actors]
-        return _merge_parts(ray.get(futs), k)
-
     def search_index_ordered(self, text: str, k: int = 10) -> list[int]:
-        """Early-terminated sort-by-field retrieval on the sharded path
-        (index-sorted builds): every owner walks its own doc-range shards
-        and stops at its local k-th match, the driver merges ≤ k internal
-        ids per actor by id (= index order) — identical results to
-        :meth:`IndexReader.search_index_ordered`, with per-owner early
-        termination."""
-        qtids, _qw = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        futs = [a.index_ordered.remote(qtids, k) for a in self.actors]
-        ids = sorted(i for part, _t in ray.get(futs) for i in part)
-        return ids[:k]
-
-    def search_prefix(self, prefix: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
-        """Wildcard top-k on the sharded path: the driver expands the
-        prefix on its local vocab (two binary searches) and scatter-gathers
-        the contiguous term-id range to the shard owners — identical
-        semantics to :meth:`IndexReader.search_prefix`."""
-        return self._scatter_expanded(self.reader.expand_prefix(prefix), k, method)
-
-    def search_fuzzy(
-        self, term: str, k: int = 10, max_edits: int = 1, method: str = "exhaustive"
-    ) -> list[tuple[int, float, str]]:
-        """Fuzzy top-k on the sharded path: the driver expands the term on
-        its local vocab (vectorized Levenshtein DP) and scatter-gathers the
-        expanded term-id set to the shard owners — identical semantics to
-        :meth:`IndexReader.search_fuzzy`."""
-        return self._scatter_expanded(self.reader.expand_fuzzy(term, max_edits), k, method)
-
-    def search_regexp(self, pattern: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
-        """Regexp top-k on the sharded path: the driver expands the pattern
-        on its local vocab (one compiled-regex dictionary scan) and
-        scatter-gathers the matching term-id set — identical semantics to
-        :meth:`IndexReader.search_regexp`."""
-        return self._scatter_expanded(self.reader.expand_regexp(pattern), k, method)
-
-    def search_substring(self, sub: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
-        """Infix top-k on the sharded path: the driver expands the needle
-        through its trigram dictionary (intersect + verify, no full vocab
-        scan) and scatter-gathers the term-id set — identical semantics to
-        :meth:`IndexReader.search_substring`."""
-        return self._scatter_expanded(self.reader.expand_substring(sub), k, method)
-
-    def snippets(self, text: str, k: int = 5, W: int = 12, method: str = "exhaustive"):
-        """Top-k + best-W-token-window snippets, served ENTIRELY by the
-        shard actors: each owner scores its shards and fetches only its
-        own local-top-k candidates' texts (k-bounded point reads), the
-        driver merges per-shard results — no :class:`IndexReader` over the
-        whole index, no corpus scan.  Window rule identical to the
-        ``search_snippets`` pipeline (shared ``best_snippet_window``).
-
-        Returns [(doc_id, score, url, start_tok, n_hits, snippet)] in
-        (-score, doc_id) order."""
-        from ..functions.hashing import md5_u64
-
-        qtids, qw = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        toks = self.reader.tok.tokenize(text)
-        qh = np.unique(md5_u64(toks)) if toks else np.zeros(0, np.uint64)
-        futs = [a.score_snippets.remote(qtids, qw, qh, k, W, method) for a in self.actors]
-        docs, scores, urls, starts, hits, snips = [], [], [], [], [], []
-        for d, s, u, st, nh, sn in ray.get(futs):
-            docs.append(d)
-            scores.append(s)
-            urls.extend(u)
-            starts.extend(st)
-            hits.extend(nh)
-            snips.extend(sn)
-        if not docs:
-            return []
-        d = np.concatenate(docs)
-        if d.size == 0:
-            return []
-        s = np.concatenate(scores)
-        order = np.lexsort((d, -s))[:k]
-        return [
-            (int(d[i]), float(s[i]), str(urls[i]), int(starts[i]), int(hits[i]), str(snips[i]))
-            for i in order
-        ]
-
-    def facets(self, text: str, m: int = 1, attr_col: str = "lang") -> dict[str, int]:
-        """Faceted match-set counts served by the shard owners: each actor
-        counts its own matched docs per facet value (>= m distinct query
-        terms) and the driver sums |facets| cells per actor — the match
-        set itself never crosses the network."""
-        qtids, _ = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return {}
-        futs = [a.facet_counts.remote(qtids, m, attr_col) for a in self.actors]
-        total: dict[str, int] = {}
-        for part in ray.get(futs):
-            for k, v in part.items():
-                total[k] = total.get(k, 0) + v
-        return total
-
-    def search_top_hits(self, text: str, attr_col: str = "lang", n: int = 3) -> list[tuple[str, int, int, float]]:
-        """Top-hits-per-bucket: for each ``attr_col`` value, the ``n``
-        best-scoring matched docs ((−score, doc) order).  Returns (value,
-        rank, doc_id, score) rows, values sorted ascending."""
-        qtids, qw = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        futs = [a.score_top_hits.remote(qtids, qw, attr_col, n) for a in self.actors]
-        merged: dict[str, list[tuple[float, int]]] = {}
-        for part in ray.get(futs):
-            for v, hits in part.items():
-                merged.setdefault(v, []).extend(hits)
-        rows = []
-        for v in sorted(merged):
-            best = sorted(merged[v], key=lambda h: (-h[0], h[1]))[:n]
-            rows.extend((v, r, d, s) for r, (s, d) in enumerate(best, 1))
-        return rows
-
-    def search_decay(
-        self, text: str, k: int = 10, attr_col: str = "n_chars", origin: float = 1000.0, scale: float = 500.0
-    ) -> list[tuple[int, float, str]]:
-        """Function-score retrieval with a gauss decay on a numeric
-        doc-value (ES ``function_score``/``gauss``): BM25 × exp(−(attr −
-        origin)²/(2σ²)), decay 0.5 at ``scale`` from ``origin``, applied
-        inside each shard owner before local top-k."""
-        qtids, qw = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        futs = [a.score_decay.remote(qtids, qw, k, attr_col, origin, scale) for a in self.actors]
-        return _merge_parts(ray.get(futs), k)
-
-    def search_function_score(
-        self,
-        text: str,
-        k: int,
-        functions: list[dict],
-        max_boost: float = 3.0,
-        min_score: float = 0.0,
-    ) -> list[tuple[int, float, str]]:
-        """Multi-function ``function_score`` retrieval: shard owners apply
-        the filtered functions (score_mode=sum, factor capped at
-        ``max_boost``, boost_mode=multiply, ``min_score`` cut) to their OWN
-        matched docs before local top-k — only ≤k candidates per actor
-        reach the merge."""
-        qtids, qw = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        futs = [
-            a.score_function_score.remote(qtids, qw, k, functions, max_boost, min_score)
-            for a in self.actors
-        ]
-        return _merge_parts(ray.get(futs), k)
-
-    def adjacency_matrix(self, filters: list[tuple[str, str, int]]) -> list[tuple[str, str, int]]:
-        """Adjacency-matrix aggregation over named boolean filters
-        (``(name, text, min_should_match)`` triples): (name_a, name_b,
-        n_docs) rows for every a <= b pair with a nonzero intersection —
-        the ES ``adjacency_matrix`` response shape (diagonal = per-filter
-        counts).  Each actor ships M² cells.  A filter with any OOV-only
-        text matches nothing."""
-        names, tid_sets, ms = [], [], []
-        for name, text, m in filters:
-            qtids, _ = self.reader.encode_query(text)
-            names.append(name)
-            tid_sets.append(qtids)
-            ms.append(max(1, int(m)))
-        futs = [a.adjacency_counts.remote(tid_sets, np.asarray(ms)) for a in self.actors]
-        total = sum(ray.get(futs))
-        rows = []
-        for i, na in enumerate(names):
-            for j in range(i, len(names)):
-                c = int(total[i, j])
-                if c > 0:
-                    rows.append((na, names[j], c))
-        return rows
-
-    def histogram(self, text: str, attr_col: str = "n_chars", width: int = 200, m: int = 1) -> list[tuple[int, int]]:
-        """Histogram aggregation (ES ``histogram``) over the disjunctive
-        match set, served by the shard owners: each actor buckets its own
-        matched docs by ``floor(doc_value / width)`` and the driver sums
-        |buckets| cells per actor.  Returns (bucket_lo, n_docs) rows in
-        bucket order."""
-        qtids, _ = self.reader.encode_query(text)
-        if qtids.size == 0:
-            return []
-        futs = [a.histogram_counts.remote(qtids, m, attr_col, width) for a in self.actors]
-        total: dict[int, int] = {}
-        for part in ray.get(futs):
-            for b, c in part.items():
-                total[b] = total.get(b, 0) + c
-        return [(b * width, total[b]) for b in sorted(total)]
+        """Early-terminated sort-by-field retrieval (index-sorted builds):
+        every owner walks its own doc-range shards and stops at its local
+        k-th match, the driver merges ≤ k internal ids per actor by id
+        (= index order) — the ids of
+        :meth:`IndexReader.search_index_ordered`."""
+        return self._index_ordered(text, k)[0]
 
     def shutdown(self):
         for reps in getattr(self, "replica_groups", [self.actors]):

@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import time
 from typing import Any
 
@@ -73,6 +74,15 @@ class StageGuard:
         }
         atomic_write_json(self.success_path, rec)
         return rec
+
+
+def postings_shard_ids(postings_dir: str) -> list[int]:
+    """Ascending ids of the shards whose postings file is in ``postings_dir``."""
+    return sorted(
+        int(m.group(1))
+        for f in os.listdir(postings_dir)
+        if (m := re.match(r"shard-(\d+)\.postings\.parquet$", f))
+    )
 
 
 def shard_manifest_path(postings_dir: str, shard_id: int) -> str:

@@ -1009,6 +1009,103 @@ def test_sharded_equals_local_tail_queries(built_index, reader):
         ss.shutdown()
 
 
+def _cursor(page):
+    """The (score, doc_id) search_after cursor after ``page``'s last hit."""
+    return (page[-1][1], page[-1][0]) if page else None
+
+
+PARITY_FUNCTIONS = [
+    {"kind": "fvf", "attr": "n_chars", "weight": 1.0, "div": 100.0},
+    {"kind": "gauss", "attr": "n_chars", "weight": 2.0, "origin": 300.0, "scale": 100.0, "decay": 0.5,
+     "filter": ("lang", "eq", "en")},
+]
+
+# every query QueryFront serves, as (searcher, query text) -> result
+PARITY_QUERIES = {
+    "search": lambda ss, t: ss.search(t, 10),
+    "search_wand": lambda ss, t: ss.search(t, 10, method="wand"),
+    "search_method_phrase": lambda ss, t: ss.search(t, 10, method="phrase"),
+    "msearch": lambda ss, t: ss.msearch([t, "w0001", t], 10),
+    "search_after": lambda ss, t: ss.search_after(t, 5, after=_cursor(ss.search(t, 3))),
+    "search_synonyms": lambda ss, t: ss.search_synonyms([t.split(), ["w0010"]], 10),
+    "search_dismax": lambda ss, t: ss.search_dismax(t, 10, 0.3),
+    "search_phrase": lambda ss, t: ss.search_phrase(t, 10),
+    "search_query_string": lambda ss, t: ss.search_query_string(t, 10),
+    "search_prefix": lambda ss, t: ss.search_prefix(t.split()[0][:4] if t.split() else t, 10),
+    "search_fuzzy": lambda ss, t: ss.search_fuzzy(t.split()[0] if t.split() else t, 10),
+    "search_regexp": lambda ss, t: ss.search_regexp(t.split()[0][:4] + ".*" if t.split() else t, 10),
+    "search_wildcard": lambda ss, t: ss.search_wildcard(t.split()[0][:3] + "*1" if t.split() else t, 10),
+    "search_substring": lambda ss, t: ss.search_substring(t.split()[0][1:4] if t.split() else t, 10),
+    "search_index_ordered": lambda ss, t: (
+        ss.search_index_ordered(t, 10)[0] if isinstance(ss, IndexReader) else ss.search_index_ordered(t, 10)
+    ),
+    "search_collapse": lambda ss, t: ss.search_collapse(t, 5, "lang"),
+    "search_diversified": lambda ss, t: ss.search_diversified(t, 10, "lang", 2),
+    "search_collapse_inner": lambda ss, t: ss.search_collapse_inner(t, 3, 2, "lang"),
+    "search_top_hits": lambda ss, t: ss.search_top_hits(t, "lang", 3),
+    "search_boosted": lambda ss, t: ss.search_boosted(t, 10, feature="saturation", boost=1.5, pivot=500.0),
+    "search_terms_set": lambda ss, t: ss.search_terms_set(t.split(), 10),
+    "search_decay": lambda ss, t: ss.search_decay(t, 10, "n_chars", 300.0, 100.0),
+    "search_function_score": lambda ss, t: ss.search_function_score(t, 10, PARITY_FUNCTIONS),
+    "snippets": lambda ss, t: ss.snippets(t, 5, 12),
+    "facets": lambda ss, t: ss.facets(t, 1),
+    "histogram": lambda ss, t: ss.histogram(t, "n_chars", 150, 1),
+    "adjacency_matrix": lambda ss, t: ss.adjacency_matrix([("a", t, 1), ("b", "w0001 w0093", 1)]),
+}
+
+
+@pytest.fixture(scope="module")
+def parity_env(ray_session, small_cfg, web_pages_path, tmp_path_factory):
+    """A forward-stream build of the fixture corpus (phrase queries need
+    it), a corpus with a numeric doc-value, and the local reader and a
+    two-actor sharded searcher over both."""
+    import dataclasses
+
+    from splade_ray.pipelines.build import build_index
+
+    tmp = tmp_path_factory.mktemp("parity")
+    cfg = dataclasses.replace(small_cfg, store_forward=True)
+    index_dir = str(tmp / "idx")
+    build_index(web_pages_path, index_dir, cfg)
+    tbl = pq.read_table(web_pages_path, columns=["url", "text", "lang"])
+    n_chars = pa.array([_nc_of_url(u) for u in tbl.column("url").to_pylist()], pa.int64())
+    corpus = str(tmp / "corpus.parquet")
+    pq.write_table(tbl.append_column("n_chars", n_chars), corpus)
+    local = IndexReader(index_dir, cfg, corpus_path=corpus)
+    tail = [str(t) for t in local.vocab_index[np.flatnonzero(local.df <= 3)[:2]]]
+    texts = {
+        "in_vocab": "w0001 w0002 w0093",
+        "tail": " ".join(tail),
+        "oov_only": "zzznotaword qqqxyz",
+        "empty": "",
+    }
+    ss = ShardedSearcher(index_dir, cfg, num_actors=2, corpus_path=corpus)
+    yield local, ss, texts
+    ss.shutdown()
+
+
+def _outcome(fn):
+    """A call's result, or its error's type and message."""
+    try:
+        return fn()
+    except Exception as e:  # noqa: BLE001 - both executors must fail alike
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("kind", ["in_vocab", "tail", "oov_only", "empty"])
+@pytest.mark.parametrize("query", sorted(PARITY_QUERIES))
+def test_local_equals_sharded_every_query(parity_env, query, kind):
+    """Every query of the shared query front gives the same answer in
+    process (IndexReader) and scattered over two actors
+    (ShardedSearcher)."""
+    local, ss, texts = parity_env
+    call, text = PARITY_QUERIES[query], texts[kind]
+    want = _outcome(lambda: call(local, text))
+    assert _outcome(lambda: call(ss, text)) == want
+    if kind == "in_vocab" and query not in ("search_method_phrase", "search_phrase", "search_index_ordered"):
+        assert want and not isinstance(want, tuple)  # the in-vocab case must produce hits
+
+
 def test_lineage_records(built_index):
     index_dir, cfg = built_index
     lineage = json.load(open(os.path.join(index_dir, "postings", "_LINEAGE.json")))

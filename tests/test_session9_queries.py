@@ -1166,3 +1166,36 @@ def test_clarity_focused_beats_ambiguous(ray_session, tmp_path):
         q.BM25_QUERIES = orig
     c = dict(zip(out["query_id"], out["clarity_r"]))
     assert c["focused"] > c["ambiguous"], c
+
+
+class _StubReader:
+    """Serves fixed (doc_id, score, url) rows in raw (-score, doc_id) order."""
+
+    def __init__(self, rows):
+        self.rows = sorted(rows, key=lambda r: (-r[1], r[0]))
+
+    def search(self, text, k):
+        return self.rows[:k]
+
+
+def test_rounded_topk_reranks_within_margin():
+    """Raw near-ties re-rank by (-round6, doc_id) when the tie class ends
+    inside the fetch."""
+    from splade_ray.pipelines.queries import _rounded_topk
+
+    rows = [(9, 2.0000001, "u9"), (3, 2.00000004, "u3"), (5, 1.5, "u5")]
+    rows += [(100 + d, 1.0 - d * 1e-3, f"x{d}") for d in range(40)]
+    got = _rounded_topk(_StubReader(rows), "q", k=3, margin=10)
+    assert [r[0] for r in got] == [3, 9, 5]
+
+
+def test_rounded_topk_margin_exhausted_raises():
+    """A round-6 tie class at rank k longer than the fetch may hide a
+    doc that belongs in the top k: fail loudly instead."""
+    from splade_ray.pipelines.queries import _rounded_topk
+
+    tied = [(d, 1.0 - d * 1e-9, f"u{d}") for d in range(100)]  # all round to 1.0
+    with pytest.raises(RuntimeError, match="tie class"):
+        _rounded_topk(_StubReader(tied), "q", k=5, margin=10)
+    # the same tie class, but fully inside the fetch, is answered
+    assert [r[0] for r in _rounded_topk(_StubReader(tied), "q", k=5, margin=200)] == list(range(5))

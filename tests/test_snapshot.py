@@ -74,6 +74,63 @@ def test_replicated_failover_identical(ray_session, built_index):
         repl.shutdown()
 
 
+@pytest.fixture(scope="module")
+def failover_env(ray_session, built_index, web_pages_path, tmp_path_factory):
+    """(index_dir, cfg, corpus with a numeric doc-value, unreplicated
+    baseline searcher) for the per-query failover cases."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    index_dir, cfg = built_index
+    tbl = pq.read_table(web_pages_path, columns=["url", "text", "lang"])
+    n_chars = pa.array([len(u) * 7 % 500 for u in tbl.column("url").to_pylist()], pa.int64())
+    corpus = str(tmp_path_factory.mktemp("failover") / "corpus.parquet")
+    pq.write_table(tbl.append_column("n_chars", n_chars), corpus)
+    baseline = ShardedSearcher(index_dir, cfg, num_actors=2, corpus_path=corpus)
+    yield index_dir, cfg, corpus, baseline
+    baseline.shutdown()
+
+
+def _second_page(ss):
+    doc, score, _url = ss.search("w0001 w0002", 5)[-1]
+    return ss.search_after("w0001 w0002", 5, after=(score, doc))
+
+
+FAILOVER_CALLS = {
+    "facets": lambda ss: ss.facets("w0001 w0093 w0400", m=1),
+    "search_collapse": lambda ss: ss.search_collapse("w0001 w0093", 5, "lang"),
+    "histogram": lambda ss: ss.histogram("w0001 w0093", "n_chars", 150, 1),
+    "search_boosted": lambda ss: ss.search_boosted("w0001 w0012", 10),
+    "search_prefix": lambda ss: ss.search_prefix("w001", 10),
+    "search_after": _second_page,
+    "snippets": lambda ss: ss.snippets("w0001 w0002", 5, 12),
+}
+
+
+@pytest.mark.parametrize("method", sorted(FAILOVER_CALLS))
+def test_replicated_failover_every_query(failover_env, method):
+    """Every query fans out through the replica failover: with group 0's
+    primary dead, a replication=2 searcher answers exactly like the
+    unreplicated baseline."""
+    import ray
+
+    index_dir, cfg, corpus, baseline = failover_env
+    call = FAILOVER_CALLS[method]
+    want = call(baseline)
+    assert want  # in-vocab queries must produce hits
+    repl = ShardedSearcher(index_dir, cfg, num_actors=2, corpus_path=corpus, replication=2)
+    try:
+        primary = repl.replica_groups[0][0]
+        ray.kill(primary)
+        # ray.kill is async — wait until the primary's death is visible
+        with pytest.raises(ray.exceptions.RayActorError):
+            while True:
+                ray.get(primary.__ray_ready__.remote())
+        assert call(repl) == want
+    finally:
+        repl.shutdown()
+
+
 def test_replicas_exhausted_raises(ray_session, built_index):
     """Losing every replica of a shard group is loud, never silent."""
     import ray
