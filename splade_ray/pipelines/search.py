@@ -1086,18 +1086,19 @@ class ShardIndex:
         scores only the remaining zones whose ub can still beat it — in ONE
         vectorized gather, not a zone-at-a-time walk.  When the bound
         distribution is flat (pruning keeps > ``fallback_frac`` of the
-        zones), it scores everything — degenerating to the exhaustive
-        kernel plus a small bound-evaluation overhead instead of a slow
-        chunked walk.  Identical top-k to exhaustive (tested).
+        zones), it answers exhaustively.  Identical top-k to exhaustive
+        (tested).
 
-        ``min_zone_mult``: pruning is only ECONOMICAL when phase 1 touches
-        a small fraction of the shard — the candidate-scoped zone gather
-        costs ~2× the dense bincount per posting touched (measured,
-        BENCH r4), so a shard with fewer than ``min_zone_mult·top_zones``
-        zones answers exhaustively without computing any bounds.  Pass 0
-        to force the pruning path (tests)."""
-        nzones = (self.n_local + self.zone_docs - 1) // self.zone_docs
-        if nzones <= min_zone_mult * top_zones:
+        Pruning rarely pays: the pruned path ends in the same dense
+        bincount + top-k pass over ``n_local`` docs that exhaustive makes,
+        so it can only save per-posting work, and the bounds and zone
+        gathers usually cost more than that.  Compared query by query on
+        a 194k-doc index, WAND lost on a majority of the queries in every
+        postings-per-zone bucket (BASELINE.md "WAND routing").  So with
+        any nonzero ``min_zone_mult`` (the default) the query is answered
+        by one :meth:`score_exhaustive` call before any bound work; pass
+        ``min_zone_mult=0`` to force the pruning path."""
+        if min_zone_mult:
             return self.score_exhaustive(qtids, qweights, k)
         slices = self._term_slices(qtids)
         if not slices:

@@ -841,6 +841,72 @@ def test_tombstone_deletes(built_index, reader, tmp_path):
         ss.shutdown()
 
 
+@pytest.fixture(scope="module")
+def zoned_index(ray_session, tmp_path_factory):
+    """A 4.6k-row crawl built with 32-doc zones: its consolidated view has
+    well over top_zones zones, so a forced score_wand really prunes."""
+    from splade_ray.config import EngineConfig
+    from splade_ray.fixtures import write_web_pages
+    from splade_ray.pipelines.build import build_index
+
+    tmp = tmp_path_factory.mktemp("zoned")
+    corpus = write_web_pages(str(tmp / "web.parquet"), 4600)
+    cfg = EngineConfig(shard_size=2048, num_buckets=16, zone_docs=32)
+    index_dir = str(tmp / "idx")
+    build_index(corpus, index_dir, cfg)
+    return index_dir, cfg
+
+
+def test_wand_answers_exhaustively_unless_forced(zoned_index, monkeypatch):
+    """By default score_wand answers tail-term, OOV-only, single-term and
+    head queries with one score_exhaustive call, before gathering any
+    zone, and equals it exactly; min_zone_mult=0 still forces the pruned
+    path, rank-identical.  Both hold again after tombstoning, which
+    rebuilds the zone CSR."""
+    from splade_ray.pipelines import search as S
+
+    calls = dict.fromkeys(("_gather_zones", "score_exhaustive"), 0)
+    for name in calls:
+
+        def spy(*args, _orig=getattr(S.ShardIndex, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(S.ShardIndex, name, spy)
+
+    index_dir, cfg = zoned_index
+    base = IndexReader(index_dir, cfg)
+    vocab, df = base.vocab_index, base.df
+    tail = [str(t) for t in vocab[np.flatnonzero(df <= 3)[:8]]]
+    by_df = np.argsort(df, kind="stable")
+    single = [str(vocab[i]) for i in by_df[np.linspace(by_df.size // 2, 0.9 * by_df.size, 8).astype(int)]]
+    pairs = [f"{a} {b}" for a, b in zip(tail[::2], tail[1::2])]
+    texts = pairs + ["zzznotaword qqqxyz"] + single
+    head = " ".join(str(t) for t in vocab[by_df[-4:]])
+    del_urls = sorted({h[2] for t in texts for h in base.search(t, 2)})
+    assert del_urls
+    deleted = IndexReader(index_dir, cfg, deletes=del_urls)
+    for reader in (base, deleted):
+        (sh,) = reader.shards
+        assert -(-sh.n_local // sh.zone_docs) > 4 * 32
+        for text in texts + [head]:
+            calls.update(_gather_zones=0, score_exhaustive=0)
+            wand = reader.search(text, 10, method="wand")
+            scored = int(reader.encode_query(text)[0].size > 0)
+            assert (calls["_gather_zones"], calls["score_exhaustive"]) == (0, scored), text
+            assert wand == reader.search(text, 10), text
+        for text in texts:
+            qtids, qw = reader.encode_query(text)
+            if not sh._term_slices(qtids):
+                continue
+            calls.update(_gather_zones=0, score_exhaustive=0)
+            pr = sh.score_wand(qtids, qw, 10, min_zone_mult=0)
+            assert calls["_gather_zones"] > 0 and calls["score_exhaustive"] == 0, text
+            ex = sh.score_exhaustive(qtids, qw, 10)
+            assert pr[0].tolist() == ex[0].tolist(), text
+            np.testing.assert_allclose(pr[1], ex[1], rtol=1e-12)
+
+
 def test_sharded_snippets(built_index, reader, web_pages_path):
     """Snippets on the sharded serving path: ranking identical to the
     local reader; windows follow the shared best-window rule (most query
