@@ -66,8 +66,8 @@ class EngineConfig:
     # is bounded by construction: no posting list within a shard exceeds
     # shard_size entries, so the groupby(shard) shuffle needs no salting.
     shard_size: int = 100_000
-    # doc-range zone width for block-max pruning metadata: per (term, zone)
-    # the max BM25 impact is stored, giving safe *cross-term* upper bounds
+    # doc-range zone width for block-max pruning: per (term, zone) the
+    # reader derives the max impact, giving safe *cross-term* upper bounds
     # (every posting of a doc lands in the same zone, unlike position-based
     # 128-posting blocks).  The scorer processes zones in descending
     # upper-bound order and stops when no zone can beat the running top-k.

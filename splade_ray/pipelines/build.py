@@ -295,32 +295,15 @@ class IndexBuilder:
 
         doc_terms = ray.data.read_parquet(dt_dir)
         if self.cfg.encoder == "neural":
-            stats_ref = ray.put({"n_docs": meta["n_docs"]})
-            kernel = functools.partial(
-                build_shard_index,
-                postings_dir=postings_dir,
-                cfg=self.cfg,
-                stats_ref=stats_ref,
-                weight_mode="q8" if self.cfg.neural_value_dtype == "q8" else "f32",
-            )
-            sharded = doc_terms.map_batches(
-                assign_ids_and_shard,
-                fn_kwargs={"cfg": self.cfg, "offsets_ref": offsets_ref},
-                batch_format="pyarrow",
-                batch_size=self.cfg.read_batch_size,
-            )
-        elif self.cfg.vocab_mode == "hashed":
-            # doc_terms already carries hashed int64 term ids — no vocab
-            # string mapping stage at all; df resolves by searchsorted
-            vocab = pq.read_table(os.path.join(stats_dir, "vocab.parquet"))
-            tid_index = vocab.column("term_id").to_numpy(zero_copy_only=False).astype(np.int64)
-            df = vocab.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
-            stats_ref = ray.put(
-                {"df": df, "tid_index": tid_index, "n_docs": meta["n_docs"], "avgdl": meta["avgdl"]}
-            )
-            kernel = functools.partial(
-                build_shard_index, postings_dir=postings_dir, cfg=self.cfg, stats_ref=stats_ref
-            )
+            weight_mode = "q8" if self.cfg.neural_value_dtype == "q8" else "f32"
+        else:
+            weight_mode = "tf"
+        kernel = functools.partial(
+            build_shard_index, postings_dir=postings_dir, cfg=self.cfg, weight_mode=weight_mode
+        )
+        if self.cfg.encoder == "neural" or self.cfg.vocab_mode == "hashed":
+            # doc_terms already carries int term ids (neural vocab ids or
+            # hashed vocab) — no vocab string mapping stage at all
             sharded = doc_terms.map_batches(
                 assign_ids_and_shard,
                 fn_kwargs={"cfg": self.cfg, "offsets_ref": offsets_ref},
@@ -328,14 +311,8 @@ class IndexBuilder:
                 batch_size=self.cfg.read_batch_size,
             )
         else:
-            vocab = pq.read_table(os.path.join(stats_dir, "vocab.parquet"))
-            terms = vocab.column("term").to_pylist()
-            df = vocab.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
-            vocab_terms_ref = ray.put(np.asarray(terms, dtype=object))
-            stats_ref = ray.put({"df": df, "n_docs": meta["n_docs"], "avgdl": meta["avgdl"]})
-            kernel = functools.partial(
-                build_shard_index, postings_dir=postings_dir, cfg=self.cfg, stats_ref=stats_ref
-            )
+            terms = pq.read_table(os.path.join(stats_dir, "vocab.parquet"), columns=["term"]).column("term")
+            vocab_terms_ref = ray.put(np.asarray(terms.to_pylist(), dtype=object))
             sharded = doc_terms.map_batches(
                 map_term_ids,
                 fn_kwargs={"cfg": self.cfg, "vocab_terms_ref": vocab_terms_ref, "offsets_ref": offsets_ref},

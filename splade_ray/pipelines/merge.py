@@ -7,9 +7,10 @@ pipeline's job).  A doc shard may span several segments when a batch
 boundary falls inside it.  Merging k segments is a per-shard multi-way
 merge of per-term posting runs: O(nnz) concatenation in term order — runs
 are doc-ascending and disjoint, so no per-posting re-sort — with term ids
-remapped to the merged vocab and BM25 impacts / zone bounds recomputed
-under the merged corpus statistics (df, N, avgdl all change when segments
-join; stored tfs are raw so the recompute is exact).
+remapped to the merged vocab.  Postings store raw tfs, so nothing in them
+depends on the corpus statistics: the merged df, N and avgdl (all change
+when segments join) go to ``stats/`` and readers compute impacts from
+them at load.
 
 Reference analogue: ``load_shard_manifest`` + ``build_inverted_index_from_
 shards`` (``/root/reference/src/indexing/sparse_index.py:455-658``) re-read
@@ -147,16 +148,14 @@ class MergeShardStage:
     """map_batches kernel over shard descriptors: merge one shard's posting
     runs from every segment that touches it.  With a non-empty delete set
     the merge PURGES tombstones: deleted docs' rows and postings are
-    dropped, local ids compact, and the impacts/zone bounds are recomputed
-    under the SURVIVING corpus statistics computed by
-    :class:`PurgeStatsStage` — exactly what a fresh build of the surviving
-    corpus would store."""
+    dropped and local ids compact — with the SURVIVING corpus statistics
+    of :class:`PurgeStatsStage` in ``stats/``, exactly what a fresh build
+    of the surviving corpus would store."""
 
     def __init__(
         self,
         postings_dir: str,
         cfg: EngineConfig,
-        stats_ref,
         remaps_ref,
         weight_mode: str,
         stats_key: str = "",
@@ -164,7 +163,6 @@ class MergeShardStage:
     ):
         self.postings_dir = postings_dir
         self.cfg = cfg
-        self.stats = ray.get(stats_ref) if isinstance(stats_ref, ray.ObjectRef) else stats_ref
         self.remaps = ray.get(remaps_ref) if isinstance(remaps_ref, ray.ObjectRef) else remaps_ref
         self.weight_mode = weight_mode
         self.stats_key = stats_key
@@ -187,9 +185,9 @@ class MergeShardStage:
             for pdir in pdirs
         )
         if (self.dels is None or not len(self.dels)) and shard_is_valid(self.postings_dir, shard_id, total_rows):
-            # row count alone is not enough for merges: BM25 impacts/zone
-            # bounds depend on the MERGED stats (df, N, avgdl), which change
-            # when the segment set changes even if this shard's rows don't
+            # row count alone is not enough for merges: term ids remap to
+            # the MERGED vocab, which changes when the segment set changes
+            # even if this shard's rows don't
             from ..state.lineage import read_json as _read_json, shard_manifest_path as _smp
 
             man = _read_json(_smp(self.postings_dir, shard_id)) or {}
@@ -264,7 +262,6 @@ class MergeShardStage:
             p_vals=flat_vals[order],
             docs_tbl=docs_all,
             cfg=self.cfg,
-            stats=self.stats,
             weight_mode=self.weight_mode,
             input_rows=doc_off,
             t0=t0,
@@ -340,8 +337,7 @@ def merge_segments(
         merged = merged[["term", "term_id", "df"] + cf_cols]
         midx = pd.Index(merged["term"])
         remaps = [midx.get_indexer(v["term"]).astype(np.int64) for v in vocabs]
-        df_global = merged["df"].to_numpy().astype(np.int64)
-        stats = {"df": df_global, "n_docs": n_docs, "avgdl": meta["avgdl"]}
+        key_df = merged["df"].to_numpy().astype(np.int64)
     else:  # global int ids (neural hashes or hashed bm25 vocab): no remap
         merged = (
             pd.concat(vocabs, ignore_index=True)
@@ -349,15 +345,7 @@ def merge_segments(
             .sum()
         )
         remaps = [None] * len(segment_dirs)
-        if encoder == "bm25":  # hashed vocab still needs df for BM25 weights
-            stats = {
-                "df": merged["df"].to_numpy().astype(np.int64),
-                "tid_index": merged["term_id"].to_numpy().astype(np.int64),
-                "n_docs": n_docs,
-                "avgdl": meta["avgdl"],
-            }
-        else:
-            stats = {"n_docs": n_docs}
+        key_df = merged["df"].to_numpy().astype(np.int64) if encoder == "bm25" else None
     # ---- shard descriptors: which segments touch which shard ----
     per_seg = [_segment_shards(d) for d in segment_dirs]
     items: dict[int, dict] = {}
@@ -416,22 +404,18 @@ def merge_segments(
             pa.Table.from_pandas(merged, preserve_index=False), os.path.join(stats_dir, "vocab.parquet")
         )
         atomic_write_json(os.path.join(stats_dir, "meta.json"), meta)
-        if "df" in stats:
-            stats["df"] = df_new
-        if "n_docs" in stats:
-            stats["n_docs"] = n_docs
-        if "avgdl" in stats:
-            stats["avgdl"] = meta["avgdl"]
+        if key_df is not None:
+            key_df = df_new
 
     postings_dir = os.path.join(out_dir, "postings")
     os.makedirs(postings_dir, exist_ok=True)
-    # fingerprint of the merged corpus stats: a resumed shard is only valid
-    # if it was written under the SAME merged stats (df/N/avgdl feed the
-    # stored impacts and zone bounds)
+    # fingerprint of the merge inputs: a resumed shard is only valid if it
+    # was written for the SAME merged vocab and survivors (df/N/avgdl
+    # stand in for the segment set), deletes, weight mode and config
     import hashlib as _hashlib
     import zlib as _zlib
 
-    df_crc = _zlib.crc32(stats["df"].tobytes()) if "df" in stats else 0
+    df_crc = _zlib.crc32(key_df.tobytes()) if key_df is not None else 0
     del_hash = _hashlib.sha256("|".join(sorted(del_set)).encode()).hexdigest()[:8] if del_set else "0"
     stats_key = _hashlib.sha256(
         f"{meta['n_docs']}|{meta['avgdl']:.9f}|{df_crc}|{del_hash}|{weight_mode}|{config_hash(cfg)}".encode()
@@ -442,7 +426,7 @@ def merge_segments(
             .map_batches(
                 MergeShardStage,
                 fn_constructor_args=(
-                    postings_dir, cfg, ray.put(stats), ray.put(remaps), weight_mode, stats_key, del_arr
+                    postings_dir, cfg, ray.put(remaps), weight_mode, stats_key, del_arr
                 ),
                 batch_format="pyarrow",
                 batch_size=1,

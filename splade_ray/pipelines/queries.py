@@ -31,6 +31,12 @@ from ..config import EngineConfig
 from .build import build_index
 from .search import IndexReader
 
+# root of every index and artifact the showcase caches across calls.  The
+# name carries the postings format: indexes here hold no stored zone-bound
+# columns, which code of the older zone-column format cannot load, so the
+# two formats never share a cache directory.
+CACHE_ROOT_NOZONE = "/tmp/splade_ray_cache/nozone"
+
 # fixed BM25 query set over the documents vocabulary (includes a repeated
 # token and an OOV token on purpose)
 BM25_QUERIES: list[tuple[str, str]] = [
@@ -68,7 +74,7 @@ def _documents_index_dir(sf_dir: str) -> str:
     # (collapse / rank-feature doc-values) — keep in the key so stale
     # cached corpora without them are never reused
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{DOCS_CFG}|corpus_v2".encode()).hexdigest()[:12]
-    return os.path.join("/tmp/splade_ray_cache", f"docs_index_{key}")
+    return os.path.join(CACHE_ROOT_NOZONE, f"docs_index_{key}")
 
 
 def build_documents_index(sf_dir: str) -> str:
@@ -230,23 +236,28 @@ def prefix_topk(sf_dir: str) -> pd.DataFrame:
 NOT_TERMS: list[str] = ["data", "merge"]
 
 
-def lm_topk(sf_dir: str) -> pd.DataFrame:
-    """LM-Dirichlet top-10 over the SAME stored index as `bm25_topk` —
-    the similarity is plugged at READ time (Lucene Similarity seam): the
-    reader recomputes per-posting impacts as
-    max(0, ln(1 + tf·T/(mu·cf)) + ln(mu/(dl+mu))) from the raw-tf postings
-    plus the stats stage's cf/sum_dl, and re-derives zone maxima so WAND
-    stays exact.  mu = 2000 (the EngineConfig default)."""
+def _similarity_topk(sf_dir: str, scoring: str) -> pd.DataFrame:
+    """Top-10 of every BM25_QUERIES query, ranked by `_rounded_topk`,
+    under read-time similarity ``scoring`` over the documents index."""
     import dataclasses
 
-    index_dir = build_documents_index(sf_dir)
-    lm_cfg = dataclasses.replace(DOCS_CFG, scoring="lm_dirichlet")
-    reader = IndexReader(index_dir, lm_cfg)
+    reader = IndexReader(build_documents_index(sf_dir), dataclasses.replace(DOCS_CFG, scoring=scoring))
     rows = []
     for qid, text in BM25_QUERIES:
         for rank, (_d, score, url) in enumerate(_rounded_topk(reader, text), 1):
             rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
     return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+
+
+def lm_topk(sf_dir: str) -> pd.DataFrame:
+    """LM-Dirichlet top-10 over the SAME stored index as `bm25_topk` —
+    the similarity is plugged at READ time (Lucene Similarity seam): the
+    reader recomputes per-posting impacts as
+    max(0, ln(1 + tf·T/(mu·cf)) + ln(mu/(dl+mu))) from the raw-tf postings
+    plus the stats stage's cf/sum_dl.  mu = 2000 (the EngineConfig
+    default)."""
+    return _similarity_topk(sf_dir, "lm_dirichlet")
+
 
 def _rounded_topk(reader: IndexReader, text: str, k: int = None, margin: int = 50):
     """Top-k under the ROUND-6 score order ((-round(score, 6), doc_id)).
@@ -276,16 +287,7 @@ def lm_jm_topk(sf_dir: str) -> pd.DataFrame:
     λ=0.1) plugged at read time over the SAME stored index as `bm25_topk`
     — per posting w = ln(1 + (1-λ)·tf·T/(λ·cf·dl)); see :func:`lm_topk`
     for the seam."""
-    import dataclasses
-
-    index_dir = build_documents_index(sf_dir)
-    jm_cfg = dataclasses.replace(DOCS_CFG, scoring="lm_jm")
-    reader = IndexReader(index_dir, jm_cfg)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_d, score, url) in enumerate(_rounded_topk(reader, text), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _similarity_topk(sf_dir, "lm_jm")
 
 
 def classic_topk(sf_dir: str) -> pd.DataFrame:
@@ -295,16 +297,7 @@ def classic_topk(sf_dir: str) -> pd.DataFrame:
     query side multiplies by qtf (each query occurrence is its own
     TermQuery clause).  The historical lossy byte-encoded length norm is
     NOT reproduced: the contract is the exact 1/sqrt(dl)."""
-    import dataclasses
-
-    index_dir = build_documents_index(sf_dir)
-    c_cfg = dataclasses.replace(DOCS_CFG, scoring="classic")
-    reader = IndexReader(index_dir, c_cfg)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_d, score, url) in enumerate(_rounded_topk(reader, text), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _similarity_topk(sf_dir, "classic")
 
 
 def dfr_topk(sf_dir: str) -> pd.DataFrame:
@@ -312,18 +305,8 @@ def dfr_topk(sf_dir: str) -> pd.DataFrame:
     `bm25_topk` — the fourth similarity on the READ-time seam
     (divergence from randomness, Amati & van Rijsbergen 2002): per
     posting w = tfn·log2((N+1)/(df+0.5))/(tfn+1) with the H2 length
-    normalization tfn = tf·log2(1 + c·avgdl/dl), c = 1.  Zone maxima
-    re-derive at load so block-max WAND stays exact (tested)."""
-    import dataclasses
-
-    index_dir = build_documents_index(sf_dir)
-    d_cfg = dataclasses.replace(DOCS_CFG, scoring="dfr_inl2")
-    reader = IndexReader(index_dir, d_cfg)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_d, score, url) in enumerate(_rounded_topk(reader, text), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    normalization tfn = tf·log2(1 + c·avgdl/dl), c = 1."""
+    return _similarity_topk(sf_dir, "dfr_inl2")
 
 
 def ib_ll_topk(sf_dir: str) -> pd.DataFrame:
@@ -331,18 +314,8 @@ def ib_ll_topk(sf_dir: str) -> pd.DataFrame:
     LambdaDF, H2 normalization; Clinchant & Gaussier 2010) top-10 over
     the SAME stored index — the fifth similarity on the READ-time seam:
     per posting w = ln(1 + tfn·(N+1)/(df+1)) with
-    tfn = tf·log2(1 + c·avgdl/dl).  Zone maxima re-derive at load so
-    block-max WAND stays exact (tested)."""
-    import dataclasses
-
-    index_dir = build_documents_index(sf_dir)
-    i_cfg = dataclasses.replace(DOCS_CFG, scoring="ib_ll")
-    reader = IndexReader(index_dir, i_cfg)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_d, score, url) in enumerate(_rounded_topk(reader, text), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    tfn = tf·log2(1 + c·avgdl/dl)."""
+    return _similarity_topk(sf_dir, "ib_ll")
 
 
 MLT_SEEDS: list[tuple[str, int]] = [("m0", 0), ("m1", 7), ("m2", 23), ("m3", 41)]
@@ -376,7 +349,7 @@ def analyzed_topk(sf_dir: str) -> pd.DataFrame:
     key = hashlib.sha256(
         f"{os.path.abspath(sf_dir)}|{ANALYZED_DOCS_CFG}".encode()
     ).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_anidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_anidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, ANALYZED_DOCS_CFG)
     reader = IndexReader(out, ANALYZED_DOCS_CFG)
@@ -629,7 +602,7 @@ def field_value_factor_topk(sf_dir: str) -> pd.DataFrame:
 
 def _chunk_index_dir(sf_dir: str) -> str:
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{DOCS_CFG}|chunks_v1".encode()).hexdigest()[:12]
-    return os.path.join("/tmp/splade_ray_cache", f"docs_cidx_{key}")
+    return os.path.join(CACHE_ROOT_NOZONE, f"docs_cidx_{key}")
 
 
 def build_chunk_index(sf_dir: str) -> str:
@@ -1377,7 +1350,7 @@ def bm25_topk_hashed(sf_dir: str) -> pd.DataFrame:
     identically."""
     cfg = EngineConfig(shard_size=2000, num_buckets=1, vocab_mode="hashed")
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{cfg}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_hidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_hidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, cfg)
     reader = IndexReader(out, cfg)
@@ -1407,7 +1380,7 @@ def phrase_topk(sf_dir: str) -> pd.DataFrame:
     BM25 bag scoring; rank- and score-identical to the SQL oracle's
     substring-over-joined-tokens phrase filter."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -1434,7 +1407,7 @@ def span_near_topk(sf_dir: str) -> pd.DataFrame:
     candidates' md5 token streams (latest-start segmented prefix max — one
     np.maximum.accumulate, no per-candidate loop), BM25 bag ranking."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -1466,7 +1439,7 @@ def span_not_topk(sf_dir: str) -> pd.DataFrame:
     searchsorted probes per completed span over the base-offset exclude
     positions — no per-span loop."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -1497,7 +1470,7 @@ def intervals_topk(sf_dir: str) -> pd.DataFrame:
     forward streams (per-term segmented running max, one pass), BM25 bag
     ranking."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -1654,7 +1627,7 @@ def significant_terms(sf_dir: str) -> pd.DataFrame:
     vocab-bounded hash→term mapping, (fg%−bg%)·fg%/bg% scoring, top 10
     positive terms per query by (−jlh, term)."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -1671,7 +1644,7 @@ def rare_terms(sf_dir: str) -> pd.DataFrame:
     present in each query's top-50 hits, ranked (df asc, term asc); the
     same k-bounded foreground gather as significant_terms."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -1695,7 +1668,7 @@ def near_topk(sf_dir: str) -> pd.DataFrame:
     the forward-enabled index: two-term AND candidates, min-gap verify over
     the merged occurrence positions, BM25 bag ranking."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -1710,7 +1683,7 @@ NEURAL_DOCS_CFG = EngineConfig(shard_size=2000, num_buckets=1, encoder="neural")
 
 # fixed path so the STATIC oracle SQL can read_parquet it; regenerated by
 # neural_topk for whatever sf corpus the oracle is about to check
-NEURAL_EXPANSION_SIDECAR = "/tmp/splade_ray_cache/neural_expansion.parquet"
+NEURAL_EXPANSION_SIDECAR = os.path.join(CACHE_ROOT_NOZONE, "neural_expansion.parquet")
 
 
 def write_neural_expansion_sidecar(sf_dir: str, cfg: EngineConfig = NEURAL_DOCS_CFG) -> str:
@@ -1758,7 +1731,7 @@ def neural_topk(sf_dir: str) -> pd.DataFrame:
     rank-identity oracle in tests/test_neural.py stays as the second
     gate."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{NEURAL_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_nidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_nidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, NEURAL_DOCS_CFG)
     write_neural_expansion_sidecar(sf_dir, NEURAL_DOCS_CFG)
@@ -1928,7 +1901,7 @@ def build_sorted_documents_index(sf_dir: str) -> str:
     sort value ride the corpus as doc-value columns, so serving resolves
     hits with k-bounded point reads."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{DOCS_CFG}|sorted_v2".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_sidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_sidx_{key}")
     corpus_path = os.path.join(out, "corpus_input.parquet")
     if not os.path.exists(corpus_path):
         os.makedirs(out, exist_ok=True)
@@ -2544,7 +2517,7 @@ def doc_term_vectors(sf_dir: str) -> pd.DataFrame:
     docs' forward streams only (one run-length pass per shard owner),
     df from the stored global stats."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -3103,7 +3076,7 @@ def knn_cosine_ivf_disk(sf_dir: str) -> pd.DataFrame:
     qrows = _first_vecs(ds, 5)
     Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|ivf8".encode()).hexdigest()[:12]
-    cache = os.path.join("/tmp/splade_ray_cache", f"ivf_disk_{key}")
+    cache = os.path.join(CACHE_ROOT_NOZONE, f"ivf_disk_{key}")
     if _read_json(os.path.join(cache, "_MANIFEST.json")) is None:
         idx = IVFIndex(n_clusters=8, nprobe=8).fit_assign(ds, sample_fraction=0.5)
         idx.save(cache)
@@ -3489,7 +3462,7 @@ def curated_corpus(sf_dir: str) -> pd.DataFrame:
     from .curate import curate_corpus, read_curated
 
     key = hashlib.sha256(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    out_dir = os.path.join("/tmp/splade_ray_cache", f"curated_{key}")
+    out_dir = os.path.join(CACHE_ROOT_NOZONE, f"curated_{key}")
     curate_corpus(os.path.join(sf_dir, "documents.parquet"), out_dir, n_partitions=16)
     t = read_curated(
         out_dir, columns=["doc_id", "n_tokens", "dup_token_frac", "stopword_ratio", "max_run_len"]
@@ -4376,8 +4349,8 @@ def triplet_ingest(sf_dir: str) -> pd.DataFrame:
 
     docs = _docs(sf_dir, columns=["doc_id", "text"]).to_pandas().head(2000)
     key = hashlib.sha256(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-    path = os.path.join("/tmp/splade_ray_cache", f"triplets_{key}.tsv")
-    os.makedirs("/tmp/splade_ray_cache", exist_ok=True)
+    path = os.path.join(CACHE_ROOT_NOZONE, f"triplets_{key}.tsv")
+    os.makedirs(CACHE_ROOT_NOZONE, exist_ok=True)
     if not os.path.exists(path):
         lines = []
         for i, (did, text) in enumerate(zip(docs["doc_id"], docs["text"])):
@@ -4671,7 +4644,7 @@ def query_string_topk(sf_dir: str) -> pd.DataFrame:
     end-to-end: match = all musts ∧ (≥1 should when no musts) ∧ no
     must_nots; score = Σ boost·clause_bm25 over matched scoring clauses."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -4712,7 +4685,7 @@ def _routed_segment(sf_dir: str, src: str) -> str:
     key = hashlib.sha256(
         f"{os.path.abspath(sf_dir)}|{DOCS_CFG}|routed|{src}".encode()
     ).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_ridx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_ridx_{key}")
     cpath = os.path.join(out, "corpus_input.parquet")
     if not os.path.exists(cpath):
         os.makedirs(out, exist_ok=True)
@@ -4763,7 +4736,7 @@ def phrase_prefix_topk(sf_dir: str) -> pd.DataFrame:
     matches when head + any expansion occur consecutively, and matched
     docs rank by the head terms' BM25 bag score."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -4858,7 +4831,7 @@ def span_first_topk(sf_dir: str) -> pd.DataFrame:
     that reads ONLY the first ``end`` positions of each candidate's md5
     token stream (one flat gather); matches rank by the term's BM25."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -5214,7 +5187,7 @@ def reindex_topk(sf_dir: str) -> pd.DataFrame:
     src_dir = build_documents_index(sf_dir)
     corpus_path = os.path.join(src_dir, "corpus_input.parquet")
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{DOCS_CFG}|reindex_v1".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_reidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_reidx_{key}")
     dst_corpus = os.path.join(out, "corpus_input.parquet")
     if not os.path.exists(dst_corpus):
         os.makedirs(out, exist_ok=True)
@@ -5969,7 +5942,7 @@ def span_containing_topk(sf_dir: str) -> pd.DataFrame:
     test), BM25-bag-ranked over the big terms.  An OOV little term is
     contained nowhere ⇒ no hits; an OOV big term ⇒ no span ⇒ no hits."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -5991,7 +5964,7 @@ def span_within_topk(sf_dir: str) -> pd.DataFrame:
     containment is pure context.  Same chain DP + searchsorted probes;
     only the scoring bag changes."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
@@ -7169,7 +7142,7 @@ def shingle_topk(sf_dir: str) -> pd.DataFrame:
     key = hashlib.sha256(
         f"{os.path.abspath(sf_dir)}|{SHINGLE_DOCS_CFG}".encode()
     ).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_shidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_shidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, SHINGLE_DOCS_CFG)
     reader = IndexReader(out, SHINGLE_DOCS_CFG)
@@ -8046,7 +8019,7 @@ def sloppy_phrase_topk(sf_dir: str) -> pd.DataFrame:
     proximity contributes to the SCORE, not just the match set (contrast
     ``near_topk``'s binary verify + bag ranking)."""
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join("/tmp/splade_ray_cache", f"docs_pidx_{key}")
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)

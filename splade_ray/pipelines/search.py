@@ -11,10 +11,11 @@ Engine kernels (per shard, all numpy-vectorized):
   concatenated postings of the query's terms — the vectorized equivalent of
   the reference's accumulate loop — then top-k with the deterministic
   ``(-score, doc_id)`` tie-break.
-- **block-max pruned** (``method="wand"``): zone-at-a-time dynamic pruning
-  with per-(term, doc-zone) max impacts; safe pruning (identical top-k,
-  asserted in tests) with every step a numpy kernel.  The scale/latency
-  path; the exhaustive kernel is the small-shard throughput path.
+- **block-max pruned** (``method="wand"``): answered by the exhaustive
+  kernel unless ``min_zone_mult=0`` forces zone-at-a-time dynamic pruning
+  with per-(term, doc-zone) max impacts, derived from the loaded weights
+  on the first pruned query; safe pruning (identical top-k, asserted in
+  tests) with every step a numpy kernel.
 
 Distribution: doc shards are disjoint, so per-shard exact top-k merge is
 globally exact (scatter-gather).  :class:`QueryFront` writes each query
@@ -52,6 +53,24 @@ from ..state.lineage import postings_shard_ids, read_json
 from ..tokenizer import Tokenizer
 
 
+def zone_maxima(
+    term_ptr: np.ndarray, docs: np.ndarray, w: np.ndarray, zone_docs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-(term, doc-zone) max impacts as a CSR over terms: ``zone_ptr``
+    (one row per term of ``term_ptr``), the zone ids and ``zone_max`` (one
+    entry per non-empty (term, zone) pair).
+
+    Zones are aligned ``doc // zone_docs`` ranges: every posting of a doc
+    lands in the same zone across terms, so summing the query terms' zone
+    maxima bounds every doc in the zone.  ``docs`` ascend within each
+    term's slice, so each (term, zone) run is contiguous and one
+    ``maximum.reduceat`` builds the whole table."""
+    zone = docs // zone_docs
+    change = np.zeros(docs.size, dtype=bool)
+    change[term_ptr[:-1][np.diff(term_ptr) > 0]] = True
+    change[1:] |= np.diff(zone) != 0
+    starts = np.flatnonzero(change)
+    return np.searchsorted(starts, term_ptr).astype(np.int64), zone[starts], np.maximum.reduceat(w, starts)
 
 
 class ShardIndex:
@@ -60,7 +79,8 @@ class ShardIndex:
 
     Two weight modes, detected from the postings schema: ``tfs`` (varint
     term frequencies → BM25 impacts computed at load) or ``weights`` (raw
-    float32 neural impacts stored as-is)."""
+    float32 neural impacts stored as-is).  The block-max zone bounds are
+    not stored: :meth:`score_wand` derives them on its first pruned query."""
 
     def __init__(
         self,
@@ -226,32 +246,14 @@ class ShardIndex:
             # neural impact mode: stored weights ARE the impacts
             raw = _binary_concat(post.column("weights").combine_chunks())
             self.post_w = np.frombuffer(raw, dtype=np.float32).astype(np.float64)
-        # per-(term, doc-zone) max impacts: CSR over terms, straight off the
-        # list columns (list offsets ARE the indptr) — no load-time loops
-        zi = post.column("zone_ids").combine_chunks()
-        self.zone_ptr = zi.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        self.zone_zid = zi.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-        self.zone_max = post.column("zone_maxs").combine_chunks().flatten().to_numpy(zero_copy_only=False)
         self.zone_docs = int(cfg.zone_docs)
-        if cfg.scoring in ("lm_dirichlet", "lm_jm", "classic", "dfr_inl2", "ib_ll") and nnz:
-            # stored zone maxima are BM25 impacts; re-derive them from the
-            # recomputed similarity's weights so block-max WAND stays an
-            # exact upper bound.  (term-segment, zone) runs are contiguous — postings
-            # within a segment ascend by doc id — so one reduceat suffices.
-            # zones are LOCAL doc-index ranges (build side: p_local // zone_docs)
-            zid_post = self.post_local // self.zone_docs
-            seg_id = np.repeat(np.arange(seg_lens.size), seg_lens)
-            newgrp = np.ones(nnz, dtype=bool)
-            newgrp[1:] = (zid_post[1:] != zid_post[:-1]) | (seg_id[1:] != seg_id[:-1])
-            starts = np.flatnonzero(newgrp)
-            assert starts.size == self.zone_zid.size, "zone layout / postings mismatch"
-            self.zone_max = np.maximum.reduceat(self.post_w, starts)
+        self._zones = None
         self.deleted_local = np.zeros(0, np.int64)
 
     def mask_deletes(self, del_urls: pa.Array) -> int:
         """Tombstone semantics (Lucene-style): zero the deleted docs'
         posting weights — they can never score, so every path (exhaustive's
-        nonzero filter, WAND's recomputed zone bounds, phrase/near's
+        nonzero filter, WAND's re-derived zone bounds, phrase/near's
         candidate AND) excludes them exactly — while the GLOBAL statistics
         (df/idf/avgdl/n_docs) stay those of the build until a segment merge
         rewrites the index.  Returns the number of local docs deleted."""
@@ -264,18 +266,7 @@ class ShardIndex:
         self.post_w[hit] = 0.0
         if self.post_tf is not None:
             self.post_tf[hit] = 0
-        nnz = self.post_w.size
-        if nnz:
-            # recompute zone maxima over the zeroed weights (same kernel as
-            # the consolidated recompute path) so WAND bounds stay tight
-            zone = self.post_local // self.zone_docs
-            change = np.zeros(nnz, dtype=bool)
-            change[self.term_ptr[:-1][np.diff(self.term_ptr) > 0]] = True
-            change[1:] |= np.diff(zone) != 0
-            zstarts = np.nonzero(change)[0]
-            self.zone_max = np.maximum.reduceat(self.post_w, zstarts)
-            self.zone_zid = zone[zstarts]
-            self.zone_ptr = np.searchsorted(zstarts, self.term_ptr).astype(np.int64)
+        self._zones = None
         return int(local.size)
 
     @classmethod
@@ -284,7 +275,7 @@ class ShardIndex:
         one in-memory CSC — the per-node *serving view*.  One stable argsort
         by term re-groups the posting runs (within a term, shard order ==
         ascending doc order, so runs concatenate without a per-posting
-        sort); zone bounds are recomputed over consolidated positions.
+        sort).
         Querying one merged view replaces a per-shard Python loop with
         single numpy kernels over the node's whole partition."""
         self = cls.__new__(cls)
@@ -344,48 +335,8 @@ class ShardIndex:
                 self.post_tf[idx] = s.post_tf
             run_off[rows] += seg_lens
 
-        # zone bounds: when every shard's doc offset is zone-aligned
-        # (shard_size % zone_docs == 0 — true for full shards), shard zones
-        # shift whole and the per-shard zone CSRs scatter-merge directly;
-        # otherwise recompute from the merged postings (rare path)
         self.zone_docs = int(cfg.zone_docs)
-        aligned = all(o % self.zone_docs == 0 for o in doc_offs)
-        if nnz and aligned:
-            Z_sum = np.zeros(n_terms, dtype=np.int64)
-            for si, s in enumerate(shards):
-                Z_sum[shard_rows[si]] += np.diff(s.zone_ptr)
-            self.zone_ptr = np.zeros(n_terms + 1, dtype=np.int64)
-            np.cumsum(Z_sum, out=self.zone_ptr[1:])
-            zn = int(self.zone_ptr[-1])
-            self.zone_zid = np.empty(zn, dtype=np.int64)
-            self.zone_max = np.empty(zn, dtype=np.float64)
-            zrun_off = np.zeros(n_terms, dtype=np.int64)
-            for si, s in enumerate(shards):
-                rows = shard_rows[si]
-                zlens = np.diff(s.zone_ptr)
-                dest = self.zone_ptr[rows] + zrun_off[rows]
-                sz = s.zone_zid.size
-                idx = (
-                    np.arange(sz, dtype=np.int64)
-                    - np.repeat(s.zone_ptr[:-1], zlens)
-                    + np.repeat(dest, zlens)
-                )
-                self.zone_zid[idx] = s.zone_zid + doc_offs[si] // self.zone_docs
-                self.zone_max[idx] = s.zone_max
-                zrun_off[rows] += zlens
-        elif nnz:
-            zone = self.post_local // self.zone_docs
-            change = np.zeros(nnz, dtype=bool)
-            change[self.term_ptr[:-1][np.diff(self.term_ptr) > 0]] = True
-            change[1:] |= np.diff(zone) != 0
-            zstarts = np.nonzero(change)[0]
-            self.zone_max = np.maximum.reduceat(self.post_w, zstarts)
-            self.zone_zid = zone[zstarts]
-            self.zone_ptr = np.searchsorted(zstarts, self.term_ptr).astype(np.int64)
-        else:
-            self.zone_max = np.zeros(0, np.float64)
-            self.zone_zid = np.zeros(0, np.int64)
-            self.zone_ptr = np.zeros(n_terms + 1, np.int64)
+        self._zones = None
         return self
 
     def _term_slices(self, qtids: np.ndarray) -> list[tuple[int, int, int, int]]:
@@ -1043,6 +994,14 @@ class ShardIndex:
         scores[neg > 0] *= float(negative_boost)
         return self._topk_from_scores(scores, k)
 
+    def _zone_maxima(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`zone_maxima` of this view, derived on the first pruned
+        :meth:`score_wand` and kept until :meth:`mask_deletes` changes the
+        weights."""
+        if self._zones is None:
+            self._zones = zone_maxima(self.term_ptr, self.post_local, self.post_w, self.zone_docs)
+        return self._zones
+
     def _gather_zones(self, slices, zones: np.ndarray, qweights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(local ids, query-weighted impacts) of every posting inside
         ``zones`` — one searchsorted + flat gather per query term for ALL
@@ -1105,11 +1064,12 @@ class ShardIndex:
             return np.zeros(0, np.int64), np.zeros(0, np.float64)
 
         # zone upper bounds summed across query terms
+        zone_ptr, zids, zone_max = self._zone_maxima()
         z_parts, ub_parts = [], []
         for i, _, _, p in slices:
-            zs, ze = self.zone_ptr[p], self.zone_ptr[p + 1]
-            z_parts.append(self.zone_zid[zs:ze])
-            ub_parts.append(self.zone_max[zs:ze] * qweights[i])
+            zs, ze = zone_ptr[p], zone_ptr[p + 1]
+            z_parts.append(zids[zs:ze])
+            ub_parts.append(zone_max[zs:ze] * qweights[i])
         allz = np.concatenate(z_parts)
         uz, inv = np.unique(allz, return_inverse=True)
         ub = np.bincount(inv, weights=np.concatenate(ub_parts))
@@ -1305,7 +1265,7 @@ class QueryFront:
         scores as ONE pseudo-term — member tfs SUM before the BM25
         saturation, under idf(max member df) — and group scores add.
         Exhaustive only: blended-tf bounds aren't decomposable over the
-        stored per-term zone maxima, so WAND is out of scope (Lucene
+        per-term zone maxima, so WAND is out of scope (Lucene
         likewise gives SynonymQuery its own scorer)."""
         g_tids, g_idf = self.reader._expand_synonym_groups(groups)
         if not g_tids:
@@ -1724,7 +1684,7 @@ class IndexReader(QueryFront):
             for sh in self.shards:
                 sh.mask_deletes(del_arr)
         if consolidate and len(self.shards) > 1:
-            # ~24 B per posting (local id int64 + weight f64 + zone slack),
+            # ~24 B per posting (local id int64 + weight f64 + tf u32 + slack),
             # x2 for the transient original+merged views during the merge
             est = sum(s.post_w.size for s in self.shards) * 24 * 2
             if est <= consolidate_budget_bytes:
@@ -3289,8 +3249,8 @@ class ShardedSearcher(QueryFront):
         n = num_actors or min(len(shard_ids), 8)
         groups = [shard_ids[i::n] for i in range(n) if shard_ids[i::n]]
         # actors must score under the SAME config the index was built with
-        # (k1/b/zone_docs) — a default-config actor would misread zone ids
-        # and diverge from the local reader
+        # (k1/b/scoring) — a default-config actor would compute other
+        # impacts and diverge from the local reader
         cfg_kwargs = dataclasses.asdict(cfg)
         self.replica_groups = [
             [

@@ -43,6 +43,7 @@ from ..functions.hashing import splitmix64
 from ..oracle import bm25_idf
 from ..state.lineage import atomic_write_json, read_json
 from ..tokenizer import Tokenizer
+from .search import zone_maxima
 
 
 def _salt_counts(df: np.ndarray, cfg_block: int, max_salts: int) -> np.ndarray:
@@ -306,21 +307,11 @@ class TermIndexReader:
             tf + cfg.k1 * (1.0 - cfg.b + cfg.b * dlf[self.post_doc] / self.avgdl)
         )
         self._max_doc = int(self.post_doc.max()) if self.post_doc.size else 0
-        # per-(term, zone) maxima: postings now sorted by (term, doc), so
-        # zone segments are contiguous — one diff + maximum.reduceat
+        # per-(term, zone) maxima: postings now sorted by (term, doc)
         self.zone_docs = int(cfg.zone_docs)
-        z = self.post_doc // self.zone_docs
-        if z.size:
-            change = np.r_[True, (np.diff(tidx) != 0) | (np.diff(z) != 0)]
-            bounds = np.flatnonzero(change)
-            self.zone_zid = z[bounds]
-            self.zone_max = np.maximum.reduceat(self.post_w, bounds)
-            ztidx = tidx[bounds]
-            self.zone_ptr = np.searchsorted(ztidx, np.arange(self.term_ids.size + 1))
-        else:
-            self.zone_zid = np.zeros(0, np.int64)
-            self.zone_max = np.zeros(0, np.float64)
-            self.zone_ptr = np.zeros(self.term_ids.size + 1, np.int64)
+        self.zone_ptr, self.zone_zid, self.zone_max = zone_maxima(
+            self.term_ptr, self.post_doc, self.post_w, self.zone_docs
+        )
         # per-term flatness summary (zone-max median / max / count), built
         # ONCE here so queries can skip the full zone-bound union+bincount
         # when pruning cannot win (flat corpora) — the pre-check the

@@ -15,9 +15,11 @@ query-time top-k is a valid scatter-gather (doc sets are disjoint, so
 per-shard exact top-k merge is globally exact).
 
 Within each (shard, term) posting list doc ids ascend (stable counting
-sort), are delta+varint compressed (FOR), and carry per-(term, doc-zone)
-max BM25 impacts (zone width = cfg.zone_docs docs) for block-max pruned
-top-k (the vectorized WAND variant in pipelines/search.py).
+sort) and are delta+varint compressed (FOR); values are raw tfs (varint),
+neural float32 impacts, or their uint8 quantization.  Nothing stored
+depends on corpus statistics: readers compute impacts, and derive the
+block-max zone bounds of pruned top-k, at read time
+(pipelines/search.py).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import ray
 
 from ..codec import varint_encode
 from ..config import EngineConfig
-from ..oracle import bm25_idf
 from ..state.lineage import atomic_write_json, shard_is_valid, shard_manifest_path
 
 _MAX_BYTES = 5
@@ -131,7 +132,7 @@ def build_shard_index(
     *,
     postings_dir: str,
     cfg: EngineConfig,
-    stats_ref,
+    stats_ref=None,
     weight_mode: str = "tf",
 ) -> pa.Table:
     """map_groups(pyarrow) kernel for one shard: counting-sort postings,
@@ -140,21 +141,14 @@ def build_shard_index(
     this input is skipped (resume path).
 
     ``weight_mode="tf"``: input rows carry int ``tfs``; postings store
-    varint tfs and zone maxes use the BM25 impact formula.
-    ``weight_mode="f32"``: input rows carry float ``weights`` (neural
-    encoder impacts, reference CSR values — sparse_index.py:100-190);
-    postings store raw float32 segments and the weight IS the impact."""
+    varint tfs.  ``weight_mode="f32"``: input rows carry float ``weights``
+    (neural encoder impacts, reference CSR values —
+    sparse_index.py:100-190); postings store raw float32 segments and the
+    weight IS the impact.  ``stats_ref`` is accepted and ignored: the
+    kernel needs no corpus statistics."""
     t0 = time.perf_counter()
-    stats = ray.get(stats_ref) if isinstance(stats_ref, ray.ObjectRef) else stats_ref
-    n_docs: int = stats["n_docs"]
-    avgdl: float = stats.get("avgdl", 0.0)
-    df_global = stats.get("df")  # int64[vocab]; None in f32 mode
-
     shard_id = int(group.column("shard")[0].as_py())
     n_rows = group.num_rows
-
-    post_file = f"shard-{shard_id:05d}.postings.parquet"
-    docs_file = f"shard-{shard_id:05d}.docs.parquet"
     has_fwd = "fwd" in group.column_names
     if shard_is_valid(postings_dir, shard_id, n_rows, expect_fwd=has_fwd):
         rec = {"part_id": shard_id, "input_rows": n_rows, "skipped": True}
@@ -207,7 +201,6 @@ def build_shard_index(
         p_vals=p_vals,
         docs_tbl=docs_tbl,
         cfg=cfg,
-        stats=stats,
         weight_mode=weight_mode,
         input_rows=n_rows,
         t0=t0,
@@ -224,7 +217,6 @@ def encode_shard_postings(
     p_vals: np.ndarray,
     docs_tbl: pa.Table,
     cfg: EngineConfig,
-    stats: dict,
     weight_mode: str,
     input_rows: int,
     t0: float,
@@ -234,11 +226,7 @@ def encode_shard_postings(
     flat postings sorted by (term, doc asc) plus the shard's docs table,
     compresses and writes the two parquet files + manifest, returns the
     lineage row."""
-    n_docs: int = stats["n_docs"]
-    avgdl: float = stats.get("avgdl", 0.0)
-    df_global = stats.get("df")
     n_rows = input_rows
-    dl = docs_tbl.column("dl").to_numpy(zero_copy_only=False).astype(np.int32)
     post_file = f"shard-{shard_id:05d}.postings.parquet"
     docs_file = f"shard-{shard_id:05d}.docs.parquet"
     nnz = p_tid.size
@@ -261,22 +249,13 @@ def encode_shard_postings(
     docs_col = _binary_from_segments(doc_bytes, doc_offs)
 
     if weight_mode == "tf":
-        p_tf = p_vals.astype(np.int64)
-        tf_u = p_tf.astype(np.uint64)
+        tf_u = p_vals.astype(np.uint64)
         val_bytes = varint_encode(tf_u)
         tf_lens = _varint_lengths(tf_u)
         val_offs = np.zeros(n_terms + 1, dtype=np.int64)
         if nnz:
             val_offs[1:] = np.cumsum(np.add.reduceat(tf_lens, seg_starts))
         vals_col = _binary_from_segments(val_bytes, val_offs)
-        # impact = BM25 weight (float64, exact same formula the scorer
-        # uses, so pruning bounds are tight and safe).  Hashed-vocab mode
-        # resolves df by searchsorted over the sorted hashed term ids.
-        tid_index = stats.get("tid_index")
-        dfv = df_global[np.searchsorted(tid_index, p_tid)] if tid_index is not None else df_global[p_tid]
-        idf = bm25_idf(dfv, n_docs)
-        tf_f = p_tf.astype(np.float64)
-        w = idf * tf_f * (cfg.k1 + 1.0) / (tf_f + cfg.k1 * (1.0 - cfg.b + cfg.b * dl[p_local] / avgdl))
     elif weight_mode == "q8":
         # impact-quantized uint8 codes, fixed global scale (cfg.q8_scale):
         # w' = code * scale / 255 — the scorer and the oracle both use the
@@ -286,33 +265,11 @@ def encode_shard_postings(
         val_bytes = codes.tobytes()
         val_offs = np.r_[seg_starts, nnz].astype(np.int64) if nnz else np.zeros(n_terms + 1, np.int64)
         vals_col = _binary_from_segments(val_bytes, val_offs)
-        w = codes.astype(np.float64) * (cfg.q8_scale / 255.0)
     else:
         p_w32 = p_vals.astype(np.float32)
         val_bytes = p_w32.tobytes()
         val_offs = (np.r_[seg_starts, nnz] * 4).astype(np.int64) if nnz else np.zeros(n_terms + 1, np.int64)
         vals_col = _binary_from_segments(val_bytes, val_offs)
-        w = p_w32.astype(np.float64)
-
-    # --- per-(term, doc-range zone) max impacts.  Zones are aligned doc-id
-    # ranges of cfg.zone_docs docs: all postings of one doc share a zone
-    # across terms, so summing per-term zone maxes is a valid cross-term
-    # upper bound for every doc in the zone. ---
-    z_offs = np.zeros(n_terms + 1, dtype=np.int32)
-    if nnz:
-        zone = p_local.astype(np.int64) // cfg.zone_docs
-        change = np.empty(nnz, dtype=bool)
-        change[0] = True
-        np.logical_or(np.diff(p_tid) != 0, np.diff(zone) != 0, out=change[1:])
-        zstarts = np.nonzero(change)[0]
-        zone_maxs = np.maximum.reduceat(w, zstarts)
-        zone_ids = zone[zstarts].astype(np.int32)
-        z_offs[1:] = np.searchsorted(p_tid[zstarts], uniq_tids, side="right").astype(np.int32)
-    else:
-        zone_maxs = np.zeros(0, dtype=np.float64)
-        zone_ids = np.zeros(0, dtype=np.int32)
-    zid_col = pa.ListArray.from_arrays(pa.array(z_offs), pa.array(zone_ids))
-    zmax_col = pa.ListArray.from_arrays(pa.array(z_offs), pa.array(zone_maxs))
 
     postings_tbl = pa.table(
         {
@@ -322,8 +279,6 @@ def encode_shard_postings(
             "df": pa.array(seg_lens.astype(np.int32)),
             "docs": docs_col,
             ("tfs" if weight_mode == "tf" else ("weights_q8" if weight_mode == "q8" else "weights")): vals_col,
-            "zone_ids": zid_col,
-            "zone_maxs": zmax_col,
         }
     )
     os.makedirs(postings_dir, exist_ok=True)

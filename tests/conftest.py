@@ -27,9 +27,9 @@ def small_cfg():
     from splade_ray.config import EngineConfig
 
     # small shards/buckets so a 2k-doc corpus exercises multiple of each;
-    # zone_docs divides shard_size so consolidation takes the aligned
-    # zone-scatter path (the neural test keeps the default 1024 → covers
-    # the misaligned recompute fallback)
+    # zone_docs divides shard_size so the consolidated view's zones stay
+    # aligned with the shards' (the neural test keeps the default 1024,
+    # whose zones straddle shard boundaries)
     return EngineConfig(shard_size=500, num_buckets=16, zone_docs=125)
 
 
