@@ -47,28 +47,45 @@ def varint_encode(values: np.ndarray) -> bytes:
 
 
 def varint_decode(data: bytes, count: int | None = None) -> np.ndarray:
-    """Decode LEB128 varints → uint64 array (callers cast down)."""
+    """Decode LEB128 varints → uint64 array (callers cast down).
+
+    The first 7-bit group of every value is one gather at the value
+    starts; each later group touches only the values that still have
+    bytes left, so a column of mostly 1-2 byte values costs little more
+    than its boundary scan.  Raises ``ValueError`` on a buffer that ends
+    inside a value, on a value longer than 5 bytes, and when ``count`` is
+    given and differs from the number of values."""
     buf = np.frombuffer(data, dtype=np.uint8)
-    if buf.size == 0:
-        return np.zeros(0, dtype=np.uint64)
-    if count is not None and buf.size == count:
-        # every value is a single byte (no continuation bits possible):
-        # skip the boundary scan entirely — the common case for tf columns
+    if count is not None and buf.size == count and (count == 0 or buf.max() < 0x80):
+        # every value is a single byte: skip the boundary scan entirely —
+        # the common case for tf columns
         return buf.astype(np.uint64)
-    ends = np.nonzero((buf & 0x80) == 0)[0]
+    if buf.size == 0:
+        if count:
+            raise ValueError(f"varint_decode: expected {count} values, got 0")
+        return np.zeros(0, dtype=np.uint64)
+    last = buf < 0x80
+    if not last[-1]:
+        raise ValueError("varint_decode: truncated buffer, its last byte has the continuation bit set")
+    ends = np.flatnonzero(last)
     n = ends.size
+    if count is not None and n != count:
+        raise ValueError(f"varint_decode: expected {count} values, got {n}")
     starts = np.empty(n, dtype=np.int64)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    vals = np.zeros(n, dtype=np.uint64)
-    for k in range(_MAX_BYTES):
-        mask = lengths > k
-        if not mask.any():
-            break
-        vals[mask] |= (buf[starts[mask] + k].astype(np.uint64) & np.uint64(0x7F)) << np.uint64(7 * k)
-    if count is not None and n != count:
-        raise ValueError(f"varint_decode: expected {count} values, got {n}")
+    vals = (buf[starts] & 0x7F).astype(np.uint64)
+    more = np.flatnonzero(ends > starts)  # values with a byte at position k
+    for k in range(1, _MAX_BYTES):
+        if not more.size:
+            return vals
+        pos = starts[more] + k
+        vals[more] |= (buf[pos] & 0x7F).astype(np.uint64) << np.uint64(7 * k)
+        more = more[ends[more] > pos]
+    if more.size:
+        raise ValueError(
+            f"varint_decode: value {int(more[0])} is longer than the {_MAX_BYTES}-byte cap"
+        )
     return vals
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import re
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -73,182 +74,116 @@ def zone_maxima(
     return np.searchsorted(starts, term_ptr).astype(np.int64), zone[starts], np.maximum.reduceat(w, starts)
 
 
+def _per_term(stat, tids: np.ndarray) -> np.ndarray:
+    """A corpus statistic (df or cf) of each term id in ``tids``: ``stat``
+    is a dense array indexed by term id (sorted vocab) or a
+    ``(sorted_tids, values)`` pair (hashed-vocab term ids)."""
+    if isinstance(stat, tuple):
+        index, vals = stat
+        return vals[np.searchsorted(index, tids)]
+    return stat[tids]
+
+
+def _impact_model(cfg: EngineConfig, term_ids, dl, df_global, n_docs, avgdl, cf_global, sum_dl):
+    """Raw-tf impacts as ``(t, d, combine)``: per-term factors ``t`` (one
+    per entry of ``term_ids``), per-doc factors ``d`` (one per entry of
+    ``dl``) and ``combine(tf, t_post, d_post)`` over the factors repeated
+    and gathered per posting.  Every log, sqrt and divide of a term or doc
+    statistic runs once per term or doc, while each posting sees the same
+    operations in the same order as the per-posting formula, so the
+    weights are bit-identical to it (and to the oracle's)."""
+    scoring = cfg.scoring
+    if scoring in ("lm_dirichlet", "lm_jm"):
+        # Language-model query likelihood over the SAME stored raw-tf
+        # postings (the Lucene Similarity seam).
+        # lm_dirichlet: w = max(0, ln(1 + tf·T/(mu·cf)) + ln(mu/(dl+mu)))
+        #   — the non-negative clamp keeps every score-kernel invariant
+        #   (bincount zero == unmatched).
+        # lm_jm: w = ln(1 + (1-λ)·tf·T / (λ·cf·dl)) — positive for every
+        #   stored posting (tf ≥ 1), so no clamp is needed.
+        if cf_global is None or sum_dl is None:
+            raise ValueError(
+                f"{scoring} needs cf + sum_dl stats — rebuild the "
+                "index (vocab.parquet cf column, meta.json sum_dl)"
+            )
+        cf = _per_term(cf_global, term_ids).astype(np.float64)
+        total = float(sum_dl)
+        if scoring == "lm_jm":
+            lam = float(cfg.lam)
+            return lam * cf, dl, lambda tf, t, d: np.log1p((1.0 - lam) * tf * total / (t * d))
+        mu = float(cfg.mu)
+        return (
+            mu * cf,
+            np.log(mu / (dl + mu)),
+            lambda tf, t, d: np.maximum(np.log1p(tf * total / t) + d, 0.0),
+        )
+    df = _per_term(df_global, term_ids).astype(np.float64)
+    n = float(n_docs)
+    if scoring == "classic":
+        # Lucene ClassicSimilarity (pre-8.0 TFIDFSimilarity):
+        # w = sqrt(tf) · idf² / sqrt(dl) with idf = 1 + ln((N+1)/(df+1)).
+        # idf appears SQUARED because Lucene multiplies the query weight
+        # (idf·boost) by the doc-side weight (tf_norm·idf·lengthNorm); the
+        # lossy byte-encoded norm of historical Lucene is deliberately NOT
+        # reproduced (exact 1/sqrt(dl), documented contract).
+        return 1.0 + np.log((n + 1.0) / (df + 1.0)), np.sqrt(dl), lambda tf, t, d: np.sqrt(tf) * t * t / d
+    if scoring in ("dfr_inl2", "ib_ll"):
+        # tfn = tf·log2(1 + c·avgdl/dl)  (NormalizationH2, shared), then
+        # dfr_inl2 (Lucene DFRSimilarity I(n)L2): w = tfn·I/(tfn+1) with
+        #   I = log2((N+1)/(df+0.5))  (BasicModelIn + AfterEffectL);
+        # ib_ll (Lucene IBSimilarity LL + LambdaDF): w = ln(1 + tfn/λ_w)
+        #   with λ_w = (df+1)/(N+1).
+        # Both are positive for every stored posting: no clamp is needed.
+        h2 = np.log2(1.0 + float(cfg.dfr_c) * avgdl / dl)
+        if scoring == "dfr_inl2":
+
+            def inl2(tf, t, d):
+                tfn = tf * d
+                return tfn * t / (tfn + 1.0)
+
+            return np.log2((n + 1.0) / (df + 0.5)), h2, inl2
+        return (df + 1.0) / (n + 1.0), h2, lambda tf, t, d: np.log1p(tf * d / t)
+    k1, b = cfg.k1, cfg.b
+    return bm25_idf(df, n_docs), k1 * (1.0 - b + b * dl / avgdl), lambda tf, t, d: t * tf * (k1 + 1.0) / (tf + d)
+
+
+def _pmap(fn, items) -> list:
+    """``fn`` over ``items``, in order, on up to 8 threads when there are
+    several: parquet reads and the numpy decode kernels release the GIL,
+    so shards load in parallel."""
+    items = list(items)
+    if len(items) <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(8, len(items))) as ex:
+        return list(ex.map(fn, items))
+
+
+def _read_parquet(path: str) -> pa.Table:
+    """One parquet file, decoded on the calling thread: the loader reads
+    shards on threads of its own, which ``pq.read_table`` (dataset layer,
+    Arrow's CPU pool) would serialize, at ~2x the cost per small file."""
+    return pq.ParquetFile(path).read(use_threads=False)
+
+
+def _read_shard(files) -> tuple[pa.Table, pa.Table]:
+    """One shard's (postings, docs) tables from its two parquet paths;
+    tables already read pass through."""
+    return tuple(f if isinstance(f, pa.Table) else _read_parquet(f) for f in files)
+
+
 class ShardIndex:
-    """One shard's postings, decompressed into CSC numpy arrays at load
-    (reference InvertedIndex shape, sparse_index.py:207-215, but per-shard).
+    """A serving view: the postings of one or more shards (ascending,
+    disjoint doc ranges) decompressed into one CSC of numpy arrays
+    (reference InvertedIndex shape, sparse_index.py:207-215).  Built only
+    by :meth:`consolidated`.
 
     Two weight modes, detected from the postings schema: ``tfs`` (varint
-    term frequencies → BM25 impacts computed at load) or ``weights`` (raw
-    float32 neural impacts stored as-is).  The block-max zone bounds are
-    not stored: :meth:`score_wand` derives them on its first pruned query."""
-
-    def __init__(
-        self,
-        postings_path: str,
-        docs_path: str,
-        df_global: np.ndarray | None,
-        n_docs: int,
-        avgdl: float,
-        cfg: EngineConfig,
-        cf_global=None,
-        sum_dl: int | None = None,
-    ):
-        self.cfg = cfg
-        post = pq.read_table(postings_path)
-        docs = pq.read_table(docs_path)
-        self.doc_ids = docs.column("doc_id").to_numpy(zero_copy_only=False)
-        # urls stay an Arrow StringArray: zero Python strings at load —
-        # only the k returned hits per query ever materialize a str
-        self.urls = docs.column("url").combine_chunks()
-        self.dl = docs.column("dl").to_numpy(zero_copy_only=False).astype(np.float64)
-        self.n_local = len(self.doc_ids)
-        if "fwd" in docs.column_names:
-            # forward md5 token-hash streams (store_forward builds): one
-            # flat u64 array; per-doc extents come from dl, which is the
-            # exact token count of the same tokenization pass
-            raw = _binary_concat(docs.column("fwd").combine_chunks())
-            self.fwd_stream = np.frombuffer(raw, dtype=np.uint64)
-            self.fwd_ptr = np.zeros(self.n_local + 1, dtype=np.int64)
-            np.cumsum(self.dl.astype(np.int64), out=self.fwd_ptr[1:])
-            assert self.fwd_ptr[-1] == self.fwd_stream.size, "fwd stream / dl mismatch"
-        else:
-            self.fwd_stream = None
-            self.fwd_ptr = None
-
-        self.term_ids = post.column("term_id").to_numpy(zero_copy_only=False)
-        seg_lens = post.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
-        self.term_ptr = np.zeros(seg_lens.size + 1, dtype=np.int64)
-        np.cumsum(seg_lens, out=self.term_ptr[1:])
-        nnz = int(self.term_ptr[-1])
-
-        # decode whole columns in two vectorized passes (the buffers are
-        # concatenations of the per-term varint segments, value-aligned)
-        deltas = varint_decode(_binary_concat(post.column("docs").combine_chunks()), nnz).astype(np.int64)
-        csum = np.cumsum(deltas)
-        seg_starts = self.term_ptr[:-1]
-        if nnz:
-            # per-segment absolute ids: csum minus the cumsum just before
-            # each segment start (delta at a segment start is absolute)
-            prior = np.where(seg_starts > 0, csum[np.maximum(seg_starts - 1, 0)], 0)
-            self.post_local = csum - np.repeat(prior, seg_lens)
-        else:
-            self.post_local = np.zeros(0, np.int64)
-        if cfg.scoring in ("lm_dirichlet", "lm_jm", "classic", "dfr_inl2", "ib_ll") and "tfs" not in post.column_names:
-            raise ValueError(f"{cfg.scoring} scoring needs raw-tf postings (weight_mode='tf')")
-        self.avgdl = float(avgdl)
-        self.post_tf: np.ndarray | None = None
-        if "tfs" in post.column_names:
-            tf = varint_decode(_binary_concat(post.column("tfs").combine_chunks()), nnz).astype(np.float64)
-            # raw tf kept (uint32, ¼ the weight array) — synonym scoring
-            # blends tf ACROSS terms before saturation, which the
-            # precomputed per-term impacts can't express
-            self.post_tf = tf.astype(np.uint32)
-            # precompute float64 BM25 weights (identical formula to the
-            # oracle).  df_global: dense array indexed by tid (sorted
-            # vocab) or (sorted_tids, df) for hashed-vocab term ids.
-            if cfg.scoring in ("lm_dirichlet", "lm_jm"):
-                # Language-model query likelihood over the SAME stored
-                # raw-tf postings (the Lucene Similarity seam).
-                # lm_dirichlet: w = max(0, ln(1 + tf·T/(mu·cf)) +
-                #   ln(mu/(dl+mu))) — the non-negative clamp keeps every
-                #   score-kernel invariant (bincount zero == unmatched).
-                # lm_jm: w = ln(1 + (1-λ)·tf·T / (λ·cf·dl)) — positive for
-                #   every stored posting (tf ≥ 1), so no clamp is needed.
-                if cf_global is None or sum_dl is None:
-                    raise ValueError(
-                        f"{cfg.scoring} needs cf + sum_dl stats — rebuild the "
-                        "index (vocab.parquet cf column, meta.json sum_dl)"
-                    )
-                if isinstance(cf_global, tuple):
-                    tid_index, cfv = cf_global
-                    cf_of = cfv[np.searchsorted(tid_index, self.term_ids)]
-                else:
-                    cf_of = cf_global[self.term_ids]
-                cf_post = np.repeat(cf_of, seg_lens).astype(np.float64)
-                if cfg.scoring == "lm_jm":
-                    lam = float(cfg.lam)
-                    self.post_w = np.log1p(
-                        (1.0 - lam) * tf * float(sum_dl)
-                        / (lam * cf_post * self.dl[self.post_local])
-                    )
-                else:
-                    mu = float(cfg.mu)
-                    w = np.log1p(tf * float(sum_dl) / (mu * cf_post)) + np.log(
-                        mu / (self.dl[self.post_local] + mu)
-                    )
-                    self.post_w = np.maximum(w, 0.0)
-            elif cfg.scoring == "classic":
-                # Lucene ClassicSimilarity (pre-8.0 TFIDFSimilarity), the
-                # third plug on the READ-time Similarity seam:
-                # w = sqrt(tf) · idf² / sqrt(dl) with
-                # idf = 1 + ln((N+1)/(df+1)).  idf appears SQUARED because
-                # Lucene multiplies the query weight (idf·boost) by the
-                # doc-side weight (tf_norm·idf·lengthNorm); the lossy
-                # byte-encoded norm of historical Lucene is deliberately
-                # NOT reproduced (exact 1/sqrt(dl), documented contract).
-                if isinstance(df_global, tuple):
-                    tid_index, dfv = df_global
-                    df_of = dfv[np.searchsorted(tid_index, self.term_ids)]
-                else:
-                    df_of = df_global[self.term_ids]
-                idf_c = 1.0 + np.log(
-                    (float(n_docs) + 1.0) / (np.repeat(df_of, seg_lens).astype(np.float64) + 1.0)
-                )
-                self.post_w = np.sqrt(tf) * idf_c * idf_c / np.sqrt(self.dl[self.post_local])
-            elif cfg.scoring == "dfr_inl2":
-                # Lucene DFRSimilarity I(n)L2 (BasicModelIn + AfterEffectL +
-                # NormalizationH2), the fourth plug on the READ-time seam:
-                # tfn = tf·log2(1 + c·avgdl/dl)  (H2 length normalization),
-                # inf = tfn·log2((N+1)/(df+0.5)) (I(n) basic model),
-                # w = inf/(tfn+1)                 (Laplace after-effect).
-                # Positive for every stored posting, so no clamp is needed.
-                if isinstance(df_global, tuple):
-                    tid_index, dfv = df_global
-                    df_of = dfv[np.searchsorted(tid_index, self.term_ids)]
-                else:
-                    df_of = df_global[self.term_ids]
-                tfn = tf * np.log2(1.0 + float(cfg.dfr_c) * avgdl / self.dl[self.post_local])
-                inf = tfn * np.log2(
-                    (float(n_docs) + 1.0) / (np.repeat(df_of, seg_lens).astype(np.float64) + 0.5)
-                )
-                self.post_w = inf / (tfn + 1.0)
-            elif cfg.scoring == "ib_ll":
-                # Lucene IBSimilarity (DistributionLL + LambdaDF +
-                # NormalizationH2), the fifth plug on the READ-time seam:
-                # tfn = tf·log2(1 + c·avgdl/dl)  (H2, shared with DFR),
-                # λ_w = (df+1)/(N+1)             (LambdaDF),
-                # w = ln(1 + tfn/λ_w)            (log-logistic -log P).
-                # Positive for every stored posting, so no clamp is needed.
-                if isinstance(df_global, tuple):
-                    tid_index, dfv = df_global
-                    df_of = dfv[np.searchsorted(tid_index, self.term_ids)]
-                else:
-                    df_of = df_global[self.term_ids]
-                tfn = tf * np.log2(1.0 + float(cfg.dfr_c) * avgdl / self.dl[self.post_local])
-                lam_w = (np.repeat(df_of, seg_lens).astype(np.float64) + 1.0) / (float(n_docs) + 1.0)
-                self.post_w = np.log1p(tfn / lam_w)
-            else:
-                if isinstance(df_global, tuple):
-                    tid_index, dfv = df_global
-                    df_of = dfv[np.searchsorted(tid_index, self.term_ids)]
-                else:
-                    df_of = df_global[self.term_ids]
-                idf = bm25_idf(np.repeat(df_of, seg_lens).astype(np.float64), n_docs)
-                self.post_w = idf * tf * (cfg.k1 + 1.0) / (
-                    tf + cfg.k1 * (1.0 - cfg.b + cfg.b * self.dl[self.post_local] / avgdl)
-                )
-        elif "weights_q8" in post.column_names:
-            # quantized impact mode: dequantize uint8 codes (fixed scale)
-            raw = _binary_concat(post.column("weights_q8").combine_chunks())
-            codes = np.frombuffer(raw, dtype=np.uint8)
-            self.post_w = codes.astype(np.float64) * (cfg.q8_scale / 255.0)
-        else:
-            # neural impact mode: stored weights ARE the impacts
-            raw = _binary_concat(post.column("weights").combine_chunks())
-            self.post_w = np.frombuffer(raw, dtype=np.float32).astype(np.float64)
-        self.zone_docs = int(cfg.zone_docs)
-        self._zones = None
-        self.deleted_local = np.zeros(0, np.int64)
+    term frequencies → impacts computed at load under ``cfg.scoring``) or
+    ``weights`` / ``weights_q8`` (neural impacts stored as float32 or
+    uint8 codes).  The block-max zone bounds are not stored:
+    :meth:`score_wand` derives them on its first pruned query."""
 
     def mask_deletes(self, del_urls: pa.Array) -> int:
         """Tombstone semantics (Lucene-style): zero the deleted docs'
@@ -270,73 +205,138 @@ class ShardIndex:
         return int(local.size)
 
     @classmethod
-    def consolidated(cls, shards: list["ShardIndex"], cfg: EngineConfig) -> "ShardIndex":
-        """Merge several loaded shards (ascending, disjoint doc ranges) into
-        one in-memory CSC — the per-node *serving view*.  One stable argsort
-        by term re-groups the posting runs (within a term, shard order ==
-        ascending doc order, so runs concatenate without a per-posting
-        sort).
-        Querying one merged view replaces a per-shard Python loop with
-        single numpy kernels over the node's whole partition."""
+    def consolidated(
+        cls,
+        shard_files: list,
+        df_global: np.ndarray | tuple | None,
+        n_docs: int,
+        avgdl: float,
+        cfg: EngineConfig,
+        cf_global=None,
+        sum_dl: int | None = None,
+    ) -> "ShardIndex":
+        """The one loader: a serving view over ``shard_files``, one
+        ``(postings, docs)`` pair per shard in doc order, each a parquet
+        path or an already-read table.  ``df_global`` / ``cf_global``: a
+        dense array indexed by term id (sorted vocab) or ``(sorted_tids,
+        values)`` (hashed-vocab ids).  Every posting is decoded once and
+        written once, straight to its final offset:
+
+        1. read the shards' tables (threads across shards);
+        2. lay out the merged CSC from the ``term_id`` / ``df`` columns
+           alone — O(terms), serial: a term's run from shard i lands after
+           the runs of shards < i, which is ascending doc order;
+        3. decode each shard's doc deltas and values, compute its impacts
+           and assign them to their final offsets (threads across shards).
+
+        Querying one view replaces a per-shard Python loop with single
+        numpy kernels over the node's whole partition.  ``load_times``
+        records the layout and decode seconds."""
+        tables = _pmap(_read_shard, shard_files)
+        t0 = time.perf_counter()
+        posts = [p for p, _ in tables]
+        docs = [d for _, d in tables]
+        modes = [
+            "tf" if "tfs" in p.column_names else "q8" if "weights_q8" in p.column_names else "f32"
+            for p in posts
+        ]
+        tf_scoring = cfg.scoring in ("lm_dirichlet", "lm_jm", "classic", "dfr_inl2", "ib_ll")
+        if tf_scoring and any(m != "tf" for m in modes):
+            raise ValueError(f"{cfg.scoring} scoring needs raw-tf postings (weight_mode='tf')")
         self = cls.__new__(cls)
         self.cfg = cfg
-        self.doc_ids = np.concatenate([s.doc_ids for s in shards])
-        self.urls = pa.concat_arrays([s.urls for s in shards])
-        self.dl = np.concatenate([s.dl for s in shards])
+        self.avgdl = float(avgdl)
+        self.zone_docs = int(cfg.zone_docs)
+        self._zones = None
+        self.deleted_local = np.zeros(0, np.int64)
+
+        self.doc_ids = np.concatenate([d.column("doc_id").to_numpy(zero_copy_only=False) for d in docs])
+        # urls stay an Arrow StringArray: zero Python strings at load —
+        # only the k returned hits per query ever materialize a str
+        url_type = docs[0].schema.field("url").type
+        self.urls = pa.chunked_array([c for d in docs for c in d.column("url").chunks], url_type).combine_chunks()
+        self.dl = np.concatenate([d.column("dl").to_numpy(zero_copy_only=False) for d in docs]).astype(np.float64)
         self.n_local = int(self.doc_ids.size)
-        if all(s.fwd_stream is not None for s in shards):
-            self.fwd_stream = np.concatenate([s.fwd_stream for s in shards])
+        if all("fwd" in d.column_names for d in docs):
+            # forward md5 token-hash streams (store_forward builds): one
+            # flat u64 array; per-doc extents come from dl, which is the
+            # exact token count of the same tokenization pass
+            self.fwd_stream = np.concatenate(
+                [np.frombuffer(_binary_concat(d.column("fwd").combine_chunks()), dtype=np.uint64) for d in docs]
+            )
             self.fwd_ptr = np.zeros(self.n_local + 1, dtype=np.int64)
             np.cumsum(self.dl.astype(np.int64), out=self.fwd_ptr[1:])
+            assert self.fwd_ptr[-1] == self.fwd_stream.size, "fwd stream / dl mismatch"
         else:
             self.fwd_stream = None
             self.fwd_ptr = None
-        doc_offs = np.cumsum([0] + [s.n_local for s in shards][:-1])
-        self.deleted_local = np.concatenate(
-            [s.deleted_local + off for s, off in zip(shards, doc_offs)]
-        ).astype(np.int64)
 
-        # merged vocab rows + per-(shard, term) run lengths — all O(nnz
-        # posting runs), never a dense (n_shards x n_terms) matrix, so
-        # memory stays proportional to the postings themselves even for a
-        # wide (hashed-id) vocab
-        all_tids = np.unique(np.concatenate([s.term_ids for s in shards]))
-        n_terms = all_tids.size
-        L_sum = np.zeros(n_terms, dtype=np.int64)
-        shard_rows = []
-        for s in shards:
-            rows = np.searchsorted(all_tids, s.term_ids)
-            shard_rows.append(rows)
-            L_sum[rows] += np.diff(s.term_ptr)
-        self.term_ids = all_tids
-        self.term_ptr = np.zeros(n_terms + 1, dtype=np.int64)
-        np.cumsum(L_sum, out=self.term_ptr[1:])
-
+        # merged vocab rows + per-(shard, term) run offsets — O(posting
+        # runs), never a dense (n_shards x n_terms) matrix, so memory stays
+        # proportional to the postings even for a wide (hashed-id) vocab
+        tids = [p.column("term_id").to_numpy(zero_copy_only=False) for p in posts]
+        lens = [p.column("df").to_numpy(zero_copy_only=False).astype(np.int64) for p in posts]
+        single = len(posts) == 1
+        self.term_ids = tids[0] if single else np.unique(np.concatenate(tids))
+        rows = [np.searchsorted(self.term_ids, t) for t in tids]
+        run_sum = np.zeros(self.term_ids.size, dtype=np.int64)
+        for r, n in zip(rows, lens):
+            run_sum[r] += n
+        self.term_ptr = np.zeros(self.term_ids.size + 1, dtype=np.int64)
+        np.cumsum(run_sum, out=self.term_ptr[1:])
+        filled = self.term_ptr[:-1].copy()  # next free offset per term
+        seg_starts, shifts = [], []
+        for r, n in zip(rows, lens):
+            start = np.zeros(n.size, dtype=np.int64)
+            np.cumsum(n[:-1], out=start[1:])
+            seg_starts.append(start)
+            shifts.append(filled[r] - start)  # shard offset -> view offset, per run
+            filled[r] += n
+        doc_offs = np.cumsum([0] + [d.num_rows for d in docs])
         nnz = int(self.term_ptr[-1])
         self.post_local = np.empty(nnz, dtype=np.int64)
         self.post_w = np.empty(nnz, dtype=np.float64)
-        self.avgdl = shards[0].avgdl if shards else 0.0
-        with_tf = all(s.post_tf is not None for s in shards)
-        self.post_tf = np.empty(nnz, dtype=np.uint32) if with_tf else None
-        run_off = np.zeros(n_terms, dtype=np.int64)  # filled-so-far per term
-        for si, s in enumerate(shards):
-            rows = shard_rows[si]
-            seg_lens = np.diff(s.term_ptr)
-            dest_start = self.term_ptr[rows] + run_off[rows]
-            snnz = s.post_local.size
-            idx = (
-                np.arange(snnz, dtype=np.int64)
-                - np.repeat(s.term_ptr[:-1], seg_lens)
-                + np.repeat(dest_start, seg_lens)
-            )
-            self.post_local[idx] = s.post_local + doc_offs[si]
-            self.post_w[idx] = s.post_w
-            if with_tf:
-                self.post_tf[idx] = s.post_tf
-            run_off[rows] += seg_lens
+        self.post_tf = np.empty(nnz, dtype=np.uint32) if all(m == "tf" for m in modes) else None
+        if "tf" in modes:
+            # a doc without postings (dl == 0) may get an inf/nan factor,
+            # which no posting ever gathers
+            with np.errstate(divide="ignore", invalid="ignore"):
+                term_f, doc_f, combine = _impact_model(
+                    cfg, self.term_ids, self.dl, df_global, n_docs, self.avgdl, cf_global, sum_dl
+                )
+        t1 = time.perf_counter()
 
-        self.zone_docs = int(cfg.zone_docs)
-        self._zones = None
+        def decode(i: int) -> None:
+            post, n, start = posts[i], lens[i], seg_starts[i]
+            snnz = int(n.sum())
+            dest = slice(None) if single else np.arange(snnz) + np.repeat(shifts[i], n)
+            # deltas < 2**35, so the uint64 words read as int64 unchanged
+            local = np.cumsum(varint_decode(_binary_concat(post.column("docs").combine_chunks()), snnz).view(np.int64))
+            # the delta at a segment start is absolute: subtract the cumsum
+            # just before each segment, and add the shard's first view doc
+            prior = np.where(start > 0, local[np.maximum(start - 1, 0)], 0) - doc_offs[i]
+            local -= np.repeat(prior, n)
+            self.post_local[dest] = local
+            if modes[i] == "tf":
+                tf = varint_decode(_binary_concat(post.column("tfs").combine_chunks()), snnz)
+                if self.post_tf is not None:
+                    # raw tf kept (uint32, ¼ the weight array) — synonym
+                    # scoring blends tf ACROSS terms before saturation,
+                    # which the precomputed per-term impacts can't express
+                    self.post_tf[dest] = tf
+                tf = tf.astype(np.float64)
+                self.post_w[dest] = combine(tf, np.repeat(term_f[rows[i]], n), doc_f[local])
+            elif modes[i] == "q8":
+                # quantized impact mode: dequantize uint8 codes (fixed scale)
+                codes = np.frombuffer(_binary_concat(post.column("weights_q8").combine_chunks()), dtype=np.uint8)
+                self.post_w[dest] = codes.astype(np.float64) * (cfg.q8_scale / 255.0)
+            else:
+                # neural impact mode: stored weights ARE the impacts
+                raw = _binary_concat(post.column("weights").combine_chunks())
+                self.post_w[dest] = np.frombuffer(raw, dtype=np.float32)
+
+        _pmap(decode, range(len(posts)))
+        self.load_times = {"layout_s": t1 - t0, "decode_s": time.perf_counter() - t1}
         return self
 
     def _term_slices(self, qtids: np.ndarray) -> list[tuple[int, int, int, int]]:
@@ -1571,12 +1571,21 @@ def _sum_counts(parts: list[dict]) -> dict:
 class IndexReader(QueryFront):
     """Loads index metadata + all shards of an index directory.
 
-    ``consolidate``: merge loaded shards into one CSC serving view when the
-    postings fit ``consolidate_budget_bytes`` (estimated from nnz; the
-    merge transiently holds both views, so the budget covers 2x) — the
-    single-node fast path.  Past the budget the per-shard list is kept;
-    the multi-node deployment (:class:`ShardedSearcher`) never consolidates
-    across nodes at all."""
+    ``consolidate``: load the shards as one CSC serving view
+    (:meth:`ShardIndex.consolidated` over every shard) when the postings
+    fit ``consolidate_budget_bytes`` — the single-node fast path.  The
+    estimate is 48 B per posting from the shards' ``df`` sums, taken after
+    the parquet reads and before any decode: twice the ~24 B a posting
+    costs in the view, the margin of the former load-then-merge path, so
+    the same indexes consolidate.  Past the budget (or with
+    ``consolidate=False``) the loader runs once per shard; the multi-node
+    deployment (:class:`ShardedSearcher`) never consolidates across nodes
+    at all.
+
+    ``load_stats``: what the open did — ``shards`` opened, ``nnz``,
+    ``postings_bytes`` read, whether the view was ``consolidated``, and
+    the seconds of its ``vocab_s``, ``read_s``, ``layout_s`` and
+    ``decode_s`` phases (per-shard views sum theirs)."""
 
     def __init__(
         self,
@@ -1611,6 +1620,7 @@ class IndexReader(QueryFront):
             corpus_path = cand if os.path.exists(cand) else None
         self.corpus_path = corpus_path
         self._attr_cache: dict[str, list[np.ndarray]] = {}
+        t0 = time.perf_counter()
         stats_dir = os.path.join(index_dir, "stats")
         meta = read_json(os.path.join(stats_dir, "meta.json"))
         self.n_docs = meta["n_docs"]
@@ -1619,16 +1629,16 @@ class IndexReader(QueryFront):
         self.vocab_mode = meta.get("vocab_mode", "sorted")
         self.sum_dl = meta.get("sum_dl")
         self.cf = None
+        if self.encoder == "bm25":
+            vocab = _read_parquet(os.path.join(stats_dir, "vocab.parquet"))
         if self.encoder == "bm25" and self.vocab_mode == "hashed":
-            vocab = pq.read_table(os.path.join(stats_dir, "vocab.parquet"))
             tid_index = vocab.column("term_id").to_numpy(zero_copy_only=False).astype(np.int64)
             dfv = vocab.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
             self.vocab_index, self.term_id, self.df = None, None, (tid_index, dfv)
             if "cf" in vocab.column_names:
                 self.cf = (tid_index, vocab.column("cf").to_numpy(zero_copy_only=False).astype(np.int64))
         elif self.encoder == "bm25":
-            vocab = pq.read_table(os.path.join(stats_dir, "vocab.parquet"))
-            terms = vocab.column("term").to_pylist()
+            terms = vocab.column("term").to_numpy(zero_copy_only=False)
             self.vocab_index = pd.Index(terms)
             # term -> vocab term id: the per-query lookup (a dict probe per
             # token costs far less than a pandas get_indexer call)
@@ -1654,41 +1664,38 @@ class IndexReader(QueryFront):
         all_ids = postings_shard_ids(pdir)
         if shard_ids is not None:
             all_ids = [s for s in all_ids if s in set(shard_ids)]
+        files = [
+            (os.path.join(pdir, f"shard-{s:05d}.postings.parquet"), os.path.join(pdir, f"shard-{s:05d}.docs.parquet"))
+            for s in all_ids
+        ]
+        t1 = time.perf_counter()
+        tables = _pmap(_read_shard, files)
+        t2 = time.perf_counter()
+        nnz = sum(int(pa.compute.sum(post.column("df")).as_py() or 0) for post, _ in tables)
+        merged = consolidate and len(tables) > 1 and nnz * 24 * 2 <= consolidate_budget_bytes
 
-        def _load(s: int) -> ShardIndex:
-            return ShardIndex(
-                os.path.join(pdir, f"shard-{s:05d}.postings.parquet"),
-                os.path.join(pdir, f"shard-{s:05d}.docs.parquet"),
-                self.df,
-                self.n_docs,
-                self.avgdl,
-                self.cfg,
-                cf_global=self.cf,
-                sum_dl=self.sum_dl,
+        def load(shard_tables: list) -> ShardIndex:
+            return ShardIndex.consolidated(
+                shard_tables, self.df, self.n_docs, self.avgdl, self.cfg, cf_global=self.cf, sum_dl=self.sum_dl
             )
 
-        if len(all_ids) > 1:
-            # parquet reads and the varint/bincount decode kernels release
-            # the GIL, so shard loads thread well (measured ~4x at 285
-            # shards); order is preserved (doc ids ascend across shards)
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=min(8, len(all_ids))) as ex:
-                self.shards = list(ex.map(_load, all_ids))
-        else:
-            self.shards = [_load(s) for s in all_ids]
+        self.shards = [load(tables)] if merged else _pmap(lambda t: load([t]), tables)
         if deletes is None:
             deletes = (read_json(os.path.join(index_dir, "deletes.json")) or {}).get("urls")
         if deletes:
             del_arr = pa.array(sorted(set(deletes)), type=pa.string())
             for sh in self.shards:
                 sh.mask_deletes(del_arr)
-        if consolidate and len(self.shards) > 1:
-            # ~24 B per posting (local id int64 + weight f64 + tf u32 + slack),
-            # x2 for the transient original+merged views during the merge
-            est = sum(s.post_w.size for s in self.shards) * 24 * 2
-            if est <= consolidate_budget_bytes:
-                self.shards = [ShardIndex.consolidated(self.shards, self.cfg)]
+        self.load_stats = {
+            "shards": len(files),
+            "nnz": nnz,
+            "postings_bytes": sum(os.path.getsize(post) for post, _ in files),
+            "consolidated": merged,
+            "vocab_s": t1 - t0,
+            "read_s": t2 - t1,
+            "layout_s": sum(sh.load_times["layout_s"] for sh in self.shards),
+            "decode_s": sum(sh.load_times["decode_s"] for sh in self.shards),
+        }
         # positional url lookup: doc_ids ascend within and across shards
         # (doc-sharded contract), so searchsorted over the concatenated id
         # array replaces the old per-doc Python dict (no |docs| dict

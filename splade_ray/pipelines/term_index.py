@@ -228,7 +228,7 @@ class TermIndexReader:
         meta = read_json(os.path.join(term_index_dir, "_MANIFEST.json"))
         self.n_docs, self.avgdl = meta["n_docs"], meta["avgdl"]
         vocab = pq.read_table(os.path.join(stats_dir, "vocab.parquet"))
-        self.vocab_index = pd.Index(vocab.column("term").to_pylist())
+        self.vocab_index = pd.Index(vocab.column("term").to_numpy(zero_copy_only=False))
         self.df = vocab.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
         runs = pq.read_table(os.path.join(term_index_dir, "runs"))
         if term_range is not None:

@@ -42,3 +42,97 @@ def test_varint_single_byte_density():
     # small deltas must stay 1 byte (the point of the encoding)
     vals = np.arange(100, dtype=np.uint64) % 128
     assert len(varint_encode(vals)) == 100
+
+
+# -- the subset-only decoder against the former full-pass one -------------
+
+
+def reference_varint_decode(data: bytes, count: int | None = None) -> np.ndarray:
+    """The former decoder: every 7-bit group position is a masked pass over
+    all values."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.size == 0:
+        return np.zeros(0, dtype=np.uint64)
+    if count is not None and buf.size == count:
+        return buf.astype(np.uint64)
+    ends = np.nonzero((buf & 0x80) == 0)[0]
+    n = ends.size
+    starts = np.empty(n, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    vals = np.zeros(n, dtype=np.uint64)
+    for k in range(5):
+        mask = lengths > k
+        if not mask.any():
+            break
+        vals[mask] |= (buf[starts[mask] + k].astype(np.uint64) & np.uint64(0x7F)) << np.uint64(7 * k)
+    if count is not None and n != count:
+        raise ValueError(f"varint_decode: expected {count} values, got {n}")
+    return vals
+
+
+def _assert_decoders_agree(data: bytes, count: int | None) -> None:
+    got, want = varint_decode(data, count), reference_varint_decode(data, count)
+    assert got.dtype == want.dtype == np.uint64
+    assert got.tobytes() == want.tobytes()
+
+
+# 1- to 5-byte values, each byte length equally likely
+_VALUE = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.integers(min_value=0 if n == 1 else 1 << (7 * (n - 1)), max_value=(1 << (7 * n)) - 1)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_VALUE, max_size=300))
+def test_decoder_matches_reference_hypothesis(vals):
+    data = varint_encode(np.asarray(vals, dtype=np.uint64))
+    _assert_decoders_agree(data, None)
+    _assert_decoders_agree(data, len(vals))
+
+
+def test_decoder_matches_reference_one_byte_fast_path():
+    vals = np.arange(1000, dtype=np.uint64) % 128
+    data = varint_encode(vals)
+    assert len(data) == vals.size
+    _assert_decoders_agree(data, vals.size)
+    _assert_decoders_agree(data, None)
+
+
+def test_decoder_matches_reference_empty():
+    _assert_decoders_agree(b"", None)
+    _assert_decoders_agree(b"", 0)
+    with pytest.raises(ValueError, match="expected 2 values, got 0"):
+        varint_decode(b"", count=2)
+
+
+def test_decoder_matches_reference_on_shard_docs(built_index):
+    import os
+
+    import pyarrow.parquet as pq
+
+    from splade_ray.codec import binary_concat
+
+    index_dir, _ = built_index
+    post = pq.read_table(os.path.join(index_dir, "postings", "shard-00000.postings.parquet"))
+    data = binary_concat(post.column("docs").combine_chunks())
+    nnz = int(post.column("df").to_numpy().sum())
+    assert len(data) > nnz  # multi-byte deltas are present
+    _assert_decoders_agree(data, nnz)
+
+
+def test_decoder_rejects_truncated_buffer():
+    data = varint_encode(np.array([5, 300], dtype=np.uint64))[:-1]
+    assert reference_varint_decode(data).tolist() == [5]  # the silent loss
+    with pytest.raises(ValueError, match="truncated buffer"):
+        varint_decode(data)
+    with pytest.raises(ValueError, match="truncated buffer"):
+        varint_decode(data, count=2)
+
+
+def test_decoder_rejects_values_over_five_bytes():
+    data = bytes([0x81, 0x80, 0x80, 0x80, 0x80, 0x01, 0x07])  # 6-byte value, then 7
+    assert reference_varint_decode(data).tolist() == [1, 7]  # high group dropped
+    with pytest.raises(ValueError, match="value 0 is longer than the 5-byte cap"):
+        varint_decode(data)
