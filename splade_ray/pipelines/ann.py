@@ -55,8 +55,11 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 def _boundary_safe_topk(col: np.ndarray, kk: int) -> np.ndarray:
     """Candidate indices for a per-batch partial top-k: everything with
     score >= the kth score, not an arbitrary kk of them — keeps the global
-    (-score, vec_id) tie-break exact at the boundary (same rule as
-    ShardIndex._topk_from_scores)."""
+    (-score, vec_id) tie-break exact at the boundary.  Kept apart from
+    :func:`~splade_ray.pipelines.search.select_topk`: cosine and negated
+    distance scores can be <= 0, so every entry is a candidate (BM25
+    selection drops zero scores first), and the caller ranks the returned
+    positions under its own keys, so nothing is sorted or cut to kk here."""
     if col.size <= kk:
         return np.arange(col.size)
     part = np.argpartition(-col, kk - 1)[:kk]

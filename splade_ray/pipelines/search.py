@@ -9,8 +9,13 @@ Engine kernels (per shard, all numpy-vectorized):
 
 - **exhaustive**: one ``np.bincount(local_ids, weights=qw·w)`` over the
   concatenated postings of the query's terms — the vectorized equivalent of
-  the reference's accumulate loop — then top-k with the deterministic
-  ``(-score, doc_id)`` tie-break.
+  the reference's accumulate loop — then an exact top-k with the
+  deterministic ``(-score, doc_id)`` tie-break (:func:`select_topk`).  It
+  samples every ⌊√(n/k)⌋-th of the view's n scores; a query whose postings
+  are at least 3× that sample selects from the docs scoring at least the
+  sample's k-th best (~√(n·k) candidates: a few hundred, not every scored
+  doc); any other query, or a sample with fewer than k positive scores,
+  selects from every nonzero score.
 - **block-max pruned** (``method="wand"``): answered by the exhaustive
   kernel unless ``min_zone_mult=0`` forces zone-at-a-time dynamic pruning
   with per-(term, doc-zone) max impacts, derived from the loaded weights
@@ -35,6 +40,7 @@ once — driver-side encode and merge around a shard-local *leg* that is an
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import re
 import time
@@ -72,6 +78,36 @@ def zone_maxima(
     change[1:] |= np.diff(zone) != 0
     starts = np.flatnonzero(change)
     return np.searchsorted(starts, term_ptr).astype(np.int64), zone[starts], np.maximum.reduceat(w, starts)
+
+
+def select_topk(keys: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` best ``(key, score)`` pairs in ``(-score, key)`` order,
+    for any ``k >= 0``: partition for the k-th score, keep every candidate
+    scoring at least it, then lexsort the few kept — so a tie class
+    straddling the k-th score is cut by key, never by partition order.
+    The k-th score of ``k`` candidates is ``scores[-1]`` of the result."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    if keys.size > k > 0:
+        kth = -np.partition(-scores, k - 1)[k - 1]
+        keep = scores >= kth
+        keys, scores = keys[keep], scores[keep]
+    order = np.lexsort((keys, -scores))[:k]
+    return keys[order], scores[order]
+
+
+def _n_postings(slices) -> int:
+    """Σ slice lengths of :meth:`ShardIndex._term_slices` output."""
+    return sum(e - s for _, s, e, _ in slices)
+
+
+# Sampled top-k selection (ShardIndex._topk_from_scores): the sample takes
+# every ⌊√(n/k)⌋-th score, when that stride is at least _MIN_STRIDE, and is
+# used by a query with at least _POSTINGS_PER_SAMPLE postings per sampled
+# score, past the measured crossover at 7,944 and 193,940 docs (BASELINE.md
+# "Top-k selection")
+_MIN_STRIDE = 2
+_POSTINGS_PER_SAMPLE = 3
 
 
 def _per_term(stat, tids: np.ndarray) -> np.ndarray:
@@ -249,6 +285,7 @@ class ShardIndex:
         self.zone_docs = int(cfg.zone_docs)
         self._zones = None
         self.deleted_local = np.zeros(0, np.int64)
+        self.select_stats = {"sampled": 0, "scan": 0}
 
         self.doc_ids = np.concatenate([d.column("doc_id").to_numpy(zero_copy_only=False) for d in docs])
         # urls stay an Arrow StringArray: zero Python strings at load —
@@ -374,7 +411,10 @@ class ShardIndex:
             scores = np.zeros(self.n_local, np.float64)  # bincount of nothing is int
         elif qweights is not None:
             src = self.post_tf if tf else self.post_w
-            w = np.concatenate([src[s:e] * qweights[i] for i, s, e, _ in slices])
+            # most query terms weigh 1, and ×1.0 is exact: skip that multiply
+            # (tested per term on Python floats — a numpy all() costs more)
+            qw = qweights.tolist()
+            w = np.concatenate([src[s:e] if qw[i] == 1 else src[s:e] * qweights[i] for i, s, e, _ in slices])
             scores = np.bincount(ids, weights=w, minlength=self.n_local)
         if counts:
             cnt = np.bincount(ids, minlength=self.n_local)
@@ -382,18 +422,43 @@ class ShardIndex:
                 cnt[self.deleted_local] = 0
         return scores, cnt
 
-    def _topk_from_scores(self, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _topk_from_scores(
+        self, scores: np.ndarray, k: int, postings: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(doc ids, scores) of the top ``k`` nonzero entries of the dense
+        local ``scores``, in ``(-score, doc_id)`` order (:func:`select_topk`
+        over local ids, which ascend with doc ids).
+
+        The candidates come from one of two exact routes, counted in
+        ``select_stats``:
+
+        - ``sampled``: the k-th largest of every ⌊√(n/k)⌋-th of the n
+          scores is the exact score of k real docs, so it is at most the
+          true k-th score; when it is positive, the candidates are the
+          docs scoring at least it — every doc tied with or above the
+          k-th score; with spread scores about stride·k ≈ √(n·k) docs, as
+          many as the sample holds, which balances the two partitions'
+          cost.  Taken when the query's ``postings`` (Σ slice lengths;
+          None when the caller has none, which always scans) are at least
+          ``_POSTINGS_PER_SAMPLE`` times the sample size: below that the
+          scan has too few nonzero scores to lose.
+        - ``scan``: otherwise every nonzero score is a candidate."""
+        n = scores.size
+        lb = 0.0
+        if postings is not None and k > 0:
+            stride = math.isqrt(n // k)
+            if stride >= _MIN_STRIDE and postings >= _POSTINGS_PER_SAMPLE * -(-n // stride):
+                lb = -np.partition(-scores[::stride], k - 1)[k - 1]
         # a bool mask + flatnonzero is several times faster than nonzero()
         # reading the float64 vector itself
-        cand = np.flatnonzero(scores != 0)
-        if cand.size > k:
-            # partition for the kth score, then keep every candidate >= it so
-            # the (-score, doc_id) tie-break is exact at the boundary
-            sv = scores[cand]
-            kth = -np.partition(-sv, k - 1)[k - 1]
-            cand = cand[sv >= kth]
-        order = cand[np.lexsort((cand, -scores[cand]))][:k]
-        return self.doc_ids[order], scores[order]
+        if lb > 0:
+            self.select_stats["sampled"] += 1
+            cand = np.flatnonzero(scores >= lb)
+        else:
+            self.select_stats["scan"] += 1
+            cand = np.flatnonzero(scores != 0)
+        top, top_scores = select_topk(cand, scores[cand], k)
+        return self.doc_ids[top], top_scores
 
     def score_exhaustive(
         self, qtids: np.ndarray, qweights: np.ndarray, k: int, allow: np.ndarray | None = None
@@ -412,7 +477,7 @@ class ShardIndex:
         scores, _ = self.accumulate(slices, qweights)
         if allow is not None:
             scores = np.where(allow, scores, 0.0)
-        return self._topk_from_scores(scores, k)
+        return self._topk_from_scores(scores, k, _n_postings(slices))
 
     def score_bool_prefix(
         self, qtids: np.ndarray, qweights: np.ndarray, prefix_tids: np.ndarray, k: int
@@ -470,7 +535,7 @@ class ShardIndex:
             ids = self.post_local[s:e]
             smax[ids] = np.maximum(smax[ids], self.post_w[s:e] * qweights[i])
         scores = smax + tie * (ssum - smax)
-        return self._topk_from_scores(scores, k)
+        return self._topk_from_scores(scores, k, _n_postings(slices))
 
     def score_excluding(
         self, qtids: np.ndarray, qweights: np.ndarray, k: int, ex_tids: np.ndarray
@@ -486,7 +551,7 @@ class ShardIndex:
         scores, _ = self.accumulate(slices, qweights)
         _, ex = self.accumulate(self._term_slices(ex_tids), counts=True)
         scores[ex > 0] = 0.0
-        return self._topk_from_scores(scores, k)
+        return self._topk_from_scores(scores, k, _n_postings(slices))
 
     def score_after(
         self, qtids: np.ndarray, qweights: np.ndarray, k: int, after_score: float, after_doc: int
@@ -502,7 +567,7 @@ class ShardIndex:
         scores, _ = self.accumulate(slices, qweights)
         keep = (scores < after_score) | ((scores == after_score) & (self.doc_ids > after_doc))
         scores = np.where(keep, scores, 0.0)
-        return self._topk_from_scores(scores, k)
+        return self._topk_from_scores(scores, k, _n_postings(slices))
 
     def phrase_topk(self, qtids: np.ndarray, qweights: np.ndarray, h_seq: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact phrase top-k within this shard: boolean-AND candidates
@@ -992,7 +1057,7 @@ class ShardIndex:
         scores, _ = self.accumulate(slices, qweights)
         _, neg = self.accumulate(self._term_slices(neg_tids), counts=True)
         scores[neg > 0] *= float(negative_boost)
-        return self._topk_from_scores(scores, k)
+        return self._topk_from_scores(scores, k, _n_postings(slices))
 
     def _zone_maxima(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`zone_maxima` of this view, derived on the first pruned
@@ -1092,8 +1157,8 @@ class ShardIndex:
         if uz.size > top_zones and ids1.size:
             cand, inv1 = np.unique(ids1, return_inverse=True)
             csc = np.bincount(inv1, weights=w1)
-            if cand.size >= k:
-                t = csc[np.argpartition(-csc, k - 1)[:k]].min()
+            if cand.size >= k > 0:
+                t = select_topk(cand, csc, k)[1][-1]
                 # ub >= t keeps boundary ties exact under (-score, doc_id)
                 sel = ub[top_zones:] >= t
         if uz.size > top_zones:
@@ -1105,7 +1170,7 @@ class ShardIndex:
             ids2, w2 = self._gather_zones(slices, uz[top_zones:][sel], qweights)
             ids1, w1 = np.concatenate([ids1, ids2]), np.concatenate([w1, w2])
         scores = np.bincount(ids1, weights=w1, minlength=self.n_local)
-        return self._topk_from_scores(scores, k)
+        return self._topk_from_scores(scores, k, ids1.size)
 
 
 # Lucene query_string mini-syntax: optional +/- sign, quoted phrase or bare
@@ -1147,6 +1212,13 @@ def _hits(cands) -> Hits:
     if len(cands) == 1:  # a consolidated reader: the per-query hot path, no copy
         return Hits(*cands[0])
     return Hits(*(np.concatenate(c) for c in zip(*cands)))
+
+
+def _check_k(k) -> None:
+    """Reject a ``k`` no top-k can honour: a negative one would flow into
+    ``np.partition`` and the ``[:k]`` slices and silently drop hits."""
+    if not (type(k) is int or isinstance(k, np.integer)) or k < 0:  # bool is not int here
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
 
 
 def _topk_kernel(method: str) -> str:
@@ -1198,6 +1270,7 @@ class QueryFront:
 
     def _topk(self, k: int, kernel: str, *args) -> list[tuple[int, float, str]]:
         """Top-k of the :class:`ShardIndex` kernel ``kernel`` run on every shard."""
+        _check_k(k)
         return self._merge_hits(self._legs("_on_shards", kernel, *args), k)
 
     def _elect(self, parts: list[Hits], per_value: int, rounded: bool = True) -> dict:
@@ -1220,7 +1293,11 @@ class QueryFront:
 
     def search(self, text: str, k: int = 10, method: str = "exhaustive") -> list[tuple[int, float, str]]:
         """BM25 top-k, exhaustive or block-max pruned (``method="wand"``);
-        ``method="phrase"`` is :meth:`search_phrase`."""
+        ``method="phrase"`` is :meth:`search_phrase`.  ``k`` must be a
+        non-negative integer (ValueError otherwise); ``k=0`` answers []."""
+        _check_k(k)
+        if k == 0:
+            return []
         if method == "phrase":
             return self.search_phrase(text, k)
         qtids, qw = self.reader.encode_query(text)
@@ -1235,6 +1312,9 @@ class QueryFront:
         once, then the WHOLE batch rides ONE leg per shard group — Q
         queries cost Q·shards scoring but only |groups| round trips on the
         sharded path.  Results equal Q independent :meth:`search` calls."""
+        _check_k(k)
+        if k == 0:
+            return [[] for _ in texts]
         encoded = [self.reader.encode_query(t) for t in texts]
         live = [i for i, (qt, _) in enumerate(encoded) if qt.size > 0]
         out: list[list[tuple[int, float, str]]] = [[] for _ in texts]
@@ -1585,7 +1665,10 @@ class IndexReader(QueryFront):
     ``load_stats``: what the open did — ``shards`` opened, ``nnz``,
     ``postings_bytes`` read, whether the view was ``consolidated``, and
     the seconds of its ``vocab_s``, ``read_s``, ``layout_s`` and
-    ``decode_s`` phases (per-shard views sum theirs)."""
+    ``decode_s`` phases (per-shard views sum theirs).
+
+    ``select_stats``: the shards' top-k selections so far by route,
+    ``{"sampled": n, "scan": n}`` (:meth:`ShardIndex._topk_from_scores`)."""
 
     def __init__(
         self,
@@ -1712,6 +1795,11 @@ class IndexReader(QueryFront):
         """The query-side state of this reader's queries: its own."""
         return self
 
+    @property
+    def select_stats(self) -> dict[str, int]:
+        """Top-k selections by route, summed over the shards."""
+        return {route: sum(sh.select_stats[route] for sh in self.shards) for route in ("sampled", "scan")}
+
     def _legs(self, name: str, *args) -> list:
         """In process: leg ``name`` over this reader's own shards, as the
         one shard group."""
@@ -1731,12 +1819,12 @@ class IndexReader(QueryFront):
         return [self._on_shards(kernel, qtids, qw, k) for qtids, qw in encoded]
 
     def _scored_shards(self, qtids: np.ndarray, qw: np.ndarray):
-        """(shard position, shard, BM25 scores) of every shard holding a
-        query term."""
+        """(shard position, shard, BM25 scores, postings scanned) of every
+        shard holding a query term."""
         for si, sh in enumerate(self.shards):
             slices = sh._term_slices(qtids)
             if slices:
-                yield si, sh, sh.accumulate(slices, qw)[0]
+                yield si, sh, sh.accumulate(slices, qw)[0], _n_postings(slices)
 
     def _attr_for_shards(self, attr_col: str) -> list[np.ndarray]:
         """Per-shard doc-attribute arrays (aligned to local doc order),
@@ -1797,7 +1885,7 @@ class IndexReader(QueryFront):
         so the merge's election over them is exact."""
         attrs = self._attr_for_shards(attr_col)
         cands = []
-        for si, sh, scores in self._scored_shards(qtids, qw):
+        for si, sh, scores, _ in self._scored_shards(qtids, qw):
             nz = np.flatnonzero(scores)
             if nz.size == 0:
                 continue
@@ -1839,7 +1927,7 @@ class IndexReader(QueryFront):
         """
         attrs = self._attr_for_shards(attr_col)
         cands = []
-        for si, sh, scores in self._scored_shards(qtids, qw):
+        for si, sh, scores, postings in self._scored_shards(qtids, qw):
             m = scores > 0
             fa = np.asarray(attrs[si], dtype=np.float64)
             if feature == "rank_log1p":
@@ -1852,7 +1940,7 @@ class IndexReader(QueryFront):
                 scores[m] += boost * (fa[m] / (fa[m] + pivot))
             else:
                 raise ValueError(f"unknown boost feature: {feature!r}")
-            cands.append(sh._topk_from_scores(scores, k))
+            cands.append(sh._topk_from_scores(scores, k, postings))
         return _hits(cands)
 
     def _leg_terms_set(self, qtids: np.ndarray, k: int, attr_col: str, mod: int) -> Hits:
@@ -1873,7 +1961,7 @@ class IndexReader(QueryFront):
                 continue
             scores, cnt = sh.accumulate(slices, qw, counts=True)
             required = 1 + (np.asarray(attrs[si], dtype=np.int64) % np.int64(mod))
-            cands.append(sh._topk_from_scores(np.where(cnt >= required, scores, 0.0), k))
+            cands.append(sh._topk_from_scores(np.where(cnt >= required, scores, 0.0), k, _n_postings(slices)))
         return _hits(cands)
 
     def _leg_adjacency(self, filter_tids: list[np.ndarray], ms: np.ndarray) -> np.ndarray:
@@ -1948,10 +2036,10 @@ class IndexReader(QueryFront):
         attrs = self._attr_for_shards(attr_col)
         sigma2 = scale * scale / (2.0 * np.log(2.0))
         cands = []
-        for si, sh, scores in self._scored_shards(qtids, qw):
+        for si, sh, scores, postings in self._scored_shards(qtids, qw):
             fa = np.asarray(attrs[si], dtype=np.float64)
             scores *= np.exp(-((fa - origin) ** 2) / (2.0 * sigma2))
-            cands.append(sh._topk_from_scores(scores, k))
+            cands.append(sh._topk_from_scores(scores, k, postings))
         return _hits(cands)
 
     def _leg_function_score(
@@ -1977,7 +2065,7 @@ class IndexReader(QueryFront):
         }
         attrs = {c: self._attr_for_shards(c) for c in attr_cols}
         cands = []
-        for si, sh, scores in self._scored_shards(qtids, qw):
+        for si, sh, scores, postings in self._scored_shards(qtids, qw):
             factor = np.zeros(sh.n_local, dtype=np.float64)
             applied = np.zeros(sh.n_local, dtype=bool)
             for f in functions:
@@ -2006,7 +2094,7 @@ class IndexReader(QueryFront):
             factor[~applied] = 1.0
             scores *= np.minimum(factor, max_boost)
             scores[scores < min_score] = 0.0
-            cands.append(sh._topk_from_scores(scores, k))
+            cands.append(sh._topk_from_scores(scores, k, postings))
         return _hits(cands)
 
     def _leg_snippets(

@@ -43,7 +43,7 @@ from ..functions.hashing import splitmix64
 from ..oracle import bm25_idf
 from ..state.lineage import atomic_write_json, read_json
 from ..tokenizer import Tokenizer
-from .search import zone_maxima
+from .search import select_topk, zone_maxima
 
 
 def _salt_counts(df: np.ndarray, cfg_block: int, max_salts: int) -> np.ndarray:
@@ -489,20 +489,8 @@ def _merge_partials(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndar
 
 
 def _topk_list(cand: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int, float]]:
-    if cand.size == 0:
-        return []
-    kk = min(k, cand.size)
-    if cand.size > kk:
-        # argpartition to the kth score, keep every candidate >= it so the
-        # (-score, doc_id) tie-break stays exact at the boundary — a full
-        # lexsort over ~corpus-sized candidate sets costs the sort the
-        # dense-bincount accumulate just avoided
-        part = np.argpartition(-scores, kk - 1)[:kk]
-        kth = scores[part].min()
-        keep = scores >= kth
-        cand, scores = cand[keep], scores[keep]
-    order = np.lexsort((cand, -scores))[:kk]
-    return [(int(cand[i]), float(scores[i])) for i in order]
+    top, top_scores = select_topk(cand, scores, k)
+    return list(zip(top.tolist(), top_scores.tolist()))
 
 
 def search_fields(
@@ -593,8 +581,8 @@ def search_term_partitioned(
         z1 = uz[:top_zones]
         cand1, sc1 = _merge_partials([r.score_zones(t, w, z1) for r, (t, w) in zip(readers, qterms)])
         sel = None
-        if cand1.size >= k:
-            t_kth = sc1[np.argpartition(-sc1, k - 1)[:k]].min()
+        if cand1.size >= k > 0:
+            t_kth = select_topk(cand1, sc1, k)[1][-1]
             # ub >= t keeps boundary ties exact under the (-score, doc_id) rule
             sel = ub[top_zones:] >= t_kth
         if sel is None or int(sel.sum()) > fallback_frac * (uz.size - top_zones):

@@ -3,12 +3,16 @@
 (-score, doc_id)."""
 
 import json
+import math
 import os
+import types
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splade_ray.fixtures import generate_queries
 from splade_ray.oracle import oracle_search
@@ -1021,24 +1025,30 @@ def _term_slices_via_loop(sh, qtids):
 def test_shard_select_and_lookup_match_reference(reader):
     """_topk_from_scores equals the nonzero()/argpartition reference on
     vectors with zeroed (tombstoned) docs and a tie class straddling the
-    kth score; _term_slices equals the per-term loop, absent ids included."""
+    kth score, on the scan route (no ``postings``) and with ``postings``
+    passing the sampling gate; _term_slices equals the per-term loop,
+    absent ids included."""
     sh = reader.shards[0]
     rng = np.random.default_rng(11)
     n = sh.n_local
     base = np.round(rng.random(n) * 10, 3)
     base[rng.random(n) < 0.4] = 0.0  # unmatched docs
     tied = np.flatnonzero(base)[[3, 17, 40, 41, 90]]
+    sampled = sh.select_stats["sampled"]
     for k in (1, 3, 5, 10, n, n + 7):
         scores = base.copy()
         top = np.sort(scores)[::-1]
         scores[tied] = top[min(k, n) - 1] if k <= n else top[0]  # ties at the kth score
         scores[rng.choice(n, 25, replace=False)] = 0.0  # tombstones
-        got, want = sh._topk_from_scores(scores, k), _topk_via_nonzero(sh, scores, k)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
-    for g, w in zip(sh._topk_from_scores(np.zeros(n), 10), _topk_via_nonzero(sh, np.zeros(n), 10)):
-        assert g.dtype == w.dtype and g.size == w.size == 0
+        want = _topk_via_nonzero(sh, scores, k)
+        for postings in (None, n):
+            for g, w in zip(sh._topk_from_scores(scores, k, postings), want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+    assert sh.select_stats["sampled"] > sampled  # the sampled route ran
+    for postings in (None, n):
+        for g, w in zip(sh._topk_from_scores(np.zeros(n), 10, postings), _topk_via_nonzero(sh, np.zeros(n), 10)):
+            assert g.dtype == w.dtype and g.size == w.size == 0
     absent = int(sh.term_ids.max()) + 1
     for qtids in (
         np.sort(rng.choice(sh.term_ids, 6, replace=False)),
@@ -1049,6 +1059,162 @@ def test_shard_select_and_lookup_match_reference(reader):
         got = sh._term_slices(qtids.astype(np.int64))
         assert got == _term_slices_via_loop(sh, qtids.astype(np.int64))
         assert all(type(x) is int for row in got for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(0, 40),
+    docs_per_k=st.integers(1, 160),
+    extra=st.integers(0, 100),
+    place=st.sampled_from(["any", "off_stride", "on_stride"]),
+    levels=st.integers(1, 40),
+    pct=st.integers(0, 100),
+    negatives=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_topk_routes_match_reference_hypothesis(k, docs_per_k, extra, place, levels, pct, negatives, seed):
+    """Both selection routes of _topk_from_scores equal the reference,
+    and select_topk equals a full (-score, key) lexsort, over: ties from
+    few score levels straddling the k-th score; zeros (tombstones and
+    allow-masked docs); negative scores; k from 0 past the nonzero count;
+    n under the sampling floor; positives only off the sample stride
+    (the sample finds < k positives: scan) or only on it."""
+    from splade_ray.pipelines import search as S
+
+    rng = np.random.default_rng(seed)
+    n = docs_per_k * max(k, 1) + extra
+    stride = math.isqrt(n // k) if k else 0
+    on = np.zeros(n, bool)
+    on[:: max(stride, 1)] = True
+    pos = {"any": np.arange(n), "on_stride": np.flatnonzero(on), "off_stride": np.flatnonzero(~on)}[place]
+    scores = np.zeros(n)
+    chosen = pos[rng.random(pos.size) * 100 < pct]
+    scores[chosen] = rng.integers(1, levels + 1, chosen.size) / 4.0
+    if negatives:
+        neg = (scores == 0) & (rng.random(n) < 0.3)
+        scores[neg] = -rng.integers(1, levels + 1, int(neg.sum())) / 8.0
+    scores = np.where(rng.random(n) < 0.9, scores, 0.0)  # an allow mask
+    keys = rng.permutation(n).astype(np.int64)
+    order = np.lexsort((keys, -scores))[:k]
+    for g, w in zip(S.select_topk(keys, scores, k), (keys[order], scores[order])):
+        np.testing.assert_array_equal(g, w)
+    if k == 0:
+        return
+    sh = types.SimpleNamespace(doc_ids=np.arange(n, dtype=np.int64) * 3 + 5, select_stats={"sampled": 0, "scan": 0})
+    want = _topk_via_nonzero(sh, scores, k)
+    for postings in (None, S._POSTINGS_PER_SAMPLE * n):  # no gate, an always-open gate
+        got = S.ShardIndex._topk_from_scores(sh, scores, k, postings)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+    # only the gated call may sample, and only when the sample holds k positives
+    sampled = stride >= S._MIN_STRIDE and int((scores[::stride] > 0).sum()) >= k
+    assert sh.select_stats == {"sampled": int(sampled), "scan": 2 - int(sampled)}
+    if place == "off_stride" and stride >= S._MIN_STRIDE:
+        assert not sampled
+
+
+def test_topk_routes_end_to_end_parity(built_index, reader, monkeypatch):
+    """Head (fixture mix) and tail-term queries through search,
+    method="wand" and the forced pruned path (min_zone_mult=0), with and
+    without deletes, on the consolidated view and per shard, give the
+    same results as with the reference selection patched in — and the
+    sampled route runs on every reader."""
+    from splade_ray.pipelines import search as S
+
+    index_dir, cfg = built_index
+    head = generate_queries(40)["text"].to_pylist()
+    tail_terms = [str(t) for t in reader.vocab_index[np.flatnonzero(reader.df <= 3)[:20]]]
+    tail = [f"{a} {b}" for a, b in zip(tail_terms[::2], tail_terms[1::2])]
+    del_urls = sorted({h[2] for t in head[:10] for h in reader.search(t, 2)})
+    readers = [
+        IndexReader(index_dir, cfg, consolidate=merged, deletes=dels)
+        for merged in (True, False)
+        for dels in ([], del_urls)
+    ]
+
+    def run_all():
+        out = []
+        for r in readers:
+            for text in head + tail:
+                qtids, qw = r.encode_query(text)
+                for k in (1, 3, 10, 50):
+                    out.append(r.search(text, k))
+                    out.append(r.search(text, k, method="wand"))
+                    if qtids.size:
+                        out.append(r._topk(k, "score_wand", qtids, qw, k, 32, 0.5, 0))
+        return out
+
+    got = run_all()
+    assert all(r.select_stats["sampled"] > 0 for r in readers)
+    assert any(not r.shards[0].deleted_local.size for r in readers)
+    assert any(r.shards[0].deleted_local.size for r in readers)
+    monkeypatch.setattr(
+        S.ShardIndex, "_topk_from_scores", lambda sh, scores, k, postings=None: _topk_via_nonzero(sh, scores, k)
+    )
+    assert run_all() == got
+
+
+def test_select_stats_count_routes(built_index, reader, monkeypatch):
+    """IndexReader.select_stats sums its shards' route counts: every
+    selection is counted once, a tail-only pass never samples, and a head
+    pass on the fixture samples at least once."""
+    from splade_ray.pipelines import search as S
+
+    index_dir, cfg = built_index
+    calls = [0]
+    orig = S.ShardIndex._topk_from_scores
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(S.ShardIndex, "_topk_from_scores", spy)
+    tail_terms = [str(t) for t in reader.vocab_index[np.flatnonzero(reader.df <= 3)[:20]]]
+    tail = [f"{a} {b}" for a, b in zip(tail_terms[::2], tail_terms[1::2])]
+    head = generate_queries(30)["text"].to_pylist()
+    for merged in (True, False):
+        r = IndexReader(index_dir, cfg, consolidate=merged)
+        assert r.select_stats == {"sampled": 0, "scan": 0}
+        calls[0] = 0
+        for text in tail:
+            r.search(text, 10)
+            r.search(text, 10, method="wand")
+        assert r.select_stats == {"sampled": 0, "scan": calls[0]} and calls[0] > 0
+        for text in head:
+            r.search(text, 3)
+            r.msearch([text], 3, method="wand")
+        stats = r.select_stats
+        assert stats["sampled"] > 0 and stats["sampled"] + stats["scan"] == calls[0]
+        assert stats == {route: sum(sh.select_stats[route] for sh in r.shards) for route in stats}
+
+
+@pytest.mark.parametrize("bad", [-1, -10, 2.5, "3", None, True])
+def test_bad_k_fails_loudly(parity_env, bad):
+    """A negative or non-integer k raises ValueError on both executors,
+    for search, method="wand" and msearch, instead of returning a
+    truncated answer."""
+    local, ss, texts = parity_env
+    text = texts["in_vocab"]
+    for front in (local, ss):
+        for call in (
+            lambda: front.search(text, bad),
+            lambda: front.search(text, bad, method="wand"),
+            lambda: front.msearch([text, texts["tail"]], bad),
+        ):
+            with pytest.raises(ValueError, match="k must be a non-negative integer"):
+                call()
+
+
+def test_k_zero_answers_empty(parity_env):
+    """k == 0 answers [] on both executors, before any scoring."""
+    local, ss, texts = parity_env
+    for front in (local, ss):
+        for text in texts.values():
+            assert front.search(text, 0) == [] == front.search(text, 0, method="wand")
+            assert front.search(text, np.int64(0)) == []
+        assert front.msearch(list(texts.values()), 0) == [[]] * len(texts)
+        assert front.search(texts["in_vocab"], np.int64(2)) == front.search(texts["in_vocab"], 2)
 
 
 def test_sharded_equals_local_tail_queries(built_index, reader):

@@ -112,6 +112,18 @@ def test_term_index_wand_equals_exhaustive(term_index):
         assert a == b == c, q
 
 
+def test_term_index_negative_k_fails_loudly(term_index):
+    """A negative k raises instead of cutting the last hit off, on both
+    methods; k == 0 answers []."""
+    full, _ = term_index
+    q = "w0001 w0002 w0093"
+    assert full.search(q, 10)
+    for method in ("exhaustive", "wand"):
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            full.search(q, -1, method=method)
+        assert full.search(q, 0, method=method) == []
+
+
 def test_term_partitioned_wand_equals_exhaustive(term_index, built_index):
     """Distributed block-max over term-range readers: per-reader zone
     bounds sum to the exact global bound, so pruning stays rank-identical
