@@ -27,8 +27,6 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from ..util import pool_size
-
 
 def _as_matrix(col) -> np.ndarray:
     """(n, dim) float64 matrix from a list<float> column without per-row
@@ -716,7 +714,6 @@ def kmeans_assign(
     iters: int = 3,
     id_col: str = "vec_id",
     emb_col: str = "embedding",
-    concurrency: int | None = None,
     return_centroids: bool = False,
 ):
     """Distributed Lloyd k-means with a DETERMINISTIC spec so the whole

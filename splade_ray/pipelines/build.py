@@ -122,6 +122,7 @@ class IndexBuilder:
         """Deduped corpus batches → the construct-once encoder actor pool
         (ONE deployment shape for both dedup modes; sized by concurrency ×
         ``cfg.neural_num_gpus``)."""
+        # the package's one actor pool: the stage holds a loaded model, built once per actor
         return deduped.map_batches(
             NeuralEncodeStage,
             fn_constructor_args=(self.cfg,),

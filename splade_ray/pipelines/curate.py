@@ -39,7 +39,6 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..state.lineage import atomic_write_json, read_json
-from ..util import pool_size
 from .textops import CurationStage
 
 _SIGNAL_COLS = ["n_tokens", "dup_token_frac", "stopword_ratio", "max_run_len"]
@@ -68,7 +67,6 @@ def curate_corpus(
     n_partitions: int = 16,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int | None = None,
     **thresholds,
 ) -> dict:
     """Run (or resume) the curated-corpus write.  Returns a summary dict
@@ -118,15 +116,8 @@ def curate_corpus(
 
         ds = rd.read_parquet(input_path, columns=[id_col, text_col])
         curated = ds.map_batches(assign, batch_format="pyarrow").map_batches(
-            CurationStage,
-            fn_constructor_kwargs={
-                "text_col": text_col,
-                "id_col": id_col,
-                "passthrough": (text_col, "part_id"),
-                **thresholds,
-            },
+            CurationStage(text_col=text_col, id_col=id_col, passthrough=(text_col, "part_id"), **thresholds),
             batch_format="pyarrow",
-            concurrency=concurrency or pool_size(),
         )
         from .dedup import drop_empty_blocks
 

@@ -225,7 +225,7 @@ def incremental_dedup(
 
 # ---------------------------------------------------------------- minhash/LSH
 class MinHashStage:
-    """map_batches(pyarrow) actor: (id, text) → (id, sig list<int64>).
+    """map_batches(pyarrow) task: (id, text) → (id, sig list<int64>).
     One FNV pass per token, then ``num_perm`` splitmix re-mixes (vectorized
     over all shingles of a doc)."""
 
@@ -411,7 +411,6 @@ def minhash_lsh_pairs(
     shingle_n: int = 3,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int | None = None,
     semi_broadcast_limit: int = 5_000_000,
     csr_broadcast_limit: int = 20_000_000,
 ) -> pd.DataFrame:
@@ -420,14 +419,8 @@ def minhash_lsh_pairs(
     Returns a (id_a, id_b, jaccard) DataFrame — candidate sets are
     pair-scale, not corpus-scale, so a driver DataFrame is the right size.
     """
-    npart = concurrency or pool_size()
     rows_per_band = num_perm // bands
-    sigs = ds.map_batches(
-        MinHashStage,
-        fn_constructor_kwargs={"num_perm": num_perm, "shingle_n": shingle_n, "text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow",
-        concurrency=npart,
-    )
+    sigs = ds.map_batches(MinHashStage(num_perm, shingle_n, text_col, id_col), batch_format="pyarrow")
     banded = sigs.map_batches(
         lambda b: explode_bands(b, bands, rows_per_band, id_col), batch_format="pyarrow"
     )
@@ -479,7 +472,7 @@ def minhash_lsh_pairs(
     # hash-join partition spins up an aggregator actor, and 20+ actors for
     # a few thousand rows is pure fixed overhead (measured ~6 s of join
     # time for 13k rows at npart=22 vs <2 s at npart=2)
-    npart = max(2, min(npart, n_pairs // 50_000 + 1))
+    npart = max(2, min(pool_size(), n_pairs // 50_000 + 1))
     if n_pairs <= semi_broadcast_limit:
         id_tables = [t for t in ray.get(pairs_ds.to_arrow_refs()) if t.num_rows]
         need = np.unique(
@@ -979,7 +972,6 @@ def containment_pairs(
     shingle_n: int = 3,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int | None = None,
 ) -> pd.DataFrame:
     """EXACT directional n-gram containment pairs — the asymmetric dual of
     :func:`ngram_jaccard_pairs` for quote/excerpt/copy detection: a short
@@ -988,14 +980,13 @@ def containment_pairs(
     → shingle hash-join → coarse pair-bucket exchange → vectorized per-pair
     scoring); no size pre-filter exists for containment (|∩| can reach
     min(|A|,|B|) at any size ratio), so every co-shingled pair is scored."""
-    npart = concurrency or pool_size()
 
     def explode_shingles(batch: pa.Table) -> pa.Table:
         return _unique_shingle_rows(batch, shingle_n, text_col, id_col)
 
     shingles = ds.map_batches(explode_shingles, batch_format="pyarrow").materialize()
     n_sh = shingles.count()
-    npart = max(2, min(npart, n_sh // 200_000 + 1))
+    npart = max(2, min(pool_size(), n_sh // 200_000 + 1))
     a = shingles.rename_columns({id_col: "id_a", "set_size": "n_a"})
     b = shingles.rename_columns({id_col: "id_b", "set_size": "n_b"})
     joined = a.join(b, "inner", num_partitions=npart, on=("shingle",))
@@ -1032,7 +1023,6 @@ def ngram_jaccard_pairs(
     shingle_n: int = 3,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int | None = None,
 ) -> pd.DataFrame:
     """EXACT n-gram Jaccard near-dup pairs — no LSH approximation anywhere:
     the sparse all-pairs join (a pair appears iff it shares >= 1 shingle,
@@ -1046,7 +1036,6 @@ def ngram_jaccard_pairs(
     bound each join key's fan-out by their df — the exact-join analogue of
     the LSH bucket skew, and the reason :func:`minhash_lsh_pairs` is the
     sub-quadratic path at corpus scale."""
-    npart = concurrency or pool_size()
 
     def explode_shingles(batch: pa.Table) -> pa.Table:
         return _unique_shingle_rows(batch, shingle_n, text_col, id_col)
@@ -1056,7 +1045,7 @@ def ngram_jaccard_pairs(
     # hash-join partition is an aggregator actor with seconds of fixed
     # startup (same sizing rule as the MinHash verify above)
     n_sh = shingles.count()
-    npart = max(2, min(npart, n_sh // 200_000 + 1))
+    npart = max(2, min(pool_size(), n_sh // 200_000 + 1))
     a = shingles.rename_columns({id_col: "id_a", "set_size": "n_a"})
     b = shingles.rename_columns({id_col: "id_b", "set_size": "n_b"})
     joined = a.join(b, "inner", num_partitions=npart, on=("shingle",))
@@ -1128,13 +1117,8 @@ class SimHashStage:
         return pa.table({self.id_col: batch.column(self.id_col), "simhash": pa.array(out.astype(np.int64))})
 
 
-def simhash_signatures(ds: Dataset, text_col: str = "text", id_col: str = "doc_id", concurrency: int | None = None) -> Dataset:
-    return ds.map_batches(
-        SimHashStage,
-        fn_constructor_kwargs={"text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow",
-        concurrency=concurrency or pool_size(),
-    )
+def simhash_signatures(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> Dataset:
+    return ds.map_batches(SimHashStage(text_col, id_col), batch_format="pyarrow")
 
 
 def simhash_near_dup_pairs(ds: Dataset, max_hamming: int = 3, text_col: str = "text", id_col: str = "doc_id") -> pd.DataFrame:

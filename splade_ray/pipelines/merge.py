@@ -36,9 +36,9 @@ import ray.data
 
 from ..codec import binary_concat, varint_decode
 from ..config import EngineConfig, DEFAULT_CONFIG
+from ..stages.encode import cached_ref
 from ..stages.postings import encode_shard_postings, _lineage_row
 from ..state.lineage import atomic_write_json, config_hash, postings_shard_ids, read_json, shard_is_valid
-from ..util import pool_size
 
 
 def decode_postings_table(
@@ -86,13 +86,15 @@ class PurgeStatsStage:
     surviving posting count per term: one posting per (doc, term)) plus a
     summary row (surviving doc count, Σ dl).  Partials are vocab-bounded;
     the driver reduce is one np.add.at.  Same nullable-column fusion trick
-    as stages/stats.compute_stats_fused."""
+    as stages/stats.compute_stats_fused.  Either argument may be a
+    ``ray.put`` ref or the value itself."""
 
     def __init__(self, remaps_ref, del_ref):
-        self.remaps = ray.get(remaps_ref) if isinstance(remaps_ref, ray.ObjectRef) else remaps_ref
-        self.dels = ray.get(del_ref) if isinstance(del_ref, ray.ObjectRef) else del_ref
+        self.remaps_ref = remaps_ref
+        self.del_ref = del_ref
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        remaps, dels = cached_ref(self.remaps_ref), cached_ref(self.del_ref)
         out = []
         for row in batch.to_pylist():
             sid = int(row["shard"])
@@ -102,7 +104,7 @@ class PurgeStatsStage:
                     os.path.join(pdir, f"shard-{sid:05d}.docs.parquet"), columns=["url", "dl"]
                 )
                 delmask = pa.compute.is_in(
-                    docs.column("url").combine_chunks(), value_set=self.dels
+                    docs.column("url").combine_chunks(), value_set=dels
                 ).to_numpy(zero_copy_only=False)
                 keep_doc = ~delmask
                 n_docs += int(keep_doc.sum())
@@ -113,7 +115,7 @@ class PurgeStatsStage:
                 # decode values only for raw-tf postings (cf needs them);
                 # weight modes keep the cheap doc-id-only decode
                 tids, lens, local, vals, _ = decode_postings_table(post, ids_only=not has_tfs)
-                remap = self.remaps[si]
+                remap = remaps[si]
                 if remap is not None:
                     tids = remap[tids]
                 flat_tid = np.repeat(tids, lens)
@@ -150,7 +152,8 @@ class MergeShardStage:
     the merge PURGES tombstones: deleted docs' rows and postings are
     dropped and local ids compact — with the SURVIVING corpus statistics
     of :class:`PurgeStatsStage` in ``stats/``, exactly what a fresh build
-    of the surviving corpus would store."""
+    of the surviving corpus would store.  ``remaps_ref`` and ``del_ref``
+    may be ``ray.put`` refs or the values themselves."""
 
     def __init__(
         self,
@@ -163,18 +166,19 @@ class MergeShardStage:
     ):
         self.postings_dir = postings_dir
         self.cfg = cfg
-        self.remaps = ray.get(remaps_ref) if isinstance(remaps_ref, ray.ObjectRef) else remaps_ref
+        self.remaps_ref = remaps_ref
         self.weight_mode = weight_mode
         self.stats_key = stats_key
-        self.dels = ray.get(del_ref) if isinstance(del_ref, ray.ObjectRef) else del_ref
+        self.del_ref = del_ref
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        remaps, dels = cached_ref(self.remaps_ref), cached_ref(self.del_ref)
         out = []
         for row in batch.to_pylist():
-            out.append(self._merge_one(int(row["shard"]), row["seg_idx"], row["pdirs"]))
+            out.append(self._merge_one(int(row["shard"]), row["seg_idx"], row["pdirs"], remaps, dels))
         return pa.concat_tables(out)
 
-    def _merge_one(self, shard_id: int, seg_idx: list[int], pdirs: list[str]) -> pa.Table:
+    def _merge_one(self, shard_id: int, seg_idx: list[int], pdirs: list[str], remaps, dels) -> pa.Table:
         t0 = time.perf_counter()
         # resume check from parquet METADATA only — a valid merged shard
         # must not pay for reading/decoding every segment again.  (Purging
@@ -184,7 +188,7 @@ class MergeShardStage:
             pq.read_metadata(os.path.join(pdir, f"shard-{shard_id:05d}.docs.parquet")).num_rows
             for pdir in pdirs
         )
-        if (self.dels is None or not len(self.dels)) and shard_is_valid(self.postings_dir, shard_id, total_rows):
+        if (dels is None or not len(dels)) and shard_is_valid(self.postings_dir, shard_id, total_rows):
             # row count alone is not enough for merges: term ids remap to
             # the MERGED vocab, which changes when the segment set changes
             # even if this shard's rows don't
@@ -206,15 +210,15 @@ class MergeShardStage:
                 # WEIGHTS and re-quantizes — dequantize first so the
                 # round-trip is exact (code -> w -> code)
                 vals = vals.astype(np.float64) * (self.cfg.q8_scale / 255.0)
-            remap = self.remaps[si]
+            remap = remaps[si]
             if remap is not None:
                 tids = remap[tids]
             flat_tid_seg = np.repeat(tids, lens)
-            if self.dels is not None and len(self.dels):
+            if dels is not None and len(dels):
                 # purge tombstones: drop deleted docs' rows + postings and
                 # compact local ids so the merged shard is dense again
                 delmask = pa.compute.is_in(
-                    docs.column("url").combine_chunks(), value_set=self.dels
+                    docs.column("url").combine_chunks(), value_set=dels
                 ).to_numpy(zero_copy_only=False)
                 if delmask.any():
                     keep_doc = ~delmask
@@ -286,18 +290,20 @@ def merge_segments(
     equals a fresh build of the surviving corpus (same urls, scores, and
     relative tie-break order; tested) and carries no ``deletes.json``."""
     cfg = cfg.validate()
+    if not segment_dirs:
+        raise ValueError("merge_segments needs at least one segment dir")
     del_set: set[str] = set(deletes or [])
     for d in segment_dirs:
         del_set |= set((read_json(os.path.join(d, "deletes.json")) or {}).get("urls", []))
     del_arr = pa.array(sorted(del_set), type=pa.string()) if del_set else None
     metas = [read_json(os.path.join(d, "stats", "meta.json")) for d in segment_dirs]
     encoders = {m.get("encoder", "bm25") for m in metas}
-    assert len(encoders) == 1, f"mixed segment encoders: {encoders}"
-    encoder = encoders.pop()
     vdts = {m.get("value_dtype", "tf") for m in metas}
-    assert len(vdts) == 1, f"mixed segment value dtypes: {vdts}"
     vmodes = {m.get("vocab_mode", "sorted") for m in metas}
-    assert len(vmodes) == 1, f"mixed segment vocab modes: {vmodes}"
+    for what, seen in (("encoders", encoders), ("value dtypes", vdts), ("vocab modes", vmodes)):
+        if len(seen) > 1:
+            raise ValueError(f"mixed segment {what}: {sorted(seen, key=str)}")
+    encoder = encoders.pop()
     if encoder == "bm25":
         weight_mode = "tf"
     elif metas[0].get("value_dtype") == "q8":
@@ -361,10 +367,9 @@ def merge_segments(
         pq.write_table(pa.Table.from_pandas(merged, preserve_index=False), os.path.join(stats_dir, "vocab.parquet"))
         atomic_write_json(os.path.join(stats_dir, "meta.json"), meta)
 
+    remaps_ref = ray.put(remaps)
     # ---- tombstone purge, pass 1: surviving-corpus statistics ----
     if del_arr is not None and items:
-        remaps_ref = ray.put(remaps)
-        del_ref = ray.put(del_arr)
         V = len(merged)
         df_new = np.zeros(V, dtype=np.int64)
         cf_new = np.zeros(V, dtype=np.int64)
@@ -372,11 +377,7 @@ def merge_segments(
         int_id_vocab = "term" not in merged.columns
         tid_index_sorted = merged["term_id"].to_numpy().astype(np.int64) if int_id_vocab else None
         parts = ray.data.from_items(list(items.values())).map_batches(
-            PurgeStatsStage,
-            fn_constructor_args=(remaps_ref, del_ref),
-            batch_format="pyarrow",
-            batch_size=1,
-            concurrency=pool_size(),
+            PurgeStatsStage(remaps_ref, ray.put(del_arr)), batch_format="pyarrow", batch_size=1
         )
         for b in parts.iter_batches(batch_format="pyarrow"):
             if b.num_rows == 0:
@@ -424,13 +425,9 @@ def merge_segments(
         lineage = (
             ray.data.from_items(list(items.values()))
             .map_batches(
-                MergeShardStage,
-                fn_constructor_args=(
-                    postings_dir, cfg, ray.put(remaps), weight_mode, stats_key, del_arr
-                ),
+                MergeShardStage(postings_dir, cfg, remaps_ref, weight_mode, stats_key, del_arr),
                 batch_format="pyarrow",
                 batch_size=1,
-                concurrency=pool_size(),
             )
             .to_pandas()
         )

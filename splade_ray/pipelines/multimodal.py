@@ -7,13 +7,13 @@ stubbed two ways (per the build brief):
   Pillow / torchaudio / PyAV decode goes on a real cluster;
 - ``decoder="fake"`` (default in tests) parses this module's deterministic
   synthetic payload header and derives features from the payload bytes —
-  so the *Ray-side plumbing* (schema, actor-pool signature, batch sizing,
+  so the *Ray-side plumbing* (schema, stage signature, batch sizing,
   output layout) is fully real and tested.
 
-Stages follow the stateful actor-pool pattern (decoder state constructed
-once per actor) and run with small batch sizes because each row carries a
-large binary payload (memory-aware batching; ray_guide "large binary
-payloads need small batches").
+Stages run as Ray Data tasks (their state is configuration, built once on
+the driver) with small batch sizes because each row carries a large
+binary payload (memory-aware batching: large binary payloads need small
+batches).
 """
 
 from __future__ import annotations
@@ -60,15 +60,14 @@ def _parse_header(payload: bytes) -> tuple[int, int, int]:
 
 
 class MediaDecodeStage:
-    """map_batches(pyarrow) actor: (media_id, payload) → decoded metadata +
+    """map_batches(pyarrow) task: (media_id, payload) → decoded metadata +
     a fixed-dim feature vector.  ``feature_dim`` floats per row.
 
     ``decoder="real"`` is a WORKING Pillow-backed image decoder behind an
     import-try (this container has no codec libraries, so constructing it
     here raises a clear ImportError; the skip-if-no-PIL test exercises it
-    where Pillow exists).  The decode cost lives in ``__call__`` per batch
-    with Pillow state imported once per actor — the same
-    construct-once/actor-pool shape as the fake path."""
+    where Pillow exists).  The decode cost lives in ``__call__`` per batch;
+    ``__init__`` only checks that Pillow imports."""
 
     def __init__(self, decoder: str = "fake", feature_dim: int = 16):
         if decoder not in ("fake", "real"):
@@ -161,23 +160,11 @@ class FrameSampleStage:
         )
 
 
-def decode_media(ds: Dataset, concurrency: int = 2, batch_size: int = 64) -> Dataset:
-    """Small batches + modest pool: binary payload rows are wide, so batch
-    bytes (not row count) set the memory envelope."""
-    return ds.map_batches(
-        MediaDecodeStage,
-        fn_constructor_kwargs={"decoder": "fake"},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def decode_media(ds: Dataset, batch_size: int = 64) -> Dataset:
+    """Small batches: binary payload rows are wide, so batch bytes (not
+    row count) set the memory envelope."""
+    return ds.map_batches(MediaDecodeStage(decoder="fake"), batch_format="pyarrow", batch_size=batch_size)
 
 
-def sample_frames(ds: Dataset, fps: float = 1.0, concurrency: int = 2, batch_size: int = 64) -> Dataset:
-    return ds.map_batches(
-        FrameSampleStage,
-        fn_constructor_kwargs={"fps": fps},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def sample_frames(ds: Dataset, fps: float = 1.0, batch_size: int = 64) -> Dataset:
+    return ds.map_batches(FrameSampleStage(fps=fps), batch_format="pyarrow", batch_size=batch_size)

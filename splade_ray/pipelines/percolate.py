@@ -3,8 +3,8 @@
 engine stops at forward retrieval — reference/src/retrieval/sparse_index.py
 — so this is serving-parity beyond it).
 
-Distributed shape: the query set is the SMALL broadcast side (``ray.put``
-once, compiled once per actor in ``__init__``); documents stream through
+Distributed shape: the query set is the SMALL side (compiled once on the
+driver, shipped with the task stage); documents stream through
 one ``map_batches`` pass — no shuffle, no index, the 100-TB case is
 documents ≫ queries and this stays one linear scan with backpressure.
 """
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 from ..config import DEFAULT_CONFIG, EngineConfig
 from ..tokenizer import Tokenizer
@@ -35,20 +34,21 @@ _EMPTY = pa.table({"query_id": pa.array([], pa.string()), "doc_id": pa.array([],
 
 
 class PercolatorStage:
-    """map_batches(pyarrow) actor stage: (doc_id, text) → (query_id,
+    """map_batches(pyarrow) task stage: (doc_id, text) → (query_id,
     doc_id) match rows.
 
-    Query compilation happens once per actor in ``__init__`` (the term
-    table is query-set-bounded).  The per-batch path is one vectorized
+    Query compilation happens once, in ``__init__`` on the driver; the
+    compiled term table (query-set-bounded) ships with the stage to every
+    task.  The per-batch path is one vectorized
     tokenize (md5 hashes), one distinct-(doc, token) dedupe, one
     searchsorted join against the compiled term table (a token hash shared
     by several queries expands by run length), and one (doc, query)
     counting pass — no Python loop over rows or queries."""
 
-    def __init__(self, queries_ref, cfg: EngineConfig = DEFAULT_CONFIG):
+    def __init__(self, queries: list[PercQuery], cfg: EngineConfig = DEFAULT_CONFIG):
         from ..functions.hashing import md5_u64
 
-        queries = list(ray.get(queries_ref)) if isinstance(queries_ref, ray.ObjectRef) else list(queries_ref)
+        queries = list(queries)
         if not queries:
             raise ValueError("percolator needs at least one registered query")
         self.tok = Tokenizer(cfg)
@@ -114,16 +114,8 @@ def percolate(
     queries: list[PercQuery],
     cfg: EngineConfig = DEFAULT_CONFIG,
     batch_size: int = 4096,
-    concurrency=(1, 8),
 ):
     """Match every registered query against every document in ``ds``
     (columns ``doc_id``, ``text``); returns a Dataset of (query_id,
-    doc_id) rows.  Queries broadcast once via ``ray.put``."""
-    ref = ray.put(list(queries))
-    return ds.map_batches(
-        PercolatorStage,
-        fn_constructor_args=(ref, cfg),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    doc_id) rows.  Queries compile once, here on the driver."""
+    return ds.map_batches(PercolatorStage(queries, cfg), batch_format="pyarrow", batch_size=batch_size)

@@ -7175,7 +7175,6 @@ def bigram_perplexity(sf_dir: str) -> pd.DataFrame:
     reduce)."""
     from ..functions.hashing import splitmix64
     from ..tokenizer import Tokenizer
-    from ..util import pool_size
     from .textops import UnigramCountStage
 
     nb = 256
@@ -7185,11 +7184,7 @@ def bigram_perplexity(sf_dir: str) -> pd.DataFrame:
     # pass 1: vocab-bounded unigram counts (combiner partials + reduce)
     parts = [
         b
-        for b in ds.map_batches(
-            UnigramCountStage, batch_format="pyarrow", concurrency=pool_size()
-        ).iter_batches(
-            batch_format="pyarrow"
-        )
+        for b in ds.map_batches(UnigramCountStage(), batch_format="pyarrow").iter_batches(batch_format="pyarrow")
         if b.num_rows
     ]
     allh = np.concatenate([p.column("thash").to_numpy(zero_copy_only=False).view(np.uint64) for p in parts])
@@ -7495,17 +7490,11 @@ def doc_language_confidence(sf_dir: str) -> pd.DataFrame:
     (the threshold signal a routing/filtering pipeline uses to route
     low-confidence docs to a heavier model).  Same streaming pass as
     ``lang_id_preds`` with the detail flag on."""
-    from ..util import pool_size
     from .textops import LangIdStage
 
     out = (
         _docs(sf_dir, columns=["doc_id", "text"])
-        .map_batches(
-            LangIdStage,
-            fn_constructor_kwargs={"detail": True},
-            batch_format="pyarrow",
-            concurrency=pool_size(),
-        )
+        .map_batches(LangIdStage(detail=True), batch_format="pyarrow")
         .to_pandas()
         .sort_values("doc_id", ignore_index=True)
     )
@@ -8339,13 +8328,12 @@ def clarity_scores(sf_dir: str) -> pd.DataFrame:
     tok = Tokenizer(DOCS_CFG)
     # corpus LM: cf per term / total tokens (vocab-bounded combiner reduce)
     from .textops import UnigramCountStage
-    from ..util import pool_size as _ps
     from ..functions.hashing import md5_u64
 
     parts = [
         b
         for b in _docs(sf_dir, columns=["text"])
-        .map_batches(UnigramCountStage, batch_format="pyarrow", concurrency=_ps())
+        .map_batches(UnigramCountStage(), batch_format="pyarrow")
         .iter_batches(batch_format="pyarrow")
         if b.num_rows
     ]

@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 
 from ray.data import Dataset
 
-from ..util import pool_size
+from ..stages.encode import cached_ref
 from ..tokenizer import Tokenizer
 
 # tiny per-language stopword profiles (public common function words)
@@ -223,25 +223,16 @@ class FingerprintStage:
         )
 
 
-def token_stats(ds: Dataset, text_col: str = "text", id_col: str = "doc_id", concurrency: int | None = None) -> Dataset:
-    return ds.map_batches(
-        TokenStatsStage, fn_constructor_kwargs={"text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    )
+def token_stats(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> Dataset:
+    return ds.map_batches(TokenStatsStage(text_col, id_col), batch_format="pyarrow")
 
 
-def lang_id(ds: Dataset, text_col: str = "text", id_col: str = "doc_id", concurrency: int | None = None) -> Dataset:
-    return ds.map_batches(
-        LangIdStage, fn_constructor_kwargs={"text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    )
+def lang_id(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> Dataset:
+    return ds.map_batches(LangIdStage(text_col, id_col), batch_format="pyarrow")
 
 
-def fingerprints(ds: Dataset, text_col: str = "text", id_col: str = "doc_id", concurrency: int | None = None) -> Dataset:
-    return ds.map_batches(
-        FingerprintStage, fn_constructor_kwargs={"text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    )
+def fingerprints(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> Dataset:
+    return ds.map_batches(FingerprintStage(text_col, id_col), batch_format="pyarrow")
 
 
 class RepetitionStage:
@@ -333,16 +324,13 @@ class TfidfTopTermsStage:
     (tfidf = tf · ln(n_docs / df), ties (tfidf desc, term asc)), exploded
     to (doc_id, rank, term, tfidf) rows.
 
-    The (sorted vocab, df) pair arrives as a ray.put broadcast — the same
-    vocab-sized small side the stats stage reduces; scoring is composite
-    integer keys + one lexsort per batch, no per-token Python."""
+    The (sorted vocab, df) pair arrives as a ray.put broadcast (or the raw
+    pair) — the same vocab-sized small side the stats stage reduces;
+    scoring is composite integer keys + one lexsort per batch, no
+    per-token Python."""
 
     def __init__(self, vocab_ref, n_docs: int, k: int, text_col: str = "text", id_col: str = "doc_id"):
-        from ..stages.encode import cached_ref
-
-        terms, df = cached_ref(vocab_ref) if not isinstance(vocab_ref, tuple) else vocab_ref
-        self.vocab = terms  # object ndarray, lexicographically sorted
-        self.df = df.astype(np.float64)
+        self.vocab_ref = vocab_ref
         self.n_docs = float(n_docs)
         self.k = k
         self.text_col = text_col
@@ -350,6 +338,7 @@ class TfidfTopTermsStage:
         self.tok = Tokenizer()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        terms, df = cached_ref(self.vocab_ref)  # terms: object ndarray, lexicographically sorted
         n = batch.num_rows
         enc = self.tok.tokenize_codes(batch.column(self.text_col).combine_chunks())
         doc_ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
@@ -372,12 +361,12 @@ class TfidfTopTermsStage:
         # dictionary may hold entries no code references (e.g. the dropped
         # empty-split artifact) — only codes in use must resolve.
         uniq_terms = np.asarray(vocab.to_pylist(), dtype=object)
-        vpos_of_code = np.minimum(np.searchsorted(self.vocab, uniq_terms), self.vocab.size - 1)
+        vpos_of_code = np.minimum(np.searchsorted(terms, uniq_terms), terms.size - 1)
         used = np.unique(ucode)
-        if (self.vocab[vpos_of_code[used]] != uniq_terms[used]).any():
+        if (terms[vpos_of_code[used]] != uniq_terms[used]).any():
             raise ValueError("terms missing from broadcast vocab")
         vpos = vpos_of_code[ucode]
-        tfidf = tf.astype(np.float64) * np.log(self.n_docs / self.df[vpos])
+        tfidf = tf.astype(np.float64) * np.log(self.n_docs / df[vpos].astype(np.float64))
         # per-row top-k by (tfidf desc, lexical term asc): one lexsort
         order = np.lexsort((vpos, -tfidf, urow))
         so_row = urow[order]
@@ -398,7 +387,7 @@ class TfidfTopTermsStage:
 
 
 def tfidf_top_terms(
-    ds: Dataset, k: int = 5, text_col: str = "text", id_col: str = "doc_id", concurrency: int | None = None
+    ds: Dataset, k: int = 5, text_col: str = "text", id_col: str = "doc_id"
 ) -> Dataset:
     """Keyword extraction: per-doc top-k terms by tf-idf.
 
@@ -421,21 +410,11 @@ def tfidf_top_terms(
     terms_sorted = np.asarray(vocab["term"].to_numpy(), dtype=object)
     df = vocab["df"].to_numpy().astype(np.int64)
     ref = ray.put((terms_sorted, df))
-    return ds.map_batches(
-        TfidfTopTermsStage,
-        fn_constructor_kwargs={
-            "vocab_ref": ref, "n_docs": n_docs, "k": k, "text_col": text_col, "id_col": id_col,
-        },
-        batch_format="pyarrow",
-        concurrency=concurrency or pool_size(),
-    )
+    return ds.map_batches(TfidfTopTermsStage(ref, n_docs, k, text_col, id_col), batch_format="pyarrow")
 
 
-def repetition_stats(ds: Dataset, text_col: str = "text", id_col: str = "doc_id", concurrency: int | None = None) -> Dataset:
-    return ds.map_batches(
-        RepetitionStage, fn_constructor_kwargs={"text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    )
+def repetition_stats(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> Dataset:
+    return ds.map_batches(RepetitionStage(text_col, id_col), batch_format="pyarrow")
 
 
 class CurationStage:
@@ -512,13 +491,8 @@ class CurationStage:
         return pa.table(cols).filter(pa.array(keep))
 
 
-def curation_filter(ds: Dataset, text_col: str = "text", id_col: str = "doc_id", concurrency: int | None = None, **thresholds) -> Dataset:
-    return ds.map_batches(
-        CurationStage,
-        fn_constructor_kwargs={"text_col": text_col, "id_col": id_col, **thresholds},
-        batch_format="pyarrow",
-        concurrency=concurrency or pool_size(),
-    )
+def curation_filter(ds: Dataset, text_col: str = "text", id_col: str = "doc_id", **thresholds) -> Dataset:
+    return ds.map_batches(CurationStage(text_col=text_col, id_col=id_col, **thresholds), batch_format="pyarrow")
 
 
 class ChunkStage:
@@ -602,16 +576,10 @@ def chunk_tokens(
     stride: int = 12,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int | None = None,
 ) -> Dataset:
     """Fixed-size token-window chunking (the pre-training context-window
     splitter): one streaming ``map_batches``, no exchange."""
-    return ds.map_batches(
-        ChunkStage,
-        fn_constructor_kwargs={"window": window, "stride": stride, "text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow",
-        concurrency=concurrency or pool_size(),
-    )
+    return ds.map_batches(ChunkStage(window, stride, text_col, id_col), batch_format="pyarrow")
 
 
 class UnigramPartialStage:
@@ -698,7 +666,6 @@ def bigram_pmi_top(
     min_count: int = 3,
     n_buckets: int = 256,
     text_col: str = "text",
-    concurrency: int | None = None,
     shuffle_width: int | None = None,
 ):
     """Corpus-level collocation mining: top-k token bigrams by PMI
@@ -720,10 +687,9 @@ def bigram_pmi_top(
     # pass 1: unigram counts + totals (combiner partials, driver reduce)
     parts = [
         b
-        for b in ds.map_batches(
-            UnigramPartialStage, fn_constructor_kwargs={"text_col": text_col},
-            batch_format="pyarrow", concurrency=concurrency or pool_size(),
-        ).iter_batches(batch_format="pyarrow")
+        for b in ds.map_batches(UnigramPartialStage(text_col), batch_format="pyarrow").iter_batches(
+            batch_format="pyarrow"
+        )
         if b.num_rows
     ]
     if not parts:
@@ -794,10 +760,7 @@ def bigram_pmi_top(
             }
         )
 
-    partials = ds.map_batches(
-        BigramPartialStage, fn_constructor_kwargs={"n_buckets": n_buckets, "text_col": text_col},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    )
+    partials = ds.map_batches(BigramPartialStage(n_buckets, text_col), batch_format="pyarrow")
     if shuffle_width:
         partials = partials.repartition(shuffle_width)
     cand = partials.groupby("bucket").map_groups(bucket_topk, batch_format="pyarrow").to_pandas()
@@ -816,7 +779,6 @@ def textrank_keywords(
     iters: int = 3,
     n_buckets: int = 256,
     text_col: str = "text",
-    concurrency: int | None = None,
     shuffle_width: int | None = None,
 ):
     """Corpus-level TextRank keyword extraction (Mihalcea & Tarau 2004):
@@ -844,10 +806,9 @@ def textrank_keywords(
     # recovery inside the bucket kernel; counts themselves are unused
     parts = [
         b
-        for b in ds.map_batches(
-            UnigramPartialStage, fn_constructor_kwargs={"text_col": text_col},
-            batch_format="pyarrow", concurrency=concurrency or pool_size(),
-        ).iter_batches(batch_format="pyarrow")
+        for b in ds.map_batches(UnigramPartialStage(text_col), batch_format="pyarrow").iter_batches(
+            batch_format="pyarrow"
+        )
         if b.num_rows
     ]
     empty = pd.DataFrame(columns=["rank", "term", "score_r"])
@@ -901,10 +862,7 @@ def textrank_keywords(
             }
         )
 
-    partials = ds.map_batches(
-        BigramPartialStage, fn_constructor_kwargs={"n_buckets": n_buckets, "text_col": text_col},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    )
+    partials = ds.map_batches(BigramPartialStage(n_buckets, text_col), batch_format="pyarrow")
     if shuffle_width:
         partials = partials.repartition(shuffle_width)
     ed = partials.groupby("bucket").map_groups(bucket_edges, batch_format="pyarrow").to_pandas()
@@ -983,17 +941,16 @@ class ContaminationStage:
     The benchmark trigram set arrives as a ``ray.put`` broadcast (a sorted
     u64 array — eval suites are MB-scale even when the corpus is 100 TB),
     so membership is one ``searchsorted`` per batch; no shuffle touches the
-    corpus side."""
+    corpus side.  ``bench_ref`` may also be the raw array."""
 
     def __init__(self, bench_ref, text_col: str = "text", id_col: str = "doc_id"):
-        import ray
-
-        self.bench = ray.get(bench_ref) if not isinstance(bench_ref, np.ndarray) else bench_ref
+        self.bench_ref = bench_ref
         self.text_col = text_col
         self.id_col = id_col
         self.tok = Tokenizer()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        bench = cached_ref(self.bench_ref)
         n = batch.num_rows
         th, rows, _dls = self.tok.tokenize_md5(batch.column(self.text_col).combine_chunks())
         trig, trow = _row_trigrams(th, rows)
@@ -1008,9 +965,9 @@ class ContaminationStage:
             keep[1:] = (st[1:] != st[:-1]) | (sr[1:] != sr[:-1])
             st, sr = st[keep], sr[keep]
             n_tri = np.bincount(sr, minlength=n)
-            if self.bench.size:
-                ins = np.searchsorted(self.bench, st)
-                inb = (ins < self.bench.size) & (self.bench[np.minimum(ins, self.bench.size - 1)] == st)
+            if bench.size:
+                ins = np.searchsorted(bench, st)
+                inb = (ins < bench.size) & (bench[np.minimum(ins, bench.size - 1)] == st)
                 n_hit = np.bincount(sr[inb], minlength=n)
         contamination = np.where(n_tri > 0, n_hit / np.maximum(n_tri, 1), 0.0)
         return pa.table(
@@ -1028,7 +985,6 @@ def contamination_check(
     benchmark: Dataset,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int | None = None,
 ) -> Dataset:
     """Score every corpus doc against the benchmark's distinct-trigram set.
 
@@ -1040,20 +996,16 @@ def contamination_check(
 
     parts = [
         b.column("trig").to_numpy(zero_copy_only=False).view(np.uint64)
-        for b in benchmark.map_batches(
-            TrigramSetStage, fn_constructor_kwargs={"text_col": text_col, "id_col": id_col},
-            batch_format="pyarrow", concurrency=concurrency or pool_size(),
-        ).iter_batches(batch_format="pyarrow")
+        for b in benchmark.map_batches(TrigramSetStage(text_col, id_col), batch_format="pyarrow").iter_batches(
+            batch_format="pyarrow"
+        )
         if b.num_rows
     ]
     # np.unique on the uint64 dtype keeps the array in the unsigned order
     # that ContaminationStage's searchsorted assumes
     tri = np.unique(np.concatenate(parts)) if parts else np.zeros(0, np.uint64)
     ref = ray.put(tri)
-    return corpus.map_batches(
-        ContaminationStage, fn_constructor_kwargs={"bench_ref": ref, "text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    )
+    return corpus.map_batches(ContaminationStage(ref, text_col, id_col), batch_format="pyarrow")
 
 
 # ------------------------------------------------- duplicate-passage detection
@@ -1130,7 +1082,6 @@ def duplicate_spans(
     n_buckets: int = 1024,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int | None = None,
     shuffle_width: int | None = None,
 ) -> Dataset:
     """Per-doc duplicated-span stats: for every ``window``-token span of
@@ -1217,11 +1168,7 @@ def duplicate_spans(
             }
         )
 
-    spans = ds.map_batches(
-        DupSpanWindowStage,
-        fn_constructor_kwargs={"window": window, "n_buckets": n_buckets, "text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    )
+    spans = ds.map_batches(DupSpanWindowStage(window, n_buckets, text_col, id_col), batch_format="pyarrow")
     # shuffle_width bounds the sort-exchange fan-out (the all-to-all costs
     # O(partitions²) tiny tasks; at small inputs 64×64 is pure overhead)
     if shuffle_width:
@@ -1252,7 +1199,8 @@ class UnigramScoreStage:
     """Streaming scorer: per-doc cross-entropy under the corpus unigram LM
     (the CCNet-style perplexity quality signal, with the corpus itself as
     the LM).  The (sorted token-hash → log-prob) table arrives as one
-    ``ray.put`` broadcast — vocab-bounded, small even at 100 TB."""
+    ``ray.put`` broadcast (or the raw pair) — vocab-bounded, small even at
+    100 TB."""
 
     def __init__(
         self,
@@ -1261,22 +1209,21 @@ class UnigramScoreStage:
         id_col: str = "doc_id",
         keep_cols: tuple[str, ...] = (),
     ):
-        import ray
-
-        self.hashes, self.logp = ray.get(lm_ref) if not isinstance(lm_ref, tuple) else lm_ref
+        self.lm_ref = lm_ref
         self.text_col = text_col
         self.id_col = id_col
         self.keep_cols = tuple(keep_cols)
         self.tok = Tokenizer()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        hashes, logp = cached_ref(self.lm_ref)
         n = batch.num_rows
         th, rows, dls = self.tok.tokenize_md5(batch.column(self.text_col).combine_chunks())
         ce = np.zeros(n, dtype=np.float64)
         if th.size:
-            pos = np.searchsorted(self.hashes, th)
-            pos = np.minimum(pos, max(self.hashes.size - 1, 0))
-            lp = np.where(self.hashes[pos] == th, self.logp[pos], 0.0)  # OOV: logp 0 (scored corpus ⊆ fit corpus)
+            pos = np.searchsorted(hashes, th)
+            pos = np.minimum(pos, max(hashes.size - 1, 0))
+            lp = np.where(hashes[pos] == th, logp[pos], 0.0)  # OOV: logp 0 (scored corpus ⊆ fit corpus)
             tot = np.bincount(rows, weights=lp, minlength=n)
             ce = np.where(dls > 0, -tot / np.maximum(dls, 1), 0.0)
         cols = {
@@ -1294,7 +1241,6 @@ def unigram_lm_scores(
     ds: Dataset,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int | None = None,
     keep_cols: tuple[str, ...] = (),
 ) -> Dataset:
     """Fit a corpus unigram LM (one combiner pass + vocab-bounded driver
@@ -1304,10 +1250,9 @@ def unigram_lm_scores(
 
     parts = [
         b
-        for b in ds.map_batches(
-            UnigramCountStage, fn_constructor_kwargs={"text_col": text_col},
-            batch_format="pyarrow", concurrency=concurrency or pool_size(),
-        ).iter_batches(batch_format="pyarrow")
+        for b in ds.map_batches(UnigramCountStage(text_col), batch_format="pyarrow").iter_batches(
+            batch_format="pyarrow"
+        )
         if b.num_rows
     ]
     if parts:
@@ -1319,13 +1264,7 @@ def unigram_lm_scores(
     else:
         hashes, logp = np.zeros(0, np.uint64), np.zeros(0, np.float64)
     ref = ray.put((hashes, logp))
-    return ds.map_batches(
-        UnigramScoreStage,
-        fn_constructor_kwargs={
-            "lm_ref": ref, "text_col": text_col, "id_col": id_col, "keep_cols": keep_cols,
-        },
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    )
+    return ds.map_batches(UnigramScoreStage(ref, text_col, id_col, keep_cols), batch_format="pyarrow")
 
 
 # ------------------------------------------------ HyperLogLog distinct sketch
@@ -1371,7 +1310,7 @@ class HllTrigramStage:
         return pa.table({"idx": pa.array(nz), "rho": pa.array(regs[nz])})
 
 
-def approx_distinct_trigrams(ds: Dataset, p: int = _HLL_P, text_col: str = "text", concurrency: int | None = None):
+def approx_distinct_trigrams(ds: Dataset, p: int = _HLL_P, text_col: str = "text"):
     """HyperLogLog estimate of the number of DISTINCT token trigrams in the
     corpus (Flajolet et al. 2007, with the standard small-range linear
     counting correction).  One streaming combiner pass; the driver reduce
@@ -1382,10 +1321,7 @@ def approx_distinct_trigrams(ds: Dataset, p: int = _HLL_P, text_col: str = "text
 
     m = 1 << p
     regs = np.zeros(m, dtype=np.int64)
-    for b in ds.map_batches(
-        HllTrigramStage, fn_constructor_kwargs={"p": p, "text_col": text_col},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    ).iter_batches(batch_format="pyarrow"):
+    for b in ds.map_batches(HllTrigramStage(p, text_col), batch_format="pyarrow").iter_batches(batch_format="pyarrow"):
         if b.num_rows:
             np.maximum.at(regs, b.column("idx").to_numpy(zero_copy_only=False), b.column("rho").to_numpy(zero_copy_only=False))
     alpha = 0.7213 / (1.0 + 1.079 / m)
@@ -1442,7 +1378,6 @@ def cms_term_counts(
     d: int = 4,
     w: int = 1024,
     text_col: str = "text",
-    concurrency: int | None = None,
 ):
     """Count-min-sketch term-frequency estimates (Cormode & Muthukrishnan
     2005): fit the d×w sketch in one streaming combiner pass (driver sums
@@ -1462,10 +1397,7 @@ def cms_term_counts(
     cms = np.zeros((d, w), dtype=np.int64)
     uni: dict = {}
     # one pass for the sketch, one vocab-bounded pass for the probe set
-    for b in ds.map_batches(
-        CmsPartialStage, fn_constructor_kwargs={"d": d, "w": w, "text_col": text_col},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    ).iter_batches(batch_format="pyarrow"):
+    for b in ds.map_batches(CmsPartialStage(d, w, text_col), batch_format="pyarrow").iter_batches(batch_format="pyarrow"):
         if b.num_rows:
             np.add.at(
                 cms,
@@ -1474,10 +1406,9 @@ def cms_term_counts(
             )
     parts = [
         b
-        for b in ds.map_batches(
-            UnigramPartialStage, fn_constructor_kwargs={"text_col": text_col},
-            batch_format="pyarrow", concurrency=concurrency or pool_size(),
-        ).iter_batches(batch_format="pyarrow")
+        for b in ds.map_batches(UnigramPartialStage(text_col), batch_format="pyarrow").iter_batches(
+            batch_format="pyarrow"
+        )
         if b.num_rows
     ]
     if not parts:
@@ -1560,7 +1491,6 @@ def cut_duplicate_spans(
     n_buckets: int = 1024,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int | None = None,
     shuffle_width: int | None = None,
 ) -> Dataset:
     """Exact substring dedup, cut variant (Lee et al. 2022): every token
@@ -1696,11 +1626,7 @@ def cut_duplicate_spans(
             }
         )
 
-    spans = ds.map_batches(
-        DupSpanPositionStage,
-        fn_constructor_kwargs={"window": window, "n_buckets": n_buckets, "text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    )
+    spans = ds.map_batches(DupSpanPositionStage(window, n_buckets, text_col, id_col), batch_format="pyarrow")
     if shuffle_width:
         spans = spans.repartition(shuffle_width)
     cuts = spans.groupby("bucket").map_groups(bucket_cuts, batch_format="pyarrow")
@@ -1761,7 +1687,6 @@ def dsir_weights(
     text_col: str = "text",
     id_col: str = "doc_id",
     lang_col: str = "lang",
-    concurrency: int | None = None,
 ):
     """DSIR importance weights for data selection: per-doc
     w = Σ_features log(p_target(b) / p_source(b)) over hashed unigram +
@@ -1799,13 +1724,9 @@ def dsir_weights(
 
     nt = np.zeros(B, dtype=np.int64)
     ns = np.zeros(B, dtype=np.int64)
-    for part in ds.map_batches(
-        Partial,
-        fn_constructor_kwargs={
-            "n_buckets": B, "text_col": text_col, "lang_col": lang_col, "target_lang": target_lang,
-        },
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    ).iter_batches(batch_format="pyarrow"):
+    for part in ds.map_batches(Partial(B, text_col, lang_col, target_lang), batch_format="pyarrow").iter_batches(
+        batch_format="pyarrow"
+    ):
         if part.num_rows:
             idx = part.column("bucket").to_numpy(zero_copy_only=False)
             np.add.at(nt, idx, part.column("nt").to_numpy(zero_copy_only=False))
@@ -1819,11 +1740,10 @@ def dsir_weights(
             super().__init__(n_buckets, text_col)
             self.id_col = id_col
             self.k = k
-            self.logr = ray.get(logr_ref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             b, r = self.occurrences(batch)
-            w = np.bincount(r, weights=self.logr[b], minlength=batch.num_rows)
+            w = np.bincount(r, weights=cached_ref(logr_ref)[b], minlength=batch.num_rows)
             wr = np.round(w, 6)
             ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
             order = np.lexsort((ids, -wr))[: self.k]
@@ -1831,11 +1751,7 @@ def dsir_weights(
                 {"doc_id": pa.array(ids[order].astype(np.int64)), "weight_r": pa.array(wr[order])}
             )
 
-    cand = ds.map_batches(
-        Weight,
-        fn_constructor_kwargs={"n_buckets": B, "text_col": text_col, "id_col": id_col, "k": k},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    ).to_pandas()
+    cand = ds.map_batches(Weight(B, text_col, id_col, k), batch_format="pyarrow").to_pandas()
     order = np.lexsort((cand["doc_id"].to_numpy(), -cand["weight_r"].to_numpy()))[:k]
     out = cand.iloc[order].reset_index(drop=True)
     out.insert(0, "rank", np.arange(1, len(out) + 1, dtype=np.int64))
@@ -1934,7 +1850,7 @@ class WinnowStage:
 def winnowing_fingerprints(ds: Dataset, w: int = WINNOW_WINDOW) -> Dataset:
     """One streaming winnowing pass over (doc_id, text) rows — see
     :class:`WinnowStage`."""
-    return ds.map_batches(WinnowStage(w=w), batch_format="pyarrow", concurrency=pool_size())
+    return ds.map_batches(WinnowStage(w=w), batch_format="pyarrow")
 
 
 # full Gopher-style quality-rule set (Rae et al. 2021, Table A1, adapted
@@ -2031,8 +1947,5 @@ class GopherStage:
         )
 
 
-def gopher_rules(ds: Dataset, text_col: str = "text", id_col: str = "doc_id", concurrency: int | None = None) -> Dataset:
-    return ds.map_batches(
-        GopherStage, fn_constructor_kwargs={"text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow", concurrency=concurrency or pool_size(),
-    )
+def gopher_rules(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> Dataset:
+    return ds.map_batches(GopherStage(text_col, id_col), batch_format="pyarrow")

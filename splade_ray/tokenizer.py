@@ -86,8 +86,9 @@ LIGHT_EN_RULES: list = [
 
 
 class Tokenizer:
-    """Regex tokenizer; compile once, reuse across batches (stateful-stage
-    pattern: construct in an actor's ``__init__``)."""
+    """Regex tokenizer; compile once, reuse across batches (construct it in
+    a stage's ``__init__`` on the driver; the stage ships it to every
+    task)."""
 
     def __init__(self, config: EngineConfig = DEFAULT_CONFIG):
         self.config = config

@@ -6,8 +6,11 @@ import ray
 
 
 def pool_size(reserve: int = 2, fraction: float = 0.75) -> int:
-    """Actor-pool size that leaves headroom for the read/write/shuffle
-    stages sharing the cluster — a pool that reserves every CPU starves the
+    """Parallelism that leaves headroom for the read/write/shuffle stages
+    sharing the cluster.  It sizes only two things: the neural encoder's
+    actor pool (the one stage that holds a model) and the join partition
+    count in ``pipelines.dedup``.  Every other stage runs as Ray Data tasks,
+    which need no size.  A pool that reserves every CPU starves the
     upstream tasks and can stall the pipeline outright (observed: a
     concurrency=4 pool on a 4-CPU cluster deadlocks the read)."""
     try:

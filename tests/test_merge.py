@@ -225,3 +225,33 @@ def test_merge_purges_tombstones(ray_session, tmp_path_factory):
         wand = [(u, round(s, 9)) for _d, s, u in rm.search(q, 10, method="wand")]
         assert wand == got, q
         assert not (dset & {u for u, _ in got}), q
+
+
+def test_merge_needs_a_segment(tmp_path):
+    from splade_ray.pipelines.merge import merge_segments
+
+    with pytest.raises(ValueError, match="at least one segment"):
+        merge_segments([], str(tmp_path / "m"), EngineConfig())
+
+
+@pytest.mark.parametrize(
+    "field, a, b",
+    [("encoder", "bm25", "neural"), ("value_dtype", "tf", "f32"), ("vocab_mode", "sorted", "hashed")],
+)
+def test_merge_rejects_mixed_segments(tmp_path, field, a, b):
+    """Segment metadata is read from disk, so a mismatch must raise a
+    ValueError naming the field (not an ``assert`` that ``python -O``
+    strips) before any vocab or postings is read."""
+    from splade_ray.pipelines.merge import merge_segments
+    from splade_ray.state.lineage import atomic_write_json
+
+    segs = []
+    for name, value in (("segA", a), ("segB", b)):
+        os.makedirs(tmp_path / name / "stats")
+        meta = {"n_docs": 1, "avgdl": 1.0, "nnz": 1, field: value}
+        atomic_write_json(str(tmp_path / name / "stats" / "meta.json"), meta)
+        segs.append(str(tmp_path / name))
+    what = {"encoder": "encoders", "value_dtype": "value dtypes", "vocab_mode": "vocab modes"}[field]
+    with pytest.raises(ValueError, match=f"mixed segment {what}"):
+        merge_segments(segs, str(tmp_path / "m"), EngineConfig())
+    assert not os.path.exists(tmp_path / "m")

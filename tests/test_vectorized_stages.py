@@ -883,3 +883,64 @@ def test_textrank_keywords_bruteforce(ray_session):
     assert got["term"].tolist() == [nodes[i] for i in order]
     np.testing.assert_allclose(got["score_r"].to_numpy(), np.round(r[order], 6), atol=1e-6)
     assert "zeta" not in set(got["term"])
+
+
+def _lazy_ref_stage_cases(batch, seg_dir):
+    """(stage class, broadcast value, args after it, input table) for every
+    stage that takes a broadcast: the stage must accept the value itself or
+    a ``ray.put`` ref to it, resolved in ``__call__``."""
+    import pyarrow.parquet as pq
+
+    tok = Tokenizer()
+    docs = [set(tok.tokenize(t or "")) for t in TEXTS]
+    terms = np.asarray(sorted(set().union(*docs)), dtype=object)
+    df = np.asarray([sum(t in d for d in docs) for t in terms], dtype=np.int64)
+    th, _rows, _dls = tok.tokenize_md5(batch.column("text").combine_chunks())
+    hashes, cnt = np.unique(th, return_counts=True)
+    bench = np.unique(np.concatenate([np.asarray(sorted(_brute_trigrams(t)), dtype=np.uint64) for t in TEXTS[:3]]))
+
+    vocab = pq.read_table(f"{seg_dir}/stats/vocab.parquet")
+    remaps = [np.arange(vocab.num_rows, dtype=np.int64)[::-1].copy()]
+    urls = pq.read_table(f"{seg_dir}/postings/shard-00000.docs.parquet", columns=["url"]).column("url")
+    descriptors = pa.table({"shard": [0], "seg_idx": [[0]], "pdirs": [[f"{seg_dir}/postings"]]})
+
+    from splade_ray.pipelines.merge import PurgeStatsStage
+    from splade_ray.pipelines.textops import ContaminationStage, TfidfTopTermsStage, UnigramScoreStage
+
+    return [
+        (ContaminationStage, bench, (), batch),
+        (UnigramScoreStage, (hashes, np.log(cnt / cnt.sum())), (), batch),
+        (TfidfTopTermsStage, (terms, df), (len(TEXTS), 3), batch),
+        (PurgeStatsStage, remaps, (urls.take(pa.array([0, 2])).combine_chunks(),), descriptors),
+    ]
+
+
+def test_stages_resolve_broadcast_refs_lazily(ray_session, batch, tmp_path):
+    """A stage built from a ``ray.put`` ref keeps the ref (the stage ships
+    to tasks as-is) and gives the same output as one built from the raw
+    value."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from splade_ray.config import EngineConfig
+    from splade_ray.pipelines.build import build_index
+
+    corpus = pa.table(
+        {
+            "url": pa.array([f"https://example.com/{i}" for i in range(len(TEXTS))]),
+            "warc_ts": pa.array(np.arange(len(TEXTS), dtype=np.int64), type=pa.timestamp("us")),
+            "text": pa.array([t or "" for t in TEXTS], type=pa.string()),
+            "lang": pa.array(["en"] * len(TEXTS)),
+        }
+    )
+    pq.write_table(corpus, str(tmp_path / "c.parquet"))
+    build_index(str(tmp_path / "c.parquet"), str(tmp_path / "seg"), EngineConfig(num_buckets=1))
+
+    for cls, value, rest, table in _lazy_ref_stage_cases(batch, str(tmp_path / "seg")):
+        ref = ray.put(value)
+        from_ref = cls(ref, *rest)
+        assert any(v is ref for v in vars(from_ref).values()), cls.__name__
+        got = from_ref(table)
+        want = cls(value, *rest)(table)
+        assert got.num_rows > 0, cls.__name__
+        assert got.equals(want), cls.__name__
