@@ -27,6 +27,8 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from ..stages.encode import cached_ref
+
 
 def _as_matrix(col) -> np.ndarray:
     """(n, dim) float64 matrix from a list<float> column without per-row
@@ -110,7 +112,7 @@ def brute_force_topk(
     q_ref = ray.put(Q)
 
     def score_batch(batch: pa.Table) -> pa.Table:
-        Qm = ray.get(q_ref)
+        Qm = cached_ref(q_ref)
         emb = _normalize(_as_matrix(batch.column(emb_col)))
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         sims = emb @ Qm.T  # (n, q)
@@ -174,7 +176,7 @@ def quantized_rescore_topk(
     kk_c = k * oversample
 
     def coarse_batch(batch: pa.Table) -> pa.Table:
-        Qqm, qmxv, qnv = ray.get(q_ref)
+        Qqm, qmxv, qnv = cached_ref(q_ref)
         emb = _as_matrix(batch.column(emb_col))
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         Dq, dmx = _int8_quantize(emb)
@@ -205,7 +207,7 @@ def quantized_rescore_topk(
     ids_ref = ray.put(cand_ids)
 
     def fetch(batch: pa.Table) -> pa.Table:
-        want = ray.get(ids_ref)
+        want = cached_ref(ids_ref)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         pos = np.searchsorted(want, ids)
         pos = np.minimum(pos, max(want.size - 1, 0))
@@ -273,7 +275,7 @@ def binary_rescore_topk(
     kk_c = k * oversample
 
     def coarse_batch(batch: pa.Table) -> pa.Table:
-        Qsm = ray.get(q_ref)
+        Qsm = cached_ref(q_ref)
         emb = _as_matrix(batch.column(emb_col))
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         Ds = np.where(emb > 0, 1.0, -1.0)
@@ -299,7 +301,7 @@ def binary_rescore_topk(
     ids_ref = ray.put(cand_ids)
 
     def fetch(batch: pa.Table) -> pa.Table:
-        want = ray.get(ids_ref)
+        want = cached_ref(ids_ref)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         pos = np.searchsorted(want, ids)
         pos = np.minimum(pos, max(want.size - 1, 0))
@@ -360,7 +362,7 @@ def truncated_rescore_topk(
     kk_c = k * oversample
 
     def coarse_batch(batch: pa.Table) -> pa.Table:
-        Qcm, qcv = ray.get(q_ref)
+        Qcm, qcv = cached_ref(q_ref)
         emb = _as_matrix(batch.column(emb_col))
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         if emb.size == 0:
@@ -389,7 +391,7 @@ def truncated_rescore_topk(
     ids_ref = ray.put(cand_ids)
 
     def fetch(batch: pa.Table) -> pa.Table:
-        want = ray.get(ids_ref)
+        want = cached_ref(ids_ref)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         pos = np.searchsorted(want, ids)
         pos = np.minimum(pos, max(want.size - 1, 0))
@@ -494,7 +496,7 @@ class IVFIndex:
         emb_col, id_col = self.emb_col, self.id_col
 
         def assign(batch: pa.Table) -> pa.Table:
-            C = ray.get(c_ref)
+            C = cached_ref(c_ref)
             emb = _normalize(_as_matrix(batch.column(emb_col)))
             cl = np.argmax(emb @ C.T, axis=1).astype(np.int32)
             return batch.append_column("cluster", pa.array(cl))
@@ -633,7 +635,7 @@ class IVFIndex:
                 batch = batch.filter(filter_expr(batch))
             if batch.num_rows == 0:
                 return _partial_topk_table(np.zeros(0), np.zeros(0), np.zeros(0))
-            Qm, Pr = ray.get(q_ref), ray.get(probe_ref)
+            Qm, Pr = cached_ref(q_ref), cached_ref(probe_ref)
             emb = _normalize(_as_matrix(batch.column(emb_col)))
             ids = batch.column(id_col).to_numpy(zero_copy_only=False)
             cl = batch.column("cluster").to_numpy(zero_copy_only=False)
@@ -922,7 +924,7 @@ def pq_adc_topk(
     kk_c = k * oversample
 
     def adc_batch(batch: pa.Table) -> pa.Table:
-        cb, lt = ray.get(state_ref)
+        cb, lt = cached_ref(state_ref)
         mm, kk_, ds_ = cb.shape
         x = _as_matrix(batch.column(emb_col))
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
@@ -953,7 +955,7 @@ def pq_adc_topk(
     ids_ref = ray.put(cand_ids)
 
     def fetch(batch: pa.Table) -> pa.Table:
-        want = ray.get(ids_ref)
+        want = cached_ref(ids_ref)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         pos = np.searchsorted(want, ids)
         pos = np.minimum(pos, max(want.size - 1, 0))
@@ -1053,7 +1055,7 @@ def pca_power_project(
     mv_ref = ray.put((mean, v))
 
     def project(batch: pa.Table) -> pa.Table:
-        mn, vv = ray.get(mv_ref)
+        mn, vv = cached_ref(mv_ref)
         x = _as_matrix(batch.column(emb_col))
         pc1 = (x - mn) @ vv if x.size else np.zeros(0, dtype=np.float64)
         return pa.table({id_col: batch.column(id_col), "pc1": pa.array(pc1)})
@@ -1105,7 +1107,7 @@ def ivfpq_topk(
     kk_c = k * oversample
 
     def adc_probed(batch: pa.Table) -> pa.Table:
-        cc, cb, lt, pr = ray.get(state_ref)
+        cc, cb, lt, pr = cached_ref(state_ref)
         mm, kk_, ds_ = cb.shape
         x = _as_matrix(batch.column(emb_col))
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
@@ -1142,7 +1144,7 @@ def ivfpq_topk(
     ids_ref = ray.put(cand_ids)
 
     def fetch(batch: pa.Table) -> pa.Table:
-        want = ray.get(ids_ref)
+        want = cached_ref(ids_ref)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         pos = np.searchsorted(want, ids)
         pos = np.minimum(pos, max(want.size - 1, 0))

@@ -33,6 +33,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from ..stages.encode import cached_ref
 from ..util import pool_size
 from ..functions.hashing import hash_strings, hash_tokens_to_u64, shingle_hashes, splitmix64
 from ..tokenizer import Tokenizer
@@ -137,7 +138,7 @@ def incremental_dedup(
         def filter_new(batch: pa.Table) -> pa.Table:
             b = add_content_hash(batch, text_col)
             h = b.column("content_hash").to_numpy(zero_copy_only=False)
-            fp = ray.get(fp_ref)
+            fp = cached_ref(fp_ref)
             pos = np.minimum(np.searchsorted(fp, h), max(fp.size - 1, 0))
             dup_existing = (fp[pos] == h) if fp.size else np.zeros(h.size, bool)
             return b.filter(pa.array(~dup_existing))
@@ -179,7 +180,7 @@ def incremental_dedup(
 
         def prefilter(batch: pa.Table) -> pa.Table:
             h = hash_strings(batch.column(text_col).to_pylist())
-            bf = ray.get(bits_ref)
+            bf = cached_ref(bits_ref)
             keep = np.ones(h.size, dtype=bool)
             for s in seeds:
                 idx = splitmix64(h ^ s) % np.uint64(mbits)
@@ -485,7 +486,7 @@ def minhash_lsh_pairs(
 
         def semi_filter(batch: pa.Table) -> pa.Table:
             ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-            wanted = ray.get(need_ref)
+            wanted = cached_ref(need_ref)
             pos = np.searchsorted(wanted, ids)
             pos = np.minimum(pos, max(wanted.size - 1, 0))
             return batch.filter(pa.array(wanted[pos] == ids))
@@ -550,7 +551,7 @@ def minhash_lsh_pairs(
         def pair_jaccard_bcast(batch: pa.Table) -> pa.Table:
             if batch.num_rows == 0:
                 return _PAIR_JACCARD_SCHEMA.empty_table()
-            ids_s, starts_s, lens_s, flat_s = ray.get(csr_ref)
+            ids_s, starts_s, lens_s, flat_s = cached_ref(csr_ref)
             ia = batch.column("id_a").to_numpy(zero_copy_only=False)
             ib = batch.column("id_b").to_numpy(zero_copy_only=False)
             hi = max(ids_s.size - 1, 0)
@@ -1223,7 +1224,7 @@ def embedding_near_dup_pairs(
     def bucketize(batch: pa.Table) -> pa.Table:
         from .ann import _as_matrix
 
-        P = ray.get(planes_ref)
+        P = cached_ref(planes_ref)
         emb = _as_matrix(batch.column(emb_col))
         n = emb.shape[0]
         bits = (emb @ P) > 0
@@ -1343,7 +1344,7 @@ def semdedup(
     cent_ref = ray.put(cent)
 
     def assign_bucket(batch: pa.Table) -> pa.Table:
-        C = ray.get(cent_ref)
+        C = cached_ref(cent_ref)
         emb = _as_matrix(batch.column(emb_col))
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         # bit-identical to the fit's own assignment kernel (same float

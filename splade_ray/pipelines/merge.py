@@ -204,7 +204,11 @@ class MergeShardStage:
             post = pq.read_table(os.path.join(pdir, f"shard-{shard_id:05d}.postings.parquet"))
             docs = pq.read_table(os.path.join(pdir, f"shard-{shard_id:05d}.docs.parquet"))
             tids, lens, local, vals, mode = decode_postings_table(post)
-            assert mode == self.weight_mode
+            if mode != self.weight_mode:
+                raise ValueError(
+                    f"shard {shard_id} in {pdir}: postings weight mode {mode!r}, "
+                    f"merge expects {self.weight_mode!r}"
+                )
             if mode == "q8":
                 # decode returns raw uint8 codes; the encode kernel expects
                 # WEIGHTS and re-quantizes — dequantize first so the
@@ -234,10 +238,11 @@ class MergeShardStage:
             docs_tbls.append(docs)
             doc_off += docs.num_rows
         fwd_flags = {"fwd" in t.column_names for t in docs_tbls}
-        assert len(fwd_flags) == 1, (
-            "mixed store_forward across segments: rebuild the older "
-            "segments with the same config before merging"
-        )
+        if len(fwd_flags) != 1:
+            raise ValueError(
+                "mixed store_forward across segments: rebuild the older "
+                "segments with the same config before merging"
+            )
 
         flat_tid = np.concatenate(run_tids)
         flat_local = np.concatenate(run_local)

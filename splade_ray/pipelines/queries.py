@@ -28,6 +28,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Mean, Min, Sum
 
 from ..config import EngineConfig
+from ..stages.encode import cached_ref
 from .build import build_index
 from .search import IndexReader
 
@@ -926,7 +927,7 @@ def search_snippets(sf_dir: str) -> pd.DataFrame:
     ref = ray.put((cand, {q: (np.sort(np.array(sorted(d), dtype=np.int64)), qhash[q]) for q, d in pair_docs.items()}))
 
     def extract(batch: pa.Table) -> pa.Table:
-        cand_ids, per_q = ray.get(ref)
+        cand_ids, per_q = cached_ref(ref)
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         pos = np.searchsorted(cand_ids, ids)
         keep = (np.minimum(pos, cand_ids.size - 1) >= 0) & (cand_ids[np.minimum(pos, cand_ids.size - 1)] == ids)
@@ -2913,7 +2914,7 @@ def dedup_near_kept(sf_dir: str) -> pd.DataFrame:
     drop_ref = ray.put(drop)
 
     def keep(batch: pa.Table) -> pa.Table:
-        d = ray.get(drop_ref)
+        d = cached_ref(drop_ref)
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         pos = np.searchsorted(d, ids)
         dropped = (pos < d.size) & (d[np.minimum(pos, max(d.size - 1, 0))] == ids) if d.size else np.zeros(ids.size, bool)
@@ -3272,7 +3273,7 @@ def ccnet_buckets(sf_dir: str) -> pd.DataFrame:
     counts_ref = ray.put(counts)
 
     def to_bucket(batch: pa.Table) -> pa.Table:
-        nmap = ray.get(counts_ref)
+        nmap = cached_ref(counts_ref)
         langs = batch.column("lang").to_pandas().to_numpy()
         r = batch.column("rnk").to_numpy(zero_copy_only=False).astype(np.int64)
         n = np.asarray([nmap[s] for s in langs], dtype=np.int64)
@@ -3708,8 +3709,6 @@ def orders_by_segment(sf_dir: str) -> pd.DataFrame:
     seg_ref = ray.put((keys[order], seg_codes[order].astype(np.int64), len(seg_names)))
 
     def partial(batch: pa.Table) -> pa.Table:
-        from ..stages.encode import cached_ref
-
         skeys, scodes, n_seg = cached_ref(seg_ref)
         ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
         price = batch.column("o_totalprice").to_numpy(zero_copy_only=False)
@@ -5521,7 +5520,7 @@ def link_pagerank(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
         rank_ref = ray.put(rank / np.maximum(outdeg, 1.0))
 
         def contrib(batch: pa.Table) -> pa.Table:
-            w = ray.get(rank_ref)
+            w = cached_ref(rank_ref)
             src = batch.column("src").to_numpy(zero_copy_only=False)
             dst = batch.column("dst").to_numpy(zero_copy_only=False)
             d, inv = np.unique(dst, return_inverse=True)
@@ -6252,7 +6251,7 @@ def hits_scores(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
         ref = ray.put(vec)
 
         def contrib(batch: pa.Table) -> pa.Table:
-            w = ray.get(ref)
+            w = cached_ref(ref)
             a = batch.column(key_in).to_numpy(zero_copy_only=False)
             b = batch.column(key_out).to_numpy(zero_copy_only=False)
             d, inv = np.unique(b, return_inverse=True)
@@ -6373,7 +6372,7 @@ def mmr_rerank(sf_dir: str) -> pd.DataFrame:
 
     def pick(batch: pa.Table) -> pa.Table:
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        w = ray.get(want_ref)
+        w = cached_ref(want_ref)
         pos = np.searchsorted(w, ids)
         mask = (pos < w.size) & (w[np.minimum(pos, w.size - 1)] == ids)
         return batch.filter(pa.array(mask))
@@ -6459,7 +6458,7 @@ def variable_width_histogram(sf_dir: str) -> pd.DataFrame:
         ref = ray.put(cents_now)
 
         def partial(batch: pa.Table) -> pa.Table:
-            c = ray.get(ref)
+            c = cached_ref(ref)
             x = batch.column("n_chars").to_numpy(zero_copy_only=False).astype(np.float64)
             d = (x[:, None] - c[None, :]) ** 2
             cl = np.argmin(d, axis=1)  # argmin takes the FIRST min: lower-cl ties
@@ -6670,7 +6669,6 @@ def regional_revenue(sf_dir: str) -> pd.DataFrame:
     integer 1e-4 units; per-bucket kernel = one searchsorted probe +
     bincount partials, the joined row set never materializes."""
     from ..functions.hashing import splitmix64
-    from ..stages.encode import cached_ref
 
     nb = 256
     cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_nationkey"]).to_pandas()
@@ -7226,8 +7224,6 @@ def bigram_perplexity(sf_dir: str) -> pd.DataFrame:
         )
 
     def score_bucket(g: pa.Table) -> pa.Table:
-        from ..stages.encode import cached_ref
-
         uh_, uc_ = cached_ref(uni_ref)
         if g.num_rows == 0:
             return pa.table({"doc_id": pa.array(np.zeros(0, np.int64)),
@@ -7385,8 +7381,6 @@ def personalized_pagerank(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
         share_ref = ray.put(np.divide(pr, deg, out=np.zeros_like(pr), where=deg > 0))
 
         def contrib(batch: pa.Table, _ref=share_ref) -> pa.Table:
-            from ..stages.encode import cached_ref
-
             share = cached_ref(_ref)
             dst = batch.column("dst").to_numpy(zero_copy_only=False)
             src = batch.column("src").to_numpy(zero_copy_only=False)
@@ -7563,7 +7557,7 @@ def ccnet_corpus_kept(sf_dir: str) -> pd.DataFrame:
     counts_ref = ray.put(counts)
 
     def keep_rows(batch: pa.Table) -> pa.Table:
-        nmap = ray.get(counts_ref)
+        nmap = cached_ref(counts_ref)
         langs = batch.column("lang").to_pandas().to_numpy()
         r = batch.column("rnk").to_numpy(zero_copy_only=False).astype(np.int64)
         n = np.asarray([nmap[s] for s in langs], dtype=np.int64)
@@ -7608,7 +7602,6 @@ def knn_radius(sf_dir: str) -> pd.DataFrame:
     qvid = qrows["vec_id"].to_numpy()
 
     def matches(batch: pa.Table) -> pa.Table:
-        from ..stages.encode import cached_ref
         from .ann import _as_matrix
 
         Qm, qnv = cached_ref(q_ref)
@@ -7683,8 +7676,6 @@ def label_prototypes(sf_dir: str) -> pd.DataFrame:
     cent_ref = ray.put((all_lab, cent, cn))
 
     def score(batch: pa.Table) -> pa.Table:
-        from ..stages.encode import cached_ref
-
         labs, cm, cnv = cached_ref(cent_ref)
         emb = _as_matrix(batch.column("embedding"))
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
@@ -7850,8 +7841,6 @@ def label_scatter(sf_dir: str) -> pd.DataFrame:
     cent_ref = ray.put((labs, cent, cn))
 
     def dpartial(batch: pa.Table) -> pa.Table:
-        from ..stages.encode import cached_ref
-
         lb, cm, cnv = cached_ref(cent_ref)
         emb = _as_matrix(batch.column("embedding"))
         lab = batch.column("label").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7945,8 +7934,6 @@ def colbert_maxsim_topk(sf_dir: str) -> pd.DataFrame:
     q_ref = ray.put((Qv, qn, qoff, [c for c in qtfs]))
 
     def score(batch: pa.Table) -> pa.Table:
-        from ..stages.encode import cached_ref
-
         Qvm, qnv, qo, qcs = cached_ref(q_ref)
         enc = Tokenizer(DOCS_CFG).tokenize_codes(batch.column("text").combine_chunks())
         assert enc is not None
@@ -8034,8 +8021,6 @@ def soft_dedup_weights(sf_dir: str) -> pd.DataFrame:
     w_ref = ray.put((ck[order], (1.0 / clusters["cluster_size"].to_numpy(np.float64))[order]))
 
     def weight(batch: pa.Table) -> pa.Table:
-        from ..stages.encode import cached_ref
-
         keys, wv = cached_ref(w_ref)
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         pos = np.minimum(np.searchsorted(keys, ids), max(keys.size - 1, 0))

@@ -23,6 +23,8 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from ..stages.encode import cached_ref
+
 
 def _col_np(batch: pa.Table, col: str) -> np.ndarray:
     return batch.column(col).to_numpy(zero_copy_only=False)
@@ -79,7 +81,7 @@ def ordered_prefix_sum(ds: Dataset, value_col: str, order_col: str, out_col: str
     def add_scan(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return batch.append_column(out_col, pa.array([], type=pa.from_numpy_dtype(acc)))
-        bmins, boffs = ray.get(ref)
+        bmins, boffs = cached_ref(ref)
         keys = _col_np(batch, order_col)
         pos = np.searchsorted(bmins, np.int64(keys[0]))
         if pos >= bmins.size or bmins[pos] != keys[0]:
@@ -156,7 +158,7 @@ def segmented_rank(
     def add_rank(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return batch.append_column(out_col, pa.array([], type=pa.int64()))
-        offs = ray.get(ref)
+        offs = cached_ref(ref)
         segs = batch.column(seg_col).to_pandas().to_numpy()
         keys = _col_np(batch, order_col)
         cut = np.flatnonzero(segs[1:] != segs[:-1]) + 1

@@ -43,7 +43,9 @@ import dataclasses
 import math
 import os
 import re
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -183,17 +185,37 @@ def _impact_model(cfg: EngineConfig, term_ids, dl, df_global, n_docs, avgdl, cf_
     return bm25_idf(df, n_docs), k1 * (1.0 - b + b * dl / avgdl), lambda tf, t, d: t * tf * (k1 + 1.0) / (tf + d)
 
 
-def _pmap(fn, items) -> list:
-    """``fn`` over ``items``, in order, on up to 8 threads when there are
-    several: parquet reads and the numpy decode kernels release the GIL,
-    so shards load in parallel."""
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+_POOL_THREAD = "splade-load"
 
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as ex:
-        return list(ex.map(fn, items))
+
+def _forget_pool() -> None:
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pmap(fn, items) -> list:
+    """``fn`` over ``items``, in order, on one process-wide pool of 8
+    threads when there are several: parquet reads and the numpy decode
+    kernels release the GIL, so shards load in parallel.  The pool is made
+    on first use and reused by every later open, so the decode temporaries
+    land in the same threads' malloc arenas each time instead of growing
+    new ones per open.  A call from inside one of the pool's own threads
+    runs its items inline (waiting on the pool there could deadlock it);
+    a forked child starts without a pool."""
+    global _POOL
+    items = list(items)
+    if len(items) <= 1 or threading.current_thread().name.startswith(_POOL_THREAD):
+        return [fn(x) for x in items]
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=8, thread_name_prefix=_POOL_THREAD)
+        pool = _POOL
+    return list(pool.map(fn, items))
 
 
 def _read_parquet(path: str) -> pa.Table:
@@ -303,7 +325,8 @@ class ShardIndex:
             )
             self.fwd_ptr = np.zeros(self.n_local + 1, dtype=np.int64)
             np.cumsum(self.dl.astype(np.int64), out=self.fwd_ptr[1:])
-            assert self.fwd_ptr[-1] == self.fwd_stream.size, "fwd stream / dl mismatch"
+            if self.fwd_ptr[-1] != self.fwd_stream.size:
+                raise ValueError("fwd stream / dl mismatch")
         else:
             self.fwd_stream = None
             self.fwd_ptr = None

@@ -729,7 +729,7 @@ def bigram_pmi_top(
     def bucket_topk(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             return empty_topk
-        hsort, uterms, ucnt, n_tok, n_bg = ray.get(ref)
+        hsort, uterms, ucnt, n_tok, n_bg = cached_ref(ref)
         ha = g.column("ha").to_numpy(zero_copy_only=False)
         hb = g.column("hb").to_numpy(zero_copy_only=False)
         cnt = g.column("cnt").to_numpy(zero_copy_only=False)
@@ -836,7 +836,7 @@ def textrank_keywords(
         of dropped edges would corrupt every neighbor)."""
         if g.num_rows == 0:
             return empty_edges
-        hsort, uterms = ray.get(ref)
+        hsort, uterms = cached_ref(ref)
         ha = g.column("ha").to_numpy(zero_copy_only=False)
         hb = g.column("hb").to_numpy(zero_copy_only=False)
         cnt = g.column("cnt").to_numpy(zero_copy_only=False)

@@ -161,13 +161,14 @@ def build_shard_index(
     # contiguous doc-id range within the shard (holes would break the
     # positional local-id contract); local ids are row positions so segment
     # builds with a doc_id_base > 0 still index docs tables positionally
-    assert n_rows == 0 or int(doc_id[-1]) - int(doc_id[0]) == n_rows - 1, (
-        f"shard {shard_id}: doc ids not contiguous ({n_rows} rows spanning "
-        f"[{int(doc_id[0])}, {int(doc_id[-1])}]). Most likely cause: input rows "
-        "with duplicate (url, warc_ts) pairs under dedup_mode='broadcast' "
-        "(two rows claimed the same doc id) — deduplicate the crawl input or "
-        "use dedup_mode='shuffle'."
-    )
+    if n_rows and int(doc_id[-1]) - int(doc_id[0]) != n_rows - 1:
+        raise ValueError(
+            f"shard {shard_id}: doc ids not contiguous ({n_rows} rows spanning "
+            f"[{int(doc_id[0])}, {int(doc_id[-1])}]). Most likely cause: input rows "
+            "with duplicate (url, warc_ts) pairs under dedup_mode='broadcast' "
+            "(two rows claimed the same doc id) — deduplicate the crawl input or "
+            "use dedup_mode='shuffle'."
+        )
     local = np.arange(n_rows, dtype=np.int32)
     dl = group.column("dl").to_numpy(zero_copy_only=False).astype(np.int32)
 

@@ -4,12 +4,15 @@ of each shard (deletes masked per shard), then a scatter-merge of the
 loaded shards into one view.  Every view array must be bit-identical, for
 the consolidated view and for the per-shard views, across weight modes,
 similarities, vocab modes, deletes, shard subsets, a global-stats
-override and degenerate shard counts.  Also pins ``IndexReader.load_stats``
-and the consolidation budget."""
+override and degenerate shard counts.  Also pins ``IndexReader.load_stats``,
+the consolidation budget and the process-wide loader pool behind ``_pmap``."""
 
 import dataclasses
 import os
 import shutil
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pyarrow as pa
@@ -368,3 +371,115 @@ def test_loader_reads_paths(built_index):
         files, reader.df, reader.n_docs, reader.avgdl, cfg, cf_global=reader.cf, sum_dl=reader.sum_dl
     )
     assert_same_views([view], reader.shards)
+
+
+@pytest.fixture(scope="module")
+def bench_index(ray_session, tmp_path_factory):
+    """A 4-shard index in the benchmark's layout (2048-doc shards)."""
+    from splade_ray.fixtures import write_web_pages
+
+    root = tmp_path_factory.mktemp("bench_layout")
+    cfg = EngineConfig(shard_size=2048, zone_docs=32)
+    out = _build(write_web_pages(str(root / "web.parquet"), 8192, seed=3), str(root / "idx"), cfg)
+    assert len(postings_shard_ids(os.path.join(out, "postings"))) == 4
+    return out, cfg
+
+
+def _pool_threads() -> set:
+    return {t for t in threading.enumerate() if t.name.startswith(S._POOL_THREAD)}
+
+
+@pytest.mark.parametrize("consolidate", [True, False])
+def test_opens_reuse_one_loader_pool(bench_index, monkeypatch, consolidate):
+    """Every shard read and decode of every open runs on the same <= 8
+    pool threads: repeated opens start no new threads."""
+    index_dir, cfg = bench_index
+    seen = {"read": set(), "decode": set()}
+    read, decode = S._read_parquet, S.varint_decode
+
+    def read_shard(path):
+        if "/postings/shard-" in path:  # not the vocab, which the open reads itself
+            seen["read"].add(threading.current_thread())
+        return read(path)
+
+    monkeypatch.setattr(S, "_read_parquet", read_shard)
+    monkeypatch.setattr(S, "varint_decode", lambda *a: seen["decode"].add(threading.current_thread()) or decode(*a))
+    IndexReader(index_dir, cfg, consolidate=consolidate)
+    pool = _pool_threads()
+    assert 0 < len(pool) <= 8
+    for _ in range(9):
+        IndexReader(index_dir, cfg, consolidate=consolidate)
+    assert _pool_threads() == pool
+    assert seen["read"] and seen["decode"]
+    assert seen["read"] | seen["decode"] <= pool
+
+
+def test_nested_pmap_runs_inline():
+    """A ``_pmap`` inside a pool item runs on that item's thread; with
+    every pool thread busy on an outer item, waiting on the pool instead
+    would never finish."""
+    out = []
+
+    def outer(i):
+        me = threading.current_thread()
+        return S._pmap(lambda j: (i, j, threading.current_thread() is me), range(4))
+
+    t = threading.Thread(target=lambda: out.append(S._pmap(outer, range(16))), daemon=True)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive(), "nested _pmap did not finish"
+    assert out == [[[(i, j, True) for j in range(4)] for i in range(16)]]
+
+
+@pytest.mark.parametrize("stage", ["read", "decode"])
+def test_item_error_propagates_and_next_open_works(bench_index, monkeypatch, stage):
+    index_dir, cfg = bench_index
+    want = IndexReader(index_dir, cfg)
+    name = "_read_parquet" if stage == "read" else "varint_decode"
+    real, calls = getattr(S, name), []
+
+    def flaky(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(f"{stage} failed")
+        return real(*args)
+
+    monkeypatch.setattr(S, name, flaky)
+    with pytest.raises(OSError, match=f"{stage} failed"):
+        IndexReader(index_dir, cfg)
+    monkeypatch.setattr(S, name, real)
+    assert_same_views(IndexReader(index_dir, cfg).shards, want.shards)
+
+
+def test_forked_child_starts_without_a_pool():
+    """Checked in a fresh interpreter: forking this one, with Ray's
+    threads running, is not safe."""
+    code = (
+        "import os\n"
+        "from splade_ray.pipelines import search as S\n"
+        "S._pmap(abs, [-1, -2])\n"
+        "assert S._POOL is not None\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os._exit(0 if S._POOL is None else 3)\n"
+        "assert os.waitpid(pid, 0)[1] == 0, 'child inherited the pool'\n"
+        "assert S._POOL is not None\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    subprocess.run([sys.executable, "-c", code], cwd=root, check=True, timeout=120)
+
+
+def test_loader_rejects_fwd_stream_dl_mismatch(small_pages, tmp_path):
+    """Forward-stream extents come from ``dl``: a docs table whose lengths
+    disagree with its stream raises, also under ``python -O``."""
+    cfg = EngineConfig(shard_size=200, num_buckets=4, store_forward=True)
+    out = _build(small_pages, str(tmp_path / "idx"), cfg)
+    reader = IndexReader(out, cfg)
+    pdir = os.path.join(out, "postings")
+    post = pq.read_table(os.path.join(pdir, "shard-00000.postings.parquet"))
+    docs = pq.read_table(os.path.join(pdir, "shard-00000.docs.parquet"))
+    dl = docs.column("dl").to_numpy(zero_copy_only=False).copy()
+    dl[0] += 1
+    docs = docs.set_column(docs.schema.get_field_index("dl"), "dl", pa.array(dl, docs.schema.field("dl").type))
+    with pytest.raises(ValueError, match="fwd stream / dl mismatch"):
+        ShardIndex.consolidated([(post, docs)], reader.df, reader.n_docs, reader.avgdl, cfg)

@@ -255,3 +255,40 @@ def test_merge_rejects_mixed_segments(tmp_path, field, a, b):
     with pytest.raises(ValueError, match=f"mixed segment {what}"):
         merge_segments(segs, str(tmp_path / "m"), EngineConfig())
     assert not os.path.exists(tmp_path / "m")
+
+
+@pytest.fixture(scope="module")
+def fwd_mixed_segments(ray_session, tmp_path_factory):
+    """Two segments sharing shard 0: segA stores forward streams, segB
+    does not."""
+    from splade_ray.pipelines.build import build_index
+
+    tmp = tmp_path_factory.mktemp("merge_mixed_fwd")
+    corpus = _synth_corpus(400)
+    pq.write_table(corpus.slice(0, 200), str(tmp / "a.parquet"))
+    pq.write_table(corpus.slice(200), str(tmp / "b.parquet"))
+    cfg = EngineConfig(shard_size=800, num_buckets=1)
+    fwd = EngineConfig(shard_size=800, num_buckets=1, store_forward=True)
+    build_index(str(tmp / "a.parquet"), str(tmp / "segA"), fwd)
+    build_index(str(tmp / "b.parquet"), str(tmp / "segB"), cfg, doc_id_base=200)
+    return [str(tmp / s / "postings") for s in ("segA", "segB")], cfg
+
+
+def test_merge_shard_rejects_weight_mode_mismatch(fwd_mixed_segments, tmp_path):
+    """The postings weight mode is read from disk: a mismatch raises even
+    under ``python -O``."""
+    from splade_ray.pipelines.merge import MergeShardStage
+
+    pdirs, cfg = fwd_mixed_segments
+    stage = MergeShardStage(str(tmp_path / "out"), cfg, [None], weight_mode="f32")
+    with pytest.raises(ValueError, match="weight mode 'tf', merge expects 'f32'"):
+        stage._merge_one(0, [0], pdirs[:1], [None], None)
+
+
+def test_merge_shard_rejects_mixed_store_forward(fwd_mixed_segments, tmp_path):
+    from splade_ray.pipelines.merge import MergeShardStage
+
+    pdirs, cfg = fwd_mixed_segments
+    stage = MergeShardStage(str(tmp_path / "out"), cfg, [None, None], weight_mode="tf")
+    with pytest.raises(ValueError, match="mixed store_forward across segments"):
+        stage._merge_one(0, [0, 1], pdirs, [None, None], None)

@@ -96,3 +96,43 @@ def test_constructor_args_only_at_allowlisted_sites(kw):
         if any(k.arg == kw for k in call.keywords)
     }
     assert sites <= CONSTRUCTOR_SITES, sites - CONSTRUCTOR_SITES
+
+
+def _nested_ray_gets(tree):
+    """(line, function) of each ``ray.get`` call inside a function defined
+    within another function (class bodies do not count as a level)."""
+    out = []
+
+    def visit(node, depth, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, depth + 1, getattr(child, "name", "<lambda>"))
+                continue
+            f = getattr(child, "func", None)
+            if (
+                depth >= 2
+                and isinstance(child, ast.Call)
+                and isinstance(f, ast.Attribute)
+                and f.attr == "get"
+                and isinstance(f.value, ast.Name)
+                and f.value.id == "ray"
+            ):
+                out.append((child.lineno, name))
+            visit(child, depth, name)
+
+    visit(tree, 0, "<module>")
+    return out
+
+
+def test_batch_kernels_read_broadcasts_through_cached_ref():
+    """A closure handed to ``map_batches`` / ``map_groups`` runs once per
+    batch or bucket: ``ray.get`` there fetches the same broadcast every
+    time, where ``cached_ref`` fetches it once per worker."""
+    found = [(rel, *hit) for rel, tree in _parsed() for hit in _nested_ray_gets(tree)]
+    assert not found, found
+
+
+def test_nested_ray_get_scan_sees_a_closure():
+    src = "def outer(ref):\n    def kernel(batch):\n        return ray.get(ref)\n    return kernel\n"
+    assert _nested_ray_gets(ast.parse(src)) == [(3, "kernel")]
+    assert _nested_ray_gets(ast.parse("def f(ref):\n    return ray.get(ref)\n")) == []

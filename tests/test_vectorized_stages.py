@@ -944,3 +944,15 @@ def test_stages_resolve_broadcast_refs_lazily(ray_session, batch, tmp_path):
         want = cls(value, *rest)(table)
         assert got.num_rows > 0, cls.__name__
         assert got.equals(want), cls.__name__
+
+
+def test_shard_kernel_rejects_non_contiguous_doc_ids(tmp_path):
+    """Duplicate (url, warc_ts) rows leave a hole in a shard's doc ids: the
+    shard kernel raises instead of writing misnumbered postings, also
+    under ``python -O``."""
+    from splade_ray.config import EngineConfig
+    from splade_ray.stages.postings import build_shard_index
+
+    group = pa.table({"shard": pa.array([0, 0], pa.int32()), "doc_id": pa.array([0, 5], pa.int64())})
+    with pytest.raises(ValueError, match=r"shard 0: doc ids not contiguous \(2 rows spanning \[0, 5\]\)"):
+        build_shard_index(group, postings_dir=str(tmp_path), cfg=EngineConfig())
