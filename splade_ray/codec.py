@@ -10,27 +10,48 @@ frequencies, per the north rule ("delta+varint (FOR) compressed").
 All kernels are numpy-vectorized (no per-value Python loop): encode scatters
 7-bit groups by byte position; decode finds value boundaries from the
 continuation bits with one nonzero + cumsum.
+
+The parquet page format of every index table lives here too:
+:func:`write_index_table` and :func:`write_index_dataset` are the only index
+writers.  Pages are zstd (Arrow's default level), and the table writer also
+delta-bit-packs (``DELTA_BINARY_PACKED``) each flat integer column whose
+values ascend — postings ``term_id``, docs ``doc_id``/``local_id``, vocab
+``term_id`` — where dictionary pages would store every distinct id again.
+Readers need nothing: parquet records its codec per column chunk, so indexes
+written with the older snappy pages still open, resume and merge.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 _MAX_BYTES = 5  # uint32 fits in 5 varint bytes
 
 
-def varint_encode(values: np.ndarray) -> bytes:
-    """Encode a uint32/int array (values < 2**35) into LEB128 varints."""
-    values = np.ascontiguousarray(values, dtype=np.uint64)
-    if values.size and bool((values >> np.uint64(7 * 5)).any()):
-        raise ValueError("varint_encode: value >= 2**35 would be truncated (5-byte cap)")
-
+def varint_lengths(values: np.ndarray) -> np.ndarray:
+    """Bytes per value of its LEB128 varint (1-5) as int64 — the one
+    definition of the length rule.  Raises ``ValueError`` on a value
+    >= 2**35 (it would be truncated at the 5-byte cap)."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return b""
+    if v.size and bool((v >> np.uint64(7 * _MAX_BYTES)).any()):
+        raise ValueError("varint_encode: value >= 2**35 would be truncated (5-byte cap)")
     nbytes = np.ones(v.shape, dtype=np.int64)
     for k in range(1, _MAX_BYTES):
         nbytes += (v >= (1 << (7 * k))).astype(np.int64)
+    return nbytes
+
+
+def varint_encode(values: np.ndarray, nbytes: np.ndarray | None = None) -> bytes:
+    """Encode a uint32/int array (values < 2**35) into LEB128 varints.
+    ``nbytes``: the values' :func:`varint_lengths`, when the caller already
+    holds them (it needs them for segment offsets)."""
+    v = np.ascontiguousarray(values, dtype=np.uint64)
+    if nbytes is None:
+        nbytes = varint_lengths(v)
+    if v.size == 0:
+        return b""
     starts = np.zeros(v.size, dtype=np.int64)
     np.cumsum(nbytes[:-1], out=starts[1:])
     total = int(starts[-1] + nbytes[-1])
@@ -110,12 +131,46 @@ def binary_concat(arr) -> bytes:
     """Concatenated payload bytes of an Arrow binary column (offset-safe):
     the per-term varint/f32 segments are value-aligned, so one buffer slice
     recovers the whole shard's payload for a single vectorized decode."""
-    import numpy as np
-    import pyarrow as pa
-
     n = len(arr)
     if n == 0:
         return b""
     offs = np.frombuffer(arr.buffers()[1], dtype=np.int32, count=n + 1 + arr.offset)[arr.offset :]
     data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
     return data[offs[0] : offs[-1]].tobytes()
+
+
+def _ascends(col) -> bool:
+    """A flat integer column without nulls whose values never decrease."""
+    if not pa.types.is_integer(col.type) or col.null_count:
+        return False
+    v = col.to_numpy()
+    return bool((v[1:] >= v[:-1]).all())
+
+
+def _leaf_path(name: str, typ) -> str:
+    """Parquet column path of a flat or list-typed Arrow field — the name a
+    per-column ``use_dictionary`` list matches (a list column is matched
+    only by its leaf path, ``terms.list.element``, never by ``terms``)."""
+    while pa.types.is_list(typ) or pa.types.is_large_list(typ):
+        name, typ = f"{name}.list.element", typ.value_type
+    return name
+
+
+def write_index_table(tbl: pa.Table, path: str) -> None:
+    """Write one index table (postings, docs, vocab) as a parquet file:
+    zstd pages, ascending flat integer columns delta-bit-packed, every
+    other column with Arrow's default dictionary pages."""
+    delta = [f.name for f, col in zip(tbl.schema, tbl.columns) if _ascends(col)]
+    pq.write_table(
+        tbl,
+        path,
+        compression="zstd",
+        use_dictionary=[_leaf_path(f.name, f.type) for f in tbl.schema if f.name not in delta],
+        column_encoding=dict.fromkeys(delta, "DELTA_BINARY_PACKED"),
+    )
+
+
+def write_index_dataset(ds, path: str) -> None:
+    """Write a Ray Data stage output (``doc_terms``, term-major ``runs`` and
+    ``dl``) as parquet files under ``path`` with zstd pages."""
+    ds.write_parquet(path, compression="zstd")

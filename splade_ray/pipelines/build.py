@@ -41,6 +41,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..codec import write_index_dataset, write_index_table
 from ..config import EngineConfig, DEFAULT_CONFIG
 from ..stages.dedup import (
     compute_winners,
@@ -159,37 +160,26 @@ class IndexBuilder:
         t0 = time.perf_counter()
         cols = _corpus_columns(input_paths, self.verify_extraction)
         ds = ray.data.read_parquet(input_paths, columns=cols)
+        neural = self.cfg.encoder == "neural"
         if resolve_dedup_mode(input_paths, self.cfg) == "broadcast":
             # dedup winners + doc ids from the narrow key side, broadcast
             # once — full rows never enter an exchange here
             winners_ref = ray.put(compute_winners(input_paths, self.cfg, self.doc_id_base))
-            if self.cfg.encoder == "neural":
-                # fused: deduped (doc_id, url, text) batches stream straight
-                # into the encoder actor pool — no intermediate corpus
-                # write+re-read (a full extra round-trip of the corpus bytes)
-                deduped = ds.map_batches(
-                    dedup_broadcast_batch,
-                    fn_kwargs={
-                        "cfg": self.cfg,
-                        "winners_ref": winners_ref,
-                        "verify": self.verify_extraction,
-                        "encode": False,
-                    },
-                    batch_format="pyarrow",
-                    batch_size=self.cfg.read_batch_size,
-                )
-                self._encode_pool(deduped).write_parquet(dt_dir)
-            else:
-                ds.map_batches(
-                    dedup_broadcast_batch,
-                    fn_kwargs={
-                        "cfg": self.cfg,
-                        "winners_ref": winners_ref,
-                        "verify": self.verify_extraction,
-                    },
-                    batch_format="pyarrow",
-                    batch_size=self.cfg.read_batch_size,
-                ).write_parquet(dt_dir)
+            deduped = ds.map_batches(
+                dedup_broadcast_batch,
+                fn_kwargs={
+                    "cfg": self.cfg,
+                    "winners_ref": winners_ref,
+                    "verify": self.verify_extraction,
+                    "encode": not neural,
+                },
+                batch_format="pyarrow",
+                batch_size=self.cfg.read_batch_size,
+            )
+            # neural: the deduped (doc_id, url, text) batches stream straight
+            # into the encoder actor pool — no intermediate corpus
+            # write+re-read (a full extra round-trip of the corpus bytes)
+            encoded = self._encode_pool(deduped) if neural else deduped
         else:
             ds = ds.map_batches(
                 ExtractStage(self.cfg, verify=self.verify_extraction),
@@ -197,14 +187,13 @@ class IndexBuilder:
                 batch_size=self.cfg.read_batch_size,
             )
             grouped = ds.groupby("bucket")
-            if self.cfg.encoder == "neural":
-                self._encode_pool(
-                    grouped.map_groups(dedup_assign_group, batch_format="pyarrow")
-                ).write_parquet(dt_dir)
+            if neural:
+                encoded = self._encode_pool(grouped.map_groups(dedup_assign_group, batch_format="pyarrow"))
             else:
-                grouped.map_groups(
+                encoded = grouped.map_groups(
                     functools.partial(dedup_encode_group, cfg=self.cfg), batch_format="pyarrow"
-                ).write_parquet(dt_dir)
+                )
+        write_index_dataset(encoded, dt_dir)
         self.timings["doc_terms"] = time.perf_counter() - t0
         guard.commit()
         return dt_dir
@@ -264,10 +253,7 @@ class IndexBuilder:
             # deterministic doc-id prefix sum (SURVEY.md §3.2)
             meta["bucket_counts"] = bucket_counts.tolist()
         os.makedirs(stats_dir, exist_ok=True)
-        vocab_tbl = pa.Table.from_pandas(vocab, preserve_index=False)
-        import pyarrow.parquet as pq
-
-        pq.write_table(vocab_tbl, os.path.join(stats_dir, "vocab.parquet"))
+        write_index_table(pa.Table.from_pandas(vocab, preserve_index=False), os.path.join(stats_dir, "vocab.parquet"))
         atomic_write_json(os.path.join(stats_dir, "meta.json"), meta)
         self.timings["stats"] = time.perf_counter() - t0
         guard.commit(**meta, vocab_size=len(vocab))
@@ -348,13 +334,21 @@ class IndexBuilder:
             total += sum(pq.read_metadata(f).num_rows for f in files)
         return total
 
+    def _stage_bytes(self) -> dict[str, int]:
+        """Parquet bytes on disk per stage directory — what each stage
+        wrote, whether it ran now or was skipped on resume."""
+        out = {}
+        for stage in ("doc_terms", "stats", "postings"):
+            d = os.path.join(self.out_dir, stage)
+            names = os.listdir(d) if os.path.isdir(d) else []
+            out[stage] = sum(os.path.getsize(os.path.join(d, f)) for f in names if f.endswith(".parquet"))
+        return out
+
     def _build_empty(self) -> None:
         """Zero-row input: a valid empty index (empty vocab + stats, no
         postings shards) so downstream readers degrade to empty results."""
         stats_dir = os.path.join(self.out_dir, "stats")
         os.makedirs(stats_dir, exist_ok=True)
-        import pyarrow.parquet as pq
-
         if self.cfg.encoder == "neural":
             vocab = pa.table({"term_id": pa.array([], type=pa.int32()), "df": pa.array([], type=pa.int64())})
         else:
@@ -365,7 +359,7 @@ class IndexBuilder:
                     "df": pa.array([], type=pa.int64()),
                 }
             )
-        pq.write_table(vocab, os.path.join(stats_dir, "vocab.parquet"))
+        write_index_table(vocab, os.path.join(stats_dir, "vocab.parquet"))
         atomic_write_json(
             os.path.join(stats_dir, "meta.json"),
             {"n_docs": 0, "avgdl": 0.0, "nnz": 0, "encoder": self.cfg.encoder},
@@ -383,6 +377,7 @@ class IndexBuilder:
                 "config_hash": self.cfg_hash,
                 "wall_time_s": round(time.perf_counter() - t0, 3),
                 "timings": {},
+                "bytes": self._stage_bytes(),
                 "n_docs": 0,
                 "avgdl": 0.0,
                 "nnz": 0,
@@ -400,6 +395,7 @@ class IndexBuilder:
             "config_hash": self.cfg_hash,
             "wall_time_s": round(total, 3),
             "timings": {k: round(v, 3) for k, v in self.timings.items()},
+            "bytes": self._stage_bytes(),
             **meta,
         }
         atomic_write_json(os.path.join(self.out_dir, "_MANIFEST.json"), summary)

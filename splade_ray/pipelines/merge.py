@@ -34,7 +34,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..codec import binary_concat, varint_decode
+from ..codec import binary_concat, varint_decode, write_index_table
 from ..config import EngineConfig, DEFAULT_CONFIG
 from ..stages.encode import cached_ref
 from ..stages.postings import encode_shard_postings, _lineage_row
@@ -369,7 +369,7 @@ def merge_segments(
     if del_arr is None or not items:
         # purging merges overwrite vocab/meta with survivor stats below —
         # writing the pre-purge versions first would be a wasted full write
-        pq.write_table(pa.Table.from_pandas(merged, preserve_index=False), os.path.join(stats_dir, "vocab.parquet"))
+        write_index_table(pa.Table.from_pandas(merged, preserve_index=False), os.path.join(stats_dir, "vocab.parquet"))
         atomic_write_json(os.path.join(stats_dir, "meta.json"), meta)
 
     remaps_ref = ray.put(remaps)
@@ -406,9 +406,7 @@ def merge_segments(
         meta["avgdl"] = (sum_dl / n_docs) if n_docs else 0.0
         meta["nnz"] = int(df_new.sum())
         meta["purged_deletes"] = len(del_set)
-        pq.write_table(
-            pa.Table.from_pandas(merged, preserve_index=False), os.path.join(stats_dir, "vocab.parquet")
-        )
+        write_index_table(pa.Table.from_pandas(merged, preserve_index=False), os.path.join(stats_dir, "vocab.parquet"))
         atomic_write_json(os.path.join(stats_dir, "meta.json"), meta)
         if key_df is not None:
             key_df = df_new

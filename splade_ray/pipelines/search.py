@@ -1812,6 +1812,12 @@ class IndexReader(QueryFront):
         else:
             self._doc_index = np.zeros(0, np.int64)
             self._url_arr = pa.array([], type=pa.string())
+        # zero-copy views of the url column's offsets and bytes: a hit's
+        # url is one slice + decode, not an Arrow scalar
+        arr = self._url_arr
+        off_type = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+        self._url_offs = np.frombuffer(arr.buffers()[1], dtype=off_type, count=arr.offset + len(arr) + 1)[arr.offset :]
+        self._url_data = memoryview(arr.buffers()[2])
 
     @property
     def reader(self) -> "IndexReader":
@@ -2166,17 +2172,19 @@ class IndexReader(QueryFront):
 
     def url_of(self, doc_id):
         """Url of one internal doc id, or the list of urls of an array of
-        ids (one searchsorted for the whole array; per-position scalar
-        reads, which beat an Arrow ``take`` + ``to_pylist`` at top-k
-        sizes).  Raises ``KeyError`` on an id the loaded shards do not
-        hold."""
+        ids (one searchsorted for the whole array, then one slice of the
+        url bytes per id).  Raises ``KeyError`` on an id the loaded shards
+        do not hold."""
         ids = np.atleast_1d(np.asarray(doc_id, dtype=np.int64))
         pos = np.searchsorted(self._doc_index, ids)
         hit = pos < self._doc_index.size
         hit[hit] = self._doc_index[pos[hit]] == ids[hit]
         if not hit.all():
             raise KeyError(int(ids[~hit][0]))
-        urls = [self._url_arr[p].as_py() for p in pos.tolist()]
+        data, offs = self._url_data, self._url_offs
+        urls = [data[a:b].tobytes().decode() for a, b in zip(offs[pos].tolist(), offs[pos + 1].tolist())]
+        if self._url_arr.null_count:  # a null url reads as None
+            urls = [u if self._url_arr[p].is_valid else None for u, p in zip(urls, pos.tolist())]
         return urls if np.ndim(doc_id) else urls[0]
 
     def term_ids_of(self, toks: list[str]) -> list[int]:

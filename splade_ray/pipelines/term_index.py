@@ -37,7 +37,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..codec import binary_concat, varint_decode, varint_encode
+from ..codec import binary_concat, varint_decode, varint_encode, write_index_dataset
 from ..config import EngineConfig, DEFAULT_CONFIG
 from ..functions.hashing import splitmix64
 from ..oracle import bm25_idf
@@ -160,7 +160,7 @@ def build_term_index(
     os.makedirs(out_dir, exist_ok=True)
     # write_parquet appends; clear any half-written runs from a prior crash
     shutil.rmtree(os.path.join(out_dir, "runs"), ignore_errors=True)
-    (
+    runs = (
         ray.data.read_parquet(doc_terms_dir)
         .map_batches(
             map_term_ids,
@@ -172,18 +172,15 @@ def build_term_index(
         .map_batches(_run_bucket, batch_format="pyarrow")
         .groupby("run_bucket")
         .map_groups(build_runs_in_bucket, batch_format="pyarrow")
-        .write_parquet(os.path.join(out_dir, "runs"))
     )
+    write_index_dataset(runs, os.path.join(out_dir, "runs"))
     # dl sidecar: (doc_id, dl) only — the BM25 length normalization a
     # reader needs at open, WITHOUT re-scanning doc_terms (whose tids/tfs
     # lists are ~50x the bytes) or staging the corpus-sized dense array
     # through the driver.  Streamed shard-parallel; readers scatter-fill
     # their dense slice worker-side (per-doc-range chunks at 10^10 docs).
     shutil.rmtree(os.path.join(out_dir, "dl"), ignore_errors=True)
-    (
-        ray.data.read_parquet(doc_terms_dir, columns=["doc_id", "dl"])
-        .write_parquet(os.path.join(out_dir, "dl"))
-    )
+    write_index_dataset(ray.data.read_parquet(doc_terms_dir, columns=["doc_id", "dl"]), os.path.join(out_dir, "dl"))
     summary = {
         "n_docs": meta["n_docs"],
         "avgdl": meta["avgdl"],

@@ -31,22 +31,12 @@ import zlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray
 
-from ..codec import varint_encode
+from ..codec import varint_encode, varint_lengths, write_index_table
 from ..config import EngineConfig
 from ..state.lineage import atomic_write_json, shard_is_valid, shard_manifest_path
-
-_MAX_BYTES = 5
-
-
-def _varint_lengths(v: np.ndarray) -> np.ndarray:
-    nbytes = np.ones(v.shape, dtype=np.int64)
-    for k in range(1, _MAX_BYTES):
-        nbytes += (v >= (1 << (7 * k))).astype(np.int64)
-    return nbytes
 
 
 def _binary_from_segments(data: bytes, byte_offsets: np.ndarray) -> pa.Array:
@@ -242,8 +232,8 @@ def encode_shard_postings(
         deltas[0] = d[0]
         np.subtract(d[1:], d[:-1], out=deltas[1:].view(np.int64), casting="unsafe")
         deltas[seg_starts] = d[seg_starts]
-    doc_bytes = varint_encode(deltas)
-    doc_lens = _varint_lengths(deltas)
+    doc_lens = varint_lengths(deltas)
+    doc_bytes = varint_encode(deltas, doc_lens)
     doc_offs = np.zeros(n_terms + 1, dtype=np.int64)
     if nnz:
         doc_offs[1:] = np.cumsum(np.add.reduceat(doc_lens, seg_starts))
@@ -251,8 +241,8 @@ def encode_shard_postings(
 
     if weight_mode == "tf":
         tf_u = p_vals.astype(np.uint64)
-        val_bytes = varint_encode(tf_u)
-        tf_lens = _varint_lengths(tf_u)
+        tf_lens = varint_lengths(tf_u)
+        val_bytes = varint_encode(tf_u, tf_lens)
         val_offs = np.zeros(n_terms + 1, dtype=np.int64)
         if nnz:
             val_offs[1:] = np.cumsum(np.add.reduceat(tf_lens, seg_starts))
@@ -286,7 +276,7 @@ def encode_shard_postings(
     checksum = zlib.crc32(doc_bytes) ^ zlib.crc32(val_bytes)
     for fname, tbl in ((post_file, postings_tbl), (docs_file, docs_tbl)):
         tmp = os.path.join(postings_dir, f".tmp-{fname}.{os.getpid()}")
-        pq.write_table(tbl, tmp)
+        write_index_table(tbl, tmp)
         os.replace(tmp, os.path.join(postings_dir, fname))
     rec = {
         "part_id": shard_id,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splade_ray.codec import delta_decode, delta_encode, varint_decode, varint_encode
+from splade_ray.codec import delta_decode, delta_encode, varint_decode, varint_encode, varint_lengths
 
 
 def test_varint_boundaries():
@@ -136,3 +136,48 @@ def test_decoder_rejects_values_over_five_bytes():
     assert reference_varint_decode(data).tolist() == [1, 7]  # high group dropped
     with pytest.raises(ValueError, match="value 0 is longer than the 5-byte cap"):
         varint_decode(data)
+
+
+# -- varint length rule and the index table writer --------------------------
+
+
+def test_varint_lengths_match_encoding():
+    vals = np.array([0, 127, 128, 16383, 16384, 2**21, 2**28, 2**35 - 1], dtype=np.uint64)
+    lens = varint_lengths(vals)
+    assert lens.tolist() == [1, 1, 2, 2, 3, 4, 5, 5]
+    assert varint_encode(vals, lens) == varint_encode(vals)
+    assert len(varint_encode(vals)) == int(lens.sum())
+    with pytest.raises(ValueError, match="5-byte cap"):
+        varint_lengths(np.array([2**35], dtype=np.uint64))
+
+
+def test_write_index_table_encodings(tmp_path):
+    """Ascending flat integer columns are delta-bit-packed without a
+    dictionary; every other column — nested list leaves included — keeps
+    its dictionary pages; pages are zstd; the table round-trips."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from splade_ray.codec import write_index_table
+
+    n = 50
+    tbl = pa.table(
+        {
+            "local_id": pa.array(np.arange(n, dtype=np.int32)),
+            "doc_id": pa.array(np.arange(n, dtype=np.int64) + 1000),
+            "dl": pa.array((np.arange(n) * 7919 % 13).astype(np.int32)),
+            "url": pa.array([f"u{i % 5}" for i in range(n)]),
+            "fwd": pa.array([[1, 2, 3]] * n, type=pa.list_(pa.uint64())),
+            "gaps": pa.array([None] + list(range(1, n)), type=pa.int64()),
+        }
+    )
+    path = str(tmp_path / "t.parquet")
+    write_index_table(tbl, path)
+    assert pq.read_table(path).equals(tbl)
+    md = pq.ParquetFile(path).metadata.row_group(0)
+    enc = {md.column(i).path_in_schema: set(md.column(i).encodings) for i in range(md.num_columns)}
+    assert {md.column(i).compression for i in range(md.num_columns)} == {"ZSTD"}
+    for col in ("local_id", "doc_id"):
+        assert "DELTA_BINARY_PACKED" in enc[col] and "RLE_DICTIONARY" not in enc[col], col
+    for col in ("dl", "url", "fwd.list.element", "gaps"):  # unordered, string, nested, nulls
+        assert "RLE_DICTIONARY" in enc[col] and "DELTA_BINARY_PACKED" not in enc[col], col

@@ -483,3 +483,27 @@ def test_loader_rejects_fwd_stream_dl_mismatch(small_pages, tmp_path):
     docs = docs.set_column(docs.schema.get_field_index("dl"), "dl", pa.array(dl, docs.schema.field("dl").type))
     with pytest.raises(ValueError, match="fwd stream / dl mismatch"):
         ShardIndex.consolidated([(post, docs)], reader.df, reader.n_docs, reader.avgdl, cfg)
+
+
+def test_url_of_reads_every_url_and_null(ray_session, tmp_path):
+    """``url_of`` slices the url column's bytes: every doc's url equals the
+    Arrow column's value, and a null url (a broadcast-dedup build keeps
+    it) reads as ``None``."""
+    n = 40
+    corpus = pa.table(
+        {
+            "url": pa.array([None] + [f"https://example.com/é/{i:03d}" for i in range(1, n)]),
+            "warc_ts": pa.array(np.arange(n, dtype=np.int64) * 1000, type=pa.timestamp("us")),
+            "text": pa.array([f"alpha beta w{i % 7}" for i in range(n)]),
+            "lang": pa.array(["en"] * n),
+        }
+    )
+    pq.write_table(corpus, str(tmp_path / "c.parquet"))
+    cfg = EngineConfig(shard_size=16, num_buckets=4, dedup_mode="broadcast")
+    reader = IndexReader(_build(str(tmp_path / "c.parquet"), str(tmp_path / "idx"), cfg), cfg)
+    want = reader._url_arr.to_pylist()
+    assert reader.url_of(reader._doc_index) == want
+    assert sorted(want, key=str) == sorted(corpus.column("url").to_pylist(), key=str)
+    assert reader.url_of(int(reader._doc_index[want.index(None)])) is None
+    with pytest.raises(KeyError):
+        reader.url_of(n + 5)
