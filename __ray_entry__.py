@@ -17,6 +17,178 @@ from typing import Any
 
 # one shared tokenizer expression so engine regex and SQL stay in lockstep
 _TOK_SQL = "list_filter(regexp_split_to_array(lower({col}), '[^a-z0-9]+'), x -> x <> '')"
+_DOC_TOKS = _TOK_SQL.format(col="text")
+
+# Oracle SQL fragments: the CTEs many oracles share, each written once.
+# They are plain SQL text and import no engine scoring code (an oracle is
+# worth something only while it is independent of the engine).  A fragment
+# is whole lines with no leading or trailing newline; every composed oracle
+# is pinned byte for byte by tests/test_oracle_pins.py.
+
+
+def _query_terms(values: str, compact: bool = False) -> str:
+    """qset (the query table), qterms (its tokens) and qtf (per-query term
+    frequency)."""
+    toks = f"SELECT query_id, unnest({_TOK_SQL.format(col='qtext')}) AS term FROM qset"
+    qterms = f"qterms AS ({toks})," if compact else f"qterms AS (\n  {toks}\n),"
+    return f"""qset(query_id, qtext) AS (VALUES {values}),
+{qterms}
+qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),"""
+
+
+_TF_DL = """tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
+dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),"""
+
+
+def _corpus(src: str = "documents", lists: bool = False) -> str:
+    """toks (one row per token of ``src``.text), tf and dl; ``lists`` also
+    keeps each doc's token list as toksl for positional joins."""
+    if lists:
+        toks = (f"toksl AS (SELECT doc_id, {_DOC_TOKS} AS l FROM {src}),\n"
+                "toks AS (SELECT doc_id, unnest(l) AS term FROM toksl),")
+    else:
+        toks = f"toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM {src}),"
+    return f"{toks}\n{_TF_DL}"
+
+
+_BM25_STATS = """stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
+df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),"""
+
+
+def _bm25_scores(name: str = "scores", pmatch: bool = False) -> str:
+    """Σ qtf · BM25(k1=1.2, b=0.75) per (query, doc); ``pmatch`` keeps only
+    the docs a positional match CTE named pmatch selected."""
+    match = "\n  JOIN pmatch m ON m.query_id = q.query_id AND m.doc_id = tf.doc_id" if pmatch else ""
+    return f"""{name} AS (
+  SELECT q.query_id, tf.doc_id,
+         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
+             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
+  FROM qtf q
+  JOIN tf ON tf.term = q.term{match}
+  JOIN df ON df.term = q.term
+  JOIN dl ON dl.doc_id = tf.doc_id
+  CROSS JOIN stats s
+  GROUP BY q.query_id, tf.doc_id
+),"""
+
+
+# expanded-OR BM25: every term of `expand` (query_id, term, df) scores with
+# unit query weight and its own idf
+_BM25_EXPAND_SCORES = """scores AS (
+  SELECT e.query_id, tf.doc_id,
+         sum(ln(1 + (s.n_docs - e.df + 0.5) / (e.df + 0.5))
+             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
+  FROM expand e
+  JOIN tf ON tf.term = e.term
+  JOIN dl ON dl.doc_id = tf.doc_id
+  CROSS JOIN stats s
+  GROUP BY e.query_id, tf.doc_id
+),"""
+
+
+def _ranked_cte(digits: int = 9, src: str = "scores", name: str = "ranked") -> str:
+    """Per-query rank by score desc, doc id asc.  Scores compare rounded to
+    ``digits`` so DuckDB's parallel float sums cannot flip tied docs."""
+    return f"""{name} AS (
+  SELECT query_id, doc_id, score,
+         row_number() OVER (PARTITION BY query_id ORDER BY round(score, {digits}) DESC, doc_id ASC) AS rank
+  FROM {src}
+)"""
+
+
+def _top_rows(k: int = 10, sep: str = "\n", name: str = "ranked") -> str:
+    """The contract's ranked rows: (query_id, rank, doc_id, score_r) to k."""
+    return f"SELECT query_id, rank, doc_id, round(score, 6) AS score_r{sep}FROM {name} WHERE rank <= {k}"
+
+
+def _ranked_tail(k: int = 10, digits: int = 9, src: str = "scores", sep: str = "\n", name: str = "ranked") -> str:
+    """The ranked CTE and its top-k rows: the tail of every top-k oracle."""
+    return f"{_ranked_cte(digits, src, name)}\n{_top_rows(k, sep, name)}"
+
+
+# a gap-free calendar-day axis over [b.lo, b.hi]
+_DAY_AXIS = """axis AS (
+  SELECT CAST(unnest(generate_series(CAST((SELECT lo FROM b) AS TIMESTAMP),
+                                     CAST((SELECT hi FROM b) AS TIMESTAMP),
+                                     INTERVAL 1 DAY)) AS DATE) AS day
+),"""
+# events counted per calendar day (c), their day range (b) and the axis
+_DAILY_EVENTS = f"""c AS (SELECT CAST(date_trunc('day', ts) AS DATE) AS day, count(*)::BIGINT AS n FROM events GROUP BY 1),
+b AS (SELECT min(day) AS lo, max(day) AS hi FROM c),
+{_DAY_AXIS}"""
+
+
+def _link_edges(name: str = "e0") -> str:
+    """The link fixture: two out-links per doc, to (3·id + 1) mod n and
+    (7·id + 2) mod n (n from a CTE named nn); self-links are not dropped."""
+    return f"""{name} AS (
+  SELECT doc_id AS src, (doc_id * 3 + 1) % (SELECT n FROM nn) AS dst FROM documents
+  UNION ALL
+  SELECT doc_id, (doc_id * 7 + 2) % (SELECT n FROM nn) FROM documents
+),"""
+
+
+# exact-cosine rescore of the coarse top 30 (cand: query_vec_id, vec_id,
+# qe, de, coarse, crank), ranked to 10
+_VEC_RESCORE = """resc AS (
+  SELECT query_vec_id, vec_id, coarse, list_cosine_similarity(qe, de) AS score
+  FROM cand WHERE crank <= 30
+),
+ranked AS (
+  SELECT query_vec_id, vec_id, coarse, score,
+         row_number() OVER (PARTITION BY query_vec_id ORDER BY round(score, 9) DESC, vec_id ASC) AS rank
+  FROM resc
+)
+SELECT query_vec_id, rank, vec_id, round(coarse, 6) AS coarse_r, round(score, 6) AS score_r
+FROM ranked WHERE rank <= 10 ORDER BY query_vec_id, rank"""
+
+# each doc's token list (toks.l) and one row per token with its position
+_TOKEN_POSITIONS = f"""toks AS (SELECT doc_id, {_DOC_TOKS} AS l FROM documents),
+flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),"""
+# ... and each token's md5_number_lower hash, the rolling-hash input
+_TOKEN_HASHES = f"""{_TOKEN_POSITIONS}
+h AS (SELECT doc_id, i, CAST(md5_number_lower(tok) AS HUGEINT) AS th FROM flat),"""
+
+
+def _chunks(toks: str, name: str) -> str:
+    """Window-16, stride-12 token chunks of ``toks`` (doc_id, ts), as
+    ``name`` (doc_id, chunk_idx, ct); an empty doc has no chunk."""
+    return f"""base AS (
+  SELECT doc_id, ts, len(ts) AS n,
+         CASE WHEN len(ts) = 0 THEN 0
+              ELSE 1 + CAST(ceil(greatest(len(ts) - 16, 0) / 12.0) AS INT) END AS n_chunks
+  FROM {toks}
+),
+idx AS (SELECT doc_id, ts, n, unnest(generate_series(0, n_chunks - 1)) AS chunk_idx FROM base),
+{name} AS (SELECT doc_id, chunk_idx, ts[chunk_idx*12 + 1 : least(chunk_idx*12 + 16, n)] AS ct FROM idx)"""
+
+
+# language-model similarities: total tokens and collection frequency
+_LM_STATS = """stats AS (SELECT (SELECT sum(dl) FROM dl) AS t_tokens),
+cf AS (SELECT term, sum(tf) AS cf FROM tf GROUP BY term),"""
+
+
+def _similarity_sql(values: str, stats: str, freq: str, score: str, clamp: bool = False) -> str:
+    """A read-time similarity oracle: ``score`` (a ``sum(...)`` over qtf q,
+    tf, the ``freq`` table, dl and ``stats`` s) per (query, doc) over the
+    standard corpus, ranked on 6 digits; ``clamp`` keeps positive sums only."""
+    having = f"\n  HAVING {score} > 0" if clamp else ""
+    return f"""
+WITH {_query_terms(values)}
+{_corpus()}
+{stats}
+scores AS (
+  SELECT q.query_id, tf.doc_id,
+         {score} AS score
+  FROM qtf q
+  JOIN tf ON tf.term = q.term
+  JOIN {freq} ON {freq}.term = q.term
+  JOIN dl ON dl.doc_id = tf.doc_id
+  CROSS JOIN stats s
+  GROUP BY q.query_id, tf.doc_id{having}
+),
+{_ranked_tail(digits=6)}
+"""
 
 
 def entry() -> Any:
@@ -667,16 +839,15 @@ def oracle_sql() -> dict[str, str]:
     )
     from splade_ray.pipelines.textops import LANG_PROFILES
 
-    doc_toks = _TOK_SQL.format(col="text")
-
     def _stop_list(lang: str) -> str:
         return ", ".join(f"'{w}'" for w in sorted(LANG_PROFILES[lang]))
 
     def _lang_score(lang: str) -> str:
         return f"len(list_filter(toks, x -> x IN ({_stop_list(lang)})))::DOUBLE / greatest(len(toks), 1)"
 
-    _LANG_ID_SQL = f"""
-WITH base AS (SELECT doc_id, coalesce(text, '') AS t FROM documents),
+    # stopword-profile language id: the profile CTEs (base, m, s) and the
+    # lang_pred election shared by lang_id_preds and doc_language_confidence
+    lang_ctes = f"""WITH base AS (SELECT doc_id, coalesce(text, '') AS t FROM documents),
 m AS (
   SELECT doc_id, length(t) AS nchar,
          length(t) - length(regexp_replace(t, '[가-힯]', '', 'g')) AS n_hangul,
@@ -689,9 +860,8 @@ s AS (
          {_lang_score('en')} AS s_en, {_lang_score('de')} AS s_de,
          {_lang_score('es')} AS s_es, {_lang_score('fr')} AS s_fr
   FROM m
-)
-SELECT doc_id,
-  CASE
+)"""
+    lang_pred = """  CASE
     WHEN nchar > 0 AND (n_hangul + n_han)::DOUBLE / greatest(nchar, 1) > 0.1
       THEN CASE WHEN n_hangul >= n_han THEN 'ko' ELSE 'zh' END
     WHEN n_tok = 0 THEN 'und'
@@ -700,7 +870,11 @@ SELECT doc_id,
     WHEN s_de >= s_es AND s_de >= s_fr THEN 'de'
     WHEN s_es >= s_fr THEN 'es'
     ELSE 'fr'
-  END AS lang_pred
+  END AS lang_pred"""
+    _LANG_ID_SQL = f"""
+{lang_ctes}
+SELECT doc_id,
+{lang_pred}
 FROM s ORDER BY doc_id
 """
     bm25_values = ", ".join(f"('{qid}', '{text}')" for qid, text in BM25_QUERIES)
@@ -712,7 +886,19 @@ FROM s ORDER BY doc_id
         PREFIX_QUERIES,
         SPAN_QUERIES,
     )
-    from splade_ray.pipelines.queries import _FIELD_TITLE_TOKS as queries_mod_title_toks
+    from splade_ray.pipelines.queries import _FIELD_TITLE_TOKS as title_toks
+
+    # the title (first tokens) / body (the rest) split of each doc, with
+    # per-field tf and dl — shared by the multi-field BM25 oracles
+    field_ctes = f"""base AS (SELECT doc_id, {_DOC_TOKS} AS l FROM documents),
+f AS (
+  SELECT doc_id, 'title' AS field, l[1:{title_toks}] AS fl FROM base
+  UNION ALL
+  SELECT doc_id, 'body', l[{title_toks + 1}:] FROM base
+),
+ftoks AS (SELECT doc_id, field, unnest(fl) AS term FROM f),
+ftf AS (SELECT field, doc_id, term, count(*)::DOUBLE AS tf FROM ftoks GROUP BY 1, 2, 3),
+fdl AS (SELECT field, doc_id, len(fl)::DOUBLE AS dl FROM f),"""
 
     phrase_values = ", ".join(f"('{qid}', '{text}')" for qid, text in PHRASE_QUERIES)
     # query_string clause table: generated through the ENGINE's parser so
@@ -771,32 +957,11 @@ FROM s ORDER BY doc_id
     adj_values = ", ".join(f"('{n}', '{t}', {m})" for n, t, m in ADJ_FILTERS)
     # shared CTE chain: tokenized corpus + BM25 ranking + conjunctive qrels
     bm25_ctes = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-),
+WITH {_query_terms(bm25_values)}
+{_corpus()}
+{_BM25_STATS}
+{_bm25_scores()}
+{_ranked_cte()},
 nq AS (SELECT query_id, count(DISTINCT term) AS n_terms FROM qterms GROUP BY query_id),
 qrels AS (
   SELECT m.query_id, m.doc_id
@@ -805,13 +970,9 @@ qrels AS (
   JOIN nq ON nq.query_id = m.query_id
   WHERE m.matched = nq.n_terms
 )"""
-    bm25 = (
-        bm25_ctes
-        + """
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+    bm25 = f"""{bm25_ctes}
+{_top_rows()}
 """
-    )
     # neural (hash-expansion) retrieval: join doc tokens to the sidecar
     # model table, replay max-pool → per-doc top-k sparsify → f32 impact
     # storage → doc-only BoW scoring.  OOV query tokens still hash to an
@@ -828,7 +989,7 @@ qbow AS (
   FROM qtoks q JOIN exp e ON e.term = q.t AND e.j = 0
   GROUP BY 1, 2
 ),
-dtoks AS (SELECT DISTINCT doc_id, t FROM (SELECT doc_id, unnest({doc_toks}) AS t FROM documents)),
+dtoks AS (SELECT DISTINCT doc_id, t FROM (SELECT doc_id, unnest({_DOC_TOKS}) AS t FROM documents)),
 pooled AS (
   SELECT d.doc_id, e.tid, max(e.weight) AS w
   FROM dtoks d JOIN exp e ON e.term = d.t
@@ -846,13 +1007,7 @@ scores AS (
   FROM qbow q JOIN kept k ON k.tid = q.tid
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_ranked_tail()}
 """
     # analyzed BM25: the light_en chain (stop filter BEFORE the ordered
     # stem-rule chain — both defined once in splade_ray.tokenizer and
@@ -873,43 +1028,20 @@ WITH qset(query_id, qtext) AS (VALUES {an_values}),
 qraw AS (SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS t FROM qset),
 qterms AS (SELECT query_id, {_stem_sql('t')} AS term FROM qraw WHERE t NOT IN ({stop_sql})),
 qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-raw AS (SELECT doc_id, unnest({doc_toks}) AS t FROM documents),
+raw AS (SELECT doc_id, unnest({_DOC_TOKS}) AS t FROM documents),
 toks AS (SELECT doc_id, {_stem_sql('t')} AS term FROM raw WHERE t NOT IN ({stop_sql})),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_TF_DL}
+{_BM25_STATS}
+{_bm25_scores()}
+{_ranked_tail()}
 """
-    boolean_and = (
-        bm25_ctes
-        + """
+    boolean_and = f"""{bm25_ctes}
 SELECT query_id, doc_id FROM qrels ORDER BY query_id, doc_id
 """
-    )
     # filtered retrieval: the SAME corpus-wide BM25 scores (stats are the
     # full corpus's — the filter restricts candidates, not statistics,
     # exactly like a Lucene filter clause), re-ranked over lang='en' docs
-    bm25_filtered = (
-        bm25_ctes
-        + """
+    bm25_filtered = f"""{bm25_ctes}
 SELECT query_id, rank, doc_id, round(score, 6) AS score_r
 FROM (
   SELECT s.query_id, s.doc_id, s.score,
@@ -919,15 +1051,12 @@ FROM (
 )
 WHERE rank <= 10
 """
-    )
     # must_not: anti-join the excluded-term doc set out of the SAME scores
     # CTE (exclusion is non-scoring; survivors keep identical scores)
     from splade_ray.pipelines.queries import NOT_TERMS
 
     not_list = ", ".join(f"'{t}'" for t in NOT_TERMS)
-    bm25_not = (
-        bm25_ctes
-        + f"""
+    bm25_not = f"""{bm25_ctes}
 SELECT query_id, rank, doc_id, round(score, 6) AS score_r
 FROM (
   SELECT s.query_id, s.doc_id, s.score,
@@ -937,29 +1066,26 @@ FROM (
 )
 WHERE rank <= 10
 """
-    )
-    boolean_min = (
-        bm25_ctes
-        + """
+    boolean_min = f"""{bm25_ctes}
 SELECT m.query_id, m.doc_id
 FROM (SELECT q.query_id, t.doc_id, count(DISTINCT q.term) AS matched
       FROM qterms q JOIN tf t ON t.term = q.term GROUP BY 1, 2) m
 WHERE m.matched >= 2 ORDER BY query_id, doc_id
 """
-    )
     # hybrid sparse+dense fusion: BM25 top-20 + cosine top-20 (query i's
     # dense twin is embedding vec_id=i), RRF with the standard k0=60
     qmap_values = ", ".join(f"('{qid}', {i})" for i, (qid, _) in enumerate(BM25_QUERIES))
-    hybrid = (
-        bm25_ctes
-        + f""",
-sparse AS (SELECT query_id, doc_id, rank FROM ranked WHERE rank <= 20),
-qmap(query_id, qvec_id) AS (VALUES {qmap_values}),
+    # each BM25 query's dense twin (embedding vec_id = query ordinal) and its
+    # cosine to every embedding — hybrid_topk and linear_fusion_topk
+    dense_sim = f"""qmap(query_id, qvec_id) AS (VALUES {qmap_values}),
 qv AS (SELECT m.query_id, CAST(e.embedding AS DOUBLE[]) AS qe
        FROM qmap m JOIN embeddings e ON e.vec_id = m.qvec_id),
 dsim AS (SELECT q.query_id, e.vec_id AS doc_id,
                 list_cosine_similarity(q.qe, CAST(e.embedding AS DOUBLE[])) AS cs
-         FROM qv q CROSS JOIN embeddings e),
+         FROM qv q CROSS JOIN embeddings e),"""
+    hybrid = f"""{bm25_ctes},
+sparse AS (SELECT query_id, doc_id, rank FROM ranked WHERE rank <= 20),
+{dense_sim}
 dense AS (SELECT query_id, doc_id, rank FROM (
             SELECT query_id, doc_id,
                    row_number() OVER (PARTITION BY query_id ORDER BY round(cs, 9) DESC, doc_id ASC) AS rank
@@ -973,211 +1099,50 @@ franked AS (SELECT query_id, doc_id, rrf,
 SELECT query_id, rank, doc_id, round(rrf, 6) AS rrf_r
 FROM franked WHERE rank <= 10
 """
-    )
     # faceted counts: the disjunctive candidate set (>= 1 matched term)
     # aggregated per lang facet — the match-set aggregation, not top-k
-    facets = (
-        bm25_ctes
-        + """
+    facets = f"""{bm25_ctes}
 SELECT m.query_id, d.lang, count(*)::BIGINT AS n_docs
 FROM (SELECT DISTINCT q.query_id, t.doc_id FROM qterms q JOIN tf t ON t.term = q.term) m
 JOIN documents d ON d.doc_id = m.doc_id
 GROUP BY m.query_id, d.lang ORDER BY m.query_id, d.lang
 """
-    )
     # wildcard expansion: every vocab term with the prefix scores with unit
     # query weight and its OWN idf (expanded-OR / Lucene PrefixQuery)
     prefix_values = ", ".join(f"('{qid}', '{p}')" for qid, p in PREFIX_QUERIES)
     prefix_sql = f"""
 WITH pset(query_id, prefix) AS (VALUES {prefix_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus()}
+{_BM25_STATS}
 expand AS (SELECT p.query_id, d.term, d.df FROM pset p JOIN df d ON d.term LIKE p.prefix || '%'),
-scores AS (
-  SELECT e.query_id, tf.doc_id,
-         sum(ln(1 + (s.n_docs - e.df + 0.5) / (e.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM expand e
-  JOIN tf ON tf.term = e.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY e.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_BM25_EXPAND_SCORES}
+{_ranked_tail()}
 """
     # LM-Dirichlet (Zhai-Lafferty, Lucene LMDirichletSimilarity clamp):
     # per matched term qtf·max(0, ln(1 + tf·T/(mu·cf)) + ln(mu/(dl+mu))),
     # cf = collection frequency, T = total tokens, mu = 2000
-    lm_sql = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT sum(dl) FROM dl) AS t_tokens),
-cf AS (SELECT term, sum(tf) AS cf FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * greatest(0.0,
+    lm_sql = _similarity_sql(bm25_values, _LM_STATS, "cf", """sum(q.qtf * greatest(0.0,
              ln(1 + tf.tf * s.t_tokens / (2000.0 * cf.cf))
-             + ln(2000.0 / (dl.dl + 2000.0)))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN cf ON cf.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-  HAVING sum(q.qtf * greatest(0.0,
-             ln(1 + tf.tf * s.t_tokens / (2000.0 * cf.cf))
-             + ln(2000.0 / (dl.dl + 2000.0)))) > 0
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 6) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
-"""
+             + ln(2000.0 / (dl.dl + 2000.0))))""", clamp=True)
     # LM Jelinek-Mercer (Lucene LMJelinekMercerSimilarity, lambda=0.1):
     # per matched term qtf·ln(1 + (1-l)·tf·T/(l·cf·dl))
-    jm_sql = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT sum(dl) FROM dl) AS t_tokens),
-cf AS (SELECT term, sum(tf) AS cf FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + 0.9 * tf.tf * s.t_tokens / (0.1 * cf.cf * dl.dl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN cf ON cf.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 6) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
-"""
+    jm_sql = _similarity_sql(
+        bm25_values, _LM_STATS, "cf",
+        "sum(q.qtf * ln(1 + 0.9 * tf.tf * s.t_tokens / (0.1 * cf.cf * dl.dl)))",
+    )
     # Lucene ClassicSimilarity (pre-8 TF-IDF): per matched term
     # qtf·sqrt(tf)·(1+ln((N+1)/(df+1)))²/sqrt(dl) — exact 1/sqrt(dl)
     # length norm (the historical lossy byte norm is not the contract)
-    classic_sql = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * sqrt(tf.tf)
+    classic_sql = _similarity_sql(bm25_values, """stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs),
+df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),""", "df", """sum(q.qtf * sqrt(tf.tf)
              * pow(1 + ln((s.n_docs + 1) / (df.df + 1)), 2)
-             / sqrt(dl.dl)) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 6) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
-"""
-    dfr_sql = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf
+             / sqrt(dl.dl))""")
+    dfr_sql = _similarity_sql(bm25_values, _BM25_STATS, "df", """sum(q.qtf
              * (tf.tf * log2(1 + s.avgdl / dl.dl))
              * log2((s.n_docs + 1) / (df.df + 0.5))
-             / ((tf.tf * log2(1 + s.avgdl / dl.dl)) + 1)) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 6) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
-"""
-    ib_sql = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (tf.tf * log2(1 + s.avgdl / dl.dl))
-                            * (s.n_docs + 1) / (df.df + 1))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 6) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
-"""
+             / ((tf.tf * log2(1 + s.avgdl / dl.dl)) + 1))""")
+    ib_sql = _similarity_sql(bm25_values, _BM25_STATS, "df", """sum(q.qtf * ln(1 + (tf.tf * log2(1 + s.avgdl / dl.dl))
+                            * (s.n_docs + 1) / (df.df + 1)))""")
     # fuzzy expansion: every vocab term within classical Levenshtein
     # distance 1 scores with unit query weight and its OWN idf (expanded-OR
     # / Lucene FuzzyQuery) — DuckDB's levenshtein() replays the engine's
@@ -1185,43 +1150,18 @@ FROM ranked WHERE rank <= 10
     fuzzy_values = ", ".join(f"('{qid}', '{t}')" for qid, t in FUZZY_QUERIES)
     fuzzy_sql = f"""
 WITH fset(query_id, qterm) AS (VALUES {fuzzy_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus()}
+{_BM25_STATS}
 expand AS (SELECT f.query_id, d.term, d.df FROM fset f JOIN df d ON levenshtein(d.term, f.qterm) <= 1),
-scores AS (
-  SELECT e.query_id, tf.doc_id,
-         sum(ln(1 + (s.n_docs - e.df + 0.5) / (e.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM expand e
-  JOIN tf ON tf.term = e.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY e.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_BM25_EXPAND_SCORES}
+{_ranked_tail()}
 """
     # disjunction-max (Lucene DisMax, tie_breaker = 0.3): per doc the MAX
     # single-term contribution qtf·bm25(t) plus 0.3 × the rest
     dismax_sql = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+WITH {_query_terms(bm25_values)}
+{_corpus()}
+{_BM25_STATS}
 contrib AS (
   SELECT q.query_id, tf.doc_id,
          q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
@@ -1236,13 +1176,7 @@ scores AS (
   SELECT query_id, doc_id, max(c) + 0.3 * (sum(c) - max(c)) AS score
   FROM contrib GROUP BY query_id, doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_ranked_tail()}
 """
     # SynonymQuery: per (query, group) the member tfs SUM before the BM25
     # saturation, idf = blend over the group's max df; group scores add
@@ -1256,11 +1190,8 @@ FROM ranked WHERE rank <= 10
     )
     synonym_sql = f"""
 WITH yset(query_id, gid, term) AS (VALUES {syn_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus()}
+{_BM25_STATS}
 gdf AS (
   SELECT y.query_id, y.gid, max(df.df) AS dfb
   FROM yset y JOIN df ON df.term = y.term GROUP BY y.query_id, y.gid
@@ -1279,19 +1210,11 @@ scores AS (
   CROSS JOIN stats s
   GROUP BY g.query_id, g.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_ranked_tail()}
 """
     # explain: per-term breakdown of each query's top-1 doc; OOV /
     # unmatched terms emit zero rows via the LEFT JOINs
-    explain_sql = (
-        bm25_ctes
-        + """,
+    explain_sql = f"""{bm25_ctes},
 top1 AS (SELECT query_id, doc_id FROM ranked WHERE rank = 1),
 brk AS (
   SELECT q.query_id, t1.doc_id, q.term, CAST(q.qtf AS BIGINT) AS qtf,
@@ -1313,37 +1236,22 @@ SELECT query_id, doc_id, term, qtf, tf, df,
        round(idf, 6) AS idf_r, round(contrib, 6) AS contrib_r
 FROM brk
 """
-    )
-    # field collapsing: best BM25 hit per source, sources ranked by the
-    # winner's (-score, doc_id), top 5 per query
-    collapse_sql = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
+    # BM25 scores and each doc's rank rs within its (query, source) —
+    # the election input of collapse_topk and diversified_topk
+    per_source = f"""WITH {_query_terms(bm25_values)}
+{_corpus()}
+{_BM25_STATS}
+{_bm25_scores()}
 per_src AS (
   SELECT sc.query_id, d.source, sc.doc_id, sc.score,
          row_number() OVER (PARTITION BY sc.query_id, d.source
                             ORDER BY round(sc.score, 6) DESC, sc.doc_id ASC) AS rs
   FROM scores sc JOIN documents d ON d.doc_id = sc.doc_id
-),
+),"""
+    # field collapsing: best BM25 hit per source, sources ranked by the
+    # winner's (-score, doc_id), top 5 per query
+    collapse_sql = f"""
+{per_source}
 ranked AS (
   SELECT query_id, source, doc_id, score,
          row_number() OVER (PARTITION BY query_id ORDER BY round(score, 6) DESC, doc_id ASC) AS rank
@@ -1355,33 +1263,7 @@ FROM ranked WHERE rank <= 5
     # diversified_sampler: per-source cap of 2 (rs <= 2), survivors ranked
     # globally — same match-score CTEs as collapse, different election
     diversified_sql = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-per_src AS (
-  SELECT sc.query_id, d.source, sc.doc_id, sc.score,
-         row_number() OVER (PARTITION BY sc.query_id, d.source
-                            ORDER BY round(sc.score, 6) DESC, sc.doc_id ASC) AS rs
-  FROM scores sc JOIN documents d ON d.doc_id = sc.doc_id
-),
+{per_source}
 ranked AS (
   SELECT query_id, doc_id, source, score,
          row_number() OVER (PARTITION BY query_id ORDER BY round(score, 6) DESC, doc_id ASC) AS rank
@@ -1394,22 +1276,17 @@ FROM ranked WHERE rank <= 10
     # (rowid disambiguates the two versions of an updated doc), candidates
     # restricted to live rows (revision replaces its stale original)
     upsert_sql = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
+WITH {_query_terms(bm25_values)}
 f AS (
   SELECT doc_id, text, doc_id * 2 AS rowid, (doc_id % 10 != 0) AS live FROM documents
   UNION ALL
   SELECT doc_id, text || ' update revision pass' AS text, doc_id * 2 + 1 AS rowid, TRUE AS live
   FROM documents WHERE doc_id % 10 = 0
 ),
-toks AS (SELECT rowid, unnest({_TOK_SQL.format(col="text")}) AS term FROM f),
+toks AS (SELECT rowid, unnest({_DOC_TOKS}) AS term FROM f),
 tf AS (SELECT rowid, term, count(*)::DOUBLE AS tf FROM toks GROUP BY rowid, term),
 dl AS (SELECT rowid, count(*)::DOUBLE AS dl FROM toks GROUP BY rowid),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_BM25_STATS}
 scores AS (
   SELECT q.query_id, f.doc_id, tf.rowid,
          sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
@@ -1422,30 +1299,20 @@ scores AS (
   CROSS JOIN stats s
   GROUP BY q.query_id, f.doc_id, tf.rowid
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 6) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_ranked_tail(digits=6)}
 """
     # point-in-time: live view = upsert semantics at modulus 7 (union
     # corpus, stale tombstoned, frozen union stats); pit view = plain BM25
     # over the pre-mutation corpus — the pinned generation-1 commit point
     pit_sql = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
+WITH {_query_terms(bm25_values)}
 f AS (
   SELECT doc_id, text, doc_id * 2 AS rowid, (doc_id % 7 != 0) AS live FROM documents
   UNION ALL
   SELECT doc_id, text || ' point in time revision' AS text, doc_id * 2 + 1 AS rowid, TRUE AS live
   FROM documents WHERE doc_id % 7 = 0
 ),
-ltoks AS (SELECT rowid, unnest({_TOK_SQL.format(col="text")}) AS term FROM f),
+ltoks AS (SELECT rowid, unnest({_DOC_TOKS}) AS term FROM f),
 ltf AS (SELECT rowid, term, count(*)::DOUBLE AS tf FROM ltoks GROUP BY rowid, term),
 ldl AS (SELECT rowid, count(*)::DOUBLE AS dl FROM ltoks GROUP BY rowid),
 lstats AS (SELECT (SELECT count(*) FROM ldl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM ldl) AS avgdl),
@@ -1462,32 +1329,11 @@ lscores AS (
   CROSS JOIN lstats s
   GROUP BY q.query_id, f.doc_id, ltf.rowid
 ),
-lranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 6) DESC, doc_id ASC) AS rank
-  FROM lscores
-),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 6) DESC, doc_id ASC) AS rank
-  FROM scores
-)
+{_ranked_cte(6, "lscores", "lranked")},
+{_corpus()}
+{_BM25_STATS}
+{_bm25_scores()}
+{_ranked_cte(6)}
 SELECT 'live' AS view, query_id, rank, doc_id, round(score, 6) AS score_r
 FROM lranked WHERE rank <= 10
 UNION ALL
@@ -1496,39 +1342,16 @@ FROM ranked WHERE rank <= 10
 """
     # rank-feature boost: matched docs gain 0.5*ln(1 + n_chars/1000)
     boosted_sql = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
+WITH {_query_terms(bm25_values)}
+{_corpus()}
+{_BM25_STATS}
+{_bm25_scores()}
 boosted AS (
   SELECT sc.query_id, sc.doc_id,
          sc.score + 0.5 * ln(1 + d.n_chars / 1000.0) AS score
   FROM scores sc JOIN documents d ON d.doc_id = sc.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM boosted
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_ranked_tail(src="boosted")}
 """
     # distance_feature / field_value_factor: same BM25 chain as boosted_sql,
     # only the doc-value modifier differs (additive reciprocal decay vs
@@ -1552,7 +1375,7 @@ FROM ranked WHERE rank <= 10
     stats_values = ", ".join(f"('{t}')" for t in STATS_TERMS)
     term_stats_sql = f"""
 WITH tset(term) AS (VALUES {stats_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 tf AS (SELECT doc_id, term, count(*)::BIGINT AS tf FROM toks GROUP BY doc_id, term),
 agg AS (SELECT term, count(*)::BIGINT AS df, sum(tf)::BIGINT AS cf FROM tf GROUP BY term)
 SELECT t.term, coalesce(a.df, 0)::BIGINT AS df, coalesce(a.cf, 0)::BIGINT AS cf
@@ -1564,7 +1387,7 @@ WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
 qterms AS (
   SELECT DISTINCT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
 ),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 dl AS (SELECT doc_id, count(*)::BIGINT AS dl FROM toks GROUP BY doc_id),
 matched AS (
   SELECT DISTINCT q.query_id, t.doc_id
@@ -1609,29 +1432,11 @@ SELECT min(doc_id) AS doc_id FROM cand GROUP BY text ORDER BY doc_id
     )
     wildcard_sql = f"""
 WITH wset(query_id, pat) AS (VALUES {wildcard_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus()}
+{_BM25_STATS}
 expand AS (SELECT w.query_id, d.term, d.df FROM wset w JOIN df d ON d.term LIKE w.pat ESCAPE '\'),
-scores AS (
-  SELECT e.query_id, tf.doc_id,
-         sum(ln(1 + (s.n_docs - e.df + 0.5) / (e.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM expand e
-  JOIN tf ON tf.term = e.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY e.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_BM25_EXPAND_SCORES}
+{_ranked_tail()}
 """
     # boosting query: positive-clause BM25, multiplied by negative_boost on
     # docs matching any negative-clause term
@@ -1645,23 +1450,10 @@ WITH bset(query_id, ptext, ntext, nb) AS (VALUES {boosting_values}),
 pterms AS (SELECT query_id, unnest({_TOK_SQL.format(col="ptext")}) AS term FROM bset),
 qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM pterms GROUP BY query_id, term),
 nterms AS (SELECT DISTINCT query_id, unnest({_TOK_SQL.format(col="ntext")}) AS term FROM bset),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus()}
+{_BM25_STATS}
 negdoc AS (SELECT DISTINCT n.query_id, tf.doc_id FROM nterms n JOIN tf ON tf.term = n.term),
-scores0 AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
+{_bm25_scores("scores0")}
 scores AS (
   SELECT s0.query_id, s0.doc_id,
          s0.score * CASE WHEN nd.doc_id IS NOT NULL THEN b.nb ELSE 1.0 END AS score
@@ -1669,13 +1461,7 @@ scores AS (
   JOIN bset b ON b.query_id = s0.query_id
   LEFT JOIN negdoc nd ON nd.query_id = s0.query_id AND nd.doc_id = s0.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_ranked_tail()}
 """
     # span_first: term at token position < end, single-term BM25 ranking
     from splade_ray.pipelines.queries import SPAN_FIRST_QUERIES
@@ -1685,12 +1471,8 @@ FROM ranked WHERE rank <= 10
     )
     span_first_sql = f"""
 WITH fset(query_id, term, pend) AS (VALUES {span_first_values}),
-toksl AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-toks AS (SELECT doc_id, unnest(l) AS term FROM toksl),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus(lists=True)}
+{_BM25_STATS}
 flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toksl),
 fmatch AS (
   SELECT DISTINCT f.query_id, f.term, fl.doc_id
@@ -1706,13 +1488,7 @@ scores AS (
   JOIN dl ON dl.doc_id = m.doc_id
   CROSS JOIN stats s
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_ranked_tail()}
 """
     # terms_set: per-doc minimum = 1 + (n_chars mod 3); unit-weight
     # expanded-OR BM25 over the set terms the doc holds
@@ -1723,11 +1499,8 @@ FROM ranked WHERE rank <= 10
     )
     terms_set_sql = f"""
 WITH tset(query_id, term) AS (VALUES {terms_set_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus()}
+{_BM25_STATS}
 matched AS (
   SELECT t.query_id, tf.doc_id, count(DISTINCT t.term) AS n_matched
   FROM tset t JOIN tf ON tf.term = t.term GROUP BY 1, 2
@@ -1753,34 +1526,15 @@ ranked AS (
          row_number() OVER (PARTITION BY s.query_id ORDER BY round(s.score, 9) DESC, s.doc_id ASC) AS rank
   FROM scores s JOIN keep k ON k.query_id = s.query_id AND k.doc_id = s.doc_id
 )
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_top_rows()}
 """
     regexp_sql = f"""
 WITH xset(query_id, pat) AS (VALUES {regexp_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus()}
+{_BM25_STATS}
 expand AS (SELECT x.query_id, d.term, d.df FROM xset x JOIN df d ON regexp_full_match(d.term, x.pat)),
-scores AS (
-  SELECT e.query_id, tf.doc_id,
-         sum(ln(1 + (s.n_docs - e.df + 0.5) / (e.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM expand e
-  JOIN tf ON tf.term = e.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY e.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_BM25_EXPAND_SCORES}
+{_ranked_tail()}
 """
     # more-like-this: the seed doc's 5 highest-tf·idf terms (term-asc tie
     # break — the engine's selection is the same deterministic window) run
@@ -1790,11 +1544,8 @@ FROM ranked WHERE rank <= 10
     mlt_values = ", ".join(f"('{qid}', {doc})" for qid, doc in MLT_SEEDS)
     mlt_sql = f"""
 WITH mset(query_id, seed_doc) AS (VALUES {mlt_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus()}
+{_BM25_STATS}
 sel AS (
   SELECT m.query_id, m.seed_doc, tf.term,
          row_number() OVER (PARTITION BY m.query_id
@@ -1814,13 +1565,7 @@ scores AS (
   WHERE tf.doc_id != q.seed_doc
   GROUP BY q.query_id, tf.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_ranked_tail()}
 """
     # purge merge: segments + tombstones (every 9th doc) + purging merge
     # == BM25 recomputed from scratch over the SURVIVING corpus (df/N/
@@ -1828,35 +1573,23 @@ FROM ranked WHERE rank <= 10
     assert bm25_ctes.count("FROM documents)") == 1
     bm25_purged = (
         bm25_ctes.replace("FROM documents)", "FROM documents WHERE doc_id % 9 != 0)")
-        + """
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+        + f"""
+{_top_rows()}
 """
     )
     # tombstone deletes: the engine removes each query's unfiltered top-1
     # url; the oracle drops the SAME doc set from the scores CTE and
     # re-ranks — remaining scores identical (stats untouched by deletes)
-    bm25_deleted = (
-        bm25_ctes
-        + """
+    bm25_deleted = f"""{bm25_ctes}
 , del AS (SELECT DISTINCT doc_id FROM ranked WHERE rank = 1),
-ranked2 AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores WHERE doc_id NOT IN (SELECT doc_id FROM del)
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked2 WHERE rank <= 10
+{_ranked_tail(src="scores WHERE doc_id NOT IN (SELECT doc_id FROM del)", name="ranked2")}
 """
-    )
     # snippet extraction over the BM25 top-5: best 12-token window by
     # query-term occurrence positions, earliest start on ties
-    snippets = (
-        bm25_ctes
-        + f"""
+    snippets = f"""{bm25_ctes}
 , topk AS (SELECT query_id, doc_id, rank FROM ranked WHERE rank <= 5),
 qdist AS (SELECT DISTINCT query_id, term FROM qterms),
-dtoks AS (SELECT doc_id, {doc_toks} AS l FROM documents WHERE doc_id IN (SELECT doc_id FROM topk)),
+dtoks AS (SELECT doc_id, {_DOC_TOKS} AS l FROM documents WHERE doc_id IN (SELECT doc_id FROM topk)),
 flat2 AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM dtoks),
 wl AS (SELECT doc_id, len(l) AS n FROM dtoks),
 starts AS (
@@ -1883,10 +1616,7 @@ SELECT b.query_id, b.rank, b.doc_id, b.s AS start_tok, CAST(b.n_hits AS BIGINT) 
 FROM best b JOIN dtoks d USING (doc_id)
 WHERE b.rn = 1 ORDER BY b.query_id, b.rank
 """
-    )
-    metrics_at10 = (
-        bm25_ctes
-        + """
+    metrics_at10 = f"""{bm25_ctes}
 , nrel AS (SELECT query_id, count(*) AS n_rel FROM qrels GROUP BY 1),
 hits AS (
   SELECT r.query_id, r.rank, CASE WHEN q.doc_id IS NOT NULL THEN 1 ELSE 0 END AS rel
@@ -1912,7 +1642,66 @@ SELECT p.query_id,
 FROM per p JOIN nrel n USING (query_id) JOIN idcg i USING (query_id)
 ORDER BY p.query_id
 """
-    )
+    # per-doc curation signals (token count, distinct and stopword fractions,
+    # longest same-token run) shared by curation_kept and curated_corpus
+    curation_ctes = f"""WITH {_TOKEN_POSITIONS}
+base AS (
+  SELECT doc_id, count(*) AS n_tokens, count(DISTINCT tok) AS nd,
+         avg(CASE WHEN tok IN ('the','a','and','of','to','in','is','that','it','for','on','with','as','are','was','at','be','this','have') THEN 1.0 ELSE 0.0 END) AS sr
+  FROM flat GROUP BY doc_id
+),
+runs AS (SELECT doc_id, tok, i - ROW_NUMBER() OVER (PARTITION BY doc_id, tok ORDER BY i) AS g FROM flat),
+runc AS (SELECT doc_id, count(*) AS rl FROM runs GROUP BY doc_id, tok, g),
+mr AS (SELECT doc_id, max(rl) AS max_run FROM runc GROUP BY doc_id),
+sig AS (
+  SELECT b.doc_id, b.n_tokens,
+         (b.n_tokens - b.nd) / CAST(b.n_tokens AS DOUBLE) AS dup,
+         b.sr, m.max_run
+  FROM base b JOIN mr m USING (doc_id)
+)"""
+    # the curation thresholds over sig
+    curation_keep = """FROM sig
+WHERE n_tokens >= 25 AND dup <= 0.6 AND sr >= 0.02 AND sr <= 0.12 AND max_run <= 2
+ORDER BY doc_id"""
+    # each doc's distinct trigram shingles and pairwise shingle overlap —
+    # minhash_pairs (Jaccard) and containment_pairs
+    shingle_overlap = f"""WITH toks AS (
+  SELECT doc_id, u.term, u.ord
+  FROM (SELECT doc_id, {_DOC_TOKS} AS l FROM documents),
+       LATERAL (SELECT unnest(l) AS term, generate_subscripts(l, 1) AS ord) u
+),
+sh AS (
+  SELECT DISTINCT doc_id,
+         term || chr(1) || lead(term, 1) OVER w || chr(1) || lead(term, 2) OVER w AS shingle
+  FROM toks WINDOW w AS (PARTITION BY doc_id ORDER BY ord)
+),
+sh2 AS (SELECT doc_id, shingle FROM sh WHERE shingle IS NOT NULL),
+sizes AS (SELECT doc_id, count(*) AS n FROM sh2 GROUP BY doc_id),
+inter AS (
+  SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS i
+  FROM sh2 a JOIN sh2 b ON a.shingle = b.shingle AND a.doc_id < b.doc_id
+  GROUP BY 1, 2
+)"""
+    # CCNet perplexity terciles: each doc's unigram cross entropy under the
+    # corpus's own token counts, ppl_r, and its per-lang ntile(3) bucket b
+    # (1 head, 2 middle, 3 tail) — ccnet_buckets and ccnet_corpus_kept
+    ccnet_ctes = f"""WITH toks AS (SELECT doc_id, {_DOC_TOKS} AS l FROM documents),
+flat AS (SELECT doc_id, unnest(l) AS tok FROM toks),
+cnt AS (SELECT tok, count(*)::DOUBLE AS c FROM flat GROUP BY tok),
+tot AS (SELECT (SELECT count(*) FROM flat)::DOUBLE AS n),
+agg AS (
+  SELECT f.doc_id, avg(-ln(c.c / t.n)) AS ce
+  FROM flat f JOIN cnt c USING (tok) CROSS JOIN tot t GROUP BY f.doc_id
+),
+pp AS (
+  SELECT d.lang, d.doc_id, round(exp(coalesce(a.ce, 0)), 6) AS ppl_r
+  FROM documents d LEFT JOIN agg a USING (doc_id)
+),
+nt AS (
+  SELECT lang, doc_id, ppl_r,
+         ntile(3) OVER (PARTITION BY lang ORDER BY ppl_r ASC, doc_id ASC) AS b
+  FROM pp
+)"""
     oracles = {
         "bm25_topk": bm25,
         "prefix_topk": prefix_sql,
@@ -1928,7 +1717,7 @@ ORDER BY p.query_id
         # deterministic doc-id assignment makes the PHYSICAL layout itself
         # SQL-checkable: shard = doc_id // shard_size (2000, num_buckets=1)
         "index_segments": f"""
-WITH toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+WITH toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 tfp AS (SELECT doc_id // 2000 AS shard, doc_id, term FROM toks GROUP BY 1, 2, 3),
 agg AS (SELECT shard, count(*) AS nnz, count(DISTINCT term) AS n_terms FROM tfp GROUP BY shard),
 base AS (SELECT doc_id // 2000 AS shard, count(*) AS n_docs FROM documents GROUP BY 1),
@@ -1955,8 +1744,7 @@ FROM base b LEFT JOIN agg a USING (shard) LEFT JOIN tok_tot t USING (shard)
         "lm_topk": lm_sql,
         # rescore: bm25 window (rank<=30) LEFT JOIN the LM-Dirichlet score,
         # combined 1.0*bm25 + 0.5*lm, window re-ranked
-        "rescore_lm_topk": bm25_ctes
-        + """
+        "rescore_lm_topk": f"""{bm25_ctes}
 , win AS (SELECT query_id, doc_id, score FROM ranked WHERE rank <= 30),
 lstats AS (SELECT (SELECT sum(dl) FROM dl) AS t_tokens),
 lcf AS (SELECT term, sum(tf) AS cf FROM tf GROUP BY term),
@@ -1976,13 +1764,7 @@ comb AS (
   SELECT w.query_id, w.doc_id, w.score + 0.5 * coalesce(l.lm_score, 0.0) AS score
   FROM win w LEFT JOIN lms l ON l.query_id = w.query_id AND l.doc_id = w.doc_id
 ),
-rankedr AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM comb
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM rankedr WHERE rank <= 10
+{_ranked_tail(src="comb", name="rankedr")}
 """,
         "lm_jm_topk": jm_sql,
         "classic_topk": classic_sql,
@@ -1995,23 +1777,13 @@ FROM rankedr WHERE rank <= 10
         # parents ranked by (-score, doc_id); chunking CTE identical to
         # the doc_chunks oracle (window 16, stride 12)
         "block_join_topk": f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-dtoks AS (SELECT doc_id, {doc_toks} AS ts FROM documents),
-base AS (
-  SELECT doc_id, ts, len(ts) AS n,
-         CASE WHEN len(ts) = 0 THEN 0
-              ELSE 1 + CAST(ceil(greatest(len(ts) - 16, 0) / 12.0) AS INT) END AS n_chunks
-  FROM dtoks
-),
-idx AS (SELECT doc_id, ts, n, unnest(generate_series(0, n_chunks - 1)) AS chunk_idx FROM base),
-chunks AS (SELECT doc_id, chunk_idx, ts[chunk_idx*12 + 1 : least(chunk_idx*12 + 16, n)] AS ct FROM idx),
+WITH {_query_terms(bm25_values, compact=True)}
+dtoks AS (SELECT doc_id, {_DOC_TOKS} AS ts FROM documents),
+{_chunks("dtoks", "chunks")},
 ctoks AS (SELECT doc_id, chunk_idx, unnest(ct) AS term FROM chunks),
 tf AS (SELECT doc_id, chunk_idx, term, count(*)::DOUBLE AS tf FROM ctoks GROUP BY 1, 2, 3),
 dl AS (SELECT doc_id, chunk_idx, count(*)::DOUBLE AS dl FROM ctoks GROUP BY 1, 2),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_BM25_STATS}
 cscores AS (
   SELECT q.query_id, tf.doc_id, tf.chunk_idx,
          sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
@@ -2040,15 +1812,8 @@ FROM parents WHERE rank <= 10
         "children_agg": f"""
 WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
 qterms AS (SELECT DISTINCT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset),
-dtoks AS (SELECT doc_id, {doc_toks} AS ts FROM documents),
-base AS (
-  SELECT doc_id, ts, len(ts) AS n,
-         CASE WHEN len(ts) = 0 THEN 0
-              ELSE 1 + CAST(ceil(greatest(len(ts) - 16, 0) / 12.0) AS INT) END AS n_chunks
-  FROM dtoks
-),
-idx AS (SELECT doc_id, ts, n, unnest(generate_series(0, n_chunks - 1)) AS chunk_idx FROM base),
-chunks AS (SELECT doc_id, chunk_idx, ts[chunk_idx*12 + 1 : least(chunk_idx*12 + 16, n)] AS ct FROM idx),
+dtoks AS (SELECT doc_id, {_DOC_TOKS} AS ts FROM documents),
+{_chunks("dtoks", "chunks")},
 ctoks AS (SELECT DISTINCT doc_id, chunk_idx, unnest(ct) AS term FROM chunks),
 m AS (SELECT DISTINCT q.query_id, c.doc_id, c.chunk_idx
       FROM qterms q JOIN ctoks c ON c.term = q.term)
@@ -2059,16 +1824,14 @@ GROUP BY 1, 2 ORDER BY 1, 2
         "search_facets": facets,
         # histogram agg: floor(n_chars/200) buckets over the disjunctive
         # match set (>= 1 query term)
-        "search_histogram": bm25_ctes
-        + """
+        "search_histogram": f"""{bm25_ctes}
 SELECT m.query_id, (d.n_chars // 200) * 200 AS bucket_lo, count(*)::BIGINT AS n_docs
 FROM (SELECT DISTINCT q.query_id, t.doc_id FROM qterms q JOIN tf t ON t.term = q.term) m
 JOIN documents d ON d.doc_id = m.doc_id
 GROUP BY 1, 2 ORDER BY 1, 2
 """,
         # seeded random_score: md5('seed|doc_id')/2^64 uniform per match
-        "random_topk": bm25_ctes
-        + """
+        "random_topk": f"""{bm25_ctes}
 SELECT query_id, rank, doc_id, round(score, 6) AS score_r
 FROM (
   SELECT m.query_id, m.doc_id,
@@ -2087,7 +1850,7 @@ WHERE rank <= 10
         # term asc), merged count = sum over reporting shards, error =
         # sum of non-reporting TRUNCATED shards' smallest returned count
         "terms_agg_shards": f"""
-WITH toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+WITH toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 sdf AS (SELECT doc_id // 2000 AS sh, term, count(DISTINCT doc_id)::BIGINT AS df FROM toks GROUP BY 1, 2),
 nterm AS (SELECT sh, count(*) AS n_terms FROM sdf GROUP BY sh),
 tops AS (SELECT *, row_number() OVER (PARTITION BY sh ORDER BY df DESC, term ASC) AS rn FROM sdf),
@@ -2116,11 +1879,8 @@ WITH qterms AS (
   SELECT unnest({_TOK_SQL.format(col="'stream order data'")}) AS term
 ),
 qtf AS (SELECT term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus()}
+{_BM25_STATS}
 scores AS (
   SELECT tf.doc_id,
          sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
@@ -2159,8 +1919,7 @@ FROM b ORDER BY day_ts
 """,
         # index sorting: matched docs in (n_chars DESC, doc_id ASC) order,
         # first 10 — what the early-terminated walk returns
-        "sorted_index_topk": bm25_ctes
-        + """
+        "sorted_index_topk": f"""{bm25_ctes}
 SELECT query_id, rank, doc_id, n_chars
 FROM (
   SELECT m.query_id, m.doc_id, d.n_chars,
@@ -2171,16 +1930,14 @@ FROM (
 WHERE rank <= 10
 """,
         # exact cardinality: distinct source values per match set
-        "search_cardinality": bm25_ctes
-        + """
+        "search_cardinality": f"""{bm25_ctes}
 SELECT m.query_id, count(DISTINCT d.source)::BIGINT AS n_sources
 FROM (SELECT DISTINCT q.query_id, t.doc_id FROM qterms q JOIN tf t ON t.term = q.term) m
 JOIN documents d ON d.doc_id = m.doc_id
 GROUP BY 1 ORDER BY 1
 """,
         # exact percentile_ranks: % of matched docs with n_chars <= value
-        "percentile_ranks": bm25_ctes
-        + """
+        "percentile_ranks": f"""{bm25_ctes}
 SELECT query_id, value, round(pct, 6) AS pct FROM (
   SELECT m.query_id, v.value,
          100.0 * sum(CASE WHEN d.n_chars <= v.value THEN 1 ELSE 0 END) / count(*) AS pct
@@ -2209,32 +1966,11 @@ corpus AS (
   UNION ALL
   SELECT d.doc_id, d.text FROM documents d JOIN keptn k ON k.doc_id = d.doc_id
 ),
-qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM corpus),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_query_terms(bm25_values, compact=True)}
+{_corpus("corpus")}
+{_BM25_STATS}
+{_bm25_scores()}
+{_ranked_tail()}
 """,
         # composite agg paging: page = zero-based bucket ordinal / page size
         # in (lang, source) composite-key order — identical to the engine's
@@ -2269,8 +2005,7 @@ FROM b GROUP BY event_type ORDER BY event_type
 """,
         "hybrid_topk": hybrid,
         # page 2 == the full ranking's rank 11..20 window
-        "bm25_topk_page2": bm25_ctes
-        + """
+        "bm25_topk_page2": f"""{bm25_ctes}
 SELECT query_id, rank, doc_id, round(score, 6) AS score_r
 FROM ranked WHERE rank > 10 AND rank <= 20
 """,
@@ -2300,7 +2035,7 @@ qterms AS (
 ),
 qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
 toks AS (
-  SELECT d.doc_id, d.source, unnest({doc_toks.replace("text", "d.text")}) AS term
+  SELECT d.doc_id, d.source, unnest({_DOC_TOKS.replace("text", "d.text")}) AS term
   FROM documents d WHERE d.source IN (SELECT DISTINCT src FROM rset)
 ),
 tf AS (SELECT doc_id, source, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, source, term),
@@ -2319,13 +2054,7 @@ scores AS (
   JOIN stats s ON s.source = r.src
   GROUP BY q.query_id, tf.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_ranked_tail()}
 """,
         # SPLADE-style hash-expansion retrieval: the deterministic model's
         # token-level expansion table (term, j, tid, weight) is a sidecar
@@ -2344,36 +2073,15 @@ pnorm AS (
 ),
 qterms AS (SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM pset),
 qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toksl AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-toks AS (SELECT doc_id, unnest(l) AS term FROM toksl),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus(lists=True)}
+{_BM25_STATS}
 pmatch AS (
   SELECT p.query_id, j.doc_id
   FROM pnorm p JOIN (SELECT doc_id, ' ' || array_to_string(l, ' ') || ' ' AS s FROM toksl) j
     ON position(p.pat IN j.s) > 0
 ),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN pmatch m ON m.query_id = q.query_id AND m.doc_id = tf.doc_id
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_bm25_scores(pmatch=True)}
+{_ranked_tail()}
 """,
         # proximity retrieval: self-join of the positioned token table on
         # |i - j| <= w, then the shared BM25 CTE chain restricted to matches
@@ -2381,12 +2089,8 @@ FROM ranked WHERE rank <= 10
 WITH nset(query_id, ta, tb, w) AS (VALUES {near_values}),
 qterms AS (SELECT query_id, ta AS term FROM nset UNION ALL SELECT query_id, tb FROM nset),
 qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toksl AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-toks AS (SELECT doc_id, unnest(l) AS term FROM toksl),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus(lists=True)}
+{_BM25_STATS}
 flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toksl),
 pmatch AS (
   SELECT DISTINCT n.query_id, f1.doc_id
@@ -2394,30 +2098,13 @@ pmatch AS (
   JOIN flat f1 ON f1.tok = n.ta
   JOIN flat f2 ON f2.doc_id = f1.doc_id AND f2.tok = n.tb AND abs(f1.i - f2.i) <= n.w
 ),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN pmatch m ON m.query_id = q.query_id AND m.doc_id = tf.doc_id
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_bm25_scores(pmatch=True)}
+{_ranked_tail()}
 """,
         # term vectors: per-doc tf for the fixed doc set + global df
         "doc_term_vectors": f"""
 WITH ids(doc_id) AS (VALUES {termvec_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 tf AS (SELECT doc_id, term, count(*)::BIGINT AS tf FROM toks GROUP BY doc_id, term),
 df AS (SELECT term, count(DISTINCT doc_id)::BIGINT AS df FROM toks GROUP BY term)
 SELECT t.doc_id, t.term, t.tf, d.df
@@ -2426,24 +2113,16 @@ ORDER BY 1, 2
 """,
         # gauss decay: the BM25 scores CTE times the same closed-form
         # exp(-(n_chars-origin)^2 / (2*sigma^2)) factor, re-ranked
-        "decay_topk": bm25_ctes
-        + """
+        "decay_topk": f"""{bm25_ctes}
 , dec AS (
   SELECT s.query_id, s.doc_id,
          s.score * exp(-pow(d.n_chars - 1000.0, 2) / (2.0 * (500.0 * 500.0 / (2.0 * ln(2.0))))) AS score
   FROM scores s JOIN documents d ON d.doc_id = s.doc_id
 ),
-rankedd AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM dec
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM rankedd WHERE rank <= 10
+{_ranked_tail(src="dec", name="rankedd")}
 """,
         # top_hits(3) under a lang terms agg over the scored match set
-        "top_hits_by_lang": bm25_ctes
-        + """
+        "top_hits_by_lang": f"""{bm25_ctes}
 , hits AS (
   SELECT s.query_id, d.lang, s.doc_id, s.score,
          row_number() OVER (PARTITION BY s.query_id, d.lang
@@ -2460,7 +2139,7 @@ WITH fset(name, qtext, m) AS (VALUES {adj_values}),
 fterms AS (
   SELECT DISTINCT name, m, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM fset
 ),
-dtoks AS (SELECT DISTINCT doc_id, term FROM (SELECT doc_id, unnest({doc_toks}) AS term FROM documents)),
+dtoks AS (SELECT DISTINCT doc_id, term FROM (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents)),
 fm AS (
   SELECT f.name, t.doc_id
   FROM fterms f JOIN dtoks t ON t.term = f.term
@@ -2484,7 +2163,7 @@ FROM agg ORDER BY q
         # ranked by total term frequency (cf) then term
         "suggest_completion": f"""
 WITH cset(sid, prefix) AS (VALUES {completion_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 vocab AS (SELECT term, count(*)::BIGINT AS cf, count(DISTINCT doc_id)::BIGINT AS df
           FROM toks GROUP BY term),
 hits AS (
@@ -2499,7 +2178,7 @@ SELECT sid, rnk AS rank, term, cf, df FROM hits WHERE rnk <= 10 ORDER BY 1, 2
         # phrase / did-you-mean: per-position best correction (or self)
         "suggest_phrase": f"""
 WITH pset(sid, pos, tok) AS (VALUES {phrase_suggest_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 vocab AS (SELECT term, count(DISTINCT doc_id)::BIGINT AS df FROM toks GROUP BY term),
 best AS (
   SELECT p.sid, p.pos, v.term, levenshtein(v.term, p.tok)::BIGINT AS dist, v.df,
@@ -2523,7 +2202,7 @@ ORDER BY sid, pos
 """,
         "suggest_spelling": f"""
 WITH sset(sid, qterm) AS (VALUES {spell_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 vocab AS (SELECT term, count(DISTINCT doc_id)::BIGINT AS df FROM toks GROUP BY term),
 hits AS (
   SELECT s.sid, v.term, levenshtein(v.term, s.qterm)::BIGINT AS dist, v.df,
@@ -2543,7 +2222,7 @@ qterms AS (
   SELECT DISTINCT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM pset
 ),
 nq AS (SELECT query_id, count(*) AS n FROM qterms GROUP BY query_id),
-dt AS (SELECT DISTINCT doc_id, unnest({doc_toks}) AS term FROM documents),
+dt AS (SELECT DISTINCT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 m AS (
   SELECT q.query_id, d.doc_id, count(*) AS c
   FROM qterms q JOIN dt d ON d.term = q.term
@@ -2556,8 +2235,7 @@ ORDER BY 1, 2
 """,
         # significant terms: top-50 BM25 docs per query as the foreground
         # sample, per-term distinct-doc counts vs global df, JLH score
-        "significant_terms": bm25_ctes
-        + """
+        "significant_terms": f"""{bm25_ctes}
 , topdocs AS (SELECT query_id, doc_id FROM ranked WHERE rank <= 50),
 fgn AS (SELECT query_id, count(*)::DOUBLE AS n_fg FROM topdocs GROUP BY query_id),
 fg AS (
@@ -2584,8 +2262,7 @@ FROM rankedt WHERE trank <= 10
 """,
         # rare terms: foreground term presence in the top-50 sample, global
         # df filter at floor(n_docs/5), (df, term) ranking
-        "rare_terms": bm25_ctes
-        + """
+        "rare_terms": f"""{bm25_ctes}
 , topdocs AS (SELECT query_id, doc_id FROM ranked WHERE rank <= 50),
 fg AS (
   SELECT t.query_id, x.term, count(DISTINCT x.doc_id)::BIGINT AS fg_df
@@ -2612,7 +2289,7 @@ SELECT query_id, trank AS rank, term, bg_df, fg_df FROM rt WHERE trank <= 10
         "total_hits": f"""
 WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
 qterms AS (SELECT DISTINCT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset),
-toks AS (SELECT DISTINCT doc_id, unnest({doc_toks}) AS term FROM documents),
+toks AS (SELECT DISTINCT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 n AS (SELECT q.query_id, count(DISTINCT t.doc_id) AS cnt
       FROM qterms q JOIN toks t ON t.term = q.term GROUP BY q.query_id)
 SELECT s.query_id,
@@ -2631,11 +2308,8 @@ hterms AS (
   SELECT query_id, unnest({_TOK_SQL.format(col="head")}) AS term FROM pset
 ),
 hq AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM hterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus()}
+{_BM25_STATS}
 bm AS (
   SELECT h.query_id, tf.doc_id,
          sum(h.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
@@ -2656,11 +2330,7 @@ m AS (
          coalesce(b.score, 0.0) + (CASE WHEN pd.doc_id IS NOT NULL THEN 1.0 ELSE 0.0 END) AS score
   FROM bm b FULL JOIN pdocs pd ON pd.query_id = b.query_id AND pd.doc_id = b.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM m
-)
+{_ranked_cte(src="m")}
 SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked WHERE rank <= 10
 """,
         # pinned query: the two pinned ids occupy ranks 1-2 in the GIVEN
@@ -2684,7 +2354,7 @@ SELECT * FROM (
 """,
         "phrase_prefix_topk": f"""
 WITH pset(query_id, head, pre) AS (VALUES {mpp_values}),
-toksl AS (SELECT doc_id, {doc_toks} AS l FROM documents),
+toksl AS (SELECT doc_id, {_DOC_TOKS} AS l FROM documents),
 toks AS (SELECT doc_id, unnest(l) AS term FROM toksl),
 vocab AS (SELECT DISTINCT term FROM toks),
 exp AS (
@@ -2702,10 +2372,8 @@ pmatch AS (
   JOIN flat f2 ON f2.doc_id = f1.doc_id AND f2.i = f1.i + 1
   JOIN exp e ON e.query_id = p.query_id AND e.term = f2.tok
 ),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_TF_DL}
+{_BM25_STATS}
 scores AS (
   SELECT m.query_id, m.doc_id,
          ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
@@ -2717,12 +2385,7 @@ scores AS (
   JOIN dl ON dl.doc_id = m.doc_id
   CROSS JOIN stats s
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked WHERE rank <= 10
+{_ranked_tail(sep=" ")}
 """,
         # query_string composition: clause table from the engine's parser;
         # per-clause conjunctive term match (+ phrase substring verify over
@@ -2740,12 +2403,8 @@ cmeta AS (
          (SELECT count(*) FROM ctf t WHERE t.query_id = c.query_id AND t.cid = c.cid) AS n_terms
   FROM cl c
 ),
-toksl AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-toks AS (SELECT doc_id, unnest(l) AS term FROM toksl),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus(lists=True)}
+{_BM25_STATS}
 cscore AS (
   SELECT c.query_id, c.cid, tf.doc_id,
          sum(c.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
@@ -2797,12 +2456,8 @@ qterms AS (
   UNION ALL SELECT query_id, t3 FROM sset WHERE t3 IS NOT NULL
 ),
 qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toksl AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-toks AS (SELECT doc_id, unnest(l) AS term FROM toksl),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus(lists=True)}
+{_BM25_STATS}
 flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toksl),
 pmatch AS (
   SELECT DISTINCT s.query_id, f1.doc_id
@@ -2818,25 +2473,8 @@ pmatch AS (
   JOIN flat f3 ON f3.doc_id = f2.doc_id AND f3.tok = s.t3 AND f3.i > f2.i
   WHERE s.t3 IS NOT NULL AND f3.i - f1.i - 2 <= s.slop
 ),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN pmatch m ON m.query_id = q.query_id AND m.doc_id = tf.doc_id
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_bm25_scores(pmatch=True)}
+{_ranked_tail()}
 """,
         # span-not: an ordered 2-term span within slop whose position range
         # holds no exclude-term occurrence; BM25 bag over include terms
@@ -2847,12 +2485,8 @@ qterms AS (
   UNION ALL SELECT query_id, t2 FROM sset
 ),
 qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toksl AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-toks AS (SELECT doc_id, unnest(l) AS term FROM toksl),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus(lists=True)}
+{_BM25_STATS}
 flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toksl),
 pmatch AS (
   SELECT DISTINCT s.query_id, f1.doc_id
@@ -2865,25 +2499,8 @@ pmatch AS (
       WHERE fe.doc_id = f1.doc_id AND fe.tok = s.excl AND fe.i BETWEEN f1.i AND f2.i
     )
 ),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN pmatch m ON m.query_id = q.query_id AND m.doc_id = tf.doc_id
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_bm25_scores(pmatch=True)}
+{_ranked_tail()}
 """,
         # intervals all_of(ordered=false, max_gaps): any-order window with
         # greatest(i..) - least(i..) + 1 - m <= g; BM25 bag over matches
@@ -2895,12 +2512,8 @@ qterms AS (
   UNION ALL SELECT query_id, t3 FROM iset WHERE t3 IS NOT NULL
 ),
 qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toksl AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-toks AS (SELECT doc_id, unnest(l) AS term FROM toksl),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus(lists=True)}
+{_BM25_STATS}
 flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toksl),
 pmatch AS (
   SELECT DISTINCT s.query_id, f1.doc_id
@@ -2918,30 +2531,12 @@ pmatch AS (
   WHERE s.t3 IS NOT NULL
     AND greatest(f1.i, f2.i, f3.i) - least(f1.i, f2.i, f3.i) - 2 <= s.g
 ),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN pmatch m ON m.query_id = q.query_id AND m.doc_id = tf.doc_id
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_bm25_scores(pmatch=True)}
+{_ranked_tail()}
 """,
         "boolean_and_match": boolean_and,
         "retrieval_metrics_at10": metrics_at10,
-        "rerank_overlap": bm25_ctes
-        + """
+        "rerank_overlap": f"""{bm25_ctes}
 , cand AS (SELECT query_id, doc_id, score FROM ranked WHERE rank <= 10),
 ov AS (
   SELECT c.query_id, c.doc_id, c.score,
@@ -2960,8 +2555,7 @@ SELECT query_id, rerank, doc_id, overlap FROM rr ORDER BY query_id, rerank
 """,
         # teacher-score pair scoring: idf-weighted query-term coverage of
         # each BM25 top-10 candidate, normalized to [0, 1]
-        "pair_scores": bm25_ctes
-        + """
+        "pair_scores": f"""{bm25_ctes}
 , cand AS (SELECT query_id, doc_id FROM ranked WHERE rank <= 10),
 num AS (
   SELECT c.query_id, c.doc_id,
@@ -2985,8 +2579,7 @@ FROM num n JOIN den d USING (query_id) ORDER BY query_id, doc_id
         "doc_window": """
 SELECT doc_id, n_chars FROM documents ORDER BY doc_id OFFSET 100 LIMIT 50
 """,
-        "hard_negatives": bm25_ctes
-        + """
+        "hard_negatives": f"""{bm25_ctes}
 , cand AS (SELECT query_id, doc_id, rank FROM ranked WHERE rank <= 30),
 neg AS (
   SELECT c.query_id, c.doc_id, c.rank FROM cand c
@@ -3083,18 +2676,18 @@ SELECT user_id, min(ts) AS session_start, count(*) AS n_events, round(sum(value)
 FROM s GROUP BY user_id, sid ORDER BY user_id, session_start
 """,
         "term_df_top100": f"""
-WITH toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+WITH toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 df AS (SELECT term, count(DISTINCT doc_id) AS df FROM toks GROUP BY term)
 SELECT term, df FROM df ORDER BY df DESC, term LIMIT 100
 """,
         "token_counts": f"""
-WITH toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+WITH toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 cnt AS (SELECT doc_id, count(*) AS n FROM toks GROUP BY doc_id)
 SELECT d.doc_id, coalesce(c.n, 0) AS n_tokens
 FROM documents d LEFT JOIN cnt c USING (doc_id) ORDER BY d.doc_id
 """,
         "quality_scores": f"""
-WITH toks AS (SELECT doc_id, unnest({doc_toks}) AS tok FROM documents),
+WITH toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS tok FROM documents),
 agg AS (
   SELECT doc_id, count(*) AS n_tokens,
          avg(length(tok)) AS mtl,
@@ -3228,14 +2821,8 @@ FROM documents GROUP BY lang ORDER BY lang
 """,
         # cumulative_sum + serial_diff(1) + normalize(percent_of_sum)
         # pipeline aggs on one gap-free date_histogram series
-        "events_daily_pipeline": """
-WITH c AS (SELECT CAST(date_trunc('day', ts) AS DATE) AS day, count(*)::BIGINT AS n FROM events GROUP BY 1),
-b AS (SELECT min(day) AS lo, max(day) AS hi FROM c),
-axis AS (
-  SELECT CAST(unnest(generate_series(CAST((SELECT lo FROM b) AS TIMESTAMP),
-                                     CAST((SELECT hi FROM b) AS TIMESTAMP),
-                                     INTERVAL 1 DAY)) AS DATE) AS day
-),
+        "events_daily_pipeline": f"""
+WITH {_DAILY_EVENTS}
 s AS (SELECT a.day, coalesce(c.n, 0)::BIGINT AS n FROM axis a LEFT JOIN c USING (day))
 SELECT CAST(day AS TIMESTAMP) AS day, n AS n_events,
        sum(n) OVER (ORDER BY day)::BIGINT AS cum_n,
@@ -3326,28 +2913,12 @@ FROM n GROUP BY host ORDER BY host
         # corpus (en docs truncated to their first 25 tokens) — stats are
         # the transformed corpus's own
         "reindex_topk": f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toksl AS (SELECT doc_id, list_slice({doc_toks}, 1, 25) AS l FROM documents WHERE lang = 'en'),
+WITH {_query_terms(bm25_values)}
+toksl AS (SELECT doc_id, list_slice({_DOC_TOKS}, 1, 25) AS l FROM documents WHERE lang = 'en'),
 toks AS (SELECT doc_id, unnest(l) AS term FROM toksl),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
+{_TF_DL}
+{_BM25_STATS}
+{_bm25_scores()}
 ranked AS (
   SELECT query_id, doc_id, round(score, 6) AS score_r,
          row_number() OVER (PARTITION BY query_id ORDER BY round(score, 6) DESC, doc_id ASC) AS rank
@@ -3408,14 +2979,8 @@ r AS (SELECT *, row_number() OVER (ORDER BY avg_chars_r DESC, source ASC) AS rk 
 SELECT source, n_docs, avg_chars_r FROM r WHERE rk BETWEEN 6 AND 10 ORDER BY rk
 """,
         # moving_percentiles: trailing 7-bucket linear-interp median
-        "moving_percentiles_daily": """
-WITH c AS (SELECT CAST(date_trunc('day', ts) AS DATE) AS day, count(*)::BIGINT AS n FROM events GROUP BY 1),
-b AS (SELECT min(day) AS lo, max(day) AS hi FROM c),
-axis AS (
-  SELECT CAST(unnest(generate_series(CAST((SELECT lo FROM b) AS TIMESTAMP),
-                                     CAST((SELECT hi FROM b) AS TIMESTAMP),
-                                     INTERVAL 1 DAY)) AS DATE) AS day
-),
+        "moving_percentiles_daily": f"""
+WITH {_DAILY_EVENTS}
 s AS (SELECT a.day, coalesce(c.n, 0)::DOUBLE AS n FROM axis a LEFT JOIN c USING (day))
 SELECT CAST(day AS TIMESTAMP) AS day,
        round(quantile_cont(n, 0.5) OVER (ORDER BY day ROWS BETWEEN 6 PRECEDING AND CURRENT ROW), 6) AS p50_r
@@ -3423,7 +2988,7 @@ FROM s ORDER BY day
 """,
         # stopword discovery: df/N > 0.30 terms, (df DESC, term ASC)
         "stopword_discovery": f"""
-WITH toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+WITH toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 dft AS (SELECT term, count(DISTINCT doc_id)::BIGINT AS df FROM toks GROUP BY term),
 n AS (SELECT count(*)::DOUBLE AS n FROM documents)
 SELECT term, df, round(df / n.n, 6) AS df_frac_r
@@ -3431,13 +2996,9 @@ FROM dft, n WHERE df / n.n > 0.30 ORDER BY df DESC, term ASC
 """,
         # PageRank: 3 unrolled power iterations (kmeans discipline), the
         # same deterministic link fixture, top-50 on rounded ranks
-        "link_pagerank": """
+        "link_pagerank": f"""
 WITH nn AS (SELECT count(*)::BIGINT AS n FROM documents),
-e0 AS (
-  SELECT doc_id AS src, (doc_id * 3 + 1) % (SELECT n FROM nn) AS dst FROM documents
-  UNION ALL
-  SELECT doc_id, (doc_id * 7 + 2) % (SELECT n FROM nn) FROM documents
-),
+{_link_edges()}
 e AS (SELECT src, dst FROM e0 WHERE src <> dst),
 od AS (SELECT src, count(*)::DOUBLE AS d FROM e GROUP BY src),
 r0 AS (SELECT doc_id, 1.0 / (SELECT n FROM nn) AS pr FROM documents),
@@ -3453,36 +3014,14 @@ SELECT doc_id, round(pr, 6) AS pr_r FROM rk WHERE rn <= 50 ORDER BY doc_id
         # data-stream time pruning: BM25 recomputed over exactly the docs
         # whose day index (doc_id*5//N) falls in the selected [1,3) window
         "datastream_topk": f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
+WITH {_query_terms(bm25_values)}
 nn AS (SELECT count(*)::BIGINT AS n FROM documents),
 sel AS (SELECT doc_id, text FROM documents, nn WHERE doc_id * 5 // nn.n >= 1 AND doc_id * 5 // nn.n < 3),
 toks AS (SELECT doc_id, unnest(list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '')) AS term FROM sel),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_TF_DL}
+{_BM25_STATS}
+{_bm25_scores()}
+{_ranked_tail()}
 """,
         # t_test agg (welch, unpaired): all lang pairs
         "ttest_langs": """
@@ -3506,16 +3045,12 @@ FROM g ORDER BY g.lang
 """,
         # cumulative_cardinality (exact): first-seen users per day,
         # cumulative distinct count, gap-free axis
-        "cumulative_cardinality_users": """
+        "cumulative_cardinality_users": f"""
 WITH f AS (SELECT user_id, min(CAST(date_trunc('day', ts) AS DATE)) AS day FROM events GROUP BY user_id),
 c AS (SELECT day, count(*)::BIGINT AS nu FROM f GROUP BY day),
 b AS (SELECT CAST(min(date_trunc('day', ts)) AS DATE) AS lo,
              CAST(max(date_trunc('day', ts)) AS DATE) AS hi FROM events),
-axis AS (
-  SELECT CAST(unnest(generate_series(CAST((SELECT lo FROM b) AS TIMESTAMP),
-                                     CAST((SELECT hi FROM b) AS TIMESTAMP),
-                                     INTERVAL 1 DAY)) AS DATE) AS day
-),
+{_DAY_AXIS}
 series AS (SELECT a.day, coalesce(c.nu, 0)::BIGINT AS new_users FROM axis a LEFT JOIN c USING (day))
 SELECT CAST(day AS TIMESTAMP) AS day, new_users,
        sum(new_users) OVER (ORDER BY day)::BIGINT AS cum_users
@@ -3558,23 +3093,7 @@ ORDER BY id_a, id_b
         # jaccard range, and its exact verify discards false candidates,
         # so LSH output == brute force
         "minhash_pairs": f"""
-WITH toks AS (
-  SELECT doc_id, u.term, u.ord
-  FROM (SELECT doc_id, {doc_toks} AS l FROM documents),
-       LATERAL (SELECT unnest(l) AS term, generate_subscripts(l, 1) AS ord) u
-),
-sh AS (
-  SELECT DISTINCT doc_id,
-         term || chr(1) || lead(term, 1) OVER w || chr(1) || lead(term, 2) OVER w AS shingle
-  FROM toks WINDOW w AS (PARTITION BY doc_id ORDER BY ord)
-),
-sh2 AS (SELECT doc_id, shingle FROM sh WHERE shingle IS NOT NULL),
-sizes AS (SELECT doc_id, count(*) AS n FROM sh2 GROUP BY doc_id),
-inter AS (
-  SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS i
-  FROM sh2 a JOIN sh2 b ON a.shingle = b.shingle AND a.doc_id < b.doc_id
-  GROUP BY 1, 2
-)
+{shingle_overlap}
 SELECT id_a, id_b, round(i::DOUBLE / (sa.n + sb.n - i), 6) AS jaccard
 FROM inter JOIN sizes sa ON sa.doc_id = id_a JOIN sizes sb ON sb.doc_id = id_b
 WHERE i::DOUBLE / (sa.n + sb.n - i) >= 0.5
@@ -3585,7 +3104,7 @@ ORDER BY id_a, id_b
         # brute-force Hamming <= 3 over all pairs.  The engine's 4x16-bit
         # banding is EXACT for Hamming <= 3 (pigeonhole), so outputs match.
         "simhash_pairs": f"""
-WITH toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+WITH toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 h AS (SELECT doc_id, md5_number_lower(term) AS th FROM toks),
 votes AS (
   SELECT doc_id, b.bit,
@@ -3645,7 +3164,7 @@ FROM ranked WHERE rank <= 10 ORDER BY query_vec_id, rank
         # candidates per query, exact cosine re-ranks them — the same float
         # expression trees as the engine, so candidate sets, both scores,
         # and the final ranking replay bit-for-bit at the rounding contract
-        "knn_int8_rescore": """
+        "knn_int8_rescore": f"""
 WITH q0 AS (SELECT vec_id AS qid, CAST(embedding AS DOUBLE[]) AS qe FROM embeddings ORDER BY vec_id LIMIT 5),
 q1 AS (SELECT qid, qe,
               CASE WHEN list_max(list_transform(qe, x -> abs(x))) = 0 THEN 1.0
@@ -3674,17 +3193,7 @@ cand AS (
          row_number() OVER (PARTITION BY query_vec_id ORDER BY round(coarse, 9) DESC, vec_id ASC) AS crank
   FROM coarse
 ),
-resc AS (
-  SELECT query_vec_id, vec_id, coarse, list_cosine_similarity(qe, de) AS score
-  FROM cand WHERE crank <= 30
-),
-ranked AS (
-  SELECT query_vec_id, vec_id, coarse, score,
-         row_number() OVER (PARTITION BY query_vec_id ORDER BY round(score, 9) DESC, vec_id ASC) AS rank
-  FROM resc
-)
-SELECT query_vec_id, rank, vec_id, round(coarse, 6) AS coarse_r, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10 ORDER BY query_vec_id, rank
+{_VEC_RESCORE}
 """,
         # filtered kNN: same queries, corpus restricted BEFORE ranking
         "knn_cosine_filtered": """
@@ -3739,7 +3248,7 @@ FROM events GROUP BY 1, 2 ORDER BY 1, 2
         # polynomial rolling hash over md5_number_lower token hashes,
         # folded mod 2^64 (matches FingerprintStage bit-for-bit)
         "doc_fingerprints": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
+WITH toks AS (SELECT doc_id, {_DOC_TOKS} AS l FROM documents),
 f AS (
   SELECT doc_id,
          CASE WHEN len(l) = 0 THEN 0
@@ -3755,7 +3264,7 @@ FROM f ORDER BY doc_id
         # per-doc tf-idf keywords: tfidf = tf * ln(n_docs / df), ties
         # (tfidf desc, term asc)
         "doc_keywords": f"""
-WITH toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+WITH toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
 df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
 stats AS (SELECT (SELECT count(*) FROM documents)::DOUBLE AS n_docs),
@@ -3774,23 +3283,15 @@ FROM ranked WHERE rank <= 5 ORDER BY doc_id, rank
         # token-window chunking: W=16/S=12, 1-based inclusive list slices,
         # last window short, empty docs drop out via unnest of an empty series
         "doc_chunks": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS ts FROM documents),
-base AS (
-  SELECT doc_id, ts, len(ts) AS n,
-         CASE WHEN len(ts) = 0 THEN 0
-              ELSE 1 + CAST(ceil(greatest(len(ts) - 16, 0) / 12.0) AS INT) END AS n_chunks
-  FROM toks
-),
-idx AS (SELECT doc_id, ts, n, unnest(generate_series(0, n_chunks - 1)) AS chunk_idx FROM base),
-cut AS (SELECT doc_id, chunk_idx, ts[chunk_idx*12 + 1 : least(chunk_idx*12 + 16, n)] AS ct FROM idx)
+WITH toks AS (SELECT doc_id, {_DOC_TOKS} AS ts FROM documents),
+{_chunks("toks", "cut")}
 SELECT doc_id, chunk_idx, len(ct) AS n_tokens, array_to_string(ct, ' ') AS chunk_text
 FROM cut ORDER BY doc_id, chunk_idx
 """,
         # bigram PMI: pmi = ln(c_ab·N²/(B·c_a·c_b)), same double evaluation
         # order as the engine; rank ties (pmi desc, term_a, term_b)
         "bigram_pmi": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),
+WITH {_TOKEN_POSITIONS}
 uni AS (SELECT tok, count(*)::DOUBLE AS c FROM flat GROUP BY tok),
 tot AS (SELECT (SELECT count(*) FROM flat)::DOUBLE AS n_tok,
                (SELECT sum(greatest(len(l) - 1, 0)) FROM toks)::DOUBLE AS n_bg),
@@ -3811,8 +3312,7 @@ FROM ranked WHERE rank <= 30 ORDER BY rank
         # adjacent-token graph (self-pairs dropped), UNROLLED — symmetric
         # edges mean every node appears in each r_k, so plain JOINs suffice
         "textrank_keywords": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),
+WITH {_TOKEN_POSITIONS}
 bg AS (SELECT doc_id, tok AS a, lead(tok) OVER (PARTITION BY doc_id ORDER BY i) AS b FROM flat),
 bgc AS (SELECT a, b, count(*)::DOUBLE AS c FROM bg WHERE b IS NOT NULL AND a <> b GROUP BY a, b),
 und AS (SELECT least(a, b) AS u, greatest(a, b) AS v, sum(c) AS w FROM bgc GROUP BY 1, 2),
@@ -3832,7 +3332,7 @@ SELECT rank, term, round(r, 6) AS score_r FROM ranked WHERE rank <= 30 ORDER BY 
         # token-budget packing: bin = floor(exclusive running token total /
         # 256) in doc_id order (sequential-fill shard assignment)
         "packed_bins": f"""
-WITH toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+WITH toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 cnt AS (SELECT doc_id, count(*) AS n FROM toks GROUP BY doc_id),
 alld AS (SELECT d.doc_id, coalesce(c.n, 0) AS n_tokens FROM documents d LEFT JOIN cnt c USING (doc_id)),
 s AS (
@@ -3847,8 +3347,7 @@ FROM s ORDER BY doc_id
         # (lead-window concat; tokens are [a-z0-9]+ so ' ' can't collide),
         # longest run via gaps-and-islands
         "repetition_scores": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),
+WITH {_TOKEN_POSITIONS}
 base AS (SELECT doc_id, count(*) AS n_tokens, count(DISTINCT tok) AS nd FROM flat GROUP BY doc_id),
 bg AS (SELECT doc_id, tok || ' ' || lead(tok) OVER (PARTITION BY doc_id ORDER BY i) AS b FROM flat),
 bgc AS (SELECT doc_id, b, count(*) AS c FROM bg WHERE b IS NOT NULL GROUP BY doc_id, b),
@@ -3869,27 +3368,10 @@ ORDER BY d.doc_id
         # fused curation filter: same signal definitions as
         # repetition_scores/quality_scores, conjunction of thresholds
         "curation_kept": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),
-base AS (
-  SELECT doc_id, count(*) AS n_tokens, count(DISTINCT tok) AS nd,
-         avg(CASE WHEN tok IN ('the','a','and','of','to','in','is','that','it','for','on','with','as','are','was','at','be','this','have') THEN 1.0 ELSE 0.0 END) AS sr
-  FROM flat GROUP BY doc_id
-),
-runs AS (SELECT doc_id, tok, i - ROW_NUMBER() OVER (PARTITION BY doc_id, tok ORDER BY i) AS g FROM flat),
-runc AS (SELECT doc_id, count(*) AS rl FROM runs GROUP BY doc_id, tok, g),
-mr AS (SELECT doc_id, max(rl) AS max_run FROM runc GROUP BY doc_id),
-sig AS (
-  SELECT b.doc_id, b.n_tokens,
-         (b.n_tokens - b.nd) / CAST(b.n_tokens AS DOUBLE) AS dup,
-         b.sr, m.max_run
-  FROM base b JOIN mr m USING (doc_id)
-)
+{curation_ctes}
 SELECT doc_id, n_tokens, round(dup, 6) AS dup_token_frac,
        round(sr, 6) AS stopword_ratio, max_run AS max_run_len
-FROM sig
-WHERE n_tokens >= 25 AND dup <= 0.6 AND sr >= 0.02 AND sr <= 0.12 AND max_run <= 2
-ORDER BY doc_id
+{curation_keep}
 """,
         # PII scrubbing replay: identical synthetic contact line + the same
         # RE2 patterns (DuckDB's regex engine is also RE2)
@@ -3962,7 +3444,7 @@ FROM documents ORDER BY doc_id
         # UNION-ALL branch per sketch row, probe = distinct terms, est =
         # least over the 4 probed cells (always >= exact)
         "cms_counts": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
+WITH toks AS (SELECT doc_id, {_DOC_TOKS} AS l FROM documents),
 flat AS (SELECT unnest(l) AS tok FROM toks),
 h AS (SELECT tok, CAST(md5_number_lower(tok) AS HUGEINT) AS th FROM flat),
 cells AS (
@@ -3995,7 +3477,7 @@ ORDER BY term
         # log-ratio of the target(lang=en)/source distributions, per-doc
         # feature-sum weights — same HUGEINT hash arithmetic as cms_counts
         "dsir_weights": f"""
-WITH toks AS (SELECT doc_id, lang, {doc_toks} AS l FROM documents),
+WITH toks AS (SELECT doc_id, lang, {_DOC_TOKS} AS l FROM documents),
 uni AS (SELECT doc_id, lang, CAST(md5_number_lower(unnest(l)) AS HUGEINT) % 1024 AS b FROM toks),
 bigpos AS (SELECT doc_id, lang, l, unnest(range(1, len(l))) AS i FROM toks),
 big AS (SELECT doc_id, lang,
@@ -4020,35 +3502,16 @@ SELECT rank, doc_id, weight_r FROM ranked WHERE rank <= 20 ORDER BY rank
         # the curated WRITE read back: same signal CTEs as curation_kept
         # plus the partition id (doc_id % 16)
         "curated_corpus": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),
-base AS (
-  SELECT doc_id, count(*) AS n_tokens, count(DISTINCT tok) AS nd,
-         avg(CASE WHEN tok IN ('the','a','and','of','to','in','is','that','it','for','on','with','as','are','was','at','be','this','have') THEN 1.0 ELSE 0.0 END) AS sr
-  FROM flat GROUP BY doc_id
-),
-runs AS (SELECT doc_id, tok, i - ROW_NUMBER() OVER (PARTITION BY doc_id, tok ORDER BY i) AS g FROM flat),
-runc AS (SELECT doc_id, count(*) AS rl FROM runs GROUP BY doc_id, tok, g),
-mr AS (SELECT doc_id, max(rl) AS max_run FROM runc GROUP BY doc_id),
-sig AS (
-  SELECT b.doc_id, b.n_tokens,
-         (b.n_tokens - b.nd) / CAST(b.n_tokens AS DOUBLE) AS dup,
-         b.sr, m.max_run
-  FROM base b JOIN mr m USING (doc_id)
-)
+{curation_ctes}
 SELECT doc_id, doc_id % 16 AS part_id, n_tokens, round(dup, 6) AS dup_token_frac,
        round(sr, 6) AS stopword_ratio, max_run AS max_run_len
-FROM sig
-WHERE n_tokens >= 25 AND dup <= 0.6 AND sr >= 0.02 AND sr <= 0.12 AND max_run <= 2
-ORDER BY doc_id
+{curation_keep}
 """,
         # trigram decontamination: rolling-hash trigrams from
         # md5_number_lower token hashes (same fold as the engine, mod 2^64),
         # benchmark = Knuth-hash 4% doc sample, LEFT JOIN membership
         "contamination_overlap": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),
-h AS (SELECT doc_id, i, CAST(md5_number_lower(tok) AS HUGEINT) AS th FROM flat),
+WITH {_TOKEN_HASHES}
 tri AS (
   SELECT doc_id,
          (((th * 1099511628211 + lead(th) OVER w) % 18446744073709551616)
@@ -4074,9 +3537,7 @@ ORDER BY d.doc_id
         # exact repeated-passage detection: 5-token window hashes via the
         # same md5 fold mod 2^64; dup = span hash in >= 2 distinct docs
         "dup_spans": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),
-h AS (SELECT doc_id, i, CAST(md5_number_lower(tok) AS HUGEINT) AS th FROM flat),
+WITH {_TOKEN_HASHES}
 w AS (
   SELECT doc_id,
          (((((((th * 1099511628211 + lead(th, 1) OVER w) % 18446744073709551616)
@@ -4118,9 +3579,7 @@ FROM documents GROUP BY source ORDER BY source
         # leading zeros of the low 54 bits + 1 (bin() is minimal-width),
         # small-range linear-counting correction
         "approx_distinct_trigrams": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),
-h AS (SELECT doc_id, i, CAST(md5_number_lower(tok) AS HUGEINT) AS th FROM flat),
+WITH {_TOKEN_HASHES}
 tri AS (
   SELECT (((th * 1099511628211 + lead(th) OVER w) % 18446744073709551616)
            * 1099511628211 + lead(th, 2) OVER w) % 18446744073709551616 AS trig,
@@ -4147,9 +3606,7 @@ FROM est
         # any dup-span start within the trailing W-1 positions; canonical
         # owner (min doc_id per span hash) keeps its copy
         "dedup_cut_spans": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),
-h AS (SELECT doc_id, i, CAST(md5_number_lower(tok) AS HUGEINT) AS th FROM flat),
+WITH {_TOKEN_HASHES}
 w AS (
   SELECT doc_id, i AS s,
          (((((((th * 1099511628211 + lead(th, 1) OVER w) % 18446744073709551616)
@@ -4186,7 +3643,7 @@ FROM toks t LEFT JOIN agg a USING (doc_id) ORDER BY t.doc_id
 """,
         # corpus unigram-LM cross-entropy / perplexity per doc
         "doc_perplexity": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
+WITH toks AS (SELECT doc_id, {_DOC_TOKS} AS l FROM documents),
 flat AS (SELECT doc_id, unnest(l) AS tok FROM toks),
 cnt AS (SELECT tok, count(*)::DOUBLE AS c FROM flat GROUP BY tok),
 tot AS (SELECT (SELECT count(*) FROM flat)::DOUBLE AS n),
@@ -4203,23 +3660,7 @@ FROM documents d LEFT JOIN agg a USING (doc_id) ORDER BY d.doc_id
         # (round(ppl,6) ASC, doc_id ASC) per language — the same rounded
         # values the engine packs into its distributed-rank sort key
         "ccnet_buckets": f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok FROM toks),
-cnt AS (SELECT tok, count(*)::DOUBLE AS c FROM flat GROUP BY tok),
-tot AS (SELECT (SELECT count(*) FROM flat)::DOUBLE AS n),
-agg AS (
-  SELECT f.doc_id, avg(-ln(c.c / t.n)) AS ce
-  FROM flat f JOIN cnt c USING (tok) CROSS JOIN tot t GROUP BY f.doc_id
-),
-pp AS (
-  SELECT d.lang, d.doc_id, round(exp(coalesce(a.ce, 0)), 6) AS ppl_r
-  FROM documents d LEFT JOIN agg a USING (doc_id)
-),
-nt AS (
-  SELECT lang, doc_id, ppl_r,
-         ntile(3) OVER (PARTITION BY lang ORDER BY ppl_r ASC, doc_id ASC) AS b
-  FROM pp
-)
+{ccnet_ctes}
 SELECT lang, CASE b WHEN 1 THEN 'head' WHEN 2 THEN 'middle' ELSE 'tail' END AS bucket,
        count(*) AS n_docs, sum(doc_id) AS doc_id_sum,
        round(min(ppl_r), 6) AS ppl_min_r, round(max(ppl_r), 6) AS ppl_max_r
@@ -4302,8 +3743,7 @@ ORDER BY query_id, role, slot
     # connected components over the same verified pair set: transitive
     # min-label closure via recursive CTE (UNION dedups across rounds)
     _pairs_body = oracles["minhash_pairs"].rsplit("ORDER BY", 1)[0]
-    oracles["dedup_clusters"] = f"""
-WITH RECURSIVE p AS ({_pairs_body}),
+    cc_ctes = f"""WITH RECURSIVE p AS ({_pairs_body}),
 edges AS (SELECT id_a AS a, id_b AS b FROM p UNION ALL SELECT id_b, id_a FROM p),
 nodes AS (SELECT DISTINCT a AS node FROM edges),
 reach(node, lab) AS (
@@ -4311,7 +3751,9 @@ reach(node, lab) AS (
   UNION
   SELECT e.a, r.lab FROM edges e JOIN reach r ON e.b = r.node
 ),
-comp AS (SELECT node AS doc_id, min(lab) AS cluster_id FROM reach GROUP BY node)
+comp AS (SELECT node AS doc_id, min(lab) AS cluster_id FROM reach GROUP BY node)"""
+    oracles["dedup_clusters"] = f"""
+{cc_ctes}
 SELECT doc_id, cluster_id, count(*) OVER (PARTITION BY cluster_id) AS cluster_size
 FROM comp ORDER BY doc_id
 """
@@ -4320,15 +3762,7 @@ FROM comp ORDER BY doc_id
     oracles["dedup_clusters_dist"] = oracles["dedup_clusters"]
     # near-dup suppression: keep docs that are not a non-canonical member
     oracles["dedup_near_kept"] = f"""
-WITH RECURSIVE p AS ({_pairs_body}),
-edges AS (SELECT id_a AS a, id_b AS b FROM p UNION ALL SELECT id_b, id_a FROM p),
-nodes AS (SELECT DISTINCT a AS node FROM edges),
-reach(node, lab) AS (
-  SELECT node, node FROM nodes
-  UNION
-  SELECT e.a, r.lab FROM edges e JOIN reach r ON e.b = r.node
-),
-comp AS (SELECT node AS doc_id, min(lab) AS cluster_id FROM reach GROUP BY node)
+{cc_ctes}
 SELECT d.doc_id, d.lang, d.n_chars
 FROM documents d
 WHERE d.doc_id NOT IN (SELECT doc_id FROM comp WHERE doc_id <> cluster_id)
@@ -4355,18 +3789,8 @@ FROM x GROUP BY event_type ORDER BY event_type
     # length so zero-token fields still count toward n_docs/avgdl),
     # score = 2.0·BM25_title + 1.0·BM25_body
     oracles["bm25_fields_topk"] = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-base AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-f AS (
-  SELECT doc_id, 'title' AS field, l[1:{queries_mod_title_toks}] AS fl FROM base
-  UNION ALL
-  SELECT doc_id, 'body', l[{queries_mod_title_toks + 1}:] FROM base
-),
-ftoks AS (SELECT doc_id, field, unnest(fl) AS term FROM f),
-ftf AS (SELECT field, doc_id, term, count(*)::DOUBLE AS tf FROM ftoks GROUP BY 1, 2, 3),
-fdl AS (SELECT field, doc_id, len(fl)::DOUBLE AS dl FROM f),
+WITH {_query_terms(bm25_values, compact=True)}
+{field_ctes}
 fstats AS (SELECT field, avg(dl) AS avgdl, count(*)::DOUBLE AS n_docs FROM fdl GROUP BY field),
 fdf AS (SELECT field, term, count(*)::DOUBLE AS df FROM ftf GROUP BY 1, 2),
 scores AS (
@@ -4381,29 +3805,14 @@ scores AS (
   JOIN fstats s ON s.field = t.field
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked WHERE rank <= 10
+{_ranked_tail(sep=" ")}
 """
     # true BM25F: per-field normalized boosted tfs SUM per (doc, term),
     # then one shared saturation; combined df == whole-document df since
     # title/body partition the token stream
     oracles["bm25f_topk"] = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-base AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-f AS (
-  SELECT doc_id, 'title' AS field, l[1:{queries_mod_title_toks}] AS fl FROM base
-  UNION ALL
-  SELECT doc_id, 'body', l[{queries_mod_title_toks + 1}:] FROM base
-),
-ftoks AS (SELECT doc_id, field, unnest(fl) AS term FROM f),
-ftf AS (SELECT field, doc_id, term, count(*)::DOUBLE AS tf FROM ftoks GROUP BY 1, 2, 3),
-fdl AS (SELECT field, doc_id, len(fl)::DOUBLE AS dl FROM f),
+WITH {_query_terms(bm25_values, compact=True)}
+{field_ctes}
 fstats AS (SELECT field, avg(dl) AS avgdl FROM fdl GROUP BY field),
 nstats AS (SELECT count(*)::DOUBLE AS n_docs FROM documents),
 cdf AS (SELECT term, count(DISTINCT doc_id)::DOUBLE AS df FROM ftf GROUP BY term),
@@ -4424,12 +3833,7 @@ scores AS (
   FROM comb c JOIN cdf d ON d.term = c.term CROSS JOIN nstats n
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked WHERE rank <= 10
+{_ranked_tail(sep=" ")}
 """
     # multi_match cross_fields / BlendedTermQuery: per term, df is blended
     # as max_f(df_f) over the searched fields (shared idf over the corpus
@@ -4437,18 +3841,8 @@ SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked WHERE rank
     # the legs of one term combine as dismax max + 0.3*(sum - max); terms
     # sum weighted by query tf
     oracles["cross_fields_topk"] = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-base AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-f AS (
-  SELECT doc_id, 'title' AS field, l[1:{queries_mod_title_toks}] AS fl FROM base
-  UNION ALL
-  SELECT doc_id, 'body', l[{queries_mod_title_toks + 1}:] FROM base
-),
-ftoks AS (SELECT doc_id, field, unnest(fl) AS term FROM f),
-ftf AS (SELECT field, doc_id, term, count(*)::DOUBLE AS tf FROM ftoks GROUP BY 1, 2, 3),
-fdl AS (SELECT field, doc_id, len(fl)::DOUBLE AS dl FROM f),
+WITH {_query_terms(bm25_values, compact=True)}
+{field_ctes}
 fstats AS (SELECT field, avg(dl) AS avgdl FROM fdl GROUP BY field),
 nstats AS (SELECT count(*)::DOUBLE AS n_docs FROM documents),
 fdf AS (SELECT field, term, count(*)::DOUBLE AS df FROM ftf GROUP BY 1, 2),
@@ -4475,12 +3869,7 @@ scores AS (
   FROM pterm p JOIN qtf q ON q.query_id = p.query_id AND q.term = p.term
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked WHERE rank <= 10
+{_ranked_tail(sep=" ")}
 """
     # fake-decoder media features: per-256-byte-chunk means of the
     # closed-form payload bytes ((id*131 + j*31 + 7) mod 256), metadata
@@ -4511,9 +3900,7 @@ FROM feats ORDER BY media_id, feat_idx
     # batched path replays the plain BM25 oracle
     oracles["msearch_topk"] = bm25
     # linear retriever: min-max normalize each list's top-20, weighted sum
-    oracles["linear_fusion_topk"] = (
-        bm25_ctes
-        + f""",
+    oracles["linear_fusion_topk"] = f"""{bm25_ctes},
 sparse AS (SELECT query_id, doc_id, score FROM ranked WHERE rank <= 20),
 snorm AS (
   SELECT query_id, doc_id,
@@ -4524,12 +3911,7 @@ snorm AS (
          END AS nv
   FROM sparse
 ),
-qmap(query_id, qvec_id) AS (VALUES {qmap_values}),
-qv AS (SELECT m.query_id, CAST(e.embedding AS DOUBLE[]) AS qe
-       FROM qmap m JOIN embeddings e ON e.vec_id = m.qvec_id),
-dsim AS (SELECT q.query_id, e.vec_id AS doc_id,
-                list_cosine_similarity(q.qe, CAST(e.embedding AS DOUBLE[])) AS cs
-         FROM qv q CROSS JOIN embeddings e),
+{dense_sim}
 dense AS (SELECT query_id, doc_id, cs FROM (
             SELECT query_id, doc_id, cs,
                    row_number() OVER (PARTITION BY query_id ORDER BY round(cs, 9) DESC, doc_id ASC) AS rank
@@ -4553,7 +3935,6 @@ franked AS (SELECT query_id, doc_id, f,
 SELECT query_id, rank, doc_id, round(f, 6) AS fused_r
 FROM franked WHERE rank <= 10
 """
-    )
     oracles["date_range_agg"] = """
 WITH b AS (
   SELECT CASE WHEN ts < TIMESTAMP '2024-01-08' THEN '*-2024-01-08'
@@ -4646,30 +4027,21 @@ c{it}m AS (SELECT a.sub, a.cl, e.sdim, avg(e.x) AS c
 c{it} AS (SELECT p.cl, p.sub, p.sdim, coalesce(m.c, p.c) AS c
        FROM {prev} p LEFT JOIN c{it}m m ON m.cl = p.cl AND m.sub = p.sub AND m.sdim = p.sdim)"""
         )
-    oracles["knn_pq_adc"] = f"""
-WITH ev AS (SELECT vec_id, CAST(unnest(embedding) AS DOUBLE) AS x,
-                   unnest(range(len(embedding))) AS dim FROM embeddings),
-sev AS (SELECT vec_id, dim // 16 AS sub, dim % 16 AS sdim, x FROM ev),
-ids AS (SELECT vec_id, row_number() OVER (ORDER BY vec_id) - 1 AS cl
-        FROM embeddings ORDER BY vec_id LIMIT 16),
-c0 AS (SELECT i.cl, e.sub, e.sdim, e.x AS c FROM ids i JOIN sev e USING (vec_id)),
-{",".join(_pq_iters)},
-dfin AS (SELECT e.vec_id, e.sub, c.cl, sum((e.x - c.c) * (e.x - c.c)) AS dist
+    # PQ codes (final assignment to the c2 codebook), the 5 query vectors,
+    # their per-subspace distance LUT, and the top-30 ADC exact rescore
+    pq_codes = """dfin AS (SELECT e.vec_id, e.sub, c.cl, sum((e.x - c.c) * (e.x - c.c)) AS dist
          FROM sev e JOIN c2 c ON c.sub = e.sub AND c.sdim = e.sdim
          GROUP BY 1, 2, 3),
 codes AS (SELECT vec_id, sub, cl FROM (
             SELECT vec_id, sub, cl,
                    row_number() OVER (PARTITION BY vec_id, sub ORDER BY dist, cl) AS rn
             FROM dfin) WHERE rn = 1),
-q AS (SELECT vec_id AS qid FROM embeddings ORDER BY vec_id LIMIT 5),
-qs AS (SELECT q.qid, s.sub, s.sdim, s.x FROM q JOIN sev s ON s.vec_id = q.qid),
+q AS (SELECT vec_id AS qid FROM embeddings ORDER BY vec_id LIMIT 5),"""
+    pq_lut = """qs AS (SELECT q.qid, s.sub, s.sdim, s.x FROM q JOIN sev s ON s.vec_id = q.qid),
 lut AS (SELECT qs.qid, c.sub, c.cl, sum((qs.x - c.c) * (qs.x - c.c)) AS l
         FROM qs JOIN c2 c ON c.sub = qs.sub AND c.sdim = qs.sdim
-        GROUP BY 1, 2, 3),
-adist AS (SELECT l.qid, cd.vec_id, sum(l.l) AS adist
-          FROM codes cd JOIN lut l ON l.sub = cd.sub AND l.cl = cd.cl
-          GROUP BY 1, 2),
-cand AS (SELECT qid, vec_id, adist,
+        GROUP BY 1, 2, 3),"""
+    pq_rescore = """cand AS (SELECT qid, vec_id, adist,
                 row_number() OVER (PARTITION BY qid ORDER BY round(adist, 9) ASC, vec_id ASC) AS crank
          FROM adist),
 cand30 AS (SELECT * FROM cand WHERE crank <= 30),
@@ -4684,7 +4056,21 @@ final AS (SELECT qid, vec_id, adist, dist,
           FROM exact)
 SELECT qid AS query_vec_id, rank, vec_id,
        round(adist, 6) AS adist_r, round(dist, 6) AS dist_r
-FROM final WHERE rank <= 10 ORDER BY query_vec_id, rank
+FROM final WHERE rank <= 10 ORDER BY query_vec_id, rank"""
+    oracles["knn_pq_adc"] = f"""
+WITH ev AS (SELECT vec_id, CAST(unnest(embedding) AS DOUBLE) AS x,
+                   unnest(range(len(embedding))) AS dim FROM embeddings),
+sev AS (SELECT vec_id, dim // 16 AS sub, dim % 16 AS sdim, x FROM ev),
+ids AS (SELECT vec_id, row_number() OVER (ORDER BY vec_id) - 1 AS cl
+        FROM embeddings ORDER BY vec_id LIMIT 16),
+c0 AS (SELECT i.cl, e.sub, e.sdim, e.x AS c FROM ids i JOIN sev e USING (vec_id)),
+{",".join(_pq_iters)},
+{pq_codes}
+{pq_lut}
+adist AS (SELECT l.qid, cd.vec_id, sum(l.l) AS adist
+          FROM codes cd JOIN lut l ON l.sub = cd.sub AND l.cl = cd.cl
+          GROUP BY 1, 2),
+{pq_rescore}
 """
     # span_containing: the span_not chain with the exclusion flipped to an
     # inclusion requirement (EXISTS instead of NOT EXISTS)
@@ -4694,6 +4080,24 @@ FROM final WHERE rank <= 10 ORDER BY query_vec_id, rank
         f"('{qid}', '{t.split()[0]}', '{t.split()[1]}', '{little}', {slop})"
         for qid, t, little, slop in SPAN_CONTAIN_QUERIES
     )
+    # ordered t1..t2 spans within slop that hold the little term, BM25 over
+    # the matched docs — span_containing and span_within differ only in qtf
+    contain_match = f"""{_corpus(lists=True)}
+{_BM25_STATS}
+flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toksl),
+pmatch AS (
+  SELECT DISTINCT s.query_id, f1.doc_id
+  FROM sset s
+  JOIN flat f1 ON f1.tok = s.t1
+  JOIN flat f2 ON f2.doc_id = f1.doc_id AND f2.tok = s.t2 AND f2.i > f1.i
+  WHERE f2.i - f1.i - 1 <= s.slop
+    AND EXISTS (
+      SELECT 1 FROM flat fe
+      WHERE fe.doc_id = f1.doc_id AND fe.tok = s.little AND fe.i BETWEEN f1.i AND f2.i
+    )
+),
+{_bm25_scores(pmatch=True)}
+{_ranked_tail()}"""
     oracles["span_containing_topk"] = f"""
 WITH sset(query_id, t1, t2, little, slop) AS (VALUES {span_contain_values}),
 qterms AS (
@@ -4701,92 +4105,18 @@ qterms AS (
   UNION ALL SELECT query_id, t2 FROM sset
 ),
 qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toksl AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-toks AS (SELECT doc_id, unnest(l) AS term FROM toksl),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toksl),
-pmatch AS (
-  SELECT DISTINCT s.query_id, f1.doc_id
-  FROM sset s
-  JOIN flat f1 ON f1.tok = s.t1
-  JOIN flat f2 ON f2.doc_id = f1.doc_id AND f2.tok = s.t2 AND f2.i > f1.i
-  WHERE f2.i - f1.i - 1 <= s.slop
-    AND EXISTS (
-      SELECT 1 FROM flat fe
-      WHERE fe.doc_id = f1.doc_id AND fe.tok = s.little AND fe.i BETWEEN f1.i AND f2.i
-    )
-),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN pmatch m ON m.query_id = q.query_id AND m.doc_id = tf.doc_id
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{contain_match}
 """
     # span_within: the span_containing match CTE verbatim, but the scored
     # bag is the little term alone (the returned query in Lucene's dual)
     oracles["span_within_topk"] = f"""
 WITH sset(query_id, t1, t2, little, slop) AS (VALUES {span_contain_values}),
 qtf AS (SELECT query_id, little AS term, 1.0::DOUBLE AS qtf FROM sset),
-toksl AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-toks AS (SELECT doc_id, unnest(l) AS term FROM toksl),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toksl),
-pmatch AS (
-  SELECT DISTINCT s.query_id, f1.doc_id
-  FROM sset s
-  JOIN flat f1 ON f1.tok = s.t1
-  JOIN flat f2 ON f2.doc_id = f1.doc_id AND f2.tok = s.t2 AND f2.i > f1.i
-  WHERE f2.i - f1.i - 1 <= s.slop
-    AND EXISTS (
-      SELECT 1 FROM flat fe
-      WHERE fe.doc_id = f1.doc_id AND fe.tok = s.little AND fe.i BETWEEN f1.i AND f2.i
-    )
-),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM qtf q
-  JOIN tf ON tf.term = q.term
-  JOIN pmatch m ON m.query_id = q.query_id AND m.doc_id = tf.doc_id
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{contain_match}
 """
     # collapse + inner_hits: group election and group ranking both at the
     # repo-wide round-6 collapse convention
-    oracles["collapse_inner_hits"] = (
-        bm25_ctes
-        + """,
+    oracles["collapse_inner_hits"] = f"""{bm25_ctes},
 best AS (
   SELECT sc.query_id, d.source AS value, sc.doc_id, sc.score,
          row_number() OVER (PARTITION BY sc.query_id, d.source
@@ -4804,7 +4134,6 @@ FROM best b JOIN granks g ON g.query_id = b.query_id AND g.value = b.value
 WHERE g.group_rank <= 3 AND b.inner_rank <= 2
 ORDER BY b.query_id, g.group_rank, b.inner_rank
 """
-    )
     # frequent_item_sets: exact pairwise supports over the declared item
     # vocabulary, min support 5% (integer-exact: support*20 >= N), top 25
     from splade_ray.pipelines.queries import FIS_ITEMS, FIS_TOP
@@ -4812,7 +4141,7 @@ ORDER BY b.query_id, g.group_rank, b.inner_rank
     fis_values = ", ".join(f"('{t}')" for t in FIS_ITEMS)
     oracles["frequent_item_sets"] = f"""
 WITH items(item) AS (VALUES {fis_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 dt AS (SELECT DISTINCT t.doc_id, t.term FROM toks t JOIN items i ON i.item = t.term),
 n AS (SELECT count(*)::BIGINT AS n FROM documents),
 pairs AS (
@@ -4841,21 +4170,6 @@ kc{it}m AS (SELECT a.cl, e.dim, avg(e.x) AS c FROM ka{it} a JOIN ev e USING (vec
 kc{it} AS (SELECT p.cl, p.dim, coalesce(m.c, p.c) AS c
         FROM {prev} p LEFT JOIN kc{it}m m ON m.cl = p.cl AND m.dim = p.dim)"""
         )
-    _pq_iters2 = []
-    for it in (1, 2):
-        prev = f"c{it - 1}"
-        _pq_iters2.append(
-            f"""d{it} AS (SELECT e.vec_id, e.sub, c.cl, sum((e.x - c.c) * (e.x - c.c)) AS dist
-       FROM sev e JOIN {prev} c ON c.sub = e.sub AND c.sdim = e.sdim
-       GROUP BY 1, 2, 3),
-a{it} AS (SELECT vec_id, sub, cl,
-               row_number() OVER (PARTITION BY vec_id, sub ORDER BY dist, cl) AS rn FROM d{it}),
-c{it}m AS (SELECT a.sub, a.cl, e.sdim, avg(e.x) AS c
-        FROM a{it} a JOIN sev e ON e.vec_id = a.vec_id AND e.sub = a.sub
-        WHERE a.rn = 1 GROUP BY 1, 2, 3),
-c{it} AS (SELECT p.cl, p.sub, p.sdim, coalesce(m.c, p.c) AS c
-       FROM {prev} p LEFT JOIN c{it}m m ON m.cl = p.cl AND m.sub = p.sub AND m.sdim = p.sdim)"""
-        )
     oracles["knn_ivfpq"] = f"""
 WITH ev AS (SELECT vec_id, CAST(unnest(embedding) AS DOUBLE) AS x,
                    unnest(range(len(embedding))) AS dim FROM embeddings),
@@ -4872,47 +4186,22 @@ kassign AS (SELECT vec_id, cl AS kcl FROM (
 pids AS (SELECT vec_id, row_number() OVER (ORDER BY vec_id) - 1 AS cl
          FROM embeddings ORDER BY vec_id LIMIT 16),
 c0 AS (SELECT i.cl, e.sub, e.sdim, e.x AS c FROM pids i JOIN sev e USING (vec_id)),
-{",".join(_pq_iters2)},
-dfin AS (SELECT e.vec_id, e.sub, c.cl, sum((e.x - c.c) * (e.x - c.c)) AS dist
-         FROM sev e JOIN c2 c ON c.sub = e.sub AND c.sdim = e.sdim
-         GROUP BY 1, 2, 3),
-codes AS (SELECT vec_id, sub, cl FROM (
-            SELECT vec_id, sub, cl,
-                   row_number() OVER (PARTITION BY vec_id, sub ORDER BY dist, cl) AS rn
-            FROM dfin) WHERE rn = 1),
-q AS (SELECT vec_id AS qid FROM embeddings ORDER BY vec_id LIMIT 5),
+{",".join(_pq_iters)},
+{pq_codes}
 qev AS (SELECT q.qid, e.dim, e.x FROM q JOIN ev e ON e.vec_id = q.qid),
 qkd AS (SELECT qe.qid, c.cl, sum((qe.x - c.c) * (qe.x - c.c)) AS dist
         FROM qev qe JOIN kc3 c USING (dim) GROUP BY 1, 2),
 probes AS (SELECT qid, cl AS kcl FROM (
              SELECT qid, cl, row_number() OVER (PARTITION BY qid ORDER BY dist, cl) AS rn
              FROM qkd) WHERE rn <= 2),
-qs AS (SELECT q.qid, s.sub, s.sdim, s.x FROM q JOIN sev s ON s.vec_id = q.qid),
-lut AS (SELECT qs.qid, c.sub, c.cl, sum((qs.x - c.c) * (qs.x - c.c)) AS l
-        FROM qs JOIN c2 c ON c.sub = qs.sub AND c.sdim = qs.sdim
-        GROUP BY 1, 2, 3),
+{pq_lut}
 adist AS (SELECT l.qid, cd.vec_id, sum(l.l) AS adist
           FROM codes cd
           JOIN kassign ka ON ka.vec_id = cd.vec_id
           JOIN probes p ON p.kcl = ka.kcl
           JOIN lut l ON l.qid = p.qid AND l.sub = cd.sub AND l.cl = cd.cl
           GROUP BY 1, 2),
-cand AS (SELECT qid, vec_id, adist,
-                row_number() OVER (PARTITION BY qid ORDER BY round(adist, 9) ASC, vec_id ASC) AS crank
-         FROM adist),
-cand30 AS (SELECT * FROM cand WHERE crank <= 30),
-exact AS (SELECT c.qid, c.vec_id, c.adist,
-                 sum((a.x - b.x) * (a.x - b.x)) AS dist
-          FROM cand30 c
-          JOIN ev a ON a.vec_id = c.qid
-          JOIN ev b ON b.vec_id = c.vec_id AND b.dim = a.dim
-          GROUP BY 1, 2, 3),
-final AS (SELECT qid, vec_id, adist, dist,
-                 row_number() OVER (PARTITION BY qid ORDER BY round(dist, 9) ASC, vec_id ASC) AS rank
-          FROM exact)
-SELECT qid AS query_vec_id, rank, vec_id,
-       round(adist, 6) AS adist_r, round(dist, 6) AS dist_r
-FROM final WHERE rank <= 10 ORDER BY query_vec_id, rank
+{pq_rescore}
 """
 
     # function_score with multiple filtered functions: the shared BM25
@@ -4922,9 +4211,7 @@ FROM final WHERE rank <= 10 ORDER BY query_vec_id, rank
     # +0.5 for the src1* family), capped at max_boost before the multiply
     from splade_ray.pipelines.queries import FUNCSCORE_MAX_BOOST, FUNCSCORE_MIN_SCORE
 
-    oracles["function_score_topk"] = (
-        bm25_ctes
-        + f"""
+    oracles["function_score_topk"] = f"""{bm25_ctes}
 , fs AS (
   SELECT s.query_id, s.doc_id, s.score,
          (CASE WHEN d.lang = 'en' THEN 1.2 * ln(1 + d.n_chars / 500.0) ELSE 0 END
@@ -4944,7 +4231,6 @@ franked AS (
 SELECT query_id, rank, doc_id, round(fscore, 6) AS score_r
 FROM franked WHERE rank <= 10
 """
-    )
     # template mining: first-8-token shape signature, digits -> <num>
     from splade_ray.pipelines.queries import TEMPLATE_SIG_TOKENS, TEMPLATE_TOP
 
@@ -4952,7 +4238,7 @@ FROM franked WHERE rank <= 10
 WITH sigs AS (
   SELECT doc_id,
          array_to_string(
-           list_transform(({doc_toks})[1:{TEMPLATE_SIG_TOKENS}],
+           list_transform(({_DOC_TOKS})[1:{TEMPLATE_SIG_TOKENS}],
                           t -> CASE WHEN regexp_matches(t, '[0-9]') THEN '<num>' ELSE t END),
            ' ') AS signature
   FROM documents
@@ -4980,11 +4266,7 @@ h{it} AS MATERIALIZED (SELECT d.doc_id, coalesce(r.v, 0) / (SELECT sum(v) FROM h
         prev_h = f"h{it}"
     oracles["hits_scores"] = f"""
 WITH nn AS (SELECT count(*)::BIGINT AS n FROM documents),
-edges AS (
-  SELECT doc_id AS src, (doc_id * 3 + 1) % (SELECT n FROM nn) AS dst FROM documents
-  UNION ALL
-  SELECT doc_id, (doc_id * 7 + 2) % (SELECT n FROM nn) FROM documents
-),
+{_link_edges("edges")}
 e AS MATERIALIZED (SELECT src, dst FROM edges WHERE src <> dst),
 h0 AS (SELECT doc_id, 1.0 AS h FROM documents),
 {",".join(_hits)},
@@ -5019,7 +4301,7 @@ w{it} AS MATERIALIZED (SELECT replace(w, (SELECT a || '|' || b || '|' FROM b{it}
         for it in range(1, BPE_MERGES + 1)
     )
     oracles["bpe_merges"] = f"""
-WITH toks AS (SELECT unnest({doc_toks}) AS term FROM documents),
+WITH toks AS (SELECT unnest({_DOC_TOKS}) AS term FROM documents),
 words AS (SELECT term, count(*)::BIGINT AS cf FROM toks GROUP BY term),
 w0 AS (SELECT array_to_string(string_split(term, ''), '|') || '|' AS w, cf FROM words),
 {",".join(_bpe)}
@@ -5079,23 +4361,7 @@ ORDER BY query_vec_id, rank
     from splade_ray.pipelines.queries import CONTAINMENT_THRESHOLD
 
     oracles["containment_pairs"] = f"""
-WITH toks AS (
-  SELECT doc_id, u.term, u.ord
-  FROM (SELECT doc_id, {doc_toks} AS l FROM documents),
-       LATERAL (SELECT unnest(l) AS term, generate_subscripts(l, 1) AS ord) u
-),
-sh AS (
-  SELECT DISTINCT doc_id,
-         term || chr(1) || lead(term, 1) OVER w || chr(1) || lead(term, 2) OVER w AS shingle
-  FROM toks WINDOW w AS (PARTITION BY doc_id ORDER BY ord)
-),
-sh2 AS (SELECT doc_id, shingle FROM sh WHERE shingle IS NOT NULL),
-sizes AS (SELECT doc_id, count(*) AS n FROM sh2 GROUP BY doc_id),
-inter AS (
-  SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS i
-  FROM sh2 a JOIN sh2 b ON a.shingle = b.shingle AND a.doc_id < b.doc_id
-  GROUP BY 1, 2
-)
+{shingle_overlap}
 SELECT id_a, id_b, i::BIGINT AS inter,
        round(i::DOUBLE / sa.n, 6) AS c_ab_r, round(i::DOUBLE / sb.n, 6) AS c_ba_r
 FROM inter JOIN sizes sa ON sa.doc_id = id_a JOIN sizes sb ON sb.doc_id = id_b
@@ -5106,7 +4372,7 @@ ORDER BY id_a, id_b
     from splade_ray.pipelines.queries import BPE_TOP_SYMBOLS
 
     oracles["bpe_encode"] = f"""
-WITH toks AS (SELECT unnest({doc_toks}) AS term FROM documents),
+WITH toks AS (SELECT unnest({_DOC_TOKS}) AS term FROM documents),
 words AS (SELECT term, count(*)::BIGINT AS cf FROM toks GROUP BY term),
 w0 AS (SELECT array_to_string(string_split(term, ''), '|') || '|' AS w, cf FROM words),
 {",".join(_bpe)},
@@ -5152,19 +4418,12 @@ FROM fin GROUP BY cl ORDER BY bucket
     from splade_ray.pipelines.queries import ALIAS_DAYS, ALIAS_LANG, DATASTREAM_DAYS as _DS_DAYS
 
     oracles["alias_topk"] = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (
-  SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset
-),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
+WITH {_query_terms(bm25_values)}
 nn AS (SELECT count(*)::BIGINT AS n FROM documents),
 sel AS (SELECT doc_id, text, lang FROM documents, nn
         WHERE doc_id * {_DS_DAYS} // nn.n >= {ALIAS_DAYS[0]} AND doc_id * {_DS_DAYS} // nn.n < {ALIAS_DAYS[1]}),
-toks AS (SELECT doc_id, unnest({_TOK_SQL.format(col="text")}) AS term FROM sel),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus("sel")}
+{_BM25_STATS}
 scores AS (
   SELECT q.query_id, tf.doc_id,
          sum(q.qtf * ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
@@ -5177,23 +4436,11 @@ scores AS (
   CROSS JOIN stats s
   GROUP BY q.query_id, tf.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_ranked_tail()}
 """
     # percentiles_bucket + stats_bucket over the gap-free daily series
-    oracles["bucket_percentiles_stats"] = """
-WITH c AS (SELECT CAST(date_trunc('day', ts) AS DATE) AS day, count(*)::BIGINT AS n FROM events GROUP BY 1),
-b AS (SELECT min(day) AS lo, max(day) AS hi FROM c),
-axis AS (
-  SELECT CAST(unnest(generate_series(CAST((SELECT lo FROM b) AS TIMESTAMP),
-                                     CAST((SELECT hi FROM b) AS TIMESTAMP),
-                                     INTERVAL 1 DAY)) AS DATE) AS day
-),
+    oracles["bucket_percentiles_stats"] = f"""
+WITH {_DAILY_EVENTS}
 s AS (SELECT coalesce(c.n, 0)::DOUBLE AS n FROM axis a LEFT JOIN c USING (day))
 SELECT round(quantile_cont(n, 0.25), 6) AS p25_r,
        round(quantile_cont(n, 0.50), 6) AS p50_r,
@@ -5206,18 +4453,8 @@ FROM s
     # combined tf = Σ_f boost·tf_f, combined dl = Σ_f boost·dl_f, avgdl
     # over combined lengths, df = whole-document df — then standard BM25
     oracles["combined_fields_topk"] = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-base AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-f AS (
-  SELECT doc_id, 'title' AS field, l[1:{queries_mod_title_toks}] AS fl FROM base
-  UNION ALL
-  SELECT doc_id, 'body', l[{queries_mod_title_toks + 1}:] FROM base
-),
-ftoks AS (SELECT doc_id, field, unnest(fl) AS term FROM f),
-ftf AS (SELECT field, doc_id, term, count(*)::DOUBLE AS tf FROM ftoks GROUP BY 1, 2, 3),
-fdl AS (SELECT field, doc_id, len(fl)::DOUBLE AS dl FROM f),
+WITH {_query_terms(bm25_values, compact=True)}
+{field_ctes}
 cdl AS (SELECT doc_id, sum((CASE WHEN field = 'title' THEN 2.0 ELSE 1.0 END) * dl) AS dl
         FROM fdl GROUP BY doc_id),
 cstats AS (SELECT avg(dl) AS avgdl, count(*)::DOUBLE AS n_docs FROM cdl),
@@ -5235,12 +4472,7 @@ scores AS (
   CROSS JOIN cstats s
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked WHERE rank <= 10
+{_ranked_tail(sep=" ")}
 """
     # TPC-H-Q5 star join: revenue in exact integer 1e-4 units
     oracles["regional_revenue"] = """
@@ -5259,7 +4491,7 @@ GROUP BY 1, 2 ORDER BY 1, 2
     # Heaps'-law growth: distinct-so-far at decile c == terms whose first
     # occurrence precedes the c-th decile boundary (doc_id order)
     oracles["vocab_growth"] = f"""
-WITH toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+WITH toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 ft AS (SELECT term, min(doc_id) AS first_doc FROM toks GROUP BY term),
 n AS (SELECT count(*)::BIGINT AS n_docs FROM documents),
 cp AS (SELECT unnest(range(1, 11)) AS checkpoint)
@@ -5268,13 +4500,16 @@ SELECT cp.checkpoint::BIGINT AS checkpoint,
        (SELECT count(*) FROM ft WHERE ft.first_doc < (cp.checkpoint * n.n_docs) // 10)::BIGINT AS vocab_size
 FROM cp CROSS JOIN n ORDER BY 1
 """
-    # ordered funnel: earliest-feasible greedy chain view < click < purchase
-    oracles["event_funnel"] = """
-WITH s1 AS (SELECT user_id, min(ts) AS t FROM events WHERE event_type = 'view' GROUP BY user_id),
+    # each user's earliest view, then the first click after it, then the
+    # first purchase after that
+    funnel_steps = """WITH s1 AS (SELECT user_id, min(ts) AS t FROM events WHERE event_type = 'view' GROUP BY user_id),
 s2 AS (SELECT e.user_id, min(e.ts) AS t FROM events e JOIN s1 ON s1.user_id = e.user_id
        WHERE e.event_type = 'click' AND e.ts > s1.t GROUP BY e.user_id),
 s3 AS (SELECT e.user_id, min(e.ts) AS t FROM events e JOIN s2 ON s2.user_id = e.user_id
-       WHERE e.event_type = 'purchase' AND e.ts > s2.t GROUP BY e.user_id),
+       WHERE e.event_type = 'purchase' AND e.ts > s2.t GROUP BY e.user_id),"""
+    # ordered funnel: earliest-feasible greedy chain view < click < purchase
+    oracles["event_funnel"] = f"""
+{funnel_steps}
 c AS (SELECT (SELECT count(*) FROM s1) AS c1, (SELECT count(*) FROM s2) AS c2,
              (SELECT count(*) FROM s3) AS c3)
 SELECT * FROM (
@@ -5288,7 +4523,7 @@ SELECT * FROM (
 """
     # binary-quantized coarse scan (sign-bit agreement = (dim + ±1·±1)/2,
     # exact small-integer arithmetic on both sides) + exact cosine rescore
-    oracles["knn_bq_rescore"] = """
+    oracles["knn_bq_rescore"] = f"""
 WITH q0 AS (SELECT vec_id AS qid, CAST(embedding AS DOUBLE[]) AS qe FROM embeddings ORDER BY vec_id LIMIT 5),
 qq AS (SELECT qid, qe,
               list_transform(qe, x -> CASE WHEN x > 0 THEN 1.0 ELSE -1.0 END) AS qs
@@ -5306,17 +4541,7 @@ cand AS (
          row_number() OVER (PARTITION BY query_vec_id ORDER BY coarse DESC, vec_id ASC) AS crank
   FROM coarse
 ),
-resc AS (
-  SELECT query_vec_id, vec_id, coarse, list_cosine_similarity(qe, de) AS score
-  FROM cand WHERE crank <= 30
-),
-ranked AS (
-  SELECT query_vec_id, vec_id, coarse, score,
-         row_number() OVER (PARTITION BY query_vec_id ORDER BY round(score, 9) DESC, vec_id ASC) AS rank
-  FROM resc
-)
-SELECT query_vec_id, rank, vec_id, round(coarse, 6) AS coarse_r, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10 ORDER BY query_vec_id, rank
+{_VEC_RESCORE}
 """
     # infix dictionary expansion: LIKE '%sub%' over the derived term set,
     # then the shared expanded-OR BM25 (unit weight, per-term idf)
@@ -5325,29 +4550,11 @@ FROM ranked WHERE rank <= 10 ORDER BY query_vec_id, rank
     substring_values = ", ".join(f"('{qid}', '{s}')" for qid, s in SUBSTRING_QUERIES)
     oracles["substring_topk"] = f"""
 WITH sset(query_id, sub) AS (VALUES {substring_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+{_corpus()}
+{_BM25_STATS}
 expand AS (SELECT s.query_id, d.term, d.df FROM sset s JOIN df d ON d.term LIKE '%' || s.sub || '%'),
-scores AS (
-  SELECT e.query_id, tf.doc_id,
-         sum(ln(1 + (s.n_docs - e.df + 0.5) / (e.df + 0.5))
-             * tf.tf * 2.2 / (tf.tf + 1.2 * (0.25 + 0.75 * dl.dl / s.avgdl))) AS score
-  FROM expand e
-  JOIN tf ON tf.term = e.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY e.query_id, tf.doc_id
-),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10
+{_BM25_EXPAND_SCORES}
+{_ranked_tail()}
 """
     # cohort retention: Monday-start first-activity week, distinct users
     # per (cohort, week offset) cell
@@ -5395,9 +4602,7 @@ FROM t
     # MIN is min-hash-then-rightmost, w=4 windows (short docs: one whole-
     # doc window), digest = wraparound sum of the selected gram hashes
     oracles["winnowing_fps"] = f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),
-h AS (SELECT doc_id, i, CAST(md5_number_lower(tok) AS HUGEINT) AS th FROM flat),
+WITH {_TOKEN_HASHES}
 tri AS (
   SELECT doc_id, i,
          (((th * 1099511628211 + lead(th) OVER w) % 18446744073709551616)
@@ -5444,7 +4649,7 @@ qterms AS (
   FROM ql
 ),
 qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-base AS (SELECT doc_id, {doc_toks} AS l FROM documents),
+base AS (SELECT doc_id, {_DOC_TOKS} AS l FROM documents),
 sh AS (SELECT doc_id, list_transform(range(len(l) - 1), i -> l[i + 1] || '_' || l[i + 2]) AS s FROM base),
 toks AS (SELECT doc_id, unnest(s) AS term FROM sh),
 tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
@@ -5462,18 +4667,12 @@ scores AS (
   CROSS JOIN stats s
   GROUP BY q.query_id, tf.doc_id
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked WHERE rank <= 10
+{_ranked_tail(sep=" ")}
 """
     # interpolated bigram LM: P(w|v) = 0.7·c(vw)/c(v) + 0.3·c(w)/N, per-doc
     # mean −ln P over bigram positions (docs with < 2 tokens excluded)
     oracles["bigram_perplexity"] = f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),
+WITH {_TOKEN_POSITIONS}
 uni AS (SELECT tok, count(*)::DOUBLE AS c FROM flat GROUP BY tok),
 n AS (SELECT count(*)::DOUBLE AS n FROM flat),
 pairs AS (
@@ -5495,15 +4694,11 @@ FROM agg ORDER BY doc_id
 """
     # personalized PageRank: restart vector uniform over the lang='en'
     # seed set, 3 unrolled power iterations at damping 0.85
-    oracles["personalized_pagerank"] = """
+    oracles["personalized_pagerank"] = f"""
 WITH nn AS (SELECT count(*)::BIGINT AS n FROM documents),
 seeds AS (SELECT doc_id FROM documents WHERE lang = 'en'),
 ns AS (SELECT count(*)::DOUBLE AS k FROM seeds),
-e0 AS (
-  SELECT doc_id AS src, (doc_id * 3 + 1) % (SELECT n FROM nn) AS dst FROM documents
-  UNION ALL
-  SELECT doc_id, (doc_id * 7 + 2) % (SELECT n FROM nn) FROM documents
-),
+{_link_edges()}
 e AS (SELECT src, dst FROM e0 WHERE src <> dst),
 od AS (SELECT src, count(*)::DOUBLE AS d FROM e GROUP BY src),
 r0 AS (SELECT d.doc_id, CASE WHEN s.doc_id IS NULL THEN 0.0 ELSE 1.0 / (SELECT k FROM ns) END AS pr
@@ -5521,14 +4716,8 @@ SELECT doc_id, round(pr, 6) AS ppr_r FROM rk WHERE rn <= 50 ORDER BY doc_id
 """
     # serial_diff(7) + min-max normalize over the gap-free daily series;
     # the first 7 buckets have no complete lag and are dropped
-    oracles["serial_diff_events"] = """
-WITH c AS (SELECT CAST(date_trunc('day', ts) AS DATE) AS day, count(*)::BIGINT AS n FROM events GROUP BY 1),
-b AS (SELECT min(day) AS lo, max(day) AS hi FROM c),
-axis AS (
-  SELECT CAST(unnest(generate_series(CAST((SELECT lo FROM b) AS TIMESTAMP),
-                                     CAST((SELECT hi FROM b) AS TIMESTAMP),
-                                     INTERVAL 1 DAY)) AS DATE) AS day
-),
+    oracles["serial_diff_events"] = f"""
+WITH {_DAILY_EVENTS}
 s AS (SELECT a.day, coalesce(c.n, 0)::BIGINT AS n FROM axis a LEFT JOIN c USING (day)),
 mm AS (SELECT min(n)::DOUBLE AS lo, max(n)::DOUBLE AS hi FROM s),
 w AS (
@@ -5556,7 +4745,7 @@ FROM ordered WHERE cum_chars <= 20000 ORDER BY lang, doc_id
     # full Gopher rule set: word-count / mean-word-length windows,
     # required-word floor, dup-token / top-bigram / longest-run caps
     oracles["gopher_rules_kept"] = f"""
-WITH t AS (SELECT doc_id, {doc_toks} AS l FROM documents),
+WITH t AS (SELECT doc_id, {_DOC_TOKS} AS l FROM documents),
 flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM t),
 base AS (
   SELECT doc_id, len(l)::BIGINT AS n_tok,
@@ -5590,36 +4779,14 @@ ORDER BY b.doc_id
     # lang-ID confidence: top-2 stopword-profile scores + margin (the
     # same profile CTEs as lang_id_preds)
     oracles["doc_language_confidence"] = f"""
-WITH base AS (SELECT doc_id, coalesce(text, '') AS t FROM documents),
-m AS (
-  SELECT doc_id, length(t) AS nchar,
-         length(t) - length(regexp_replace(t, '[가-힯]', '', 'g')) AS n_hangul,
-         length(t) - length(regexp_replace(t, '[一-鿿]', '', 'g')) AS n_han,
-         list_filter(regexp_split_to_array(lower(t), '\\s+'), x -> x <> '') AS toks
-  FROM base
-),
-s AS (
-  SELECT doc_id, nchar, n_hangul, n_han, len(toks) AS n_tok,
-         {_lang_score('en')} AS s_en, {_lang_score('de')} AS s_de,
-         {_lang_score('es')} AS s_es, {_lang_score('fr')} AS s_fr
-  FROM m
-),
+{lang_ctes},
 d AS (
   SELECT doc_id, nchar, n_hangul, n_han, n_tok, s_en, s_de, s_es, s_fr,
          list_sort([s_en, s_de, s_es, s_fr]) AS ls
   FROM s
 )
 SELECT doc_id,
-  CASE
-    WHEN nchar > 0 AND (n_hangul + n_han)::DOUBLE / greatest(nchar, 1) > 0.1
-      THEN CASE WHEN n_hangul >= n_han THEN 'ko' ELSE 'zh' END
-    WHEN n_tok = 0 THEN 'und'
-    WHEN greatest(s_en, s_de, s_es, s_fr) <= 0.05 THEN 'und'
-    WHEN s_en >= s_de AND s_en >= s_es AND s_en >= s_fr THEN 'en'
-    WHEN s_de >= s_es AND s_de >= s_fr THEN 'de'
-    WHEN s_es >= s_fr THEN 'es'
-    ELSE 'fr'
-  END AS lang_pred,
+{lang_pred},
   round(CASE WHEN n_tok = 0 THEN 0.0 ELSE ls[4] END, 6) AS score1_r,
   round(CASE WHEN n_tok = 0 THEN 0.0 ELSE ls[3] END, 6) AS score2_r,
   round(CASE WHEN n_tok = 0 THEN 0.0 ELSE ls[4] - ls[3] END, 6) AS margin_r
@@ -5629,23 +4796,7 @@ FROM d ORDER BY doc_id
     # CCNet end-to-end selection: same LM + ntile CTEs as ccnet_buckets,
     # keep head everywhere + middle for 'en'
     oracles["ccnet_corpus_kept"] = f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok FROM toks),
-cnt AS (SELECT tok, count(*)::DOUBLE AS c FROM flat GROUP BY tok),
-tot AS (SELECT (SELECT count(*) FROM flat)::DOUBLE AS n),
-agg AS (
-  SELECT f.doc_id, avg(-ln(c.c / t.n)) AS ce
-  FROM flat f JOIN cnt c USING (tok) CROSS JOIN tot t GROUP BY f.doc_id
-),
-pp AS (
-  SELECT d.lang, d.doc_id, round(exp(coalesce(a.ce, 0)), 6) AS ppl_r
-  FROM documents d LEFT JOIN agg a USING (doc_id)
-),
-nt AS (
-  SELECT lang, doc_id, ppl_r,
-         ntile(3) OVER (PARTITION BY lang ORDER BY ppl_r ASC, doc_id ASC) AS b
-  FROM pp
-)
+{ccnet_ctes}
 SELECT doc_id, lang,
        CASE b WHEN 1 THEN 'head' WHEN 2 THEN 'middle' ELSE 'tail' END AS bucket,
        ppl_r
@@ -5662,10 +4813,9 @@ s AS (
 SELECT query_vec_id, vec_id, round(score, 6) AS score_r
 FROM s WHERE score >= 0.25 ORDER BY query_vec_id, vec_id
 """
-    # per-label prototypes: cosine of each member to its label centroid,
-    # top 5 per label by (round(score,9) DESC, vec_id)
-    oracles["label_prototypes"] = """
-WITH ev AS (SELECT vec_id, label, CAST(embedding AS DOUBLE[]) AS e FROM embeddings),
+    # each label's centroid (cent, norm cn), each vector's norm vn and its
+    # dot product with its own label's centroid — label_prototypes, label_scatter
+    label_centroids = """WITH ev AS (SELECT vec_id, label, CAST(embedding AS DOUBLE[]) AS e FROM embeddings),
 flatv AS (SELECT vec_id, label, unnest(e) AS x, unnest(range(len(e))) AS dim FROM ev),
 cent AS (SELECT label, dim, avg(x) AS c FROM flatv GROUP BY label, dim),
 cn AS (SELECT label, sqrt(sum(c * c)) AS n FROM cent GROUP BY label),
@@ -5674,7 +4824,11 @@ dots AS (
   SELECT f.vec_id, f.label, sum(f.x * c.c) AS dot
   FROM flatv f JOIN cent c ON c.label = f.label AND c.dim = f.dim
   GROUP BY f.vec_id, f.label
-),
+),"""
+    # per-label prototypes: cosine of each member to its label centroid,
+    # top 5 per label by (round(score,9) DESC, vec_id)
+    oracles["label_prototypes"] = f"""
+{label_centroids}
 s AS (
   SELECT d.label, d.vec_id, d.dot / (v.n * c.n) AS score
   FROM dots d JOIN vn v USING (vec_id) JOIN cn c USING (label)
@@ -5691,7 +4845,7 @@ FROM ranked WHERE rank <= 5 ORDER BY label, rank
     # lift = N·c(ab)/(c(a)·c(b)), support floor 3%, top-25 by lift
     oracles["association_rules"] = f"""
 WITH items(item) AS (VALUES {fis_values}),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
+toks AS (SELECT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 dt AS (SELECT DISTINCT t.doc_id, t.term FROM toks t JOIN items i ON i.item = t.term),
 n AS (SELECT count(*)::BIGINT AS n FROM documents),
 sing AS (SELECT term, count(*)::BIGINT AS c FROM dt GROUP BY term),
@@ -5717,12 +4871,8 @@ LIMIT 25
 """
     # funnel latency: seconds from the stage-1 view to the stage-3
     # purchase along the earliest-feasible chain, converting users only
-    oracles["funnel_latency"] = """
-WITH s1 AS (SELECT user_id, min(ts) AS t FROM events WHERE event_type = 'view' GROUP BY user_id),
-s2 AS (SELECT e.user_id, min(e.ts) AS t FROM events e JOIN s1 ON s1.user_id = e.user_id
-       WHERE e.event_type = 'click' AND e.ts > s1.t GROUP BY e.user_id),
-s3 AS (SELECT e.user_id, min(e.ts) AS t FROM events e JOIN s2 ON s2.user_id = e.user_id
-       WHERE e.event_type = 'purchase' AND e.ts > s2.t GROUP BY e.user_id),
+    oracles["funnel_latency"] = f"""
+{funnel_steps}
 lat AS (SELECT epoch(s3.t) - epoch(s1.t) AS lat_s FROM s3 JOIN s1 USING (user_id))
 SELECT count(*)::BIGINT AS n_converted,
        round(coalesce(quantile_cont(lat_s, 0.5), 0), 6) AS p50_r,
@@ -5732,17 +4882,8 @@ FROM lat
 """
     # per-label scatter: mean (1 − cos(member, centroid)) + the nearest
     # other centroid by cosine with its separation distance
-    oracles["label_scatter"] = """
-WITH ev AS (SELECT vec_id, label, CAST(embedding AS DOUBLE[]) AS e FROM embeddings),
-flatv AS (SELECT vec_id, label, unnest(e) AS x, unnest(range(len(e))) AS dim FROM ev),
-cent AS (SELECT label, dim, avg(x) AS c FROM flatv GROUP BY label, dim),
-cn AS (SELECT label, sqrt(sum(c * c)) AS n FROM cent GROUP BY label),
-vn AS (SELECT vec_id, sqrt(list_inner_product(e, e)) AS n FROM ev),
-dots AS (
-  SELECT f.vec_id, f.label, sum(f.x * c.c) AS dot
-  FROM flatv f JOIN cent c ON c.label = f.label AND c.dim = f.dim
-  GROUP BY f.vec_id, f.label
-),
+    oracles["label_scatter"] = f"""
+{label_centroids}
 scat AS (
   SELECT d.label, count(*)::BIGINT AS n_vecs,
          avg(1.0 - d.dot / (v.n * c.n)) AS mean_dist
@@ -5772,7 +4913,7 @@ ORDER BY s.label
 WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
 qterms AS (SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset),
 qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY 1, 2),
-dterms AS (SELECT DISTINCT doc_id, unnest({doc_toks}) AS term FROM documents),
+dterms AS (SELECT DISTINCT doc_id, unnest({_DOC_TOKS}) AS term FROM documents),
 allt AS (SELECT DISTINCT term FROM qtf UNION SELECT DISTINCT term FROM dterms),
 vec AS (
   SELECT term, dd.d AS dim,
@@ -5801,12 +4942,7 @@ scores AS (
   FROM qtf q JOIN maxsim m ON m.qt = q.term
   GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked WHERE rank <= 10
+{_ranked_tail(sep=" ")}
 """
     # sloppy phrase: ordered pairs a…b with p_b − p_a ≤ slop+1 weighted
     # 1/distance into one saturated phrase frequency, idf summed per term
@@ -5815,8 +4951,7 @@ SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked WHERE rank
     sloppy_values = ", ".join(f"('{qid}', '{a}', '{b}', {s})" for qid, a, b, s in SLOPPY_QUERIES)
     oracles["sloppy_phrase_topk"] = f"""
 WITH qset(query_id, ta, tb, slop) AS (VALUES {sloppy_values}),
-toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
-flat AS (SELECT doc_id, unnest(l) AS tok, unnest(range(len(l))) AS i FROM toks),
+{_TOKEN_POSITIONS}
 dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM flat GROUP BY doc_id),
 stats AS (SELECT (SELECT count(*) FROM documents)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
 df AS (SELECT tok, count(DISTINCT doc_id)::DOUBLE AS df FROM flat GROUP BY tok),
@@ -5842,25 +4977,12 @@ scores AS (
   JOIN dl ON dl.doc_id = p.doc_id
   CROSS JOIN stats s
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked WHERE rank <= 10
+{_ranked_tail(sep=" ")}
 """
     # soft dedup: transitive near-dup clusters (the dedup_clusters CTEs),
     # members weighted 1/|cluster|, singletons 1.0
     oracles["soft_dedup_weights"] = f"""
-WITH RECURSIVE p AS ({_pairs_body}),
-edges AS (SELECT id_a AS a, id_b AS b FROM p UNION ALL SELECT id_b, id_a FROM p),
-nodes AS (SELECT DISTINCT a AS node FROM edges),
-reach(node, lab) AS (
-  SELECT node, node FROM nodes
-  UNION
-  SELECT e.a, r.lab FROM edges e JOIN reach r ON e.b = r.node
-),
-comp AS (SELECT node AS doc_id, min(lab) AS cluster_id FROM reach GROUP BY node),
+{cc_ctes},
 cs AS (SELECT cluster_id, count(*)::DOUBLE AS n FROM comp GROUP BY cluster_id),
 w AS (SELECT c.doc_id, 1.0 / s.n AS w FROM comp c JOIN cs s USING (cluster_id))
 SELECT d.doc_id, d.lang, round(coalesce(w.w, 1.0), 6) AS weight_r
@@ -5868,9 +4990,7 @@ FROM documents d LEFT JOIN w USING (doc_id) ORDER BY d.doc_id
 """
     # ERR@10: cascade model with binary relevance R = 0.5 — the product
     # telescopes into 0.5^(relevant above r), counted by a window sum
-    oracles["err_at10"] = (
-        bm25_ctes
-        + """
+    oracles["err_at10"] = f"""{bm25_ctes}
 , hits AS (
   SELECT r.query_id, r.rank, CASE WHEN q.doc_id IS NOT NULL THEN 1 ELSE 0 END AS rel
   FROM ranked r LEFT JOIN qrels q ON r.query_id = q.query_id AND r.doc_id = q.doc_id
@@ -5891,18 +5011,12 @@ SELECT query_id, round(err, 6) AS err_r FROM per
 WHERE query_id IN (SELECT DISTINCT query_id FROM qrels)
 ORDER BY query_id
 """
-    )
     # static pruning: per-term impacts ranked (round(w,9) DESC, doc ASC),
     # keep rank <= ceil(0.5·df), then the usual qtf-weighted sum
     oracles["pruned_index_topk"] = f"""
-WITH qset(query_id, qtext) AS (VALUES {bm25_values}),
-qterms AS (SELECT query_id, unnest({_TOK_SQL.format(col="qtext")}) AS term FROM qset),
-qtf AS (SELECT query_id, term, count(*)::DOUBLE AS qtf FROM qterms GROUP BY query_id, term),
-toks AS (SELECT doc_id, unnest({doc_toks}) AS term FROM documents),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks GROUP BY doc_id, term),
-dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM dl)::DOUBLE AS n_docs, (SELECT avg(dl) FROM dl) AS avgdl),
-df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+WITH {_query_terms(bm25_values, compact=True)}
+{_corpus()}
+{_BM25_STATS}
 w AS (
   SELECT tf.term, tf.doc_id,
          ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
@@ -5920,16 +5034,11 @@ scores AS (
   SELECT q.query_id, k.doc_id, sum(q.qtf * k.w) AS score
   FROM qtf q JOIN kept k ON k.term = q.term GROUP BY 1, 2
 ),
-ranked AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked WHERE rank <= 10
+{_ranked_tail(sep=" ")}
 """
     # temporal drift: early/late halves by doc_id, smoothed df log-odds
     oracles["trending_terms"] = f"""
-WITH toks AS (SELECT doc_id, {doc_toks} AS l FROM documents),
+WITH toks AS (SELECT doc_id, {_DOC_TOKS} AS l FROM documents),
 nn AS (SELECT count(*)::BIGINT AS n FROM documents),
 dt AS (SELECT DISTINCT doc_id, unnest(l) AS term FROM toks),
 h AS (
@@ -5954,9 +5063,7 @@ FROM ranked WHERE rn <= 20 ORDER BY rn
 """
     # RM3: fb = BM25 top-10; expansion w(t) = idf·Σ tf/dl over fb docs,
     # top-5 non-query terms; reformulated weights 0.6·qtf ∪ 0.4·w/max_w
-    oracles["rm3_topk"] = (
-        bm25_ctes
-        + """
+    oracles["rm3_topk"] = f"""{bm25_ctes}
 , fb AS (SELECT query_id, doc_id FROM ranked WHERE rank <= 10),
 fbw AS (
   SELECT f.query_id, t.term, sum(t.tf / dl.dl) AS s
@@ -5992,23 +5099,11 @@ scores2 AS (
   CROSS JOIN stats s
   GROUP BY 1, 2
 ),
-ranked2 AS (
-  SELECT query_id, doc_id, score,
-         row_number() OVER (PARTITION BY query_id ORDER BY round(score, 9) DESC, doc_id ASC) AS rank
-  FROM scores2
-)
-SELECT query_id, rank, doc_id, round(score, 6) AS score_r FROM ranked2 WHERE rank <= 10
+{_ranked_tail(src="scores2", sep=" ", name="ranked2")}
 """
-    )
     # robust-z anomaly days: (x − median)/(1.4826·MAD), |z| > 2.5 flags
-    oracles["anomaly_days"] = """
-WITH c AS (SELECT CAST(date_trunc('day', ts) AS DATE) AS day, count(*)::BIGINT AS n FROM events GROUP BY 1),
-b AS (SELECT min(day) AS lo, max(day) AS hi FROM c),
-axis AS (
-  SELECT CAST(unnest(generate_series(CAST((SELECT lo FROM b) AS TIMESTAMP),
-                                     CAST((SELECT hi FROM b) AS TIMESTAMP),
-                                     INTERVAL 1 DAY)) AS DATE) AS day
-),
+    oracles["anomaly_days"] = f"""
+WITH {_DAILY_EVENTS}
 s AS (SELECT a.day, coalesce(c.n, 0)::BIGINT AS n FROM axis a LEFT JOIN c USING (day)),
 med AS (SELECT median(n::DOUBLE) AS m FROM s),
 mad AS (SELECT median(abs(s.n - med.m)) AS d FROM s, med),
@@ -6022,7 +5117,7 @@ FROM z ORDER BY day
 """
     # Matryoshka rescore: coarse = cosine over the first 16 dims (MRL
     # prefix property), exact full-dim cosine re-ranks the top-30
-    oracles["knn_mrl_rescore"] = """
+    oracles["knn_mrl_rescore"] = f"""
 WITH q AS (SELECT vec_id AS qid, CAST(embedding AS DOUBLE[]) AS qe FROM embeddings ORDER BY vec_id LIMIT 5),
 d AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS de FROM embeddings),
 coarse AS (
@@ -6035,22 +5130,10 @@ cand AS (
          row_number() OVER (PARTITION BY query_vec_id ORDER BY round(coarse, 9) DESC, vec_id ASC) AS crank
   FROM coarse
 ),
-resc AS (
-  SELECT query_vec_id, vec_id, coarse, list_cosine_similarity(qe, de) AS score
-  FROM cand WHERE crank <= 30
-),
-ranked AS (
-  SELECT query_vec_id, vec_id, coarse, score,
-         row_number() OVER (PARTITION BY query_vec_id ORDER BY round(score, 9) DESC, vec_id ASC) AS rank
-  FROM resc
-)
-SELECT query_vec_id, rank, vec_id, round(coarse, 6) AS coarse_r, round(score, 6) AS score_r
-FROM ranked WHERE rank <= 10 ORDER BY query_vec_id, rank
+{_VEC_RESCORE}
 """
     # clarity (QPP): KL between the fb-doc mixture LM and the corpus LM
-    oracles["clarity_scores"] = (
-        bm25_ctes
-        + """
+    oracles["clarity_scores"] = f"""{bm25_ctes}
 , fb AS (SELECT query_id, doc_id FROM ranked WHERE rank <= 10),
 nfb AS (SELECT query_id, count(*)::DOUBLE AS n FROM fb GROUP BY query_id),
 cf AS (SELECT term, count(*)::DOUBLE AS c FROM toks GROUP BY term),
@@ -6070,16 +5153,9 @@ kl AS (
 )
 SELECT query_id, round(clarity, 6) AS clarity_r FROM kl ORDER BY query_id
 """
-    )
     # day-of-week profile: ISO weekday totals + per-day average + lift
-    oracles["dow_seasonality"] = """
-WITH c AS (SELECT CAST(date_trunc('day', ts) AS DATE) AS day, count(*)::BIGINT AS n FROM events GROUP BY 1),
-b AS (SELECT min(day) AS lo, max(day) AS hi FROM c),
-axis AS (
-  SELECT CAST(unnest(generate_series(CAST((SELECT lo FROM b) AS TIMESTAMP),
-                                     CAST((SELECT hi FROM b) AS TIMESTAMP),
-                                     INTERVAL 1 DAY)) AS DATE) AS day
-),
+    oracles["dow_seasonality"] = f"""
+WITH {_DAILY_EVENTS}
 s AS (SELECT a.day, coalesce(c.n, 0)::BIGINT AS n FROM axis a LEFT JOIN c USING (day)),
 ov AS (SELECT avg(n::DOUBLE) AS m FROM s)
 SELECT isodow(day)::BIGINT AS dow, sum(n)::BIGINT AS n_events,
@@ -6088,14 +5164,8 @@ SELECT isodow(day)::BIGINT AS dow, sum(n)::BIGINT AS n_events,
 FROM s GROUP BY 1 ORDER BY 1
 """
     # cumulative_sum pipeline agg: gap-free day axis + running total
-    oracles["cumulative_sum_daily"] = """
-WITH c AS (SELECT CAST(date_trunc('day', ts) AS DATE) AS day, count(*)::BIGINT AS n FROM events GROUP BY 1),
-b AS (SELECT min(day) AS lo, max(day) AS hi FROM c),
-axis AS (
-  SELECT CAST(unnest(generate_series(CAST((SELECT lo FROM b) AS TIMESTAMP),
-                                     CAST((SELECT hi FROM b) AS TIMESTAMP),
-                                     INTERVAL 1 DAY)) AS DATE) AS day
-),
+    oracles["cumulative_sum_daily"] = f"""
+WITH {_DAILY_EVENTS}
 s AS (SELECT a.day, coalesce(c.n, 0)::BIGINT AS n FROM axis a LEFT JOIN c USING (day))
 SELECT CAST(day AS TIMESTAMP) AS day, n AS n_events,
        sum(n) OVER (ORDER BY day ROWS UNBOUNDED PRECEDING)::BIGINT AS cum_n
@@ -6115,7 +5185,7 @@ FROM c WHERE n_view > 0 ORDER BY day
 """
     # Zipf fit: ln(cf) ~ ln(rank) over the top-1000 term head
     oracles["zipf_slope"] = f"""
-WITH toks AS (SELECT unnest({_TOK_SQL.format(col="text")}) AS term FROM documents),
+WITH toks AS (SELECT unnest({_DOC_TOKS}) AS term FROM documents),
 cf AS (SELECT term, count(*)::DOUBLE AS c FROM toks GROUP BY term),
 rk AS (SELECT term, c, row_number() OVER (ORDER BY c DESC, term ASC) AS r FROM cf),
 sel AS (SELECT ln(r::DOUBLE) AS x, ln(c) AS y FROM rk WHERE r <= 1000)
@@ -6125,13 +5195,9 @@ SELECT count(*)::BIGINT AS n_terms,
 FROM sel
 """
     # in-degree histogram of the link fixture (indeg-0 nodes included)
-    oracles["degree_hist"] = """
+    oracles["degree_hist"] = f"""
 WITH nn AS (SELECT count(*)::BIGINT AS n FROM documents),
-e0 AS (
-  SELECT doc_id AS src, (doc_id * 3 + 1) % (SELECT n FROM nn) AS dst FROM documents
-  UNION ALL
-  SELECT doc_id, (doc_id * 7 + 2) % (SELECT n FROM nn) FROM documents
-),
+{_link_edges()}
 e AS (SELECT src, dst FROM e0 WHERE src <> dst),
 ind AS (
   SELECT d.doc_id, count(e.dst)::BIGINT AS indeg
@@ -6141,13 +5207,9 @@ SELECT indeg, count(*)::BIGINT AS n_nodes FROM ind GROUP BY indeg ORDER BY indeg
 """
     # weighted PageRank: the link_pagerank CTE chain with w = 1+(src+dst)%3
     # edge weights and rank·w/W transitions; round-9 selection like PPR
-    oracles["weighted_pagerank"] = """
+    oracles["weighted_pagerank"] = f"""
 WITH nn AS (SELECT count(*)::BIGINT AS n FROM documents),
-e0 AS (
-  SELECT doc_id AS src, (doc_id * 3 + 1) % (SELECT n FROM nn) AS dst FROM documents
-  UNION ALL
-  SELECT doc_id, (doc_id * 7 + 2) % (SELECT n FROM nn) FROM documents
-),
+{_link_edges()}
 e AS (SELECT src, dst, (1 + (src + dst) % 3)::DOUBLE AS w FROM e0 WHERE src <> dst),
 od AS (SELECT src, sum(w) AS wd FROM e GROUP BY src),
 r0 AS (SELECT doc_id, 1.0 / (SELECT n FROM nn) AS pr FROM documents),
@@ -6162,13 +5224,9 @@ SELECT doc_id, round(pr, 6) AS pr_r FROM rk WHERE rn <= 50 ORDER BY doc_id
 """
     # label propagation: 3 synchronized rounds unrolled; per-round winner =
     # argmax neighbor-label count with (c DESC, label ASC) election
-    oracles["label_propagation"] = """
+    oracles["label_propagation"] = f"""
 WITH nn AS (SELECT count(*)::BIGINT AS n FROM documents),
-e0 AS (
-  SELECT doc_id AS src, (doc_id * 3 + 1) % (SELECT n FROM nn) AS dst FROM documents
-  UNION ALL
-  SELECT doc_id, (doc_id * 7 + 2) % (SELECT n FROM nn) FROM documents
-),
+{_link_edges()}
 e AS (SELECT src, dst FROM e0 WHERE src <> dst),
 e2 AS (SELECT src, dst FROM e UNION ALL SELECT dst, src FROM e),
 l0 AS (SELECT doc_id AS node, doc_id AS label FROM documents),

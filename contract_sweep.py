@@ -14,10 +14,16 @@ Output: {"sf_dir": ..., "ok": N, "fail": N, "queries": {name: {"rows": r,
 (match=null: no SQL oracle — the driver's weaker rows-only gate).
 
 CONTRACT.md is generated from two runs of this script (sf0.01 + sf0.1).
+
+Each query's name goes to stderr before it starts, and a query still
+running after QUERY_TIMEOUT_S dumps every thread's stack to stderr and
+exits the process non-zero: a stalled Ray execution fails loudly instead
+of hanging the sweep.
 """
 
 from __future__ import annotations
 
+import faulthandler
 import json
 import os
 import sys
@@ -26,6 +32,9 @@ import traceback
 
 import numpy as np
 import pandas as pd
+
+# ~5x the slowest query recorded (intervals_topk, 118 s in SWEEP_sf0.1.json)
+QUERY_TIMEOUT_S = 600
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part",
@@ -86,6 +95,8 @@ def sweep(sf_dir: str, only: list[str] | None = None) -> dict:
     for name in sorted(queries):
         t0 = time.perf_counter()
         rec: dict = {"rows": None, "oracle_rows": None, "match": None, "wall_s": None, "err": None}
+        print(f"  {name} ...", file=sys.stderr, flush=True)
+        faulthandler.dump_traceback_later(QUERY_TIMEOUT_S, exit=True)
         try:
             got = _canon(_to_df(queries[name](sf_dir)))
             rec["rows"] = int(len(got))
@@ -99,6 +110,8 @@ def sweep(sf_dir: str, only: list[str] | None = None) -> dict:
         except Exception:
             rec["err"] = traceback.format_exc(limit=3).strip().splitlines()[-1]
             report["fail"] += 1
+        finally:
+            faulthandler.cancel_dump_traceback_later()
         rec["wall_s"] = round(time.perf_counter() - t0, 2)
         report["queries"][name] = rec
         status = "OK" if rec["err"] is None and rec["match"] is not False else "FAIL"

@@ -12,7 +12,6 @@ constants (see SURVEY.md §0).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,8 +133,7 @@ class EngineConfig:
     doc_top_k: int = 4096
     min_weight: float = 0.0
 
-    # --- query defaults (reference k-list, config/testing/_base.yaml:19) ---
-    eval_k_list: tuple = (1, 5, 10, 50, 100)
+    # --- query defaults ---
     top_k: int = 10
 
     # --- tokenizer (pure-function; must match the DuckDB oracle exactly) ---
@@ -175,12 +173,7 @@ class EngineConfig:
     # small corpora, and a per-task working set that stays cache-resident:
     # 4096 rows x ~2KB html ≈ 8 MB)
     read_batch_size: int = 4096
-    encode_batch_size: int = 512  # reference encode batch (encoding/_base.yaml:4)
     query_batch_size: int = 32  # reference eval batch (testing/_base.yaml:4)
-    scorer_concurrency: Optional[int] = None  # None -> let Ray size the pool
-
-    # --- format version stamped into manifests ---
-    format_version: int = 1
 
     def validate(self) -> "EngineConfig":
         assert self.k1 > 0 and 0.0 <= self.b <= 1.0

@@ -12,6 +12,7 @@ BOTH sides; ranking happens before rounding with the deterministic
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -30,7 +31,7 @@ from ray.data.aggregate import Count, Mean, Min, Sum
 from ..config import EngineConfig
 from ..stages.encode import cached_ref
 from .build import build_index
-from .search import IndexReader
+from .search import IndexReader, ShardedSearcher
 
 # root of every index and artifact the showcase caches across calls.  The
 # name carries the postings format: indexes here hold no stored zone-bound
@@ -67,6 +68,36 @@ def _docs(sf_dir: str, columns=None) -> rd.Dataset:
 
 def _emb(sf_dir: str) -> rd.Dataset:
     return rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
+
+
+# ---------------------------------------------------------- ranked rows
+def _hit_rows(qid: str, hits, start: int = 1) -> list[tuple]:
+    """The contract's ranked rows (query_id, rank, doc_id, score_r) of one
+    query's (doc, score, url) hits, ranked from ``start``."""
+    return [
+        (qid, rank, int(url.removeprefix("doc://")), round(score, 6))
+        for rank, (_d, score, url) in enumerate(hits, start)
+    ]
+
+
+def _ranked_rows(queries, search, *args, **kwargs) -> list[tuple]:
+    """``_hit_rows`` of ``search(*q, *args, **kwargs)`` for every
+    ``(query_id, *q)`` of ``queries``."""
+    return [row for qid, *q in queries for row in _hit_rows(qid, search(*q, *args, **kwargs))]
+
+
+def _ranked_frame(rows: list[tuple]) -> pd.DataFrame:
+    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+
+
+@contextlib.contextmanager
+def _sharded(index_dir: str, cfg: EngineConfig = DOCS_CFG, **kwargs):
+    """A 2-actor ShardedSearcher over ``index_dir``, shut down on exit."""
+    ss = ShardedSearcher(index_dir, cfg, num_actors=2, **kwargs)
+    try:
+        yield ss
+    finally:
+        ss.shutdown()
 
 
 # ------------------------------------------------------------------ BM25
@@ -119,11 +150,7 @@ def bm25_topk(sf_dir: str) -> pd.DataFrame:
     the pure-SQL BM25 oracle."""
     index_dir = build_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (internal_doc, score, url) in enumerate(reader.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, reader.search, BM25_K))
 
 
 def bm25_topk_page2(sf_dir: str) -> pd.DataFrame:
@@ -133,8 +160,6 @@ def bm25_topk_page2(sf_dir: str) -> pd.DataFrame:
     re-collected.  Oracle = the full ranking's rank 11..20 window.  One
     query routes through :class:`ShardedSearcher.search_after` to pin
     driver/sharded parity under the cursor mask."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
     rows = []
@@ -145,24 +170,13 @@ def bm25_topk_page2(sf_dir: str) -> pd.DataFrame:
             continue  # no page 2 (oracle window is empty too)
         d, s, _u = page1[-1]
         cursors[qid] = (s, d)
-        for rank, (_d, score, url) in enumerate(
-            reader.search_after(text, BM25_K, after=(s, d)), BM25_K + 1
-        ):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
+        rows += _hit_rows(qid, reader.search_after(text, BM25_K, after=(s, d)), BM25_K + 1)
     if cursors:
         qid0, text0 = next((q, t) for q, t in BM25_QUERIES if q in cursors)
-        ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2)
-        try:
-            sharded = [
-                (qid0, r, int(u.removeprefix("doc://")), round(s, 6))
-                for r, (_d, s, u) in enumerate(
-                    ss.search_after(text0, BM25_K, after=cursors[qid0]), BM25_K + 1
-                )
-            ]
-        finally:
-            ss.shutdown()
+        with _sharded(index_dir) as ss:
+            sharded = _hit_rows(qid0, ss.search_after(text0, BM25_K, after=cursors[qid0]), BM25_K + 1)
         assert sharded == [r for r in rows if r[0] == qid0], "sharded search_after diverged"
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 def bm25_topk_filtered(sf_dir: str) -> pd.DataFrame:
@@ -183,11 +197,7 @@ def bm25_topk_filtered(sf_dir: str) -> pd.DataFrame:
     allowed = pa.array(
         sorted(f"doc://{i:010d}" for i in tbl.column("doc_id").to_pylist()), type=pa.string()
     )
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_filtered(text, BM25_K, allowed), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, reader.search_filtered, BM25_K, allowed))
 
 
 PREFIX_QUERIES: list[tuple[str, str]] = [
@@ -214,24 +224,13 @@ def prefix_topk(sf_dir: str) -> pd.DataFrame:
     with unit query weight and per-term idf through the unchanged BM25
     kernels.  One query routes through :class:`ShardedSearcher` to pin
     driver/sharded parity under expansion."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
-    rows = []
-    for qid, prefix in PREFIX_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_prefix(prefix, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2)
-    try:
-        sharded = [
-            (PREFIX_QUERIES[0][0], r, int(u.removeprefix("doc://")), round(s, 6))
-            for r, (_d, s, u) in enumerate(ss.search_prefix(PREFIX_QUERIES[0][1], BM25_K), 1)
-        ]
-    finally:
-        ss.shutdown()
+    rows = _ranked_rows(PREFIX_QUERIES, reader.search_prefix, BM25_K)
+    with _sharded(index_dir) as ss:
+        sharded = _hit_rows(PREFIX_QUERIES[0][0], ss.search_prefix(PREFIX_QUERIES[0][1], BM25_K))
     assert sharded == [r for r in rows if r[0] == PREFIX_QUERIES[0][0]], "sharded prefix diverged"
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 NOT_TERMS: list[str] = ["data", "merge"]
@@ -243,11 +242,7 @@ def _similarity_topk(sf_dir: str, scoring: str) -> pd.DataFrame:
     import dataclasses
 
     reader = IndexReader(build_documents_index(sf_dir), dataclasses.replace(DOCS_CFG, scoring=scoring))
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_d, score, url) in enumerate(_rounded_topk(reader, text), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, lambda text: _rounded_topk(reader, text)))
 
 
 def lm_topk(sf_dir: str) -> pd.DataFrame:
@@ -354,11 +349,7 @@ def analyzed_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, ANALYZED_DOCS_CFG)
     reader = IndexReader(out, ANALYZED_DOCS_CFG)
-    rows = []
-    for qid, text in ANALYZED_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(ANALYZED_QUERIES, reader.search, BM25_K))
 
 
 def more_like_this(sf_dir: str) -> pd.DataFrame:
@@ -382,11 +373,8 @@ def more_like_this(sf_dir: str) -> pd.DataFrame:
     rows = []
     for qid, doc in MLT_SEEDS:
         url = seed_urls[doc]
-        for rank, (_d, score, hit_url) in enumerate(
-            reader.more_like_this(texts[url], BM25_K, max_terms=5, exclude_url=url), 1
-        ):
-            rows.append((qid, rank, int(hit_url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+        rows += _hit_rows(qid, reader.more_like_this(texts[url], BM25_K, max_terms=5, exclude_url=url))
+    return _ranked_frame(rows)
 
 
 def bm25_topk_not(sf_dir: str) -> pd.DataFrame:
@@ -396,13 +384,7 @@ def bm25_topk_not(sf_dir: str) -> pd.DataFrame:
     EXACT unfiltered scores; the oracle anti-joins the same term set out
     of the shared scores CTE and re-ranks."""
     reader = IndexReader(build_documents_index(sf_dir), DOCS_CFG)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_d, score, url) in enumerate(
-            reader.search_not(text, BM25_K, exclude_terms=NOT_TERMS), 1
-        ):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, reader.search_not, BM25_K, exclude_terms=NOT_TERMS))
 
 
 def fuzzy_topk(sf_dir: str) -> pd.DataFrame:
@@ -412,24 +394,13 @@ def fuzzy_topk(sf_dir: str) -> pd.DataFrame:
     query weight and per-term idf through the unchanged BM25 kernels.
     One query routes through :class:`ShardedSearcher.search_fuzzy` to pin
     driver/sharded parity under expansion."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
-    rows = []
-    for qid, term in FUZZY_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_fuzzy(term, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2)
-    try:
-        sharded = [
-            (FUZZY_QUERIES[0][0], r, int(u.removeprefix("doc://")), round(s, 6))
-            for r, (_d, s, u) in enumerate(ss.search_fuzzy(FUZZY_QUERIES[0][1], BM25_K), 1)
-        ]
-    finally:
-        ss.shutdown()
+    rows = _ranked_rows(FUZZY_QUERIES, reader.search_fuzzy, BM25_K)
+    with _sharded(index_dir) as ss:
+        sharded = _hit_rows(FUZZY_QUERIES[0][0], ss.search_fuzzy(FUZZY_QUERIES[0][1], BM25_K))
     assert sharded == [r for r in rows if r[0] == FUZZY_QUERIES[0][0]], "sharded fuzzy diverged"
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 def index_segments(sf_dir: str) -> pd.DataFrame:
@@ -495,18 +466,13 @@ def collapse_topk(sf_dir: str) -> pd.DataFrame:
     per ``source`` value, sources ranked by their winner's (-score,
     doc_id), top 5 — served entirely by the shard owners (each ships
     |sources| cells, the match set never crosses the network)."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = []
         for qid, text in BM25_QUERIES:
             for rank, (src, doc, score, _u) in enumerate(ss.search_collapse(text, 5, "source"), 1):
                 rows.append((qid, rank, src, doc, round(score, 6)))
-    finally:
-        ss.shutdown()
     return pd.DataFrame(rows, columns=["query_id", "rank", "source", "doc_id", "score_r"])
 
 
@@ -517,20 +483,15 @@ def diversified_topk(sf_dir: str) -> pd.DataFrame:
     (-score, doc_id), top 10.  Shard owners each ship ≤ |sources|·2
     cells (their local per-source top-2, which provably contains every
     global per-source top-2) — the match set never crosses the network."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = []
         for qid, text in BM25_QUERIES:
             for rank, (doc, score, _u, src) in enumerate(
                 ss.search_diversified(text, BM25_K, "source", per_value=2), 1
             ):
                 rows.append((qid, rank, doc, src, round(score, 6)))
-    finally:
-        ss.shutdown()
     return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "source", "score_r"])
 
 
@@ -538,19 +499,11 @@ def boosted_topk(sf_dir: str) -> pd.DataFrame:
     """Rank-feature retrieval (Lucene FeatureField / ES rank_feature):
     BM25 plus 0.5·ln(1 + n_chars/1000) from the static doc-value, applied
     to matched docs inside the shard owners before local top-k."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
-        for qid, text in BM25_QUERIES:
-            for rank, (_d, score, url) in enumerate(ss.search_boosted(text, BM25_K), 1):
-                rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    finally:
-        ss.shutdown()
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = _ranked_rows(BM25_QUERIES, ss.search_boosted, BM25_K)
+    return _ranked_frame(rows)
 
 
 def distance_feature_topk(sf_dir: str) -> pd.DataFrame:
@@ -559,22 +512,13 @@ def distance_feature_topk(sf_dir: str) -> pd.DataFrame:
     (origin=300, pivot=100, boost=1.0) — docs near the origin length gain
     up to +1; the decay is the ES reciprocal shape.  Applied to matched
     docs inside the shard owners before local top-k."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
-        for qid, text in BM25_QUERIES:
-            for rank, (_d, score, url) in enumerate(
-                ss.search_boosted(text, BM25_K, boost=1.0, pivot=100.0, feature="distance", origin=300.0),
-                1,
-            ):
-                rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    finally:
-        ss.shutdown()
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = _ranked_rows(
+            BM25_QUERIES, ss.search_boosted, BM25_K, boost=1.0, pivot=100.0, feature="distance", origin=300.0,
+        )
+    return _ranked_frame(rows)
 
 
 def field_value_factor_topk(sf_dir: str) -> pd.DataFrame:
@@ -583,22 +527,13 @@ def field_value_factor_topk(sf_dir: str) -> pd.DataFrame:
     docs' BM25 scores are MULTIPLIED by ``ln(1 + n_chars/100)`` inside the
     shard owners before local top-k — longer docs amplified, the
     popularity-signal shape of the ES docs' canonical example."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
-        for qid, text in BM25_QUERIES:
-            for rank, (_d, score, url) in enumerate(
-                ss.search_boosted(text, BM25_K, boost=1.0, pivot=100.0, feature="fvf_log1p_mul"),
-                1,
-            ):
-                rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    finally:
-        ss.shutdown()
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = _ranked_rows(
+            BM25_QUERIES, ss.search_boosted, BM25_K, boost=1.0, pivot=100.0, feature="fvf_log1p_mul",
+        )
+    return _ranked_frame(rows)
 
 
 def _chunk_index_dir(sf_dir: str) -> str:
@@ -667,13 +602,10 @@ def block_join_topk(sf_dir: str) -> pd.DataFrame:
     ships |parents-with-matches| cells, child match sets never cross the
     network.  ``chunk_idx`` reports the winning child (Lucene's matching
     child hit)."""
-    from .search import ShardedSearcher
-
     index_dir = build_chunk_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = []
         for qid, text in BM25_QUERIES:
             # the collapse merge already ships one cell per matched parent;
             # rank parents on the 6-decimal score (the repo-wide compare
@@ -684,8 +616,6 @@ def block_join_topk(sf_dir: str) -> pd.DataFrame:
             for rank, (parent, _d, score, url) in enumerate(ranked, 1):
                 cidx = int(url.rsplit("#c", 1)[1])
                 rows.append((qid, rank, int(parent), cidx, round(score, 6)))
-    finally:
-        ss.shutdown()
     return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "chunk_idx", "score_r"])
 
 
@@ -696,18 +626,13 @@ def children_agg(sf_dir: str) -> pd.DataFrame:
     child as a doc-value, Lucene's join-field denormalization).  Served
     by the shard owners' facet kernel — child match sets never leave
     them."""
-    from .search import ShardedSearcher
-
     index_dir = build_chunk_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = []
         for qid, text in BM25_QUERIES:
             for lang, n in sorted(ss.facets(text, m=1, attr_col="lang").items()):
                 rows.append((qid, lang, int(n)))
-    finally:
-        ss.shutdown()
     return pd.DataFrame(rows, columns=["query_id", "lang", "n_chunks"])
 
 
@@ -725,25 +650,14 @@ def synonym_topk(sf_dir: str) -> pd.DataFrame:
     semantics the precomputed per-term impacts can't express, served from
     the raw-tf sidecar.  One query routes through
     :class:`ShardedSearcher.search_synonyms` for driver/sharded parity."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
-    rows = []
-    for qid, groups in SYNONYM_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_synonyms(groups, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2)
-    try:
+    rows = _ranked_rows(SYNONYM_QUERIES, reader.search_synonyms, BM25_K)
+    with _sharded(index_dir) as ss:
         qid0, groups0 = SYNONYM_QUERIES[0]
-        sharded = [
-            (qid0, r, int(u.removeprefix("doc://")), round(s, 6))
-            for r, (_d, s, u) in enumerate(ss.search_synonyms(groups0, BM25_K), 1)
-        ]
-    finally:
-        ss.shutdown()
+        sharded = _hit_rows(qid0, ss.search_synonyms(groups0, BM25_K))
     assert sharded == [r for r in rows if r[0] == qid0], "sharded synonym diverged"
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 STATS_TERMS: list[str] = ["data", "spark", "query", "merge", "customer", "zzznope"]
@@ -779,25 +693,14 @@ def dismax_topk(sf_dir: str) -> pd.DataFrame:
     rest — one extra maximum.at scatter next to the exhaustive kernel's
     bincount.  One query routes through
     :class:`ShardedSearcher.search_dismax` to pin driver/sharded parity."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_dismax(text, BM25_K, tie=0.3), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2)
-    try:
+    rows = _ranked_rows(BM25_QUERIES, reader.search_dismax, BM25_K, tie=0.3)
+    with _sharded(index_dir) as ss:
         qid0, text0 = BM25_QUERIES[0]
-        sharded = [
-            (qid0, r, int(u.removeprefix("doc://")), round(s, 6))
-            for r, (_d, s, u) in enumerate(ss.search_dismax(text0, BM25_K, tie=0.3), 1)
-        ]
-    finally:
-        ss.shutdown()
+        sharded = _hit_rows(qid0, ss.search_dismax(text0, BM25_K, tie=0.3))
     assert sharded == [r for r in rows if r[0] == qid0], "sharded dismax diverged"
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 # patterns restricted to the re/RE2 shared subset (classes, alternation,
@@ -818,24 +721,13 @@ def regexp_topk(sf_dir: str) -> pd.DataFrame:
     and per-term idf through the unchanged BM25 kernels.  One query routes
     through :class:`ShardedSearcher.search_regexp` to pin driver/sharded
     parity under expansion."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
-    rows = []
-    for qid, pat in REGEXP_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_regexp(pat, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2)
-    try:
-        sharded = [
-            (REGEXP_QUERIES[0][0], r, int(u.removeprefix("doc://")), round(s, 6))
-            for r, (_d, s, u) in enumerate(ss.search_regexp(REGEXP_QUERIES[0][1], BM25_K), 1)
-        ]
-    finally:
-        ss.shutdown()
+    rows = _ranked_rows(REGEXP_QUERIES, reader.search_regexp, BM25_K)
+    with _sharded(index_dir) as ss:
+        sharded = _hit_rows(REGEXP_QUERIES[0][0], ss.search_regexp(REGEXP_QUERIES[0][1], BM25_K))
     assert sharded == [r for r in rows if r[0] == REGEXP_QUERIES[0][0]], "sharded regexp diverged"
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 def bm25_topk_deleted(sf_dir: str) -> pd.DataFrame:
@@ -848,11 +740,7 @@ def bm25_topk_deleted(sf_dir: str) -> pd.DataFrame:
     reader = IndexReader(index_dir, DOCS_CFG)
     del_urls = sorted({hits[0][2] for _, text in BM25_QUERIES if (hits := reader.search(text, 1))})
     deleted = IndexReader(index_dir, DOCS_CFG, deletes=del_urls)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_d, score, url) in enumerate(deleted.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, deleted.search, BM25_K))
 
 
 def bm25_topk_merged_purged(sf_dir: str) -> pd.DataFrame:
@@ -890,11 +778,7 @@ def bm25_topk_merged_purged(sf_dir: str) -> pd.DataFrame:
         apply_deletes(os.path.join(root, "segA"), deleted)
         merge_segments([os.path.join(root, "segA"), os.path.join(root, "segB")], merged_dir, DOCS_CFG)
     reader = IndexReader(merged_dir, DOCS_CFG)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, reader.search, BM25_K))
 
 
 def search_snippets(sf_dir: str) -> pd.DataFrame:
@@ -976,20 +860,15 @@ def search_snippets_sharded(sf_dir: str) -> pd.DataFrame:
     k-bounded url-predicate parquet reads — no IndexReader over the whole
     index, no corpus scan.  Output (and SQL oracle) identical to
     `search_snippets`."""
-    from .search import ShardedSearcher
-
     W = 12
     index_dir = build_documents_index(sf_dir)
-    searcher = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2)
-    try:
+    with _sharded(index_dir) as searcher:
         rows = []
         for qid, text in BM25_QUERIES:
             for rank, (_d, _s, url, start, n_hits, snippet) in enumerate(
                 searcher.snippets(text, k=5, W=W), 1
             ):
                 rows.append((qid, rank, int(url.removeprefix("doc://")), start, n_hits, snippet))
-    finally:
-        searcher.shutdown()
     return pd.DataFrame(
         rows, columns=["query_id", "rank", "doc_id", "start_tok", "n_hits", "snippet"]
     ).sort_values(["query_id", "rank"], ignore_index=True)
@@ -1034,11 +913,7 @@ def segment_merge_topk(sf_dir: str) -> pd.DataFrame:
     if not os.path.exists(os.path.join(merged_dir, "_MANIFEST.json")):
         merge_segments([a_idx, b_idx], merged_dir, DOCS_CFG)
     reader = IndexReader(merged_dir, DOCS_CFG)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (internal_doc, score, url) in enumerate(reader.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, reader.search, BM25_K))
 
 
 def bm25_topk_federated(sf_dir: str) -> pd.DataFrame:
@@ -1051,11 +926,7 @@ def bm25_topk_federated(sf_dir: str) -> pd.DataFrame:
 
     a_idx, b_idx = _ensure_doc_segments(sf_dir)
     fr = FederatedReader([a_idx, b_idx], DOCS_CFG)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_doc, score, url) in enumerate(fr.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, fr.search, BM25_K))
 
 
 def rescore_lm_topk(sf_dir: str) -> pd.DataFrame:
@@ -1081,9 +952,8 @@ def rescore_lm_topk(sf_dir: str) -> pd.DataFrame:
             ((d, 1.0 * s + 0.5 * lm_scores[d], u) for d, s, u in window),
             key=lambda r: (-r[1], r[0]),
         )[:BM25_K]
-        for rank, (_d, score, url) in enumerate(combined, 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+        rows += _hit_rows(qid, combined)
+    return _ranked_frame(rows)
 
 
 def bm25_topk_termindex(sf_dir: str) -> pd.DataFrame:
@@ -1113,7 +983,7 @@ def bm25_topk_termindex(sf_dir: str) -> pd.DataFrame:
     for qid, text in BM25_QUERIES:
         for rank, (doc, score) in enumerate(reader.search(text, BM25_K), 1):
             rows.append((qid, rank, doc, round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 _FIELD_TITLE_TOKS = 8
@@ -1205,7 +1075,7 @@ def bm25_fields_topk(sf_dir: str) -> pd.DataFrame:
     for qid, text in BM25_QUERIES:
         for rank, (doc, score) in enumerate(search_fields(readers, _FIELD_BOOSTS, text, BM25_K), 1):
             rows.append((qid, rank, doc, round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 def bm25f_topk(sf_dir: str) -> pd.DataFrame:
@@ -1264,7 +1134,7 @@ def bm25f_topk(sf_dir: str) -> pd.DataFrame:
         take = nz[np.lexsort((nz, -scores[nz]))][:BM25_K]
         for rank, d in enumerate(take, 1):
             rows.append((qid, rank, int(d), round(float(scores[d]), 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 CROSS_FIELDS_TIE = 0.3
@@ -1340,7 +1210,7 @@ def cross_fields_topk(sf_dir: str) -> pd.DataFrame:
         take = nz[np.lexsort((nz, -scores[nz]))][:BM25_K]
         for rank, d in enumerate(take, 1):
             rows.append((qid, rank, int(d), round(float(scores[d]), 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 def bm25_topk_hashed(sf_dir: str) -> pd.DataFrame:
@@ -1355,11 +1225,7 @@ def bm25_topk_hashed(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, cfg)
     reader = IndexReader(out, cfg)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (internal_doc, score, url) in enumerate(reader.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, reader.search, BM25_K))
 
 
 PHRASE_QUERIES: list[tuple[str, str]] = [
@@ -1385,11 +1251,7 @@ def phrase_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
-    rows = []
-    for qid, text in PHRASE_QUERIES:
-        for rank, (_doc, score, url) in enumerate(reader.search_phrase(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(PHRASE_QUERIES, reader.search_phrase, BM25_K))
 
 
 SPAN_QUERIES: list[tuple[str, str, int]] = [
@@ -1412,11 +1274,7 @@ def span_near_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
-    rows = []
-    for qid, text, slop in SPAN_QUERIES:
-        for rank, (_doc, score, url) in enumerate(reader.search_span_near(text, slop, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(SPAN_QUERIES, reader.search_span_near, BM25_K))
 
 
 # (qid, include_text, exclude_term, slop) — ordered span-near minus an
@@ -1444,13 +1302,7 @@ def span_not_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
-    rows = []
-    for qid, text, excl, slop in SPAN_NOT_QUERIES:
-        for rank, (_doc, score, url) in enumerate(
-            reader.search_span_not(text, excl, slop, BM25_K), 1
-        ):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(SPAN_NOT_QUERIES, reader.search_span_not, BM25_K))
 
 
 # (qid, terms, max_gaps) — unordered all_of; iv5 has an OOV term (empty)
@@ -1475,11 +1327,7 @@ def intervals_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
-    rows = []
-    for qid, text, gaps in INTERVAL_QUERIES:
-        for rank, (_doc, score, url) in enumerate(reader.search_intervals(text, gaps, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(INTERVAL_QUERIES, reader.search_intervals, BM25_K))
 
 
 COMPLETION_PREFIXES: list[tuple[str, str]] = [
@@ -1673,11 +1521,7 @@ def near_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
-    rows = []
-    for qid, ta, tb, w in NEAR_QUERIES:
-        for rank, (_doc, score, url) in enumerate(reader.search_near(ta, tb, w, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(NEAR_QUERIES, reader.search_near, BM25_K))
 
 
 NEURAL_DOCS_CFG = EngineConfig(shard_size=2000, num_buckets=1, encoder="neural")
@@ -1737,11 +1581,7 @@ def neural_topk(sf_dir: str) -> pd.DataFrame:
     build_index(corpus_path, out, NEURAL_DOCS_CFG)
     write_neural_expansion_sidecar(sf_dir, NEURAL_DOCS_CFG)
     reader = IndexReader(out, NEURAL_DOCS_CFG)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (internal_doc, score, url) in enumerate(reader.search(text, BM25_K, method="wand"), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, reader.search, BM25_K, method="wand"))
 
 
 def _external_ids(reader: IndexReader, docs: np.ndarray) -> list[int]:
@@ -1832,7 +1672,6 @@ def search_facets(sf_dir: str) -> pd.DataFrame:
     :meth:`ShardedSearcher.facets` (per-actor counts, |facets| cells per
     actor to the driver) to pin driver/sharded parity."""
     from .metrics import min_should_match
-    from .search import ShardedSearcher
 
     index_dir = build_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
@@ -1855,12 +1694,9 @@ def search_facets(sf_dir: str) -> pd.DataFrame:
         rows.extend(
             (qid, str(vocab[i]), int(counts[i])) for i in order if counts[i] > 0
         )
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2)
-    try:
+    with _sharded(index_dir) as ss:
         q0, t0 = BM25_QUERIES[0]
         dist = ss.facets(t0, m=1)
-    finally:
-        ss.shutdown()
     assert dist == {l: c for qid, l, c in rows if qid == q0}, "sharded facets diverged"
     return pd.DataFrame(rows, columns=["query_id", "lang", "n_docs"]).sort_values(
         ["query_id", "lang"], ignore_index=True
@@ -1873,18 +1709,13 @@ def search_histogram(sf_dir: str) -> pd.DataFrame:
     query's disjunctive match set, served by the shard owners: each actor
     buckets its own matched docs, the driver sums |buckets| cells per
     actor — the match set never crosses the network."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = []
         for qid, text in BM25_QUERIES:
             for blo, n in ss.histogram(text, "n_chars", 200, 1):
                 rows.append((qid, blo, n))
-    finally:
-        ss.shutdown()
     return pd.DataFrame(rows, columns=["query_id", "bucket_lo", "n_docs"])
 
 
@@ -1970,8 +1801,6 @@ def sorted_index_topk(sf_dir: str) -> pd.DataFrame:
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
-    from .search import ShardedSearcher
-
     index_dir = build_sorted_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
@@ -1982,14 +1811,11 @@ def sorted_index_topk(sf_dir: str) -> pd.DataFrame:
         per_query[qid] = hits
         all_urls.update(f"doc://{r:010d}" for r in hits)
     # pin driver/sharded parity under per-owner early termination
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2)
-    try:
+    with _sharded(index_dir) as ss:
         q0, t0 = BM25_QUERIES[0]
         assert ss.search_index_ordered(t0, BM25_K) == per_query[q0], (
             "sharded index-ordered walk diverged"
         )
-    finally:
-        ss.shutdown()
     if all_urls:
         tbl = pads.dataset(corpus).to_table(
             columns=["url", "orig_id", "n_chars"],
@@ -2127,7 +1953,7 @@ def random_topk(sf_dir: str) -> pd.DataFrame:
         order = np.lexsort((ext, -score))[:BM25_K]
         for rank, i in enumerate(order, 1):
             rows.append((qid, rank, int(ext[i]), round(float(score[i]), 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 def search_cardinality(sf_dir: str) -> pd.DataFrame:
@@ -2139,19 +1965,14 @@ def search_cardinality(sf_dir: str) -> pd.DataFrame:
     facet module already performs, so the match set never crosses the
     network.  The approximate path for unbounded-cardinality fields is
     the HLL sketch (``approx_distinct_trigrams``)."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = []
         for qid, text in BM25_QUERIES:
             f = ss.facets(text, m=1, attr_col="source")
             if f:
                 rows.append((qid, len(f)))
-    finally:
-        ss.shutdown()
     return pd.DataFrame(rows, columns=["query_id", "n_sources"])
 
 
@@ -2266,11 +2087,7 @@ def incremental_ingest_topk(sf_dir: str) -> pd.DataFrame:
     from .search import FederatedReader
 
     fr = FederatedReader([a_idx, b_idx], DOCS_CFG)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_doc, score, url) in enumerate(fr.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, fr.search, BM25_K))
 
 
 UPSERT_SUFFIX = " update revision pass"
@@ -2317,11 +2134,7 @@ def upsert_topk(sf_dir: str) -> pd.DataFrame:
 
     stale_urls = pq.read_table(os.path.join(base, "upsert", "b.parquet"), columns=["url"])
     fr = FederatedReader([base, b_idx], DOCS_CFG, deletes=[stale_urls.column("url").to_pylist(), None])
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_doc, score, url) in enumerate(fr.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, fr.search, BM25_K))
 
 
 PIT_SUFFIX = " point in time revision"
@@ -2534,37 +2347,24 @@ def decay_topk(sf_dir: str) -> pd.DataFrame:
     gauss decay on the n_chars doc-value (ES function_score/gauss, origin
     1000, scale 500, decay 0.5): BM25 × exp(−(attr−origin)²/(2σ²)) inside
     the shard owners before local top-k."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
-        for qid, text in BM25_QUERIES:
-            for rank, (_d, score, url) in enumerate(ss.search_decay(text, BM25_K, "n_chars", 1000.0, 500.0), 1):
-                rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    finally:
-        ss.shutdown()
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = _ranked_rows(BM25_QUERIES, ss.search_decay, BM25_K, "n_chars", 1000.0, 500.0)
+    return _ranked_frame(rows)
 
 
 def top_hits_by_lang(sf_dir: str) -> pd.DataFrame:
     """(query_id, lang, rank, doc_id, score_r) — top-hits-per-bucket (ES
     terms agg + top_hits, size 3): each lang bucket's 3 best BM25 hits,
     served by the shard owners (≤ 3·|langs| cells per actor)."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = []
         for qid, text in BM25_QUERIES:
             for lang, rank, doc, score in ss.search_top_hits(text, "lang", 3):
                 rows.append((qid, lang, rank, doc, round(score, 6)))
-    finally:
-        ss.shutdown()
     return pd.DataFrame(rows, columns=["query_id", "lang", "rank", "doc_id", "score_r"])
 
 
@@ -2596,13 +2396,8 @@ def adjacency_matrix(sf_dir: str) -> pd.DataFrame:
     adjacency_matrix): pairwise co-match doc counts of named boolean
     filters, computed per shard owner as one boolean match matrix + one
     M×M matmul; M² cells per actor cross the network, never match sets."""
-    from .search import ShardedSearcher
-
-    ss = ShardedSearcher(build_documents_index(sf_dir), DOCS_CFG, num_actors=2)
-    try:
+    with _sharded(build_documents_index(sf_dir)) as ss:
         rows = ss.adjacency_matrix(ADJ_FILTERS)
-    finally:
-        ss.shutdown()
     return pd.DataFrame(rows, columns=["name_a", "name_b", "n_docs"]).sort_values(
         ["name_a", "name_b"], ignore_index=True
     )
@@ -4593,11 +4388,7 @@ def snapshot_restore_topk(sf_dir: str) -> pd.DataFrame:
     restore_index(repo, "s1", restored)
 
     reader = IndexReader(restored, DOCS_CFG)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, reader.search, BM25_K))
 
 
 def bm25_topk_replicated(sf_dir: str) -> pd.DataFrame:
@@ -4606,20 +4397,14 @@ def bm25_topk_replicated(sf_dir: str) -> pd.DataFrame:
     primary is killed between queries, and the searcher promotes the
     replica on ``RayActorError`` (ES replica promotion).  Results must be
     rank-identical to the plain BM25 oracle — failover is invisible."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, replication=2)
     rows = []
-    try:
+    with _sharded(index_dir, replication=2) as ss:
         for i, (qid, text) in enumerate(BM25_QUERIES):
             if i == 2:  # kill a primary mid-stream; queries must not notice
                 ray.kill(ss.replica_groups[0][0])
-            for rank, (_d, score, url) in enumerate(ss.search(text, BM25_K), 1):
-                rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    finally:
-        ss.shutdown()
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+            rows += _hit_rows(qid, ss.search(text, BM25_K))
+    return _ranked_frame(rows)
 
 
 QS_QUERIES: list[tuple[str, str]] = [
@@ -4647,24 +4432,13 @@ def query_string_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
-    rows = []
-    for qid, qs in QS_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_query_string(qs, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
+    rows = _ranked_rows(QS_QUERIES, reader.search_query_string, BM25_K)
     # one query routes through the scatter-gather path to pin
     # driver/sharded parity under the clause composition
-    from .search import ShardedSearcher
-
-    ss = ShardedSearcher(out, PHRASE_DOCS_CFG, num_actors=2)
-    try:
-        sharded = [
-            (QS_QUERIES[1][0], r, int(u.removeprefix("doc://")), round(s, 6))
-            for r, (_d, s, u) in enumerate(ss.search_query_string(QS_QUERIES[1][1], BM25_K), 1)
-        ]
-    finally:
-        ss.shutdown()
+    with _sharded(out, PHRASE_DOCS_CFG) as ss:
+        sharded = _hit_rows(QS_QUERIES[1][0], ss.search_query_string(QS_QUERIES[1][1], BM25_K))
     assert sharded == [r for r in rows if r[0] == QS_QUERIES[1][0]], "sharded query_string diverged"
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 ROUTING_QUERIES: list[tuple[str, str, str]] = [
@@ -4713,9 +4487,8 @@ def routing_topk(sf_dir: str) -> pd.DataFrame:
     rows = []
     for qid, text, src in ROUTING_QUERIES:
         reader = IndexReader(_routed_segment(sf_dir, src), DOCS_CFG)
-        for rank, (_d, score, url) in enumerate(reader.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+        rows += _hit_rows(qid, reader.search(text, BM25_K))
+    return _ranked_frame(rows)
 
 
 MPP_QUERIES: list[tuple[str, str]] = [
@@ -4739,11 +4512,7 @@ def phrase_prefix_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
-    rows = []
-    for qid, text in MPP_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_phrase_prefix(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(MPP_QUERIES, reader.search_phrase_prefix, BM25_K))
 
 
 def top_metrics_by_lang(sf_dir: str) -> pd.DataFrame:
@@ -4784,11 +4553,7 @@ def wildcard_topk(sf_dir: str) -> pd.DataFrame:
     through the unchanged BM25 kernels."""
     index_dir = build_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
-    rows = []
-    for qid, pat in WILDCARD_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_wildcard(pat, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(WILDCARD_QUERIES, reader.search_wildcard, BM25_K))
 
 
 # boosting query: (query_id, positive text, negative text, negative_boost)
@@ -4808,11 +4573,7 @@ def boosting_topk(sf_dir: str) -> pd.DataFrame:
     happens inside each shard's scorer before local top-k."""
     index_dir = build_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
-    rows = []
-    for qid, pos, neg, nb in BOOSTING_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_boosting(pos, neg, nb, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BOOSTING_QUERIES, reader.search_boosting, BM25_K))
 
 
 # span_first: (query_id, term, end) — term must occur at position < end
@@ -4834,11 +4595,7 @@ def span_first_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
-    rows = []
-    for qid, term, end in SPAN_FIRST_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_span_first(term, end, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(SPAN_FIRST_QUERIES, reader.search_span_first, BM25_K))
 
 
 # terms_set: (query_id, term list); per-doc minimum = 1 + (n_chars mod 3)
@@ -4857,19 +4614,11 @@ def terms_set_topk(sf_dir: str) -> pd.DataFrame:
     doc-value — the SQL oracle replays the same expression), ranked by the
     unit-weight expanded-OR BM25 bag.  Served scatter-gather: each shard
     owner applies its own docs' minima from the attribute sidecar."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
-        for qid, terms in TERMS_SET_QUERIES:
-            for rank, (_d, score, url) in enumerate(ss.search_terms_set(terms, BM25_K), 1):
-                rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    finally:
-        ss.shutdown()
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = _ranked_rows(TERMS_SET_QUERIES, ss.search_terms_set, BM25_K)
+    return _ranked_frame(rows)
 
 
 def extended_stats_chars(sf_dir: str) -> pd.DataFrame:
@@ -5231,7 +4980,7 @@ def reindex_topk(sf_dir: str) -> pd.DataFrame:
             win *= 2
         for rank, (score_r, did) in enumerate(cands[:BM25_K], 1):
             rows.append((qid, rank, did, score_r))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 # geo: events carry no coordinates, so a deterministic lattice is
@@ -5596,11 +5345,7 @@ def datastream_topk(sf_dir: str) -> pd.DataFrame:
     dirs = _ensure_datastream_segments(sf_dir)
     lo, hi = DATASTREAM_SELECT
     fr = FederatedReader(dirs[lo:hi], DOCS_CFG)
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_doc, score, url) in enumerate(fr.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, fr.search, BM25_K))
 
 
 def dsir_weights(sf_dir: str) -> pd.DataFrame:
@@ -5621,11 +5366,7 @@ def bool_prefix_topk(sf_dir: str) -> pd.DataFrame:
     match)."""
     index_dir = build_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
-    rows = []
-    for qid, text in MPP_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_bool_prefix(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(MPP_QUERIES, reader.search_bool_prefix, BM25_K))
 
 
 # (query ids to pin, in PINNED order — ES pinned query promotes the given
@@ -5686,22 +5427,13 @@ def rank_feature_sat_topk(sf_dir: str) -> pd.DataFrame:
     feature — bounded in [0, boost), monotone in S, applied inside the
     shard owners before local top-k (the log1p variant is ``boosted_topk``;
     this is the other canonical rank_feature shape)."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
-        for qid, text in BM25_QUERIES:
-            for rank, (_d, score, url) in enumerate(
-                ss.search_boosted(text, BM25_K, boost=1.5, pivot=500.0, feature="saturation"),
-                1,
-            ):
-                rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    finally:
-        ss.shutdown()
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = _ranked_rows(
+            BM25_QUERIES, ss.search_boosted, BM25_K, boost=1.5, pivot=500.0, feature="saturation",
+        )
+    return _ranked_frame(rows)
 
 
 def msearch_topk(sf_dir: str) -> pd.DataFrame:
@@ -5710,22 +5442,16 @@ def msearch_topk(sf_dir: str) -> pd.DataFrame:
     driver, postings visited once per actor for the batch), results
     rank-identical to independent searches — the parity is asserted
     in-query against the per-query scatter path."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2)
     rows = []
-    try:
+    with _sharded(index_dir) as ss:
         texts = [t for _q, t in BM25_QUERIES]
         batched = ss.msearch(texts, BM25_K)
         single = ss.search(texts[0], BM25_K)
         assert batched[0] == single, "msearch diverged from per-query search"
         for (qid, _t), hits in zip(BM25_QUERIES, batched):
-            for rank, (_d, score, url) in enumerate(hits, 1):
-                rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    finally:
-        ss.shutdown()
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+            rows += _hit_rows(qid, hits)
+    return _ranked_frame(rows)
 
 
 LINEAR_FUSE_K_LIST = 20
@@ -5945,13 +5671,7 @@ def span_containing_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
-    rows = []
-    for qid, text, little, slop in SPAN_CONTAIN_QUERIES:
-        for rank, (_doc, score, url) in enumerate(
-            reader.search_span_containing(text, little, slop, BM25_K), 1
-        ):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(SPAN_CONTAIN_QUERIES, reader.search_span_containing, BM25_K))
 
 
 def span_within_topk(sf_dir: str) -> pd.DataFrame:
@@ -5967,13 +5687,7 @@ def span_within_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
-    rows = []
-    for qid, text, little, slop in SPAN_CONTAIN_QUERIES:
-        for rank, (_doc, score, url) in enumerate(
-            reader.search_span_within(text, little, slop, BM25_K), 1
-        ):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(SPAN_CONTAIN_QUERIES, reader.search_span_within, BM25_K))
 
 
 def collapse_inner_hits(sf_dir: str) -> pd.DataFrame:
@@ -5982,20 +5696,15 @@ def collapse_inner_hits(sf_dir: str) -> pd.DataFrame:
     by their winner's (-score, doc_id), each group expanded to its own
     top-2 docs — shard owners ship ≤ |values|·2 cells (the diversified
     election), the driver re-elects and ranks groups."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = []
         for qid, text in BM25_QUERIES:
             for v, grank, irank, _d, score, url in ss.search_collapse_inner(
                 text, n_groups=3, per_value=2, attr_col="source"
             ):
                 rows.append((qid, v, grank, irank, int(url.removeprefix("doc://")), round(score, 6)))
-    finally:
-        ss.shutdown()
     return pd.DataFrame(
         rows, columns=["query_id", "value", "group_rank", "inner_rank", "doc_id", "score_r"]
     )
@@ -6131,13 +5840,10 @@ def function_score_topk(sf_dir: str) -> pd.DataFrame:
     score.  All per-doc math runs inside the shard owners against their
     co-located doc-value sidecars (:meth:`ShardScorerActor.
     score_function_score`); only local top-k candidates reach the merge."""
-    from .search import ShardedSearcher
-
     index_dir = build_documents_index(sf_dir)
     corpus = os.path.join(index_dir, "corpus_input.parquet")
-    ss = ShardedSearcher(index_dir, DOCS_CFG, num_actors=2, corpus_path=corpus)
-    rows = []
-    try:
+    with _sharded(index_dir, corpus_path=corpus) as ss:
+        rows = []
         for qid, text in BM25_QUERIES:
             hits = ss.search_function_score(
                 text,
@@ -6146,11 +5852,8 @@ def function_score_topk(sf_dir: str) -> pd.DataFrame:
                 max_boost=FUNCSCORE_MAX_BOOST,
                 min_score=FUNCSCORE_MIN_SCORE,
             )
-            for rank, (_d, score, url) in enumerate(hits, 1):
-                rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    finally:
-        ss.shutdown()
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+            rows += _hit_rows(qid, hits)
+    return _ranked_frame(rows)
 
 
 # boilerplate-template mining: signature = first TEMPLATE_SIG_TOKENS tokens
@@ -6531,11 +6234,7 @@ def alias_topk(sf_dir: str) -> pd.DataFrame:
     )
     allow = corpus.filter(pc.equal(corpus.column(filt["col"]), filt["value"])).column("url")
     allow = pa.array(sorted(allow.to_pylist()), type=pa.string())
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (_doc, score, url) in enumerate(fr.search_filtered(text, BM25_K, allow_urls=allow), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(BM25_QUERIES, fr.search_filtered, BM25_K, allow_urls=allow))
 
 
 def bucket_percentiles_stats(sf_dir: str) -> pd.DataFrame:
@@ -6648,7 +6347,7 @@ def combined_fields_topk(sf_dir: str) -> pd.DataFrame:
         take = nz[np.lexsort((nz, -scores[nz]))][:BM25_K]
         for rank, d in enumerate(take, 1):
             rows.append((qid, rank, int(d), round(float(scores[d]), 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 def regional_revenue(sf_dir: str) -> pd.DataFrame:
@@ -6926,11 +6625,7 @@ def substring_topk(sf_dir: str) -> pd.DataFrame:
     kernels."""
     index_dir = build_documents_index(sf_dir)
     reader = IndexReader(index_dir, DOCS_CFG)
-    rows = []
-    for qid, sub in SUBSTRING_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search_substring(sub, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(SUBSTRING_QUERIES, reader.search_substring, BM25_K))
 
 
 def user_retention(sf_dir: str) -> pd.DataFrame:
@@ -7144,11 +6839,7 @@ def shingle_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, SHINGLE_DOCS_CFG)
     reader = IndexReader(out, SHINGLE_DOCS_CFG)
-    rows = []
-    for qid, text in SHINGLE_QUERIES:
-        for rank, (_d, score, url) in enumerate(reader.search(text, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(SHINGLE_QUERIES, reader.search, BM25_K))
 
 
 BIGRAM_LM_LAMBDA: float = 0.7
@@ -7975,7 +7666,7 @@ def colbert_maxsim_topk(sf_dir: str) -> pd.DataFrame:
         ).head(BM25_K)
         for rank, r in enumerate(g.itertuples(index=False), 1):
             rows.append((qids[int(qi)], rank, int(r.doc_id), round(float(r.score), 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 SLOPPY_QUERIES: list[tuple[str, str, str, int]] = [
@@ -7999,11 +7690,7 @@ def sloppy_phrase_topk(sf_dir: str) -> pd.DataFrame:
     corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
     build_index(corpus_path, out, PHRASE_DOCS_CFG)
     reader = IndexReader(out, PHRASE_DOCS_CFG)
-    rows = []
-    for qid, ta, tb, slop in SLOPPY_QUERIES:
-        for rank, (_doc, score, url) in enumerate(reader.search_sloppy(ta, tb, slop, BM25_K), 1):
-            rows.append((qid, rank, int(url.removeprefix("doc://")), round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(_ranked_rows(SLOPPY_QUERIES, reader.search_sloppy, BM25_K))
 
 
 def soft_dedup_weights(sf_dir: str) -> pd.DataFrame:
@@ -8108,7 +7795,7 @@ def pruned_index_topk(sf_dir: str) -> pd.DataFrame:
         cand, scores = score_pruned(reader, text, PRUNE_FRACTION)
         for rank, (doc, score) in enumerate(_topk_list(cand, scores, BM25_K), 1):
             rows.append((qid, rank, doc, round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 def trending_terms(sf_dir: str) -> pd.DataFrame:
@@ -8230,7 +7917,7 @@ def rm3_topk(sf_dir: str) -> pd.DataFrame:
         qtids, qw = qtids[o], qw[o]
         for rank, (doc, score, _u) in enumerate(reader._topk(BM25_K, "score_exhaustive", qtids, qw, BM25_K), 1):
             rows.append((qid, rank, int(doc), round(float(score), 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score_r"])
+    return _ranked_frame(rows)
 
 
 def anomaly_days(sf_dir: str) -> pd.DataFrame:

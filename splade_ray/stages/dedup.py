@@ -20,6 +20,13 @@ import numpy as np
 import pyarrow as pa
 
 
+def reject_null_urls(urls) -> None:
+    """Both dedup modes refuse a row without a url: dedup and doc ids are
+    keyed on it.  ``null_count`` is array metadata, so this reads no data."""
+    if urls.null_count:
+        raise ValueError(f"{urls.null_count} input row(s) have a null url; every row needs a url")
+
+
 def dedup_assign_group(group: pa.Table) -> pa.Table:
     """map_groups(pyarrow) over one bucket: drop url recrawls (keep max
     warc_ts), sort by url, emit local_idx.  Exact (url, warc_ts) ties are
@@ -28,6 +35,7 @@ def dedup_assign_group(group: pa.Table) -> pa.Table:
     loudly on such ties — see EngineConfig.dedup_mode)."""
     from ..functions.hashing import hash_strings
 
+    reject_null_urls(group.column("url"))
     urls = np.asarray(group.column("url").to_pylist(), dtype=object)
     ts = group.column("warc_ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
     content = hash_strings(np.asarray(group.column("text").to_pylist(), dtype=object)).astype(np.int64)
@@ -135,6 +143,7 @@ def compute_winners(input_paths, cfg, doc_id_base: int = 0):
     if not tables:
         return np.zeros(0, np.uint64), np.zeros(0, np.int64), np.zeros(0, np.int64)
     narrow = pa.concat_tables(tables)
+    reject_null_urls(narrow.column("url"))
     win = narrow.group_by("url").aggregate([("warc_ts", "max"), ("h", "one"), ("bucket", "one")])
     n = win.num_rows
     wts = win.column("warc_ts_max").to_numpy(zero_copy_only=False).astype(np.int64)

@@ -1370,6 +1370,27 @@ def test_dedup_modes_equivalent(web_pages_path, small_cfg, tmp_path, built_index
         assert pq_.read_table(os.path.join(base, f)).equals(pq_.read_table(os.path.join(got, f))), f
 
 
+@pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
+def test_null_url_rejected_in_both_dedup_modes(mode, tmp_path):
+    """A row without a url has nothing to dedup or rank on: both dedup
+    modes refuse a 50-row corpus holding one with the same ValueError."""
+    import dataclasses
+
+    from splade_ray.config import EngineConfig
+    from splade_ray.fixtures import write_web_pages
+    from splade_ray.pipelines.build import build_index
+
+    tbl = pq.read_table(write_web_pages(str(tmp_path / "web.parquet"), 50))
+    urls = tbl.column("url").to_pylist()
+    urls[7] = None
+    i = tbl.schema.get_field_index("url")
+    path = str(tmp_path / "null_url.parquet")
+    pq.write_table(tbl.set_column(i, "url", pa.array(urls, type=tbl.schema.field(i).type)), path)
+    cfg = dataclasses.replace(EngineConfig(shard_size=16, num_buckets=4), dedup_mode=mode)
+    with pytest.raises(ValueError, match="1 input row\\(s\\) have a null url"):
+        build_index(path, str(tmp_path / "idx"), cfg)
+
+
 def test_searcher_stage_batch_path(built_index, reader):
     """Distributed query processing: a queries Dataset through the
     SearcherStage actor pool must equal per-query reader.search."""

@@ -3,7 +3,6 @@ where an ``oracle_sql()`` entry exists, matches the DuckDB result
 (row count + column names + order-insensitive values, floats to 1e-6) — the
 same comparison the driver performs at sf0.01."""
 
-import glob
 import json
 import os
 
@@ -106,19 +105,24 @@ def test_contract_md_matches_registry():
         assert flag == want, f"CONTRACT.md: {name} marked {flag}, registry says {want}"
 
 
-SWEEPS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "SWEEP_sf*.json")))
+SWEEPS = [
+    os.path.join(os.path.dirname(__file__), "..", f"SWEEP_sf{sf}.json") for sf in ("0.01", "0.1")
+]
 
 
 @pytest.mark.parametrize("sweep", SWEEPS, ids=os.path.basename)
 def test_sweep_matches_registry(sweep):
-    """Each committed contract sweep names exactly queries().keys() — a
+    """Each committed contract sweep (sf0.01 and sf0.1, the inputs of
+    CONTRACT.md) names exactly queries().keys() and records no failure — a
     query added to or dropped from the registry makes the sweep stale."""
     with open(sweep) as f:
-        swept = json.load(f)["queries"]
+        report = json.load(f)
+    swept = report["queries"]
     assert set(swept) == set(QUERIES), (
         f"{os.path.basename(sweep)} stale: missing={sorted(set(QUERIES) - set(swept))}, "
         f"extra={sorted(set(swept) - set(QUERIES))} — re-run contract_sweep.py"
     )
+    assert report["fail"] == 0 and report["ok"] == len(QUERIES), (report["ok"], report["fail"])
 
 
 def test_registry_exposes_all_ops(ray_session):

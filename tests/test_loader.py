@@ -487,12 +487,15 @@ def test_loader_rejects_fwd_stream_dl_mismatch(small_pages, tmp_path):
 
 def test_url_of_reads_every_url_and_null(ray_session, tmp_path):
     """``url_of`` slices the url column's bytes: every doc's url equals the
-    Arrow column's value, and a null url (a broadcast-dedup build keeps
-    it) reads as ``None``."""
+    Arrow column's value, and a null url reads as ``None``.  A build now
+    rejects a null url, but an index written before that rule holds one;
+    the test makes such an index by nulling one url of a docs table."""
+    from splade_ray.codec import write_index_table
+
     n = 40
     corpus = pa.table(
         {
-            "url": pa.array([None] + [f"https://example.com/é/{i:03d}" for i in range(1, n)]),
+            "url": pa.array([f"https://example.com/é/{i:03d}" for i in range(n)]),
             "warc_ts": pa.array(np.arange(n, dtype=np.int64) * 1000, type=pa.timestamp("us")),
             "text": pa.array([f"alpha beta w{i % 7}" for i in range(n)]),
             "lang": pa.array(["en"] * n),
@@ -500,10 +503,17 @@ def test_url_of_reads_every_url_and_null(ray_session, tmp_path):
     )
     pq.write_table(corpus, str(tmp_path / "c.parquet"))
     cfg = EngineConfig(shard_size=16, num_buckets=4, dedup_mode="broadcast")
-    reader = IndexReader(_build(str(tmp_path / "c.parquet"), str(tmp_path / "idx"), cfg), cfg)
+    out = _build(str(tmp_path / "c.parquet"), str(tmp_path / "idx"), cfg)
+    docs_path = os.path.join(out, "postings", "shard-00000.docs.parquet")
+    docs = pq.read_table(docs_path)
+    urls = docs.column("url").to_pylist()
+    nulled, urls[3] = urls[3], None
+    i = docs.schema.get_field_index("url")
+    write_index_table(docs.set_column(i, "url", pa.array(urls, docs.schema.field(i).type)), docs_path)
+    reader = IndexReader(out, cfg)
     want = reader._url_arr.to_pylist()
     assert reader.url_of(reader._doc_index) == want
-    assert sorted(want, key=str) == sorted(corpus.column("url").to_pylist(), key=str)
+    assert sorted(want, key=str) == sorted([None] + [u for u in corpus.column("url").to_pylist() if u != nulled], key=str)
     assert reader.url_of(int(reader._doc_index[want.index(None)])) is None
     with pytest.raises(KeyError):
         reader.url_of(n + 5)
