@@ -10,8 +10,11 @@ object per run::
     python contract_sweep.py /root/testdata/sf0.1
 
 Output: {"sf_dir": ..., "ok": N, "fail": N, "queries": {name: {"rows": r,
-"oracle_rows": r, "match": true|false|null, "wall_s": t, "err": ...}}}
+"oracle_rows": r, "match": true|false|null, "frame_sha256": h, "wall_s": t,
+"err": ...}}}
 (match=null: no SQL oracle — the driver's weaker rows-only gate).
+``frame_sha256`` hashes the canonical result frame, so two sweeps of the
+same sf directory hold identical results iff their hashes agree.
 
 CONTRACT.md is generated from two runs of this script (sf0.01 + sf0.1).
 
@@ -24,6 +27,7 @@ of hanging the sweep.
 from __future__ import annotations
 
 import faulthandler
+import hashlib
 import json
 import os
 import sys
@@ -64,6 +68,13 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), ignore_index=True)
 
 
+def frame_sha256(canon: pd.DataFrame) -> str:
+    """sha256 of a ``_canon`` frame's CSV text: independent of the row and
+    column order the query returned, sensitive to any value past the
+    1e-6 rounding."""
+    return hashlib.sha256(canon.to_csv(index=False).encode()).hexdigest()
+
+
 def _match(got: pd.DataFrame, want: pd.DataFrame) -> bool:
     if list(got.columns) != list(want.columns) or len(got) != len(want):
         return False
@@ -94,12 +105,15 @@ def sweep(sf_dir: str, only: list[str] | None = None) -> dict:
     report: dict = {"sf_dir": sf_dir, "ok": 0, "fail": 0, "queries": {}}
     for name in sorted(queries):
         t0 = time.perf_counter()
-        rec: dict = {"rows": None, "oracle_rows": None, "match": None, "wall_s": None, "err": None}
+        rec: dict = {
+            "rows": None, "oracle_rows": None, "match": None, "frame_sha256": None, "wall_s": None, "err": None
+        }
         print(f"  {name} ...", file=sys.stderr, flush=True)
         faulthandler.dump_traceback_later(QUERY_TIMEOUT_S, exit=True)
         try:
             got = _canon(_to_df(queries[name](sf_dir)))
             rec["rows"] = int(len(got))
+            rec["frame_sha256"] = frame_sha256(got)
             if name in oracles:
                 want = _canon(con.execute(oracles[name]).fetchdf())
                 rec["oracle_rows"] = int(len(want))

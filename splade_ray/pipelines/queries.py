@@ -31,7 +31,7 @@ from ray.data.aggregate import Count, Mean, Min, Sum
 from ..config import EngineConfig
 from ..stages.encode import cached_ref
 from .build import build_index
-from .search import IndexReader, ShardedSearcher
+from .search import IndexReader, ShardedSearcher, select_topk
 
 # root of every index and artifact the showcase caches across calls.  The
 # name carries the postings format: indexes here hold no stored zone-bound
@@ -109,6 +109,22 @@ def _documents_index_dir(sf_dir: str) -> str:
     return os.path.join(CACHE_ROOT_NOZONE, f"docs_index_{key}")
 
 
+def _documents_corpus(batch: pa.Table) -> pa.Table:
+    """documents rows → the web-pages corpus schema (see
+    :func:`build_documents_index`)."""
+    ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
+    return pa.table(
+        {
+            "url": pa.array([f"doc://{i:010d}" for i in ids], type=pa.string()),
+            "warc_ts": pa.array(np.zeros(len(batch), dtype=np.int64), type=pa.timestamp("us")),
+            "text": batch.column("text"),
+            "lang": batch.column("lang"),
+            "source": batch.column("source"),
+            "n_chars": batch.column("n_chars"),
+        }
+    )
+
+
 def build_documents_index(sf_dir: str) -> str:
     """Adapt the documents table to the web-pages corpus schema and build
     the inverted index (stage guards make repeat calls ~free).
@@ -120,29 +136,27 @@ def build_documents_index(sf_dir: str) -> str:
     corpus_path = os.path.join(out, "corpus_input.parquet")
     if not os.path.exists(corpus_path):
         os.makedirs(out, exist_ok=True)
-
-        def to_corpus(batch: pa.Table) -> pa.Table:
-            ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-            urls = pa.array([f"doc://{i:010d}" for i in ids], type=pa.string())
-            n = len(batch)
-            return pa.table(
-                {
-                    "url": urls,
-                    "warc_ts": pa.array(np.zeros(n, dtype=np.int64), type=pa.timestamp("us")),
-                    "text": batch.column("text"),
-                    "lang": batch.column("lang"),
-                    "source": batch.column("source"),
-                    "n_chars": batch.column("n_chars"),
-                }
-            )
-
         tmp = corpus_path + ".tmp"
         _docs(sf_dir, columns=["doc_id", "text", "lang", "source", "n_chars"]).map_batches(
-            to_corpus, batch_format="pyarrow"
+            _documents_corpus, batch_format="pyarrow"
         ).write_parquet(tmp)
         os.rename(tmp, corpus_path)
     build_index(corpus_path, out, DOCS_CFG)
     return out
+
+
+def _config_index(sf_dir: str, cfg: EngineConfig) -> str:
+    """The documents corpus indexed under ``cfg``, cached per ``(sf_dir,
+    cfg)`` (stage guards make repeat calls ~free)."""
+    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{cfg}".encode()).hexdigest()[:12]
+    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_cfg_{key}")
+    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
+    build_index(corpus_path, out, cfg)
+    return out
+
+
+def _config_reader(sf_dir: str, cfg: EngineConfig) -> IndexReader:
+    return IndexReader(_config_index(sf_dir, cfg), cfg)
 
 
 def bm25_topk(sf_dir: str) -> pd.DataFrame:
@@ -342,13 +356,7 @@ def analyzed_topk(sf_dir: str) -> pd.DataFrame:
     stop list + ordered regexp_replace chain in SQL.  Query-side analysis
     rides the same Tokenizer, so inflected queries ('joins', 'merging',
     'queries') conflate onto the corpus stems."""
-    key = hashlib.sha256(
-        f"{os.path.abspath(sf_dir)}|{ANALYZED_DOCS_CFG}".encode()
-    ).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_anidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, ANALYZED_DOCS_CFG)
-    reader = IndexReader(out, ANALYZED_DOCS_CFG)
+    reader = _config_reader(sf_dir, ANALYZED_DOCS_CFG)
     return _ranked_frame(_ranked_rows(ANALYZED_QUERIES, reader.search, BM25_K))
 
 
@@ -467,8 +475,7 @@ def collapse_topk(sf_dir: str) -> pd.DataFrame:
     doc_id), top 5 — served entirely by the shard owners (each ships
     |sources| cells, the match set never crosses the network)."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = []
         for qid, text in BM25_QUERIES:
             for rank, (src, doc, score, _u) in enumerate(ss.search_collapse(text, 5, "source"), 1):
@@ -484,8 +491,7 @@ def diversified_topk(sf_dir: str) -> pd.DataFrame:
     cells (their local per-source top-2, which provably contains every
     global per-source top-2) — the match set never crosses the network."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = []
         for qid, text in BM25_QUERIES:
             for rank, (doc, score, _u, src) in enumerate(
@@ -500,8 +506,7 @@ def boosted_topk(sf_dir: str) -> pd.DataFrame:
     BM25 plus 0.5·ln(1 + n_chars/1000) from the static doc-value, applied
     to matched docs inside the shard owners before local top-k."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = _ranked_rows(BM25_QUERIES, ss.search_boosted, BM25_K)
     return _ranked_frame(rows)
 
@@ -513,8 +518,7 @@ def distance_feature_topk(sf_dir: str) -> pd.DataFrame:
     up to +1; the decay is the ES reciprocal shape.  Applied to matched
     docs inside the shard owners before local top-k."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = _ranked_rows(
             BM25_QUERIES, ss.search_boosted, BM25_K, boost=1.0, pivot=100.0, feature="distance", origin=300.0,
         )
@@ -528,8 +532,7 @@ def field_value_factor_topk(sf_dir: str) -> pd.DataFrame:
     shard owners before local top-k — longer docs amplified, the
     popularity-signal shape of the ES docs' canonical example."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = _ranked_rows(
             BM25_QUERIES, ss.search_boosted, BM25_K, boost=1.0, pivot=100.0, feature="fvf_log1p_mul",
         )
@@ -603,8 +606,7 @@ def block_join_topk(sf_dir: str) -> pd.DataFrame:
     network.  ``chunk_idx`` reports the winning child (Lucene's matching
     child hit)."""
     index_dir = build_chunk_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = []
         for qid, text in BM25_QUERIES:
             # the collapse merge already ships one cell per matched parent;
@@ -627,8 +629,7 @@ def children_agg(sf_dir: str) -> pd.DataFrame:
     by the shard owners' facet kernel — child match sets never leave
     them."""
     index_dir = build_chunk_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = []
         for qid, text in BM25_QUERIES:
             for lang, n in sorted(ss.facets(text, m=1, attr_col="lang").items()):
@@ -956,34 +957,39 @@ def rescore_lm_topk(sf_dir: str) -> pd.DataFrame:
     return _ranked_frame(rows)
 
 
+def _term_major_reader(sf_dir: str):
+    """A ``TermIndexReader`` over the term-major salted build of the
+    documents index (rebuilt when absent or of an older format), with its
+    doc lengths loaded."""
+    from ..state.lineage import read_json
+    from .term_index import TermIndexReader, build_term_index
+
+    base = build_documents_index(sf_dir)
+    tdir, stats = os.path.join(base, "term_index"), os.path.join(base, "stats")
+    if (read_json(os.path.join(tdir, "_MANIFEST.json")) or {}).get("format") != 3:
+        build_term_index(os.path.join(base, "doc_terms"), stats, tdir, DOCS_CFG, salt_block_postings=512, max_salts=8)
+    reader = TermIndexReader(tdir, stats, DOCS_CFG)
+    reader.load_doc_lengths()
+    return reader
+
+
+def _doc_topk_frame(queries, search) -> pd.DataFrame:
+    """(query_id, rank, doc_id, score_r) of ``search(text)``'s ``(doc id,
+    score)`` hits for every ``(query_id, text)`` of ``queries``."""
+    return _ranked_frame([
+        (qid, rank, doc, round(score, 6))
+        for qid, text in queries
+        for rank, (doc, score) in enumerate(search(text), 1)
+    ])
+
+
 def bm25_topk_termindex(sf_dir: str) -> pd.DataFrame:
     """BM25 top-10 answered from the TERM-MAJOR salted index
     (groupby(term) shuffle + skew-aware salting, pipelines/term_index.py)
     — must be rank- and score-identical to the doc-sharded build and the
     SQL oracle."""
-    from .term_index import TermIndexReader, build_term_index
-
-    base = build_documents_index(sf_dir)
-    tdir = os.path.join(base, "term_index")
-    from ..state.lineage import read_json as _read_json
-
-    man = _read_json(os.path.join(tdir, "_MANIFEST.json"))
-    if man is None or man.get("format") != 3:
-        build_term_index(
-            os.path.join(base, "doc_terms"),
-            os.path.join(base, "stats"),
-            tdir,
-            DOCS_CFG,
-            salt_block_postings=512,
-            max_salts=8,
-        )
-    reader = TermIndexReader(tdir, os.path.join(base, "stats"), DOCS_CFG)
-    reader.load_doc_lengths()
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (doc, score) in enumerate(reader.search(text, BM25_K), 1):
-            rows.append((qid, rank, doc, round(score, 6)))
-    return _ranked_frame(rows)
+    reader = _term_major_reader(sf_dir)
+    return _doc_topk_frame(BM25_QUERIES, lambda text: reader.search(text, BM25_K))
 
 
 _FIELD_TITLE_TOKS = 8
@@ -1030,17 +1036,12 @@ def _field_text(batch: pa.Table, field: str) -> pa.Table:
     )
 
 
-def _field_reader(sf_dir: str, field: str):
-    """Per-field term-major index over the field projection of the
-    documents corpus (built once, config-hash stage guards make repeat
-    calls ~free; num_buckets=1 keeps internal id == doc_id like the main
-    documents index)."""
-    from .build import build_index
-    from .term_index import TermIndexReader, build_term_index
-    from ..state.lineage import read_json as _read_json
-
-    base = build_documents_index(sf_dir)
-    fdir = os.path.join(base, f"field_{field}")
+def _field_reader(sf_dir: str, field: str) -> IndexReader:
+    """Doc-sharded index over the ``field`` projection of the documents
+    corpus (built once; num_buckets=1 keeps internal id == doc_id like
+    the main documents index, and every doc keeps its id in every field,
+    an empty field included)."""
+    fdir = os.path.join(build_documents_index(sf_dir), f"field_{field}")
     corpus_path = os.path.join(fdir, "corpus_input.parquet")
     if not os.path.exists(corpus_path):
         os.makedirs(fdir, exist_ok=True)
@@ -1050,167 +1051,164 @@ def _field_reader(sf_dir: str, field: str):
         ).write_parquet(tmp)
         os.rename(tmp, corpus_path)
     build_index(corpus_path, fdir, DOCS_CFG)
-    tdir = os.path.join(fdir, "term_index")
-    man = _read_json(os.path.join(tdir, "_MANIFEST.json"))
-    if man is None or man.get("format") != 3:
-        build_term_index(
-            os.path.join(fdir, "doc_terms"), os.path.join(fdir, "stats"), tdir, DOCS_CFG,
-            salt_block_postings=512, max_salts=8,
-        )
-    reader = TermIndexReader(tdir, os.path.join(fdir, "stats"), DOCS_CFG)
-    reader.load_doc_lengths()
-    return reader
+    return IndexReader(fdir, DOCS_CFG)
+
+
+def _field_postings(r: IndexReader, term: str) -> tuple[np.ndarray, ...]:
+    """(doc ids, tf, dl, BM25 impact) of ``term``'s postings in the field
+    index ``r``, ascending by doc id."""
+    tid = r.term_id.get(term)
+    parts = [
+        (sh.doc_ids[sh.post_local[s:e]], sh.post_tf[s:e].astype(np.float64), sh.dl[sh.post_local[s:e]], sh.post_w[s:e])
+        for sh in r.shards
+        for _qi, s, e, _row in sh._term_slices(np.asarray([] if tid is None else [tid], dtype=np.int64))
+    ]
+    if not parts:
+        return np.zeros(0, np.int64), np.zeros(0), np.zeros(0), np.zeros(0)
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _field_dl(r: IndexReader, docs: np.ndarray) -> np.ndarray:
+    """Field lengths of the ascending doc ids ``docs`` in the field index
+    ``r`` (0 where a doc is absent)."""
+    out = np.zeros(docs.size)
+    for sh in r.shards:
+        if sh.n_local:
+            pos = np.minimum(np.searchsorted(sh.doc_ids, docs), sh.n_local - 1)
+            hit = sh.doc_ids[pos] == docs
+            out[hit] = sh.dl[pos[hit]]
+    return out
+
+
+def search_fields(
+    readers: dict[str, IndexReader],
+    boosts: dict[str, float],
+    text: str,
+    k: int = 10,
+    semantics: str = "most_fields",
+    tie: float = 0.0,
+) -> list[tuple[int, float]]:
+    """Multi-field BM25 top-k over per-field doc-sharded indexes whose
+    fields partition each doc's token stream, in ES ``multi_match``
+    semantics:
+
+    - ``most_fields``: Σ_f boost_f·BM25_f, each field scored with its own
+      df/avgdl;
+    - ``bm25f`` (Lucene ``BM25FQuery``): per term, the length-normalized
+      boosted tfs Σ_f boost_f·tf_f/(1−b+b·dl_f/avgdl_f) share ONE
+      saturation, with the whole-doc df;
+    - ``cross_fields`` (Lucene ``BlendedTermQuery``): per term, each
+      field's leg scores with df blended to max_f(df_f), and the legs
+      combine as a dismax max + tie·(sum − max);
+    - ``combined_fields`` (Lucene ``CombinedFieldQuery``): the fields merge
+      into one pseudo-field (tf Σ_f boost_f·tf_f, dl Σ_f boost_f·dl_f,
+      avgdl its mean) scored by one standard BM25.
+
+    Each query term's postings are gathered per field as (doc id, tf, dl,
+    impact) and combined over the matched docs only (np.unique +
+    bincount): no array scales with the corpus.  Fields add up in
+    ``boosts`` order and terms in np.unique order (most_fields: per field
+    Σ_terms, then × boost, then Σ_fields), so scores are reproducible bit
+    for bit.  (-score, doc_id) tie-break."""
+    if semantics not in ("most_fields", "bm25f", "cross_fields", "combined_fields"):
+        raise ValueError(f"unknown multi-field semantics {semantics!r}")
+    fields = list(boosts)
+    r0 = readers[fields[0]]
+    n_docs, k1, b = r0.n_docs, r0.cfg.k1, r0.cfg.b
+    toks = r0.tok.tokenize(text)
+    if not toks:
+        return []
+    if semantics == "combined_fields":
+        avgdlc = sum(boosts[f] * readers[f].sum_dl for f in fields) / n_docs if n_docs else 1.0
+    uniq, qtfs = np.unique(np.asarray(toks, dtype=object), return_counts=True)
+    legs = [[_field_postings(readers[f], t) for f in fields] for t in uniq]
+    if semantics == "most_fields":
+        docs = [np.concatenate([leg[i][0] for leg in legs]) for i in range(len(fields))]
+        cand, inv = np.unique(np.concatenate(docs), return_inverse=True)
+        scores, offs = np.zeros(cand.size), np.cumsum([0] + [d.size for d in docs])
+        for i, f in enumerate(fields):
+            w = np.concatenate([leg[i][3] * float(qn) for leg, qn in zip(legs, qtfs)])
+            scores += boosts[f] * np.bincount(inv[offs[i] : offs[i + 1]], weights=w, minlength=cand.size)
+        top, top_scores = select_topk(cand, scores, k)
+        return list(zip(top.tolist(), top_scores.tolist()))
+    ids, contribs = [], []
+    for leg, qn in zip(legs, qtfs):
+        cand = np.unique(np.concatenate([g for g, *_ in leg]))
+        if cand.size == 0:
+            continue
+        parts = [(f, np.searchsorted(cand, g), tf, dl, readers[f].avgdl) for f, (g, tf, dl, _w) in zip(fields, leg)]
+        df = float(cand.size)
+        if semantics == "cross_fields":
+            df_blend = float(max(g.size for g, *_ in leg))
+            idf = float(np.log1p((n_docs - df_blend + 0.5) / (df_blend + 0.5)))
+            cur_max, cur_sum = np.zeros(cand.size), np.zeros(cand.size)
+            for f, ix, tf, dl, avgdl in parts:
+                w = np.zeros(cand.size)
+                w[ix] = boosts[f] * idf * tf * (k1 + 1.0) / (tf + k1 * ((1.0 - b) + b * dl / avgdl))
+                np.maximum(cur_max, w, out=cur_max)
+                cur_sum += w
+            contrib = float(qn) * (cur_max + tie * (cur_sum - cur_max))
+        elif semantics == "bm25f":
+            w = np.zeros(cand.size)
+            for f, ix, tf, dl, avgdl in parts:
+                w[ix] += boosts[f] * tf / ((1.0 - b) + b * dl / avgdl)
+            idf = np.log1p((n_docs - df + 0.5) / (df + 0.5))
+            contrib = float(qn) * idf * (k1 + 1.0) * w / (w + k1)
+        else:  # combined_fields
+            w, dlc = np.zeros(cand.size), np.zeros(cand.size)
+            for f, ix, tf, _dl, _avgdl in parts:
+                w[ix] += boosts[f] * tf
+                dlc += boosts[f] * _field_dl(readers[f], cand)
+            idf = np.log1p((n_docs - df + 0.5) / (df + 0.5))
+            norm = (1.0 - b) + b * dlc / avgdlc
+            contrib = float(qn) * idf * (k1 + 1.0) * w / (w + k1 * norm)
+        ids.append(cand)
+        contribs.append(contrib)
+    if not ids:
+        return []
+    cand, inv = np.unique(np.concatenate(ids), return_inverse=True)
+    top, top_scores = select_topk(cand, np.bincount(inv, weights=np.concatenate(contribs)), k)
+    return list(zip(top.tolist(), top_scores.tolist()))
+
+
+def _fields_topk(sf_dir: str, semantics: str, tie: float = 0.0) -> pd.DataFrame:
+    """(query_id, rank, doc_id, score_r) — :func:`search_fields` top-10 of
+    every BM25_QUERIES query under ``_FIELD_BOOSTS``."""
+    boosts = _FIELD_BOOSTS
+    readers = {f: _field_reader(sf_dir, f) for f in boosts}
+    return _doc_topk_frame(BM25_QUERIES, lambda text: search_fields(readers, boosts, text, BM25_K, semantics, tie))
 
 
 def bm25_fields_topk(sf_dir: str) -> pd.DataFrame:
     """Multi-field BM25 with field boosts (title×2.0 + body×1.0; title =
-    first 8 tokens, body = the rest): one term-major index PER FIELD with
-    its own df/avgdl statistics, combined by the exact additive
-    scatter-gather (`term_index.search_fields`).  Rank- and score-
-    identical to the per-field SQL BM25 oracle."""
-    from .term_index import search_fields
-
-    readers = {f: _field_reader(sf_dir, f) for f in _FIELD_BOOSTS}
-    rows = []
-    for qid, text in BM25_QUERIES:
-        for rank, (doc, score) in enumerate(search_fields(readers, _FIELD_BOOSTS, text, BM25_K), 1):
-            rows.append((qid, rank, doc, round(score, 6)))
-    return _ranked_frame(rows)
+    first 8 tokens, body = the rest), ES ``most_fields``: per-field BM25
+    with each field's own df/avgdl statistics, boosted and summed.  Rank-
+    and score-identical to the per-field SQL BM25 oracle."""
+    return _fields_topk(sf_dir, "most_fields")
 
 
 def bm25f_topk(sf_dir: str) -> pd.DataFrame:
-    """(query_id, rank, doc_id, score_r) — true BM25F (Robertson/Zaragoza
-    'simple BM25F'; Lucene ``BM25FQuery`` combined-field semantics): the
-    per-field LENGTH-NORMALIZED boosted tfs are summed per (doc, term)
-    FIRST — w = Σ_f boost_f·tf_f/(1−b+b·dl_f/avgdl_f) — and ONE shared
-    saturation idf·(k1+1)·w/(w+k1) is applied to the combined value.
-    Contrast ``bm25_fields_topk``, which saturates per field and adds the
-    per-field BM25 scores.  idf uses the combined df (docs whose ANY
-    field contains the term; fields partition the token stream, so it
-    equals the whole-document df) over the shared corpus size.
-
-    Served off the per-field doc-sharded indexes' raw-tf posting sidecars
-    + field dls — at cluster scale each shard owner combines its local
-    field postings (fields are co-sharded by doc) and ships k rows."""
-    from ..tokenizer import Tokenizer
-
-    for f in _FIELD_BOOSTS:
-        _field_reader(sf_dir, f)  # ensures the per-field index dirs exist
-    base = build_documents_index(sf_dir)
-    readers = {f: IndexReader(os.path.join(base, f"field_{f}"), DOCS_CFG) for f in _FIELD_BOOSTS}
-    n_docs = next(iter(readers.values())).n_docs
-    tok = Tokenizer(DOCS_CFG)
-    k1, b = DOCS_CFG.k1, DOCS_CFG.b
-    rows = []
-    for qid, text in BM25_QUERIES:
-        toks = tok.tokenize(text)
-        if not toks:
-            continue
-        uniq, qtfs = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-        scores = np.zeros(n_docs, dtype=np.float64)
-        for t, qn in zip(uniq, qtfs):
-            w = np.zeros(n_docs, dtype=np.float64)
-            matched = np.zeros(n_docs, dtype=bool)
-            for f, boost in _FIELD_BOOSTS.items():
-                r = readers[f]
-                tid = r.term_id.get(t)
-                if tid is None:
-                    continue
-                for sh in r.shards:
-                    for _qi, s, e, _tid in sh._term_slices(np.asarray([tid], dtype=np.int64)):
-                        local = sh.post_local[s:e]
-                        tf = sh.post_tf[s:e].astype(np.float64)
-                        g = sh.doc_ids[local]
-                        norm = (1.0 - b) + b * sh.dl[local] / r.avgdl
-                        np.add.at(w, g, boost * tf / norm)
-                        matched[g] = True
-            df = float(matched.sum())
-            if df == 0.0:
-                continue
-            idf = np.log1p((n_docs - df + 0.5) / (df + 0.5))
-            nz = np.flatnonzero(matched)
-            scores[nz] += float(qn) * idf * (k1 + 1.0) * w[nz] / (w[nz] + k1)
-        nz = np.flatnonzero(scores)
-        take = nz[np.lexsort((nz, -scores[nz]))][:BM25_K]
-        for rank, d in enumerate(take, 1):
-            rows.append((qid, rank, int(d), round(float(scores[d]), 6)))
-    return _ranked_frame(rows)
+    """True BM25F (Robertson/Zaragoza 'simple BM25F'; Lucene
+    ``BM25FQuery``): the per-field LENGTH-NORMALIZED boosted tfs are
+    summed per (doc, term) FIRST and ONE shared saturation is applied to
+    the combined value — contrast ``bm25_fields_topk``, which saturates
+    per field.  idf uses the whole-document df (fields partition the
+    token stream) over the shared corpus size."""
+    return _fields_topk(sf_dir, "bm25f")
 
 
 CROSS_FIELDS_TIE = 0.3
 
 
 def cross_fields_topk(sf_dir: str) -> pd.DataFrame:
-    """(query_id, rank, doc_id, score_r) — ES ``multi_match`` with
-    ``type: cross_fields`` (Lucene ``BlendedTermQuery``), the third
-    multi-field semantics next to ``bm25_fields_topk`` (most_fields:
-    per-field BM25 summed) and ``bm25f_topk`` (BM25F: tfs combined before
-    saturation): each query TERM is scored per field with BLENDED
-    statistics — df is replaced by max_f(df_f) across the searched fields
-    so a term rare in one field but common in another cannot dominate —
-    and the per-field scores of the term combine as a dismax,
-    max + tie·(sum − max) (tie_breaker=0.3); the per-term results sum
-    over terms (bool-should).  Per-field tf/dl/avgdl stay field-local
-    (only df blends) and field boosts multiply the per-field leg.
-
-    Served off the same per-field doc-sharded indexes as ``bm25f_topk``
-    (raw-tf posting sidecars); fields are co-sharded by doc, so at
-    cluster scale each shard owner blends df from the frozen per-field
-    stats and ships its local top-k only."""
-    from ..tokenizer import Tokenizer
-
-    for f in _FIELD_BOOSTS:
-        _field_reader(sf_dir, f)  # ensures the per-field index dirs exist
-    base = build_documents_index(sf_dir)
-    readers = {f: IndexReader(os.path.join(base, f"field_{f}"), DOCS_CFG) for f in _FIELD_BOOSTS}
-    n_docs = next(iter(readers.values())).n_docs
-    tok = Tokenizer(DOCS_CFG)
-    k1, b, tie = DOCS_CFG.k1, DOCS_CFG.b, CROSS_FIELDS_TIE
-    rows = []
-    for qid, text in BM25_QUERIES:
-        toks = tok.tokenize(text)
-        if not toks:
-            continue
-        uniq, qtfs = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-        scores = np.zeros(n_docs, dtype=np.float64)
-        for t, qn in zip(uniq, qtfs):
-            legs: list[tuple[float, float, list]] = []  # (boost, avgdl, [(shard, s, e), ...])
-            df_blend = 0.0
-            for f in _FIELD_BOOSTS:
-                r = readers[f]
-                tid = r.term_id.get(t)
-                if tid is None:
-                    continue
-                slices = []
-                df_f = 0
-                for sh in r.shards:
-                    for _qi, s, e, _tid in sh._term_slices(np.asarray([tid], dtype=np.int64)):
-                        slices.append((sh, s, e))
-                        df_f += e - s
-                legs.append((_FIELD_BOOSTS[f], float(r.avgdl), slices))
-                df_blend = max(df_blend, float(df_f))
-            if df_blend == 0.0:
-                continue
-            idf = float(np.log1p((n_docs - df_blend + 0.5) / (df_blend + 0.5)))
-            cur_max = np.zeros(n_docs, dtype=np.float64)
-            cur_sum = np.zeros(n_docs, dtype=np.float64)
-            for boost, avgdl, slices in legs:
-                w = np.zeros(n_docs, dtype=np.float64)
-                for sh, s, e in slices:
-                    local = sh.post_local[s:e]
-                    tf = sh.post_tf[s:e].astype(np.float64)
-                    norm = (1.0 - b) + b * sh.dl[local] / avgdl
-                    np.add.at(
-                        w, sh.doc_ids[local], boost * idf * tf * (k1 + 1.0) / (tf + k1 * norm)
-                    )
-                np.maximum(cur_max, w, out=cur_max)
-                cur_sum += w
-            scores += float(qn) * (cur_max + tie * (cur_sum - cur_max))
-        nz = np.flatnonzero(scores)
-        take = nz[np.lexsort((nz, -scores[nz]))][:BM25_K]
-        for rank, d in enumerate(take, 1):
-            rows.append((qid, rank, int(d), round(float(scores[d]), 6)))
-    return _ranked_frame(rows)
+    """ES ``multi_match`` ``type: cross_fields`` (Lucene
+    ``BlendedTermQuery``): each query TERM is scored per field with df
+    blended to max_f(df_f) — a term rare in one field but common in
+    another cannot dominate — and its per-field scores combine as a
+    dismax, max + tie·(sum − max) (tie_breaker=CROSS_FIELDS_TIE); the
+    per-term results sum over terms.  Per-field tf/dl/avgdl stay
+    field-local and field boosts multiply the per-field leg."""
+    return _fields_topk(sf_dir, "cross_fields", CROSS_FIELDS_TIE)
 
 
 def bm25_topk_hashed(sf_dir: str) -> pd.DataFrame:
@@ -1220,11 +1218,7 @@ def bm25_topk_hashed(sf_dir: str) -> pd.DataFrame:
     build, so this must match the same SQL oracle rank- and score-
     identically."""
     cfg = EngineConfig(shard_size=2000, num_buckets=1, vocab_mode="hashed")
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{cfg}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_hidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, cfg)
-    reader = IndexReader(out, cfg)
+    reader = _config_reader(sf_dir, cfg)
     return _ranked_frame(_ranked_rows(BM25_QUERIES, reader.search, BM25_K))
 
 
@@ -1246,11 +1240,7 @@ def phrase_topk(sf_dir: str) -> pd.DataFrame:
     candidates from the postings, adjacency verified against the streams,
     BM25 bag scoring; rank- and score-identical to the SQL oracle's
     substring-over-joined-tokens phrase filter."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     return _ranked_frame(_ranked_rows(PHRASE_QUERIES, reader.search_phrase, BM25_K))
 
 
@@ -1269,11 +1259,7 @@ def span_near_topk(sf_dir: str) -> pd.DataFrame:
     index: AND candidates from the postings, an in-order chain DP over the
     candidates' md5 token streams (latest-start segmented prefix max — one
     np.maximum.accumulate, no per-candidate loop), BM25 bag ranking."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     return _ranked_frame(_ranked_rows(SPAN_QUERIES, reader.search_span_near, BM25_K))
 
 
@@ -1297,11 +1283,7 @@ def span_not_topk(sf_dir: str) -> pd.DataFrame:
     over the include terms.  Same chain DP as span-near plus two
     searchsorted probes per completed span over the base-offset exclude
     positions — no per-span loop."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     return _ranked_frame(_ranked_rows(SPAN_NOT_QUERIES, reader.search_span_not, BM25_K))
 
 
@@ -1322,11 +1304,7 @@ def intervals_topk(sf_dir: str) -> pd.DataFrame:
     ordered half).  Vectorized minimal-cover sweep over the candidates'
     forward streams (per-term segmented running max, one pass), BM25 bag
     ranking."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     return _ranked_frame(_ranked_rows(INTERVAL_QUERIES, reader.search_intervals, BM25_K))
 
 
@@ -1475,11 +1453,7 @@ def significant_terms(sf_dir: str) -> pd.DataFrame:
     hits: per-shard k-bounded foreground gather from the forward streams,
     vocab-bounded hash→term mapping, (fg%−bg%)·fg%/bg% scoring, top 10
     positive terms per query by (−jlh, term)."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     rows = []
     for qid, text in BM25_QUERIES:
         for rank, (term, fg_df, bg_df, jlh) in enumerate(reader.significant_terms(text, 50, 10), 1):
@@ -1492,11 +1466,7 @@ def rare_terms(sf_dir: str) -> pd.DataFrame:
     rare_terms, sampler-bounded): long-tail terms (global df ≤ n_docs/5)
     present in each query's top-50 hits, ranked (df asc, term asc); the
     same k-bounded foreground gather as significant_terms."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     rows = []
     for qid, text in BM25_QUERIES:
         for rank, (term, bg_df, fg_df) in enumerate(reader.rare_terms(text, 50, reader.n_docs // 5, 10), 1):
@@ -1516,11 +1486,7 @@ def near_topk(sf_dir: str) -> pd.DataFrame:
     """(query_id, rank, doc_id, score_r) — proximity (NEAR/w) top-10 from
     the forward-enabled index: two-term AND candidates, min-gap verify over
     the merged occurrence positions, BM25 bag ranking."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     return _ranked_frame(_ranked_rows(NEAR_QUERIES, reader.search_near, BM25_K))
 
 
@@ -1575,12 +1541,8 @@ def neural_topk(sf_dir: str) -> pd.DataFrame:
     per-doc top-k sparsify and Σ qtf·w scoring relationally; the pytest
     rank-identity oracle in tests/test_neural.py stays as the second
     gate."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{NEURAL_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_nidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, NEURAL_DOCS_CFG)
+    reader = _config_reader(sf_dir, NEURAL_DOCS_CFG)
     write_neural_expansion_sidecar(sf_dir, NEURAL_DOCS_CFG)
-    reader = IndexReader(out, NEURAL_DOCS_CFG)
     return _ranked_frame(_ranked_rows(BM25_QUERIES, reader.search, BM25_K, method="wand"))
 
 
@@ -1636,9 +1598,7 @@ def hybrid_topk(sf_dir: str) -> pd.DataFrame:
 
     K_LIST, RRF_K0 = 20, 60
     reader = IndexReader(build_documents_index(sf_dir), DOCS_CFG)
-    emb = _emb(sf_dir)
-    qrows = _first_vecs(emb, len(BM25_QUERIES))
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    emb, qrows, Q = _knn_queries(sf_dir, len(BM25_QUERIES))
     dense = brute_force_topk(emb, Q, k=K_LIST)
     rows = []
     for qi, (qid, text) in enumerate(BM25_QUERIES):
@@ -1710,8 +1670,7 @@ def search_histogram(sf_dir: str) -> pd.DataFrame:
     buckets its own matched docs, the driver sums |buckets| cells per
     actor — the match set never crosses the network."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = []
         for qid, text in BM25_QUERIES:
             for blo, n in ss.histogram(text, "n_chars", 200, 1):
@@ -1966,8 +1925,7 @@ def search_cardinality(sf_dir: str) -> pd.DataFrame:
     network.  The approximate path for unbounded-cardinality fields is
     the HLL sketch (``approx_distinct_trigrams``)."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = []
         for qid, text in BM25_QUERIES:
             f = ss.facets(text, m=1, attr_col="source")
@@ -2246,19 +2204,7 @@ def events_moving_avg(sf_dir: str) -> pd.DataFrame:
     current bucket.  One streaming pass of per-batch day-count partials
     (bounded by the date span per block); the pipeline stage runs on the
     bucket series, which is coordinator-sized by construction."""
-    import pyarrow.compute as pc
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        days = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
-        t = pa.table({"day": days})
-        return t.group_by(["day"]).aggregate([("day", "count")])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    counts = parts.groupby("day", sort=True)["day_count"].sum()
-    full = pd.date_range(counts.index.min(), counts.index.max(), freq="D").date
-    series = counts.reindex(full, fill_value=0)
+    series = _day_series(sf_dir)
     mavg = series.rolling(3, min_periods=1).mean()
     return pd.DataFrame(
         {
@@ -2330,11 +2276,7 @@ def doc_term_vectors(sf_dir: str) -> pd.DataFrame:
     term stats for a fixed doc set, decoded k-bounded from the requested
     docs' forward streams only (one run-length pass per shard owner),
     df from the stored global stats."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     rows = reader.term_vectors(TERMVEC_DOC_IDS)
     return pd.DataFrame(rows, columns=["doc_id", "term", "tf", "df"])
 
@@ -2348,8 +2290,7 @@ def decay_topk(sf_dir: str) -> pd.DataFrame:
     1000, scale 500, decay 0.5): BM25 × exp(−(attr−origin)²/(2σ²)) inside
     the shard owners before local top-k."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = _ranked_rows(BM25_QUERIES, ss.search_decay, BM25_K, "n_chars", 1000.0, 500.0)
     return _ranked_frame(rows)
 
@@ -2359,8 +2300,7 @@ def top_hits_by_lang(sf_dir: str) -> pd.DataFrame:
     terms agg + top_hits, size 3): each lang bucket's 3 best BM25 hits,
     served by the shard owners (≤ 3·|langs| cells per actor)."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = []
         for qid, text in BM25_QUERIES:
             for lang, rank, doc, score in ss.search_top_hits(text, "lang", 3):
@@ -2418,19 +2358,26 @@ def retrieval_metrics_at10(sf_dir: str) -> pd.DataFrame:
 
 
 # ------------------------------------------------------- text aggregates
-def term_df_top100(sf_dir: str) -> pd.DataFrame:
-    """Top-100 terms by (df desc, term asc) over documents."""
+def _doc_term_counts(batch: pa.Table) -> pa.Table:
+    """(terms, dl) per doc of a text batch: the index build's df input."""
+    from ..stages.encode import term_count_table
+    from ..tokenizer import Tokenizer
+
+    terms, _tfs, dls = term_count_table(batch.column("text").to_pylist(), Tokenizer())
+    return pa.table({"terms": terms, "dl": pa.array(dls)})
+
+
+def _corpus_vocab(sf_dir: str) -> pd.DataFrame:
+    """The documents text's vocab table (term, df, ...) from the index
+    build's df pass."""
     from ..stages.stats import compute_vocab
 
-    def doc_terms_shim(batch: pa.Table) -> pa.Table:
-        from ..stages.encode import term_count_table
-        from ..tokenizer import Tokenizer
+    return compute_vocab(_docs(sf_dir, columns=["text"]).map_batches(_doc_term_counts, batch_format="pyarrow"))
 
-        terms, tfs, dls = term_count_table(batch.column("text").to_pylist(), Tokenizer())
-        return pa.table({"terms": terms, "dl": pa.array(dls)})
 
-    ds = _docs(sf_dir, columns=["text"]).map_batches(doc_terms_shim, batch_format="pyarrow")
-    vocab = compute_vocab(ds)
+def term_df_top100(sf_dir: str) -> pd.DataFrame:
+    """Top-100 terms by (df desc, term asc) over documents."""
+    vocab = _corpus_vocab(sf_dir)
     vocab = vocab.sort_values(["df", "term"], ascending=[False, True], kind="mergesort").head(100)
     return vocab[["term", "df"]].reset_index(drop=True)
 
@@ -2749,21 +2696,41 @@ def embedding_near_dups(sf_dir: str) -> pd.DataFrame:
 
 
 # ---------------------------------------------------------------- vectors
+def _smallest_ids(b: pa.Table, n: int) -> pa.Table:
+    """The ``n`` smallest-vec_id rows of one batch (all when it has fewer)."""
+    ids = b.column("vec_id").to_numpy(zero_copy_only=False)
+    if ids.size > n:
+        b = b.take(pa.array(np.sort(np.argpartition(ids, n - 1)[:n])))
+    return b
+
+
 def _first_vecs(ds: rd.Dataset, n: int) -> pd.DataFrame:
     """The ``n`` smallest-vec_id rows (the oracle's ``ORDER BY vec_id
     LIMIT n`` query set) WITHOUT a distributed sort: one streaming pass of
     per-batch partial smallest-n + a driver merge over <= n rows per
     block — the right shape for "fetch k query vectors" at any corpus
     size."""
-    def partial(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy(zero_copy_only=False)
-        if ids.size > n:
-            sel = np.sort(np.argpartition(ids, n - 1)[:n])
-            b = b.take(pa.array(sel))
-        return b
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+    parts = ds.map_batches(_smallest_ids, fn_kwargs={"n": n}, batch_format="pyarrow").to_pandas()
     return parts.sort_values("vec_id", ignore_index=True).head(n)
+
+
+def _knn_queries(sf_dir: str, n: int = 5) -> tuple[rd.Dataset, pd.DataFrame, np.ndarray]:
+    """The kNN query set: (the embeddings dataset, its ``n`` smallest-vec_id
+    rows, their float64 query matrix)."""
+    ds = _emb(sf_dir)
+    qrows = _first_vecs(ds, n)
+    return ds, qrows, np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+
+
+def _knn_frame(out: pd.DataFrame, qrows: pd.DataFrame, *scores: str) -> pd.DataFrame:
+    """(query_vec_id, rank, vec_id, <score>_r, ...) of a kNN result keyed
+    by ``query_idx`` into ``qrows``, each of ``scores`` (default
+    ``score``) rounded to 6 decimals."""
+    scores = scores or ("score",)
+    out["query_vec_id"] = qrows["vec_id"].to_numpy()[out["query_idx"].to_numpy()]
+    for c in scores:
+        out[f"{c}_r"] = out[c].round(6)
+    return out[["query_vec_id", "rank", "vec_id", *(f"{c}_r" for c in scores)]]
 
 
 def knn_cosine(sf_dir: str) -> pd.DataFrame:
@@ -2771,13 +2738,9 @@ def knn_cosine(sf_dir: str) -> pd.DataFrame:
     (self-match included — SQL can reproduce it)."""
     from .ann import brute_force_topk
 
-    ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, 5)
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    ds, qrows, Q = _knn_queries(sf_dir)
     out = brute_force_topk(ds, Q, k=10)
-    out["query_vec_id"] = qrows["vec_id"].to_numpy()[out["query_idx"].to_numpy()]
-    out["score_r"] = out["score"].round(6)
-    return out[["query_vec_id", "rank", "vec_id", "score_r"]]
+    return _knn_frame(out, qrows)
 
 
 def knn_int8_rescore(sf_dir: str) -> pd.DataFrame:
@@ -2791,14 +2754,9 @@ def knn_int8_rescore(sf_dir: str) -> pd.DataFrame:
     reproduces candidate sets, both scores, and the final ranking."""
     from .ann import quantized_rescore_topk
 
-    ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, 5)
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    ds, qrows, Q = _knn_queries(sf_dir)
     out = quantized_rescore_topk(ds, Q, k=10, oversample=3)
-    out["query_vec_id"] = qrows["vec_id"].to_numpy()[out["query_idx"].to_numpy()]
-    out["coarse_r"] = out["coarse"].round(6)
-    out["score_r"] = out["score"].round(6)
-    return out[["query_vec_id", "rank", "vec_id", "coarse_r", "score_r"]]
+    return _knn_frame(out, qrows, "coarse", "score")
 
 
 def semdedup_kept(sf_dir: str) -> pd.DataFrame:
@@ -2823,16 +2781,12 @@ def knn_cosine_filtered(sf_dir: str) -> pd.DataFrame:
 
     from .ann import brute_force_topk
 
-    ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, 5)
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    ds, qrows, Q = _knn_queries(sf_dir)
     filtered = ds.map_batches(
         lambda b: b.filter(pc.equal(b.column("label"), 3)), batch_format="pyarrow"
     )
     out = brute_force_topk(filtered, Q, k=10)
-    out["query_vec_id"] = qrows["vec_id"].to_numpy()[out["query_idx"].to_numpy()]
-    out["score_r"] = out["score"].round(6)
-    return out[["query_vec_id", "rank", "vec_id", "score_r"]]
+    return _knn_frame(out, qrows)
 
 
 def knn_cosine_ivf(sf_dir: str) -> pd.DataFrame:
@@ -2843,14 +2797,10 @@ def knn_cosine_ivf(sf_dir: str) -> pd.DataFrame:
     covered by the pytest recall-floor test)."""
     from .ann import IVFIndex
 
-    ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, 5)
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    ds, qrows, Q = _knn_queries(sf_dir)
     idx = IVFIndex(n_clusters=8, nprobe=8).fit_assign(ds, sample_fraction=0.5)
     out = idx.search(Q, k=10)
-    out["query_vec_id"] = qrows["vec_id"].to_numpy()[out["query_idx"].to_numpy()]
-    out["score_r"] = out["score"].round(6)
-    return out[["query_vec_id", "rank", "vec_id", "score_r"]]
+    return _knn_frame(out, qrows)
 
 
 def knn_cosine_ivf_disk(sf_dir: str) -> pd.DataFrame:
@@ -2868,9 +2818,7 @@ def knn_cosine_ivf_disk(sf_dir: str) -> pd.DataFrame:
     from .ann import IVFIndex
     from ..state.lineage import read_json as _read_json
 
-    ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, 5)
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    ds, qrows, Q = _knn_queries(sf_dir)
     key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|ivf8".encode()).hexdigest()[:12]
     cache = os.path.join(CACHE_ROOT_NOZONE, f"ivf_disk_{key}")
     if _read_json(os.path.join(cache, "_MANIFEST.json")) is None:
@@ -2878,9 +2826,7 @@ def knn_cosine_ivf_disk(sf_dir: str) -> pd.DataFrame:
         idx.save(cache)
     disk = IVFIndex.load(cache)
     out = disk.search(Q, k=10)
-    out["query_vec_id"] = qrows["vec_id"].to_numpy()[out["query_idx"].to_numpy()]
-    out["score_r"] = out["score"].round(6)
-    return out[["query_vec_id", "rank", "vec_id", "score_r"]]
+    return _knn_frame(out, qrows)
 
 
 def lang_id_preds(sf_dir: str) -> pd.DataFrame:
@@ -4024,23 +3970,20 @@ def event_sessions(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["user_id", "session_start"], ignore_index=True)
 
 
+def _purchase_click_side(batch: pa.Table) -> pa.Table:
+    """A batch's purchase (side 1) and click (side 0) events."""
+    batch = batch.filter(pc.is_in(batch.column("event_type"), value_set=pa.array(["purchase", "click"])))
+    side = pc.cast(pc.equal(batch.column("event_type"), "purchase"), pa.int8())
+    return batch.drop_columns(["event_type"]).append_column("side", side)
+
+
 def _purchase_click_sides(sf_dir: str) -> rd.Dataset:
     """ONE scan of events feeding both sides of the event-stream joins:
     purchases are left (side 1), clicks are right (side 0), everything
     else dropped — instead of two full reads + a union of the same file."""
-    import pyarrow.compute as pc
-
     cols = ["event_id", "ts", "user_id", "event_type"]
     ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=cols)
-
-    def sides(batch: pa.Table) -> pa.Table:
-        et = batch.column("event_type")
-        keep = pc.is_in(et, value_set=pa.array(["purchase", "click"]))
-        batch = batch.filter(keep)
-        side = pc.cast(pc.equal(batch.column("event_type"), "purchase"), pa.int8())
-        return batch.drop_columns(["event_type"]).append_column("side", side)
-
-    return ev.map_batches(sides, batch_format="pyarrow")
+    return ev.map_batches(_purchase_click_side, batch_format="pyarrow")
 
 
 def events_asof(sf_dir: str) -> pd.DataFrame:
@@ -4341,18 +4284,7 @@ def events_histogram_derivative(sf_dir: str) -> pd.DataFrame:
     first-difference bucket series.  ES emits no derivative for the first
     bucket, so the result starts at the second day.  Same one-pass
     day-count partial shape as ``events_moving_avg``."""
-    import pyarrow.compute as pc
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        days = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
-        return pa.table({"day": days}).group_by(["day"]).aggregate([("day", "count")])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    counts = parts.groupby("day", sort=True)["day_count"].sum()
-    full = pd.date_range(counts.index.min(), counts.index.max(), freq="D").date
-    series = counts.reindex(full, fill_value=0)
+    series = _day_series(sf_dir)
     out = pd.DataFrame(
         {
             "day": pd.to_datetime(series.index),
@@ -4427,15 +4359,12 @@ def query_string_topk(sf_dir: str) -> pd.DataFrame:
     SAME parsed clause table, so grammar and scoring contract are pinned
     end-to-end: match = all musts ∧ (≥1 should when no musts) ∧ no
     must_nots; score = Σ boost·clause_bm25 over matched scoring clauses."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    index_dir = _config_index(sf_dir, PHRASE_DOCS_CFG)
+    reader = IndexReader(index_dir, PHRASE_DOCS_CFG)
     rows = _ranked_rows(QS_QUERIES, reader.search_query_string, BM25_K)
     # one query routes through the scatter-gather path to pin
     # driver/sharded parity under the clause composition
-    with _sharded(out, PHRASE_DOCS_CFG) as ss:
+    with _sharded(index_dir, PHRASE_DOCS_CFG) as ss:
         sharded = _hit_rows(QS_QUERIES[1][0], ss.search_query_string(QS_QUERIES[1][1], BM25_K))
     assert sharded == [r for r in rows if r[0] == QS_QUERIES[1][0]], "sharded query_string diverged"
     return _ranked_frame(rows)
@@ -4507,11 +4436,7 @@ def phrase_prefix_topk(sf_dir: str) -> pd.DataFrame:
     replayed in SQL as row_number over the distinct corpus terms), a doc
     matches when head + any expansion occur consecutively, and matched
     docs rank by the head terms' BM25 bag score."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     return _ranked_frame(_ranked_rows(MPP_QUERIES, reader.search_phrase_prefix, BM25_K))
 
 
@@ -4590,11 +4515,7 @@ def span_first_topk(sf_dir: str) -> pd.DataFrame:
     from the forward-enabled index: postings candidates, then a verify
     that reads ONLY the first ``end`` positions of each candidate's md5
     token stream (one flat gather); matches rank by the term's BM25."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     return _ranked_frame(_ranked_rows(SPAN_FIRST_QUERIES, reader.search_span_first, BM25_K))
 
 
@@ -4615,8 +4536,7 @@ def terms_set_topk(sf_dir: str) -> pd.DataFrame:
     unit-weight expanded-OR BM25 bag.  Served scatter-gather: each shard
     owner applies its own docs' minima from the attribute sidecar."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = _ranked_rows(TERMS_SET_QUERIES, ss.search_terms_set, BM25_K)
     return _ranked_frame(rows)
 
@@ -4677,16 +4597,7 @@ def events_daily_pipeline(sf_dir: str) -> pd.DataFrame:
     pass is one per-batch day-count partial; the window math runs on the
     bounded bucket series (|days| rows), exactly where ES's pipeline aggs
     run — on the reduced bucket list, never the raw events."""
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        days = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
-        return pa.table({"day": days}).group_by(["day"]).aggregate([("day", "count")])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    counts = parts.groupby("day", sort=True)["day_count"].sum()
-    full = pd.date_range(counts.index.min(), counts.index.max(), freq="D").date
-    series = counts.reindex(full, fill_value=0)
+    series = _day_series(sf_dir)
     n = series.to_numpy().astype(np.int64)
     return pd.DataFrame(
         {
@@ -5121,18 +5032,10 @@ def moving_percentiles_daily(sf_dir: str) -> pd.DataFrame:
     (linear-interpolation percentile, the percentiles-agg default shape).
     Heavy pass = one per-batch day-count partial; the windowed quantile
     runs over the bounded bucket series."""
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        days = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
-        return pa.table({"day": days}).group_by(["day"]).aggregate([("day", "count")])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    counts = parts.groupby("day", sort=True)["day_count"].sum()
-    full = pd.date_range(counts.index.min(), counts.index.max(), freq="D").date
-    n = counts.reindex(full, fill_value=0).to_numpy().astype(np.float64)
+    series = _day_series(sf_dir)
+    n = series.to_numpy().astype(np.float64)
     p50 = pd.Series(n).rolling(7, min_periods=1).quantile(0.5, interpolation="linear")
-    return pd.DataFrame({"day": pd.to_datetime(full), "p50_r": p50.round(6).to_numpy()})
+    return pd.DataFrame({"day": pd.to_datetime(series.index), "p50_r": p50.round(6).to_numpy()})
 
 
 STOPWORD_DF_FRAC: float = 0.30
@@ -5145,17 +5048,7 @@ def stopword_discovery(sf_dir: str) -> pd.DataFrame:
     per-batch pass computes per-term distinct-doc partials (unique per
     batch, then a vocab-bounded combine) — the same A1 stats discipline as
     the index build's df pass."""
-    from ..stages.stats import compute_vocab
-
-    def doc_terms_shim(batch: pa.Table) -> pa.Table:
-        from ..stages.encode import term_count_table
-        from ..tokenizer import Tokenizer
-
-        terms, tfs, dls = term_count_table(batch.column("text").to_pylist(), Tokenizer())
-        return pa.table({"terms": terms, "dl": pa.array(dls)})
-
-    ds = _docs(sf_dir, columns=["text"]).map_batches(doc_terms_shim, batch_format="pyarrow")
-    vocab = compute_vocab(ds)
+    vocab = _corpus_vocab(sf_dir)
     n_docs = int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
     frac = vocab["df"] / n_docs
     out = pd.DataFrame(
@@ -5190,19 +5083,22 @@ def _resolve_graph_mode(mode: str, n_nodes: int) -> str:
     return mode
 
 
+def _link_edges(batch: pa.Table, n_docs: int) -> pa.Table:
+    """A doc batch's fixture links (see :func:`_link_fixture_edges`)."""
+    ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
+    src = np.concatenate([ids, ids])
+    dst = np.concatenate([(ids * 3 + 1) % n_docs, (ids * 7 + 2) % n_docs])
+    keep = src != dst
+    return pa.table({"src": pa.array(src[keep]), "dst": pa.array(dst[keep])})
+
+
 def _link_fixture_edges(sf_dir: str, n_docs: int) -> "rd.Dataset":
     """The deterministic web-link fixture shared by the graph family:
     every doc links to (id·3+1) mod n and (id·7+2) mod n, self-loops
     dropped — (src, dst) int64 rows, streamed from the doc scan."""
-
-    def edges_of(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        src = np.concatenate([ids, ids])
-        dst = np.concatenate([(ids * 3 + 1) % n_docs, (ids * 7 + 2) % n_docs])
-        keep = src != dst
-        return pa.table({"src": pa.array(src[keep]), "dst": pa.array(dst[keep])})
-
-    return _docs(sf_dir, columns=["doc_id"]).map_batches(edges_of, batch_format="pyarrow")
+    return _docs(sf_dir, columns=["doc_id"]).map_batches(
+        _link_edges, fn_kwargs={"n_docs": n_docs}, batch_format="pyarrow"
+    )
 
 
 def link_pagerank(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
@@ -5428,8 +5324,7 @@ def rank_feature_sat_topk(sf_dir: str) -> pd.DataFrame:
     shard owners before local top-k (the log1p variant is ``boosted_topk``;
     this is the other canonical rank_feature shape)."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = _ranked_rows(
             BM25_QUERIES, ss.search_boosted, BM25_K, boost=1.5, pivot=500.0, feature="saturation",
         )
@@ -5470,9 +5365,7 @@ def linear_fusion_topk(sf_dir: str) -> pd.DataFrame:
 
     w_sp, w_dn = LINEAR_FUSE_W
     reader = IndexReader(build_documents_index(sf_dir), DOCS_CFG)
-    emb = _emb(sf_dir)
-    qrows = _first_vecs(emb, len(BM25_QUERIES))
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    emb, qrows, Q = _knn_queries(sf_dir, len(BM25_QUERIES))
     dense = brute_force_topk(emb, Q, k=LINEAR_FUSE_K_LIST)
     rows = []
     for qi, (qid, text) in enumerate(BM25_QUERIES):
@@ -5639,14 +5532,9 @@ def knn_pq_adc(sf_dir: str) -> pd.DataFrame:
     m·log₂k bits instead of d·32)."""
     from .ann import pq_adc_topk
 
-    ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, 5)
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    ds, qrows, Q = _knn_queries(sf_dir)
     out = pq_adc_topk(ds, Q, k=10, m_sub=4, ksub=16, iters=2, oversample=3)
-    out["query_vec_id"] = qrows["vec_id"].to_numpy()[out["query_idx"].to_numpy()]
-    out["adist_r"] = out["adist"].round(6)
-    out["dist_r"] = out["dist"].round(6)
-    return out[["query_vec_id", "rank", "vec_id", "adist_r", "dist_r"]]
+    return _knn_frame(out, qrows, "adist", "dist")
 
 
 SPAN_CONTAIN_QUERIES: list[tuple[str, str, str, int]] = [
@@ -5666,11 +5554,7 @@ def span_containing_topk(sf_dir: str) -> pd.DataFrame:
     — same chain DP, same two searchsorted probes, inverted survival
     test), BM25-bag-ranked over the big terms.  An OOV little term is
     contained nowhere ⇒ no hits; an OOV big term ⇒ no span ⇒ no hits."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     return _ranked_frame(_ranked_rows(SPAN_CONTAIN_QUERIES, reader.search_span_containing, BM25_K))
 
 
@@ -5682,11 +5566,7 @@ def span_within_topk(sf_dir: str) -> pd.DataFrame:
     the RETURNED query, so ranking is BM25 on the little term alone —
     containment is pure context.  Same chain DP + searchsorted probes;
     only the scoring bag changes."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     return _ranked_frame(_ranked_rows(SPAN_CONTAIN_QUERIES, reader.search_span_within, BM25_K))
 
 
@@ -5697,8 +5577,7 @@ def collapse_inner_hits(sf_dir: str) -> pd.DataFrame:
     top-2 docs — shard owners ship ≤ |values|·2 cells (the diversified
     election), the driver re-elects and ranks groups."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = []
         for qid, text in BM25_QUERIES:
             for v, grank, irank, _d, score, url in ss.search_collapse_inner(
@@ -5797,16 +5676,11 @@ def knn_ivfpq(sf_dir: str) -> pd.DataFrame:
     one SQL oracle."""
     from .ann import ivfpq_topk
 
-    ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, 5)
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    ds, qrows, Q = _knn_queries(sf_dir)
     out = ivfpq_topk(
         ds, Q, k=10, n_clusters=4, coarse_iters=3, nprobe=2, m_sub=4, ksub=16, iters=2, oversample=3
     )
-    out["query_vec_id"] = qrows["vec_id"].to_numpy()[out["query_idx"].to_numpy()]
-    out["adist_r"] = out["adist"].round(6)
-    out["dist_r"] = out["dist"].round(6)
-    return out[["query_vec_id", "rank", "vec_id", "adist_r", "dist_r"]]
+    return _knn_frame(out, qrows, "adist", "dist")
 
 
 # ES function_score with MULTIPLE filtered functions (score_mode=sum,
@@ -5841,8 +5715,7 @@ def function_score_topk(sf_dir: str) -> pd.DataFrame:
     co-located doc-value sidecars (:meth:`ShardScorerActor.
     score_function_score`); only local top-k candidates reach the merge."""
     index_dir = build_documents_index(sf_dir)
-    corpus = os.path.join(index_dir, "corpus_input.parquet")
-    with _sharded(index_dir, corpus_path=corpus) as ss:
+    with _sharded(index_dir) as ss:
         rows = []
         for qid, text in BM25_QUERIES:
             hits = ss.search_function_score(
@@ -6006,20 +5879,20 @@ def bpe_merges(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=["step", "lhs", "rhs", "merged", "pair_n"])
 
 
-def _bpe_word_table(sf_dir: str) -> pd.Series:
-    """word → corpus frequency, via one fused tokenize+count sweep with
-    per-batch combiner partials (the A1 stats discipline)."""
+def _term_cf_partial(batch: pa.Table) -> pa.Table:
+    """A text batch's (term, cf_sum) partial."""
     from ..stages.encode import term_count_table
     from ..tokenizer import Tokenizer
 
-    def partial(batch: pa.Table) -> pa.Table:
-        terms, tfs, _dls = term_count_table(batch.column("text"), Tokenizer())
-        t = pa.table(
-            {"term": pc.list_flatten(terms), "cf": pc.cast(pc.list_flatten(tfs), pa.int64())}
-        )
-        return t.group_by(["term"]).aggregate([("cf", "sum")])
+    terms, tfs, _dls = term_count_table(batch.column("text"), Tokenizer())
+    t = pa.table({"term": pc.list_flatten(terms), "cf": pc.cast(pc.list_flatten(tfs), pa.int64())})
+    return t.group_by(["term"]).aggregate([("cf", "sum")])
 
-    parts = _docs(sf_dir, columns=["text"]).map_batches(partial, batch_format="pyarrow").to_pandas()
+
+def _bpe_word_table(sf_dir: str) -> pd.Series:
+    """word → corpus frequency, via one fused tokenize+count sweep with
+    per-batch combiner partials (the A1 stats discipline)."""
+    parts = _docs(sf_dir, columns=["text"]).map_batches(_term_cf_partial, batch_format="pyarrow").to_pandas()
     return parts.groupby("term", sort=True)["cf_sum"].sum()
 
 
@@ -6065,9 +5938,7 @@ def mmr_rerank(sf_dir: str) -> pd.DataFrame:
     into the SQL oracle."""
     from .ann import brute_force_topk
 
-    ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, MMR_QUERIES)
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    ds, qrows, Q = _knn_queries(sf_dir, MMR_QUERIES)
     cand = brute_force_topk(ds, Q, k=MMR_POOL)
 
     want = np.unique(cand["vec_id"].to_numpy())
@@ -6244,16 +6115,9 @@ def bucket_percentiles_stats(sf_dir: str) -> pd.DataFrame:
     partial as the other date-histogram queries; the pipeline math runs on
     the bounded bucket list (linear-interpolation percentiles, the ES/
     numpy default).  One row out."""
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        days = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
-        return pa.table({"day": days}).group_by(["day"]).aggregate([("day", "count")])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    counts = parts.groupby("day", sort=True)["day_count"].sum()
-    full = pd.date_range(counts.index.min(), counts.index.max(), freq="D").date
-    n = counts.reindex(full, fill_value=0).to_numpy().astype(np.float64)
+    n = _day_series(sf_dir).to_numpy().astype(np.float64)
+    if n.size == 0:
+        raise ValueError(f"no daily buckets: the events table of {sf_dir} is empty")
     p25, p50, p75 = np.percentile(n, [25, 50, 75], method="linear")
     return pd.DataFrame(
         {
@@ -6284,70 +6148,14 @@ def containment_pairs(sf_dir: str) -> pd.DataFrame:
 
 
 def combined_fields_topk(sf_dir: str) -> pd.DataFrame:
-    """(query_id, rank, doc_id, score_r) — ES ``combined_fields`` query
-    (Lucene ``CombinedFieldQuery``), the FOURTH multi-field semantics next
-    to most_fields (``bm25_fields_topk``), BM25F (``bm25f_topk``) and
-    cross_fields (``cross_fields_topk``): the fields are merged into ONE
-    pseudo-field *before* BM25 — per (doc, term) the combined tf is
-    Σ_f boost_f·tf_f, the combined doc length is Σ_f boost_f·dl_f, avgdl
-    is the mean combined length, and df is the whole-document df (fields
-    partition the token stream) — then a single standard BM25 saturation
-    scores the pseudo-field.  Contrast BM25F, which length-normalizes each
-    field by its OWN dl/avgdl before summing.
-
-    Served off the same per-field doc-sharded indexes (raw-tf posting
-    sidecars + field dls); fields are co-sharded by doc, so at cluster
-    scale each shard owner merges its local field postings and ships its
-    top-k only."""
-    from ..tokenizer import Tokenizer
-
-    for f in _FIELD_BOOSTS:
-        _field_reader(sf_dir, f)  # ensures the per-field index dirs exist
-    base = build_documents_index(sf_dir)
-    readers = {f: IndexReader(os.path.join(base, f"field_{f}"), DOCS_CFG) for f in _FIELD_BOOSTS}
-    n_docs = next(iter(readers.values())).n_docs
-    # combined per-doc length: Σ_f boost_f · dl_f (shards partition docs,
-    # so each global doc contributes once per field)
-    dlc = np.zeros(n_docs, dtype=np.float64)
-    for f, boost in _FIELD_BOOSTS.items():
-        for sh in readers[f].shards:
-            dlc[sh.doc_ids] += boost * sh.dl.astype(np.float64)
-    avgdlc = float(dlc.mean()) if n_docs else 1.0
-    tok = Tokenizer(DOCS_CFG)
-    k1, b = DOCS_CFG.k1, DOCS_CFG.b
-    rows = []
-    for qid, text in BM25_QUERIES:
-        toks = tok.tokenize(text)
-        if not toks:
-            continue
-        uniq, qtfs = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-        scores = np.zeros(n_docs, dtype=np.float64)
-        for t, qn in zip(uniq, qtfs):
-            w = np.zeros(n_docs, dtype=np.float64)
-            matched = np.zeros(n_docs, dtype=bool)
-            for f, boost in _FIELD_BOOSTS.items():
-                r = readers[f]
-                tid = r.term_id.get(t)
-                if tid is None:
-                    continue
-                for sh in r.shards:
-                    for _qi, s, e, _tid in sh._term_slices(np.asarray([tid], dtype=np.int64)):
-                        local = sh.post_local[s:e]
-                        g = sh.doc_ids[local]
-                        np.add.at(w, g, boost * sh.post_tf[s:e].astype(np.float64))
-                        matched[g] = True
-            df = float(matched.sum())
-            if df == 0.0:
-                continue
-            idf = np.log1p((n_docs - df + 0.5) / (df + 0.5))
-            nz = np.flatnonzero(matched)
-            norm = (1.0 - b) + b * dlc[nz] / avgdlc
-            scores[nz] += float(qn) * idf * (k1 + 1.0) * w[nz] / (w[nz] + k1 * norm)
-        nz = np.flatnonzero(scores)
-        take = nz[np.lexsort((nz, -scores[nz]))][:BM25_K]
-        for rank, d in enumerate(take, 1):
-            rows.append((qid, rank, int(d), round(float(scores[d]), 6)))
-    return _ranked_frame(rows)
+    """ES ``combined_fields`` query (Lucene ``CombinedFieldQuery``): the
+    fields merge into ONE pseudo-field *before* BM25 — per (doc, term)
+    the combined tf is Σ_f boost_f·tf_f, the combined doc length is
+    Σ_f boost_f·dl_f, avgdl is the mean combined length and df is the
+    whole-document df — then a single standard BM25 saturation scores it.
+    Contrast BM25F, which length-normalizes each field by its OWN
+    dl/avgdl before summing."""
+    return _fields_topk(sf_dir, "combined_fields")
 
 
 def regional_revenue(sf_dir: str) -> pd.DataFrame:
@@ -6595,14 +6403,9 @@ def knn_bq_rescore(sf_dir: str) -> pd.DataFrame:
     with the exact float cosine."""
     from .ann import binary_rescore_topk
 
-    ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, 5)
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    ds, qrows, Q = _knn_queries(sf_dir)
     out = binary_rescore_topk(ds, Q, k=10, oversample=3)
-    out["query_vec_id"] = qrows["vec_id"].to_numpy()[out["query_idx"].to_numpy()]
-    out["coarse_r"] = out["coarse"].round(6)
-    out["score_r"] = out["score"].round(6)
-    return out[["query_vec_id", "rank", "vec_id", "coarse_r", "score_r"]]
+    return _knn_frame(out, qrows, "coarse", "score")
 
 
 # substring (infix) queries against the trigram-indexed term dictionary
@@ -6832,13 +6635,7 @@ def shingle_topk(sf_dir: str) -> pd.DataFrame:
     acceleration next to the position-verified ``phrase_topk`` (no
     positions needed at query time; the dictionary pays for it).  Query
     text rides the same analyzer chain."""
-    key = hashlib.sha256(
-        f"{os.path.abspath(sf_dir)}|{SHINGLE_DOCS_CFG}".encode()
-    ).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_shidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, SHINGLE_DOCS_CFG)
-    reader = IndexReader(out, SHINGLE_DOCS_CFG)
+    reader = _config_reader(sf_dir, SHINGLE_DOCS_CFG)
     return _ranked_frame(_ranked_rows(SHINGLE_QUERIES, reader.search, BM25_K))
 
 
@@ -7099,19 +6896,9 @@ def serial_diff_events(sf_dir: str) -> pd.DataFrame:
     gap-free daily event counts (the seasonality-removal companion to
     ``events_moving_avg``).  The bucket series is coordinator-sized by
     construction; the corpus pass is the same bounded day-count combiner."""
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        days = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
-        t = pa.table({"day": days})
-        return t.group_by(["day"]).aggregate([("day", "count")])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    counts = parts.groupby("day", sort=True)["day_count"].sum()
-    full = pd.date_range(counts.index.min(), counts.index.max(), freq="D").date
-    series = counts.reindex(full, fill_value=0).astype(np.int64)
+    series = _day_series(sf_dir)
     n = series.to_numpy().astype(np.float64)
-    lo, hi = n.min(), n.max()
+    lo, hi = (n.min(), n.max()) if n.size else (0.0, 0.0)
     norm = (n - lo) / (hi - lo) if hi > lo else np.zeros_like(n)
     out = pd.DataFrame(
         {
@@ -7199,14 +6986,10 @@ def knn_ivf_filtered(sf_dir: str) -> pd.DataFrame:
 
     from .ann import IVFIndex
 
-    ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, 5)
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    ds, qrows, Q = _knn_queries(sf_dir)
     idx = IVFIndex(n_clusters=8, nprobe=8).fit_assign(ds, sample_fraction=0.5)
     out = idx.search(Q, k=10, filter_expr=lambda t: _pc.equal(t.column("label"), 3))
-    out["query_vec_id"] = qrows["vec_id"].to_numpy()[out["query_idx"].to_numpy()]
-    out["score_r"] = out["score"].round(6)
-    return out[["query_vec_id", "rank", "vec_id", "score_r"]]
+    return _knn_frame(out, qrows)
 
 
 def ccnet_corpus_kept(sf_dir: str) -> pd.DataFrame:
@@ -7284,9 +7067,7 @@ def knn_radius(sf_dir: str) -> pd.DataFrame:
     streaming scan per the brute-force shape; only matches leave each
     batch, so the exchange is bounded by the match count, never the
     corpus.  Self-matches included (score 1.0)."""
-    ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, 5)
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    ds, qrows, Q = _knn_queries(sf_dir)
     qn = np.linalg.norm(Q, axis=1)
     qn[qn == 0] = 1.0
     q_ref = ray.put((Q, qn))
@@ -7685,11 +7466,7 @@ def sloppy_phrase_topk(sf_dir: str) -> pd.DataFrame:
     saturated phrase frequency, score = (idf_a + idf_b)·BM25-sat(sf) —
     proximity contributes to the SCORE, not just the match set (contrast
     ``near_topk``'s binary verify + bag ranking)."""
-    key = hashlib.sha256(f"{os.path.abspath(sf_dir)}|{PHRASE_DOCS_CFG}".encode()).hexdigest()[:12]
-    out = os.path.join(CACHE_ROOT_NOZONE, f"docs_pidx_{key}")
-    corpus_path = os.path.join(build_documents_index(sf_dir), "corpus_input.parquet")
-    build_index(corpus_path, out, PHRASE_DOCS_CFG)
-    reader = IndexReader(out, PHRASE_DOCS_CFG)
+    reader = _config_reader(sf_dir, PHRASE_DOCS_CFG)
     return _ranked_frame(_ranked_rows(SLOPPY_QUERIES, reader.search_sloppy, BM25_K))
 
 
@@ -7773,29 +7550,12 @@ def pruned_index_topk(sf_dir: str) -> pd.DataFrame:
     global cut is local — the doc-sharded layout would need a shuffle to
     prune a term globally (the reason impact-ordered / pruned indexes
     are term-major in practice)."""
-    from ..state.lineage import read_json as _read_json
-    from .term_index import TermIndexReader, build_term_index, score_pruned, _topk_list
+    from .term_index import score_pruned, _topk_list
 
-    base = build_documents_index(sf_dir)
-    tdir = os.path.join(base, "term_index")
-    man = _read_json(os.path.join(tdir, "_MANIFEST.json"))
-    if man is None or man.get("format") != 3:
-        build_term_index(
-            os.path.join(base, "doc_terms"),
-            os.path.join(base, "stats"),
-            tdir,
-            DOCS_CFG,
-            salt_block_postings=512,
-            max_salts=8,
-        )
-    reader = TermIndexReader(tdir, os.path.join(base, "stats"), DOCS_CFG)
-    reader.load_doc_lengths()
-    rows = []
-    for qid, text in BM25_QUERIES:
-        cand, scores = score_pruned(reader, text, PRUNE_FRACTION)
-        for rank, (doc, score) in enumerate(_topk_list(cand, scores, BM25_K), 1):
-            rows.append((qid, rank, doc, round(score, 6)))
-    return _ranked_frame(rows)
+    reader = _term_major_reader(sf_dir)
+    return _doc_topk_frame(
+        BM25_QUERIES, lambda text: _topk_list(*score_pruned(reader, text, PRUNE_FRACTION), BM25_K)
+    )
 
 
 def trending_terms(sf_dir: str) -> pd.DataFrame:
@@ -7927,17 +7687,9 @@ def anomaly_days(sf_dir: str) -> pd.DataFrame:
     |z| > 2.5 flags the day (the monitoring op next to
     ``change_point_day``).  The bucket series is coordinator-sized; the
     corpus pass is the bounded day-count combiner."""
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        days = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
-        t = pa.table({"day": days})
-        return t.group_by(["day"]).aggregate([("day", "count")])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    counts = parts.groupby("day", sort=True)["day_count"].sum()
-    full = pd.date_range(counts.index.min(), counts.index.max(), freq="D").date
-    series = counts.reindex(full, fill_value=0).astype(np.int64)
+    series = _day_series(sf_dir)
+    if series.empty:
+        raise ValueError(f"no daily buckets: the events table of {sf_dir} is empty")
     n = series.to_numpy().astype(np.float64)
     med = float(np.median(n))
     mad = float(np.median(np.abs(n - med)))
@@ -7967,14 +7719,9 @@ def knn_mrl_rescore(sf_dir: str) -> pd.DataFrame:
     1-bit sign quantization."""
     from .ann import truncated_rescore_topk
 
-    ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, 5)
-    Q = np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    ds, qrows, Q = _knn_queries(sf_dir)
     out = truncated_rescore_topk(ds, Q, k=10, oversample=3, coarse_dims=MRL_COARSE_DIMS)
-    out["query_vec_id"] = qrows["vec_id"].to_numpy()[out["query_idx"].to_numpy()]
-    out["coarse_r"] = out["coarse"].round(6)
-    out["score_r"] = out["score"].round(6)
-    return out[["query_vec_id", "rank", "vec_id", "coarse_r", "score_r"]]
+    return _knn_frame(out, qrows, "coarse", "score")
 
 
 CLARITY_FB_DOCS: int = 10
@@ -8051,28 +7798,27 @@ def dow_seasonality(sf_dir: str) -> pd.DataFrame:
     the per-occurring-day average on the gap-free axis, and the lift vs
     the overall daily mean.  Same bounded day-count combiner; the
     profile is 7 rows at any scale."""
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        days = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
-        t = pa.table({"day": days})
-        return t.group_by(["day"]).aggregate([("day", "count")])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    counts = parts.groupby("day", sort=True)["day_count"].sum()
-    full = pd.date_range(counts.index.min(), counts.index.max(), freq="D").date
-    series = counts.reindex(full, fill_value=0).astype(np.int64)
+    series = _day_series(sf_dir)
     dow = pd.to_datetime(series.index).dayofweek.to_numpy() + 1  # ISO 1..7
     n = series.to_numpy().astype(np.float64)
-    overall = n.mean()
     rows = []
     for d in range(1, 8):
         m = dow == d
         if not m.any():
             continue
         avg = n[m].mean()
-        rows.append((d, int(n[m].sum()), round(avg, 6), round(avg / overall, 6)))
+        rows.append((d, int(n[m].sum()), round(avg, 6), round(avg / n.mean(), 6)))
     return pd.DataFrame(rows, columns=["dow", "n_events", "avg_per_day_r", "lift_r"])
+
+
+def _day_count_partial(batch: pa.Table, event_types: tuple[str, ...] | None) -> pa.Table:
+    """One batch's ``(day[, et], day_count)`` partial of :func:`_daily_counts`."""
+    days = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
+    if event_types is None:
+        return pa.table({"day": days}).group_by(["day"]).aggregate([("day", "count")])
+    t = pa.table({"day": days, "et": batch.column("event_type")})
+    t = t.filter(pc.is_in(t.column("et"), value_set=pa.array(event_types)))
+    return t.group_by(["day", "et"]).aggregate([("day", "count")])
 
 
 def _daily_counts(sf_dir: str, event_types: tuple[str, ...] | None = None) -> pd.DataFrame:
@@ -8082,17 +7828,23 @@ def _daily_counts(sf_dir: str, event_types: tuple[str, ...] | None = None) -> pd
     everything into one ``n`` column."""
     cols = ["ts"] if event_types is None else ["ts", "event_type"]
     ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=cols)
+    return ds.map_batches(
+        _day_count_partial, fn_kwargs={"event_types": event_types}, batch_format="pyarrow"
+    ).to_pandas()
 
-    def partial(batch: pa.Table) -> pa.Table:
-        days = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
-        if event_types is None:
-            t = pa.table({"day": days})
-            return t.group_by(["day"]).aggregate([("day", "count")])
-        t = pa.table({"day": days, "et": batch.column("event_type")})
-        t = t.filter(pc.is_in(t.column("et"), value_set=pa.array(event_types)))
-        return t.group_by(["day", "et"]).aggregate([("day", "count")])
 
-    return ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+def _day_series(sf_dir: str) -> pd.Series:
+    """Daily event counts (int64) on a gap-free day axis from the first to
+    the last event day — empty days count 0 (the date_histogram
+    ``min_doc_count: 0`` contract); an empty events table gives an empty
+    series."""
+    parts = _daily_counts(sf_dir)
+    if parts.empty:
+        return pd.Series([], index=pd.Index([], dtype=object), dtype=np.int64)
+    counts = parts.groupby("day", sort=True)["day_count"].sum()
+    full = pd.date_range(counts.index.min(), counts.index.max(), freq="D").date
+    return counts.reindex(full, fill_value=0).astype(np.int64)
+
 
 
 def cumulative_sum_daily(sf_dir: str) -> pd.DataFrame:
@@ -8102,10 +7854,7 @@ def cumulative_sum_daily(sf_dir: str) -> pd.DataFrame:
     ``min_doc_count: 0`` + cumulative_sum shape).  One bounded day-count
     combiner pass; the prefix sum runs on the coordinator-sized series,
     exactly where ES's pipeline-agg reducer runs it."""
-    parts = _daily_counts(sf_dir)
-    counts = parts.groupby("day", sort=True)["day_count"].sum()
-    full = pd.date_range(counts.index.min(), counts.index.max(), freq="D").date
-    series = counts.reindex(full, fill_value=0).astype(np.int64)
+    series = _day_series(sf_dir)
     return pd.DataFrame(
         {
             "day": pd.to_datetime(series.index),

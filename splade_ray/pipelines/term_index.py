@@ -490,30 +490,6 @@ def _topk_list(cand: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int, 
     return list(zip(top.tolist(), top_scores.tolist()))
 
 
-def search_fields(
-    readers: dict[str, TermIndexReader],
-    boosts: dict[str, float],
-    text: str,
-    k: int = 10,
-) -> list[tuple[int, float]]:
-    """Multi-FIELD BM25 with per-field boosts (Lucene-style field boosting):
-    score(q, d) = Σ_field boost_f · BM25_f(q, d), each field its own index
-    with its own df/avgdl statistics.  The merge is the same exact
-    partial-score sum as :func:`search_term_partitioned` — fields play the
-    role of term partitions, so distribution-wise this is a per-field
-    scatter (each field's index lives on its own nodes) + one additive
-    gather.  (Classic BM25F — shared saturation over field-weighted tf —
-    would need unsaturated per-field tf/B postings; the per-field-BM25
-    weighted sum is the variant virtually every production engine ships.)
-    Deterministic (-score, doc_id) tie-break, same as every other path."""
-    parts = []
-    for f, r in readers.items():
-        cand, sc = r.score_partial(text)
-        parts.append((cand, sc * boosts.get(f, 1.0)))
-    cand, scores = _merge_partials(parts)
-    return _topk_list(cand, scores, k)
-
-
 def search_term_partitioned(
     readers: list[TermIndexReader],
     text: str,

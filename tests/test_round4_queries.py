@@ -170,7 +170,8 @@ def test_cross_fields_single_field_degenerates_to_fields_sum(ray_session, monkey
     """With ONE searched field, cross_fields' blended df == the field df,
     the per-term dismax collapses to the single leg, and the score must
     equal bm25_fields_topk's additive kernel exactly (both read the same
-    per-field index; independent scoring paths)."""
+    per-field index through ``search_fields``: two semantics, one
+    gather)."""
     from splade_ray.pipelines import queries as q
 
     monkeypatch.setattr(q, "_FIELD_BOOSTS", {"title": 2.0})

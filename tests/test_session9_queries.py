@@ -74,9 +74,8 @@ def test_combined_fields_unit_boosts_reduce_to_plain_bm25(ray_session, monkeypat
 
     sf = "/root/testdata/sf0.001"
     monkeypatch.setattr(q, "_FIELD_BOOSTS", {"title": 1.0, "body": 1.0})
-    # separate index dirs so the unit-boost build can't poison the cached
-    # 2.0-boost field indexes (corpus projections are boost-independent,
-    # but keep the test hermetic anyway)
+    # field indexes are boost-independent: the cached ones serve the
+    # unit boosts too
     plain = q.bm25_topk(sf)
     comb = q.combined_fields_topk(sf)
     merged = comb.merge(plain, on=["query_id", "rank"], suffixes=("_c", "_p"))
