@@ -11,8 +11,10 @@ object per run::
 
 Output: {"sf_dir": ..., "ok": N, "fail": N, "queries": {name: {"rows": r,
 "oracle_rows": r, "match": true|false|null, "frame_sha256": h, "wall_s": t,
-"err": ...}}}
+"engine_s": t, "oracle_s": t, "err": ...}}}
 (match=null: no SQL oracle — the driver's weaker rows-only gate).
+``engine_s`` times the query call and ``oracle_s`` the DuckDB oracle;
+``wall_s`` also covers canonicalizing and comparing the two frames.
 ``frame_sha256`` hashes the canonical result frame, so two sweeps of the
 same sf directory hold identical results iff their hashes agree.
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 import faulthandler
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -75,6 +78,12 @@ def frame_sha256(canon: pd.DataFrame) -> str:
     return hashlib.sha256(canon.to_csv(index=False).encode()).hexdigest()
 
 
+def _floor_cs(seconds: float) -> float:
+    """Seconds rounded DOWN to 0.01, so a query's engine_s + oracle_s never
+    exceeds its (rounded-to-nearest) wall_s."""
+    return math.floor(seconds * 100) / 100
+
+
 def _match(got: pd.DataFrame, want: pd.DataFrame) -> bool:
     if list(got.columns) != list(want.columns) or len(got) != len(want):
         return False
@@ -106,16 +115,22 @@ def sweep(sf_dir: str, only: list[str] | None = None) -> dict:
     for name in sorted(queries):
         t0 = time.perf_counter()
         rec: dict = {
-            "rows": None, "oracle_rows": None, "match": None, "frame_sha256": None, "wall_s": None, "err": None
+            "rows": None, "oracle_rows": None, "match": None, "frame_sha256": None, "wall_s": None,
+            "engine_s": None, "oracle_s": None, "err": None,
         }
         print(f"  {name} ...", file=sys.stderr, flush=True)
         faulthandler.dump_traceback_later(QUERY_TIMEOUT_S, exit=True)
         try:
-            got = _canon(_to_df(queries[name](sf_dir)))
+            got = _to_df(queries[name](sf_dir))
+            rec["engine_s"] = _floor_cs(time.perf_counter() - t0)
+            got = _canon(got)
             rec["rows"] = int(len(got))
             rec["frame_sha256"] = frame_sha256(got)
             if name in oracles:
-                want = _canon(con.execute(oracles[name]).fetchdf())
+                t1 = time.perf_counter()
+                want = con.execute(oracles[name]).fetchdf()
+                rec["oracle_s"] = _floor_cs(time.perf_counter() - t1)
+                want = _canon(want)
                 rec["oracle_rows"] = int(len(want))
                 rec["match"] = _match(got, want)
                 report["ok" if rec["match"] else "fail"] += 1
@@ -129,7 +144,11 @@ def sweep(sf_dir: str, only: list[str] | None = None) -> dict:
         rec["wall_s"] = round(time.perf_counter() - t0, 2)
         report["queries"][name] = rec
         status = "OK" if rec["err"] is None and rec["match"] is not False else "FAIL"
-        print(f"  {name:<28} {status:<4} rows={rec['rows']} wall={rec['wall_s']}s", file=sys.stderr)
+        print(
+            f"  {name:<28} {status:<4} rows={rec['rows']} wall={rec['wall_s']}s"
+            f" engine={rec['engine_s']}s oracle={rec['oracle_s']}s",
+            file=sys.stderr,
+        )
     return report
 
 

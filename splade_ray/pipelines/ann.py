@@ -1,19 +1,36 @@
 """Similarity search over an embedding column (``list<float>``).
 
-Two paths per the build brief:
+Every kNN scorer here runs one pipeline:
 
-- **brute-force cosine top-k** (the exactness baseline): the query matrix is
-  broadcast once (``ray.put``), each ``map_batches`` task does one
-  numpy matmul against its batch and emits its per-batch partial top-k per
-  query; a final ``groupby(query).map_groups`` merges partials.  Shuffle
-  volume is O(num_queries · k · num_batches), never the corpus.
-- **IVF (inverted-file) top-k** (the scale path): k-means centroids fitted
-  on a driver-side sample, vectors assigned to their nearest centroid in
-  ``map_batches``; a query probes only the ``nprobe`` nearest lists.  Same
-  partial-top-k merge.  Exactness: IVF recall vs brute force is measured in
-  tests, not assumed.
+1. **Partial top-k.**  Each ``map_batches`` task scores its batch against
+   the broadcast query state into an ``(n, q)`` matrix (higher is better)
+   and emits, per query, every row scoring at least the batch's kth score
+   (:func:`_boundary_safe_topk`).  An optional ``(n, q)`` allow mask keeps
+   each query to its own probe lists.
+2. **Merge.**  One ``groupby("query_idx").map_groups`` keeps each query's
+   top k by ``(-score, vec_id)``.  The exchange moves O(queries · k ·
+   batches) rows, never the corpus.
+3. **Fetch and exact re-rank** (two-phase scorers only).  The merged
+   ``k·oversample`` candidates' vectors come back in one broadcast-id
+   filtered scan and are re-ranked on the exact cosine (descending) or
+   squared L2 (ascending), compared at ``round(·, 9)`` like the SQL
+   oracles, then ``vec_id``.
 
-Tie-break everywhere: ``(-score, id)`` — deterministic like the BM25 path.
+The scorers differ only in their phase-1 kernel:
+
+- :func:`brute_force_topk`: exact cosine (the exactness baseline);
+- :meth:`IVFIndex.search`: exact cosine over the ``nprobe`` probed lists;
+- :func:`quantized_rescore_topk`: per-vector int8 approximate cosine;
+- :func:`binary_rescore_topk`: sign-bit agreement (1-bit);
+- :func:`truncated_rescore_topk`: cosine over a Matryoshka prefix;
+- :func:`pq_adc_topk`: product-quantization asymmetric distance (ADC);
+- :func:`ivfpq_topk`: ADC over the probed coarse clusters.
+
+Alongside them: :func:`kmeans_assign` (deterministic Lloyd k-means),
+:func:`pq_train` (PQ codebooks, the same Lloyd step per subspace) and
+:func:`pca_power_project` (first principal component).  k-means and PQ
+seed from the smallest-id vectors (:func:`_smallest_id_rows`).  Every Ray
+Data kernel is a module-level function called with ``fn_kwargs``.
 """
 
 from __future__ import annotations
@@ -23,6 +40,7 @@ import math
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 from ray.data import Dataset
@@ -46,10 +64,20 @@ def _as_matrix(col) -> np.ndarray:
     return values.reshape(n, values.size // n)
 
 
-def _normalize(m: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(m, axis=1)
+def _norms(m: np.ndarray) -> np.ndarray:
+    """Row L2 norms with 0 read as 1, so a zero vector scores 0, not NaN
+    (the same reduction as ``np.linalg.norm(m, axis=1)``)."""
+    n = np.sqrt((m * m).sum(axis=1))
     n[n == 0] = 1.0
-    return m / n[:, None]
+    return n
+
+
+def _normalize(m: np.ndarray) -> np.ndarray:
+    return m / _norms(m)[:, None]
+
+
+def _empty(**dtypes) -> pd.DataFrame:
+    return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in dtypes.items()})
 
 
 def _boundary_safe_topk(col: np.ndarray, kk: int) -> np.ndarray:
@@ -77,59 +105,138 @@ def _partial_topk_table(qidx: np.ndarray, ids: np.ndarray, scores: np.ndarray) -
     )
 
 
-def _merge_topk(g: pd.DataFrame, k: int) -> pd.DataFrame:
-    g = g.sort_values(["score", "vec_id"], ascending=[False, True], kind="mergesort").head(k)
-    g = g.reset_index(drop=True)
-    g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-    return g
+# ------------------------------------------------------ the one kNN pipeline
+def _partial_topk(batch: pa.Table, score_fn, state_ref, k: int, id_col: str, emb_col: str, filter_expr) -> pa.Table:
+    """Phase 1 for one batch: ``score_fn(batch, state, emb_col)`` returns
+    the ``(n, q)`` score matrix and an ``(n, q)`` allow mask or None; each
+    query keeps the boundary-safe partial top-k of its allowed rows.
+    ``filter_expr`` (an Arrow predicate over the batch, or None) drops rows
+    before they are scored."""
+    if filter_expr is not None:
+        batch = batch.filter(filter_expr(batch))
+    out_q, out_i, out_s = [np.zeros(0, np.int32)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    if batch.num_rows:
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+        scores, allow = score_fn(batch, cached_ref(state_ref), emb_col)
+        for qi in range(scores.shape[1]):
+            rows = slice(None) if allow is None else allow[:, qi]
+            col = scores[rows, qi]
+            part = _boundary_safe_topk(col, min(k, col.size))
+            out_q.append(np.full(part.size, qi))
+            out_i.append(ids[rows][part])
+            out_s.append(col[part])
+    return _partial_topk_table(np.concatenate(out_q), np.concatenate(out_i), np.concatenate(out_s))
 
 
-def _merge_topk_r9(g: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Candidate-cut merge on ROUND-9 scores (the colbert_maxsim_topk
-    convention): the SQL oracles cut with ``round(score, 9) DESC, vec_id``,
-    so a raw-float cut could resolve a last-ulp near-tie at the boundary
-    differently than DuckDB.  Used by the two-phase rescore families whose
-    coarse scores are real-valued (MRL prefix cosine)."""
-    g = g.assign(_rk=g["score"].round(9))
-    g = g.sort_values(["_rk", "vec_id"], ascending=[False, True], kind="mergesort").head(k)
+def _merge_topk(g: pd.DataFrame, k: int, r9: bool) -> pd.DataFrame:
+    """One query's top k of its partials by (-score, vec_id), ranked from 1.
+    ``r9`` compares ROUND-9 scores, the candidate cut of the SQL oracles
+    (``round(score, 9) DESC, vec_id``): a raw-float cut could resolve a
+    last-ulp near-tie at the boundary differently than DuckDB."""
+    key = g["score"].round(9) if r9 else g["score"]
+    g = g.assign(_rk=key).sort_values(["_rk", "vec_id"], ascending=[False, True], kind="mergesort").head(k)
     g = g.drop(columns="_rk").reset_index(drop=True)
     g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
     return g
 
 
-def brute_force_topk(
-    ds: Dataset,
-    queries: np.ndarray,
-    k: int = 10,
-    emb_col: str = "embedding",
-    id_col: str = "vec_id",
+def _topk(ds: Dataset, score_fn, state, k: int, emb_col: str, id_col: str, r9: bool = False, filter_expr=None) -> pd.DataFrame:
+    """Partial top-k + merge: (query_idx, vec_id, score, rank) rows, at
+    most k per query (empty when nothing scored)."""
+    partials = ds.map_batches(
+        _partial_topk,
+        fn_kwargs={
+            "score_fn": score_fn,
+            "state_ref": ray.put(state),
+            "k": k,
+            "id_col": id_col,
+            "emb_col": emb_col,
+            "filter_expr": filter_expr,
+        },
+        batch_format="pyarrow",
+        batch_size=4096,
+    )
+    merged = partials.groupby("query_idx").map_groups(_merge_topk, fn_kwargs={"k": k, "r9": r9}, batch_format="pandas")
+    return merged.to_pandas()
+
+
+def _ranked(merged: pd.DataFrame) -> pd.DataFrame:
+    """(query_idx, rank, vec_id, score) of a single-phase scorer."""
+    if merged.empty:
+        return _empty(query_idx=np.int32, rank=np.int64, vec_id=np.int64, score=np.float64)
+    return merged.sort_values(["query_idx", "rank"], ignore_index=True)[["query_idx", "rank", "vec_id", "score"]]
+
+
+def _fetch_rows(batch: pa.Table, ids_ref, id_col: str, emb_col: str) -> pa.Table:
+    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+    return batch.filter(pa.array(np.isin(ids, cached_ref(ids_ref)))).select([id_col, emb_col])
+
+
+def _rescore_topk(
+    ds: Dataset, Q: np.ndarray, score_fn, state, k: int, oversample: int, emb_col: str, id_col: str, l2: bool = False
 ) -> pd.DataFrame:
-    """Exact cosine top-k of each query row against the dataset.
+    """Every two-phase scorer: phase 1 keeps the top ``k·oversample``
+    candidates per query on ``score_fn``'s coarse score (cut at round 9);
+    phase 2 fetches ONLY those vectors (one broadcast-id filtered scan,
+    bounded by the candidate count) and re-ranks them on the exact cosine
+    (descending) or, with ``l2``, the exact squared L2 (ascending),
+    compared at ``round(·, 9)``, then ``vec_id``.
 
-    Returns (query_idx, rank, vec_id, score) sorted by (query_idx, rank).
-    """
-    Q = _normalize(np.asarray(queries, dtype=np.float64))
-    q_ref = ray.put(Q)
+    Returns (query_idx, rank, vec_id, coarse, score), or with ``l2``
+    (query_idx, rank, vec_id, adist, dist) where ``adist`` is the
+    negated coarse score; rank <= k."""
+    coarse_col, exact_col = ("adist", "dist") if l2 else ("coarse", "score")
+    cand = _topk(ds, score_fn, state, k * oversample, emb_col, id_col, r9=True)
+    if cand.empty:
+        return _empty(query_idx=np.int64, rank=np.int64, vec_id=np.int64, **{coarse_col: np.float64, exact_col: np.float64})
+    cid = cand["vec_id"].to_numpy()
+    fetched = ds.map_batches(
+        _fetch_rows,
+        fn_kwargs={"ids_ref": ray.put(np.unique(cid)), "id_col": id_col, "emb_col": emb_col},
+        batch_format="pyarrow",
+    )
+    got = pa.concat_tables(list(fetched.iter_batches(batch_format="pyarrow", batch_size=None)))
+    gid = got.column(id_col).to_numpy(zero_copy_only=False)
+    by_id = np.argsort(gid)
+    E = _as_matrix(got.column(emb_col))[by_id[np.searchsorted(gid, cid, sorter=by_id)]]
+    qi = cand["query_idx"].to_numpy()
+    if l2:
+        dif = E - Q[qi]
+        exact = np.sum(dif * dif, axis=1)
+        key = np.round(exact, 9)
+    else:
+        exact = (E * Q[qi]).sum(axis=1) / (_norms(Q)[qi] * _norms(E))
+        key = -np.round(exact, 9)
+    order = np.lexsort((cid, key, qi))
+    rank = np.arange(order.size) - np.searchsorted(qi[order], qi[order]) + 1  # 1 + position in its query
+    keep = order[rank <= k]
+    coarse = cand["score"].to_numpy()[keep]
+    return pd.DataFrame(
+        {
+            "query_idx": qi[keep].astype(np.int64),
+            "rank": rank[rank <= k],
+            "vec_id": cid[keep],
+            coarse_col: -coarse if l2 else coarse,
+            exact_col: exact[keep],
+        }
+    )
 
-    def score_batch(batch: pa.Table) -> pa.Table:
-        Qm = cached_ref(q_ref)
-        emb = _normalize(_as_matrix(batch.column(emb_col)))
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        sims = emb @ Qm.T  # (n, q)
-        kk = min(k, len(ids))
-        out_q, out_i, out_s = [], [], []
-        for qi in range(Qm.shape[0]):
-            col = sims[:, qi]
-            part = _boundary_safe_topk(col, kk)
-            out_q.append(np.full(part.size, qi))
-            out_i.append(ids[part])
-            out_s.append(col[part])
-        return _partial_topk_table(np.concatenate(out_q), np.concatenate(out_i), np.concatenate(out_s))
 
-    partials = ds.map_batches(score_batch, batch_format="pyarrow", batch_size=4096)
-    merged = partials.groupby("query_idx").map_groups(lambda g: _merge_topk(g, k), batch_format="pandas")
-    out = merged.to_pandas().sort_values(["query_idx", "rank"], ignore_index=True)
-    return out[["query_idx", "rank", "vec_id", "score"]]
+# ------------------------------------------------------------- coarse kernels
+def _cosine_scores(batch: pa.Table, Q: np.ndarray, emb_col: str):
+    """Exact cosine against the unit query rows ``Q``."""
+    return _normalize(_as_matrix(batch.column(emb_col))) @ Q.T, None
+
+
+def _in_probes(cl: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """(n, q) mask: row i's cluster is in query q's probe list."""
+    return (cl[:, None, None] == probes[None, :, :]).any(axis=2)
+
+
+def _ivf_scores(batch: pa.Table, state, emb_col: str):
+    Q, probes = state
+    scores, _ = _cosine_scores(batch, Q, emb_col)
+    return scores, _in_probes(batch.column("cluster").to_numpy(zero_copy_only=False), probes)
 
 
 def _int8_quantize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,6 +250,80 @@ def _int8_quantize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, mx
 
 
+def _int8_scores(batch: pa.Table, state, emb_col: str):
+    Qq, qmx, qnorm = state
+    emb = _as_matrix(batch.column(emb_col))
+    Dq, dmx = _int8_quantize(emb)
+    dots = Dq @ Qq.T  # exact: int-valued floats < 2^53
+    # association mirrors the SQL oracle: ((dot·qs)·ds)/(qn·dn)
+    return ((dots * (qmx / 127.0)[None, :]) * (dmx / 127.0)[:, None]) / (qnorm[None, :] * _norms(emb)[:, None]), None
+
+
+def _sign_scores(batch: pa.Table, Qs: np.ndarray, emb_col: str):
+    emb = _as_matrix(batch.column(emb_col))
+    return (emb.shape[1] + np.where(emb > 0, 1.0, -1.0) @ Qs.T) / 2.0, None  # integer-valued floats
+
+
+def _prefix_cosine_scores(batch: pa.Table, state, emb_col: str):
+    Qc, qcn = state
+    Ec = _as_matrix(batch.column(emb_col))[:, : Qc.shape[1]]
+    return (Ec @ Qc.T) / (_norms(Ec)[:, None] * qcn[None, :]), None
+
+
+def _pq_encode(x: np.ndarray, cbs: np.ndarray) -> np.ndarray:
+    """(n, m) PQ codes: each subspace slice's nearest codeword."""
+    m, _, dsub = cbs.shape
+    codes = np.empty((x.shape[0], m), dtype=np.int64)
+    for si in range(m):
+        codes[:, si], _ = _kmeans_dists(x[:, si * dsub : (si + 1) * dsub], cbs[si])
+    return codes
+
+
+def _pq_lut(Q: np.ndarray, cbs: np.ndarray) -> np.ndarray:
+    """(q, m, ksub) ADC tables: lut[qi, si, c] = ||q_sub − cbs[si, c]||²."""
+    m, _, dsub = cbs.shape
+    diff = Q.reshape(Q.shape[0], m, 1, dsub) - cbs[None, :, :, :]
+    return np.sum(diff * diff, axis=3)
+
+
+def _adc(codes: np.ndarray, lut: np.ndarray) -> np.ndarray:
+    """(n, q) asymmetric distances, accumulated subspace by subspace (the
+    SQL sum order is per-vector over sub — same-code vectors tie exactly
+    either way)."""
+    adist = np.zeros((codes.shape[0], lut.shape[0]), dtype=np.float64)
+    for si in range(lut.shape[1]):
+        adist += lut[:, si, codes[:, si]].T
+    return adist
+
+
+def _adc_scores(batch: pa.Table, state, emb_col: str):
+    cbs, lut = state
+    return -_adc(_pq_encode(_as_matrix(batch.column(emb_col)), cbs), lut), None  # negate: higher is better
+
+
+def _ivfpq_scores(batch: pa.Table, state, emb_col: str):
+    cent, cbs, lut, probes = state
+    x = _as_matrix(batch.column(emb_col))
+    coarse, _ = _kmeans_dists(x, cent)
+    return -_adc(_pq_encode(x, cbs), lut), _in_probes(coarse, probes)
+
+
+# --------------------------------------------------------------- the scorers
+def brute_force_topk(
+    ds: Dataset,
+    queries: np.ndarray,
+    k: int = 10,
+    emb_col: str = "embedding",
+    id_col: str = "vec_id",
+) -> pd.DataFrame:
+    """Exact cosine top-k of each query row against the dataset.
+
+    Returns (query_idx, rank, vec_id, score) sorted by (query_idx, rank).
+    """
+    Q = _normalize(np.asarray(queries, dtype=np.float64))
+    return _ranked(_topk(ds, _cosine_scores, Q, k, emb_col, id_col))
+
+
 def quantized_rescore_topk(
     ds: Dataset,
     queries: np.ndarray,
@@ -154,90 +335,20 @@ def quantized_rescore_topk(
     """Two-phase quantized kNN (the ES ``int8_hnsw`` + ``rescore_vector``
     oversample shape, on a flat scan): phase 1 scores every vector with the
     cheap per-vector-int8 approximate cosine and keeps the global top
-    ``k·oversample`` candidates per query; phase 2 fetches ONLY those
-    candidate vectors (one broadcast-id filtered scan, k-bounded) and
-    re-ranks them with the exact float cosine.
+    ``k·oversample`` candidates per query; phase 2 re-ranks them with the
+    exact float cosine.
 
     Approximate cosine of query q and doc d:
     ``(Qq·Dq) · (qmax/127) · (dmax/127) / (‖q‖·‖d‖)`` with Qq, Dq the
     round-half-up int8 codes — every arithmetic step is SQL-replayable, so
     the oracle reproduces both the candidate sets and the final ranking.
 
-    Scale shape: phase 1 ships O(queries · k·oversample) rows per block and
-    nothing else; phase 2's gather is bounded by the candidate-set size.
     Returns (query_idx, rank, vec_id, coarse, score) rows, rank ≤ k by
     (-exact, vec_id) over the candidates.
     """
     Q = np.asarray(queries, dtype=np.float64)
     Qq, qmx = _int8_quantize(Q)
-    qnorm = np.sqrt((Q * Q).sum(axis=1))
-    qnorm[qnorm == 0] = 1.0
-    q_ref = ray.put((Qq, qmx, qnorm))
-    kk_c = k * oversample
-
-    def coarse_batch(batch: pa.Table) -> pa.Table:
-        Qqm, qmxv, qnv = cached_ref(q_ref)
-        emb = _as_matrix(batch.column(emb_col))
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        Dq, dmx = _int8_quantize(emb)
-        dnorm = np.sqrt((emb * emb).sum(axis=1))
-        dnorm[dnorm == 0] = 1.0
-        dots = Dq @ Qqm.T  # exact: int-valued floats < 2^53
-        # association mirrors the SQL oracle: ((dot·qs)·ds)/(qn·dn)
-        sims = ((dots * (qmxv / 127.0)[None, :]) * (dmx / 127.0)[:, None]) / (
-            qnv[None, :] * dnorm[:, None]
-        )
-        kk = min(kk_c, len(ids))
-        out_q, out_i, out_s = [], [], []
-        for qi in range(Qqm.shape[0]):
-            col = sims[:, qi]
-            part = _boundary_safe_topk(col, kk)
-            out_q.append(np.full(part.size, qi))
-            out_i.append(ids[part])
-            out_s.append(col[part])
-        return _partial_topk_table(np.concatenate(out_q), np.concatenate(out_i), np.concatenate(out_s))
-
-    partials = ds.map_batches(coarse_batch, batch_format="pyarrow", batch_size=4096)
-    cand = (
-        partials.groupby("query_idx")
-        .map_groups(lambda g: _merge_topk_r9(g, kk_c), batch_format="pandas")
-        .to_pandas()
-    )
-    cand_ids = np.unique(cand["vec_id"].to_numpy())
-    ids_ref = ray.put(cand_ids)
-
-    def fetch(batch: pa.Table) -> pa.Table:
-        want = cached_ref(ids_ref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(want, ids)
-        pos = np.minimum(pos, max(want.size - 1, 0))
-        hit = (want[pos] == ids) if want.size else np.zeros(ids.size, bool)
-        return batch.filter(pa.array(hit)).select([id_col, emb_col])
-
-    got = ds.map_batches(fetch, batch_format="pyarrow").to_pandas()
-    by_id = dict(zip(got[id_col].to_numpy(), got[emb_col].to_numpy()))
-    E = np.stack([np.asarray(by_id[v], dtype=np.float64) for v in cand["vec_id"]])
-    enorm = np.sqrt((E * E).sum(axis=1))
-    enorm[enorm == 0] = 1.0
-    qi = cand["query_idx"].to_numpy()
-    exact = (E * Q[qi]).sum(axis=1) / (qnorm[qi] * enorm)
-    cand = cand.assign(exact=exact)
-    out = []
-    cand = cand.assign(_rk=cand["exact"].round(9))  # oracle ranks on round(score, 9)
-    for g_qi, g in cand.groupby("query_idx", sort=True):
-        g = g.sort_values(["_rk", "vec_id"], ascending=[False, True], kind="mergesort").head(k)
-        out.append(
-            pd.DataFrame(
-                {
-                    "query_idx": np.full(len(g), g_qi, dtype=np.int64),
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                    "vec_id": g["vec_id"].to_numpy(),
-                    "coarse": g["score"].to_numpy(),
-                    "score": g["exact"].to_numpy(),
-                }
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+    return _rescore_topk(ds, Q, _int8_scores, (Qq, qmx, _norms(Q)), k, oversample, emb_col, id_col)
 
 
 def binary_rescore_topk(
@@ -253,85 +364,18 @@ def binary_rescore_topk(
     — ``agree = (dim + sign(d)·sign(q)) / 2`` with sign(x) = +1 if x > 0
     else −1, i.e. ``dim − hamming`` over the sign bitplanes — and keeps the
     global top ``k·oversample`` candidates per query by (−agree, vec_id);
-    phase 2 fetches ONLY those candidates (one broadcast-id filtered scan)
-    and re-ranks with the exact float cosine.
+    phase 2 re-ranks them with the exact float cosine.
 
     The coarse score is a small integer, so ties are pervasive — the
     boundary-safe partial top-k plus the (−score, vec_id) merge make the
     candidate cut globally deterministic, and the sign arithmetic replays
-    exactly in SQL (±1 inner product).  At the 1-bit design point the
-    corpus-side codes are 64× smaller than f32: the coarse pass streams
-    packed bitplanes, only candidate vectors' floats are ever re-read.
+    exactly in SQL (±1 inner product).
 
     Returns (query_idx, rank, vec_id, coarse, score) rows, rank ≤ k by
-    (−exact, vec_id) over the candidates — same shape as
-    :func:`quantized_rescore_topk`.
+    (−exact, vec_id) over the candidates.
     """
     Q = np.asarray(queries, dtype=np.float64)
-    Qs = np.where(Q > 0, 1.0, -1.0)
-    qnorm = np.sqrt((Q * Q).sum(axis=1))
-    qnorm[qnorm == 0] = 1.0
-    q_ref = ray.put(Qs)
-    kk_c = k * oversample
-
-    def coarse_batch(batch: pa.Table) -> pa.Table:
-        Qsm = cached_ref(q_ref)
-        emb = _as_matrix(batch.column(emb_col))
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        Ds = np.where(emb > 0, 1.0, -1.0)
-        dim = emb.shape[1] if emb.size else Qsm.shape[1]
-        agree = (dim + Ds @ Qsm.T) / 2.0  # integer-valued floats
-        kk = min(kk_c, len(ids))
-        out_q, out_i, out_s = [], [], []
-        for qi in range(Qsm.shape[0]):
-            col = agree[:, qi]
-            part = _boundary_safe_topk(col, kk)
-            out_q.append(np.full(part.size, qi))
-            out_i.append(ids[part])
-            out_s.append(col[part])
-        return _partial_topk_table(np.concatenate(out_q), np.concatenate(out_i), np.concatenate(out_s))
-
-    partials = ds.map_batches(coarse_batch, batch_format="pyarrow", batch_size=4096)
-    cand = (
-        partials.groupby("query_idx")
-        .map_groups(lambda g: _merge_topk_r9(g, kk_c), batch_format="pandas")
-        .to_pandas()
-    )
-    cand_ids = np.unique(cand["vec_id"].to_numpy())
-    ids_ref = ray.put(cand_ids)
-
-    def fetch(batch: pa.Table) -> pa.Table:
-        want = cached_ref(ids_ref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(want, ids)
-        pos = np.minimum(pos, max(want.size - 1, 0))
-        hit = (want[pos] == ids) if want.size else np.zeros(ids.size, bool)
-        return batch.filter(pa.array(hit)).select([id_col, emb_col])
-
-    got = ds.map_batches(fetch, batch_format="pyarrow").to_pandas()
-    by_id = dict(zip(got[id_col].to_numpy(), got[emb_col].to_numpy()))
-    E = np.stack([np.asarray(by_id[v], dtype=np.float64) for v in cand["vec_id"]])
-    enorm = np.sqrt((E * E).sum(axis=1))
-    enorm[enorm == 0] = 1.0
-    qi = cand["query_idx"].to_numpy()
-    exact = (E * Q[qi]).sum(axis=1) / (qnorm[qi] * enorm)
-    cand = cand.assign(exact=exact)
-    out = []
-    cand = cand.assign(_rk=cand["exact"].round(9))  # oracle ranks on round(score, 9)
-    for g_qi, g in cand.groupby("query_idx", sort=True):
-        g = g.sort_values(["_rk", "vec_id"], ascending=[False, True], kind="mergesort").head(k)
-        out.append(
-            pd.DataFrame(
-                {
-                    "query_idx": np.full(len(g), g_qi, dtype=np.int64),
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                    "vec_id": g["vec_id"].to_numpy(),
-                    "coarse": g["score"].to_numpy(),
-                    "score": g["exact"].to_numpy(),
-                }
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+    return _rescore_topk(ds, Q, _sign_scores, np.where(Q > 0, 1.0, -1.0), k, oversample, emb_col, id_col)
 
 
 def truncated_rescore_topk(
@@ -347,81 +391,12 @@ def truncated_rescore_topk(
     vector by cosine over only the first ``coarse_dims`` dimensions (the
     MRL property: a prefix of the embedding is itself an embedding) and
     keeps the global top ``k·oversample`` per query by (−coarse, vec_id);
-    phase 2 fetches only those candidates and re-ranks with the
-    full-dimension cosine.  Same boundary-safe partial/merge discipline as
-    :func:`quantized_rescore_topk`; at scale the hot scan touches
-    ``coarse_dims/dim`` of the bytes.  Returns (query_idx, rank, vec_id,
-    coarse, score)."""
+    phase 2 re-ranks them with the full-dimension cosine.  At scale the
+    hot scan touches ``coarse_dims/dim`` of the bytes.  Returns
+    (query_idx, rank, vec_id, coarse, score)."""
     Q = np.asarray(queries, dtype=np.float64)
     Qc = Q[:, :coarse_dims]
-    qcn = np.linalg.norm(Qc, axis=1)
-    qcn[qcn == 0] = 1.0
-    qnorm = np.linalg.norm(Q, axis=1)
-    qnorm[qnorm == 0] = 1.0
-    q_ref = ray.put((Qc, qcn))
-    kk_c = k * oversample
-
-    def coarse_batch(batch: pa.Table) -> pa.Table:
-        Qcm, qcv = cached_ref(q_ref)
-        emb = _as_matrix(batch.column(emb_col))
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        if emb.size == 0:
-            return _partial_topk_table(np.zeros(0), np.zeros(0), np.zeros(0))
-        Ec = emb[:, :coarse_dims]
-        en = np.linalg.norm(Ec, axis=1)
-        en[en == 0] = 1.0
-        sims = (Ec @ Qcm.T) / (en[:, None] * qcv[None, :])
-        kk = min(kk_c, len(ids))
-        out_q, out_i, out_s = [], [], []
-        for qi in range(Qcm.shape[0]):
-            col = sims[:, qi]
-            part = _boundary_safe_topk(col, kk)
-            out_q.append(np.full(part.size, qi))
-            out_i.append(ids[part])
-            out_s.append(col[part])
-        return _partial_topk_table(np.concatenate(out_q), np.concatenate(out_i), np.concatenate(out_s))
-
-    partials = ds.map_batches(coarse_batch, batch_format="pyarrow", batch_size=4096)
-    cand = (
-        partials.groupby("query_idx")
-        .map_groups(lambda g: _merge_topk_r9(g, kk_c), batch_format="pandas")
-        .to_pandas()
-    )
-    cand_ids = np.unique(cand["vec_id"].to_numpy())
-    ids_ref = ray.put(cand_ids)
-
-    def fetch(batch: pa.Table) -> pa.Table:
-        want = cached_ref(ids_ref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(want, ids)
-        pos = np.minimum(pos, max(want.size - 1, 0))
-        hit = (want[pos] == ids) if want.size else np.zeros(ids.size, bool)
-        return batch.filter(pa.array(hit)).select([id_col, emb_col])
-
-    got = ds.map_batches(fetch, batch_format="pyarrow").to_pandas()
-    by_id = dict(zip(got[id_col].to_numpy(), got[emb_col].to_numpy()))
-    E = np.stack([np.asarray(by_id[v], dtype=np.float64) for v in cand["vec_id"]])
-    enorm = np.linalg.norm(E, axis=1)
-    enorm[enorm == 0] = 1.0
-    qi = cand["query_idx"].to_numpy()
-    exact = (E * Q[qi]).sum(axis=1) / (qnorm[qi] * enorm)
-    cand = cand.assign(exact=exact)
-    out = []
-    cand = cand.assign(_rk=cand["exact"].round(9))  # oracle ranks on round(score, 9)
-    for g_qi, g in cand.groupby("query_idx", sort=True):
-        g = g.sort_values(["_rk", "vec_id"], ascending=[False, True], kind="mergesort").head(k)
-        out.append(
-            pd.DataFrame(
-                {
-                    "query_idx": np.full(len(g), g_qi, dtype=np.int64),
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                    "vec_id": g["vec_id"].to_numpy(),
-                    "coarse": g["score"].to_numpy(),
-                    "score": g["exact"].to_numpy(),
-                }
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+    return _rescore_topk(ds, Q, _prefix_cosine_scores, (Qc, _norms(Qc)), k, oversample, emb_col, id_col)
 
 
 def _kmeans_fit(sample: np.ndarray, n_clusters: int, iters: int = 10, seed: int = 11) -> np.ndarray:
@@ -438,6 +413,24 @@ def _kmeans_fit(sample: np.ndarray, n_clusters: int, iters: int = 10, seed: int 
                 if n > 0:
                     centroids[c] = v / n
     return centroids
+
+
+def _assign_cluster(batch: pa.Table, c_ref, emb_col: str) -> pa.Table:
+    emb = _normalize(_as_matrix(batch.column(emb_col)))
+    cl = np.argmax(emb @ cached_ref(c_ref).T, axis=1).astype(np.int32)
+    return batch.append_column("cluster", pa.array(cl))
+
+
+def _keep_clusters(batch: pa.Table, clusters: list[int]) -> pa.Table:
+    return batch.filter(pc.is_in(batch.column("cluster"), value_set=pa.array(clusters, type=pa.int32())))
+
+
+def _tag_cluster(batch: pa.Table, cluster: int) -> pa.Table:
+    # read_parquet may already recover the hive partition value
+    # (sometimes as a string) — normalize to one int32 column
+    if "cluster" in batch.column_names:
+        batch = batch.drop_columns(["cluster"])
+    return batch.append_column("cluster", pa.array(np.full(batch.num_rows, cluster, dtype=np.int32)))
 
 
 class IVFIndex:
@@ -492,16 +485,11 @@ class IVFIndex:
             stride = int(np.ceil(sample.shape[0] / max_fit_vectors))
             sample = sample[::stride]
         self.centroids = _kmeans_fit(sample, self.n_clusters, seed=seed)
-        c_ref = ray.put(self.centroids)
-        emb_col, id_col = self.emb_col, self.id_col
-
-        def assign(batch: pa.Table) -> pa.Table:
-            C = cached_ref(c_ref)
-            emb = _normalize(_as_matrix(batch.column(emb_col)))
-            cl = np.argmax(emb @ C.T, axis=1).astype(np.int32)
-            return batch.append_column("cluster", pa.array(cl))
-
-        self.assigned = ds.map_batches(assign, batch_format="pyarrow").materialize()
+        self.assigned = ds.map_batches(
+            _assign_cluster,
+            fn_kwargs={"c_ref": ray.put(self.centroids), "emb_col": self.emb_col},
+            batch_format="pyarrow",
+        ).materialize()
         return self
 
     def save(self, out_dir: str) -> dict:
@@ -510,7 +498,8 @@ class IVFIndex:
         table.  At query time probe pruning becomes DIRECTORY pruning —
         only the ``nprobe`` probed lists' files are ever opened, which is
         the IVF contract at 100 TB (non-probed lists cost zero IO)."""
-        assert self.centroids is not None and self.assigned is not None, "call fit_assign first"
+        if self.centroids is None or self.assigned is None:
+            raise RuntimeError("IVFIndex.save: call fit_assign first")
         import os
 
         import pyarrow.parquet as pq
@@ -577,30 +566,16 @@ class IVFIndex:
         reattached from the directory name, and non-probed lists are never
         opened."""
         if self.assigned is not None:
-            probe_set = pa.array(probe_list, type=pa.int32())
-            return self.assigned.map_batches(
-                lambda b: b.filter(pa.compute.is_in(b.column("cluster"), value_set=probe_set)),
-                batch_format="pyarrow",
-            )
+            return self.assigned.map_batches(_keep_clusters, fn_kwargs={"clusters": probe_list}, batch_format="pyarrow")
         import os
 
         import ray.data as rd
 
-        def tag(c: int):
-            # read_parquet may already recover the hive partition value
-            # (sometimes as a string) — normalize to one int32 column
-            def _tag(b: pa.Table) -> pa.Table:
-                if "cluster" in b.column_names:
-                    b = b.drop_columns(["cluster"])
-                return b.append_column("cluster", pa.array(np.full(b.num_rows, c, dtype=np.int32)))
-
-            return _tag
-
-        parts = []
-        for c in probe_list:
-            d = os.path.join(self.lists_dir, f"cluster={c}")
-            if os.path.isdir(d):
-                parts.append(rd.read_parquet(d).map_batches(tag(c), batch_format="pyarrow"))
+        parts = [
+            rd.read_parquet(d).map_batches(_tag_cluster, fn_kwargs={"cluster": c}, batch_format="pyarrow")
+            for c in probe_list
+            if os.path.isdir(d := os.path.join(self.lists_dir, f"cluster={c}"))
+        ]
         if not parts:
             return rd.from_arrow(
                 pa.table(
@@ -620,45 +595,13 @@ class IVFIndex:
         probed-list scorer BEFORE ranking — the ES ``knn``+``filter``
         semantics on the IVF path: non-probed lists still cost zero IO
         and filtered-out vectors never reach the matmul."""
-        assert self.centroids is not None, "call fit_assign or load first"
-        assert self.assigned is not None or getattr(self, "lists_dir", None), "call fit_assign or load first"
+        if self.centroids is None or (self.assigned is None and not self.lists_dir):
+            raise RuntimeError("IVFIndex.search: call fit_assign or load first")
         Q = _normalize(np.asarray(queries, dtype=np.float64))
         probe = np.argsort(-(Q @ self.centroids.T), axis=1)[:, : self.nprobe]
         subset = self._probed_subset(sorted({int(c) for c in probe.reshape(-1)}))
         # per-query restriction to its own probe list happens in the scorer
-        probe_ref = ray.put(probe)
-        q_ref = ray.put(Q)
-        emb_col, id_col = self.emb_col, self.id_col
-
-        def score_batch(batch: pa.Table) -> pa.Table:
-            if filter_expr is not None:
-                batch = batch.filter(filter_expr(batch))
-            if batch.num_rows == 0:
-                return _partial_topk_table(np.zeros(0), np.zeros(0), np.zeros(0))
-            Qm, Pr = cached_ref(q_ref), cached_ref(probe_ref)
-            emb = _normalize(_as_matrix(batch.column(emb_col)))
-            ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-            cl = batch.column("cluster").to_numpy(zero_copy_only=False)
-            sims = emb @ Qm.T
-            out_q, out_i, out_s = [], [], []
-            for qi in range(Qm.shape[0]):
-                mask = np.isin(cl, Pr[qi])
-                if not mask.any():
-                    continue
-                col = sims[mask, qi]
-                sel_ids = ids[mask]
-                part = _boundary_safe_topk(col, min(k, col.size))
-                out_q.append(np.full(part.size, qi))
-                out_i.append(sel_ids[part])
-                out_s.append(col[part])
-            if not out_q:
-                return _partial_topk_table(np.zeros(0), np.zeros(0), np.zeros(0))
-            return _partial_topk_table(np.concatenate(out_q), np.concatenate(out_i), np.concatenate(out_s))
-
-        partials = subset.map_batches(score_batch, batch_format="pyarrow", batch_size=4096)
-        merged = partials.groupby("query_idx").map_groups(lambda g: _merge_topk(g, k), batch_format="pandas")
-        out = merged.to_pandas().sort_values(["query_idx", "rank"], ignore_index=True)
-        return out[["query_idx", "rank", "vec_id", "score"]]
+        return _ranked(_topk(subset, _ivf_scores, (Q, probe), k, self.emb_col, self.id_col, filter_expr=filter_expr))
 
 
 # ------------------------------------------------ distributed Lloyd k-means
@@ -675,39 +618,100 @@ def _kmeans_dists(x: np.ndarray, cent: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return assign, dists[np.arange(x.shape[0]), assign]
 
 
-def _kmeans_batch(batch: pa.Table, cent_ref, emit: str, id_col: str, emb_col: str) -> pa.Table:
-    """One Lloyd half-step as a stateless TASK (no actor-pool startup):
-    fit mode emits the per-batch (cluster, dim) partial sums + counts
-    (≤ k·d rows per batch), output mode the per-vector assignments."""
-    cent = ray.get(cent_ref) if not isinstance(cent_ref, np.ndarray) else cent_ref
+def _smallest_id_batch(batch: pa.Table, n: int, id_col: str, columns: list[str] | None) -> pa.Table:
+    """The ``n`` smallest-id rows of one batch (all when it has fewer)."""
+    if columns is not None:
+        batch = batch.select(columns)
+    if batch.num_rows <= n:
+        return batch
+    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+    return batch.take(pa.array(np.argsort(ids, kind="stable")[:n]))
+
+
+def _smallest_id_rows(
+    ds: Dataset, n: int, id_col: str = "vec_id", columns: list[str] | None = None, what: str = "dataset"
+) -> pa.Table:
+    """The ``n`` smallest-id rows in id order (the oracles' ``ORDER BY id
+    LIMIT n`` seed) WITHOUT a distributed sort: one streaming pass of
+    per-batch smallest-n partials, then a driver merge over <= n rows per
+    batch.  Raises ``ValueError`` naming ``what`` on an empty dataset."""
+    parts = [
+        b
+        for b in ds.map_batches(
+            _smallest_id_batch,
+            fn_kwargs={"n": n, "id_col": id_col, "columns": columns},
+            batch_format="pyarrow",
+        ).iter_batches(batch_format="pyarrow", batch_size=None)
+        if b.num_rows
+    ]
+    if not parts:
+        raise ValueError(f"{what}: dataset has no vectors")
+    rows = pa.concat_tables(parts)
+    return rows.take(pa.array(np.argsort(rows.column(id_col).to_numpy(zero_copy_only=False), kind="stable")[:n]))
+
+
+def _lloyd_partial(batch: pa.Table, cb_ref, emb_col: str) -> pa.Table:
+    """One Lloyd half-step over ALL subspaces of (m_sub, k, dsub) codebooks
+    in one visit (k-means is the m_sub = 1 case): emits (sub, cl, sdim)
+    partial sums + counts — m·k·dsub = k·d cells per batch regardless of
+    batch size."""
+    cbs = cached_ref(cb_ref)
+    m_sub, ksub, dsub = cbs.shape
     if batch.num_rows == 0:
-        if emit == "fit":
-            return pa.table({"cl": pa.array([], type=pa.int64()), "dim": pa.array([], type=pa.int64()),
-                             "s": pa.array([], type=pa.float64()), "cnt": pa.array([], type=pa.int64())})
-        return pa.table({id_col: pa.array([], type=pa.int64()), "cluster": pa.array([], type=pa.int64()),
-                         "dist": pa.array([], type=pa.float64())})
-    x = _as_matrix(batch.column(emb_col))
-    assign, best = _kmeans_dists(x, cent)
-    if emit == "fit":
-        k, d = cent.shape
-        sums = np.zeros((k, d), dtype=np.float64)
-        np.add.at(sums, assign, x)
-        cnt = np.bincount(assign, minlength=k).astype(np.int64)
         return pa.table(
-            {
-                "cl": pa.array(np.repeat(np.arange(k, dtype=np.int64), d)),
-                "dim": pa.array(np.tile(np.arange(d, dtype=np.int64), k)),
-                "s": pa.array(sums.ravel()),
-                "cnt": pa.array(np.repeat(cnt, d)),
-            }
+            {c: pa.array([], type=pa.float64() if c == "s" else pa.int64()) for c in ("sub", "cl", "sdim", "s", "cnt")}
         )
+    x = _as_matrix(batch.column(emb_col))
+    codes = _pq_encode(x, cbs)
+    ss, cnts = [], []
+    for si in range(m_sub):
+        sums = np.zeros((ksub, dsub), dtype=np.float64)
+        np.add.at(sums, codes[:, si], x[:, si * dsub : (si + 1) * dsub])
+        ss.append(sums.ravel())
+        cnts.append(np.repeat(np.bincount(codes[:, si], minlength=ksub).astype(np.int64), dsub))
     return pa.table(
         {
-            id_col: batch.column(id_col),
-            "cluster": pa.array(assign.astype(np.int64)),
-            "dist": pa.array(best),
+            "sub": pa.array(np.repeat(np.arange(m_sub, dtype=np.int64), ksub * dsub)),
+            "cl": pa.array(np.tile(np.repeat(np.arange(ksub, dtype=np.int64), dsub), m_sub)),
+            "sdim": pa.array(np.tile(np.arange(dsub, dtype=np.int64), m_sub * ksub)),
+            "s": pa.array(np.concatenate(ss)),
+            "cnt": pa.array(np.concatenate(cnts)),
         }
     )
+
+
+def _lloyd(ds: Dataset, cbs: np.ndarray, iters: int, emb_col: str) -> np.ndarray:
+    """``iters`` full Lloyd iterations on (m_sub, k, dsub) codebooks, each
+    ONE streaming stateless-task pass whose k·d-cell partials the driver
+    sums; an empty cluster keeps its previous centroid."""
+    m, k, _ = cbs.shape
+    for _ in range(iters):
+        sums = np.zeros_like(cbs)
+        cnt = np.zeros((m, k), dtype=np.int64)
+        for b in ds.map_batches(
+            _lloyd_partial, fn_kwargs={"cb_ref": ray.put(cbs), "emb_col": emb_col}, batch_format="pyarrow"
+        ).iter_batches(batch_format="pyarrow", batch_size=None):
+            if not b.num_rows:
+                continue
+            sub = b.column("sub").to_numpy(zero_copy_only=False)
+            cl = b.column("cl").to_numpy(zero_copy_only=False)
+            sdim = b.column("sdim").to_numpy(zero_copy_only=False)
+            np.add.at(sums, (sub, cl, sdim), b.column("s").to_numpy(zero_copy_only=False))
+            first = sdim == 0
+            np.add.at(cnt, (sub[first], cl[first]), b.column("cnt").to_numpy(zero_copy_only=False)[first])
+        nz = cnt > 0
+        cbs = np.where(nz[:, :, None], sums / np.maximum(cnt, 1)[:, :, None], cbs)
+    return cbs
+
+
+def _kmeans_out(batch: pa.Table, cent_ref, id_col: str, emb_col: str) -> pa.Table:
+    """Per-vector final assignment (id, cluster, dist)."""
+    if batch.num_rows == 0:
+        return pa.table(
+            {id_col: pa.array([], pa.int64()), "cluster": pa.array([], pa.int64()), "dist": pa.array([], pa.float64())}
+        )
+    assign, best = _kmeans_dists(_as_matrix(batch.column(emb_col)), cached_ref(cent_ref))
+    return pa.table({id_col: batch.column(id_col), "cluster": pa.array(assign.astype(np.int64)), "dist": pa.array(best)})
 
 
 def kmeans_assign(
@@ -732,123 +736,18 @@ def kmeans_assign(
     (the combiner), the reduce is a driver sum over k·d cells.  No
     all-to-all anywhere; the corpus is read ``iters``+1 times (at 100 TB
     cache the upcast matrix columnar once and iterate over that)."""
-
-    def min_k(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= k:
-            return batch.select([id_col, emb_col])
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        take = np.argsort(ids, kind="stable")[:k]
-        return batch.select([id_col, emb_col]).take(pa.array(take))
-
-    seed_tabs = [
-        b for b in ds.map_batches(min_k, batch_format="pyarrow").iter_batches(batch_format="pyarrow") if b.num_rows
-    ]
-    if not seed_tabs:
-        raise ValueError("kmeans_assign: dataset has no vectors")
-    seed = pa.concat_tables(seed_tabs)
-    order = np.argsort(seed.column(id_col).to_numpy(zero_copy_only=False), kind="stable")[:k]
-    cent = _as_matrix(seed.column(emb_col).take(pa.array(order)))
+    seed = _smallest_id_rows(ds, k, id_col, [id_col, emb_col], "kmeans_assign")
     # fewer vectors than requested clusters: every vector seeds its own
-    # centroid — clamp k so the combiner/reduce arrays match cent's shape
-    k = cent.shape[0]
-    for _ in range(iters):
-        ref = ray.put(cent)
-        sums = np.zeros_like(cent)
-        cnt = np.zeros(k, dtype=np.int64)
-        for b in ds.map_batches(
-            _kmeans_batch,
-            fn_kwargs={"cent_ref": ref, "emit": "fit", "id_col": id_col, "emb_col": emb_col},
-            batch_format="pyarrow",
-        ).iter_batches(batch_format="pyarrow"):
-            if b.num_rows:
-                cl = b.column("cl").to_numpy(zero_copy_only=False)
-                dim = b.column("dim").to_numpy(zero_copy_only=False)
-                np.add.at(sums, (cl, dim), b.column("s").to_numpy(zero_copy_only=False))
-                first = dim == 0
-                np.add.at(cnt, cl[first], b.column("cnt").to_numpy(zero_copy_only=False)[first])
-        nz = cnt > 0
-        cent = np.where(nz[:, None], sums / np.maximum(cnt, 1)[:, None], cent)
-    ref = ray.put(cent)
+    # centroid
+    cent = _lloyd(ds, _as_matrix(seed.column(emb_col))[None], iters, emb_col)[0]
     out = ds.map_batches(
-        _kmeans_batch,
-        fn_kwargs={"cent_ref": ref, "emit": "out", "id_col": id_col, "emb_col": emb_col},
+        _kmeans_out,
+        fn_kwargs={"cent_ref": ray.put(cent), "id_col": id_col, "emb_col": emb_col},
         batch_format="pyarrow",
     )
     if return_centroids:
         return out, cent
     return out
-
-
-def _pq_seed_codebooks(
-    ds: Dataset, ksub: int, m_sub: int, id_col: str, emb_col: str
-) -> np.ndarray:
-    """Deterministic PQ init: the ``ksub`` smallest-id vectors, sliced into
-    the ``m_sub`` contiguous subspaces (the same smallest-id convention as
-    :func:`kmeans_assign`, so the SQL oracle seeds identically).  Returns
-    (m_sub, ksub, dsub)."""
-
-    def min_k(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= ksub:
-            return batch.select([id_col, emb_col])
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        take = np.argsort(ids, kind="stable")[:ksub]
-        return batch.select([id_col, emb_col]).take(pa.array(take))
-
-    seed_tabs = [
-        b
-        for b in ds.map_batches(min_k, batch_format="pyarrow").iter_batches(batch_format="pyarrow")
-        if b.num_rows
-    ]
-    if not seed_tabs:
-        raise ValueError("pq: dataset has no vectors")
-    seed = pa.concat_tables(seed_tabs)
-    order = np.argsort(seed.column(id_col).to_numpy(zero_copy_only=False), kind="stable")[:ksub]
-    x = _as_matrix(seed.column(emb_col).take(pa.array(order)))
-    if x.shape[1] % m_sub:
-        raise ValueError(f"pq: dim {x.shape[1]} not divisible by m_sub={m_sub}")
-    dsub = x.shape[1] // m_sub
-    # (ksub, m_sub, dsub) -> (m_sub, ksub, dsub)
-    return np.ascontiguousarray(x.reshape(x.shape[0], m_sub, dsub).transpose(1, 0, 2))
-
-
-def _pq_fit_batch(batch: pa.Table, cb_ref, emb_col: str) -> pa.Table:
-    """One PQ Lloyd half-step over ALL subspaces in one visit: emits
-    (sub, cl, sdim) partial sums + counts — ≤ m·k·dsub = m·k·(d/m) = k·d
-    cells per batch regardless of batch size."""
-    cbs = ray.get(cb_ref) if not isinstance(cb_ref, np.ndarray) else cb_ref
-    m_sub, ksub, dsub = cbs.shape
-    if batch.num_rows == 0:
-        return pa.table(
-            {
-                "sub": pa.array([], type=pa.int64()),
-                "cl": pa.array([], type=pa.int64()),
-                "sdim": pa.array([], type=pa.int64()),
-                "s": pa.array([], type=pa.float64()),
-                "cnt": pa.array([], type=pa.int64()),
-            }
-        )
-    x = _as_matrix(batch.column(emb_col))
-    subs, cls_, sdims, ss, cnts = [], [], [], [], []
-    for si in range(m_sub):
-        xs = x[:, si * dsub : (si + 1) * dsub]
-        assign, _ = _kmeans_dists(xs, cbs[si])
-        sums = np.zeros((ksub, dsub), dtype=np.float64)
-        np.add.at(sums, assign, xs)
-        cnt = np.bincount(assign, minlength=ksub).astype(np.int64)
-        subs.append(np.full(ksub * dsub, si, dtype=np.int64))
-        cls_.append(np.repeat(np.arange(ksub, dtype=np.int64), dsub))
-        sdims.append(np.tile(np.arange(dsub, dtype=np.int64), ksub))
-        ss.append(sums.ravel())
-        cnts.append(np.repeat(cnt, dsub))
-    return pa.table(
-        {
-            "sub": pa.array(np.concatenate(subs)),
-            "cl": pa.array(np.concatenate(cls_)),
-            "sdim": pa.array(np.concatenate(sdims)),
-            "s": pa.array(np.concatenate(ss)),
-            "cnt": pa.array(np.concatenate(cnts)),
-        }
-    )
 
 
 def pq_train(
@@ -866,29 +765,17 @@ def pq_train(
     m·k·dsub = k·d doubles per block, combined on the driver).
 
     Deterministic spec, SQL-replayable end-to-end: init = the ``ksub``
-    smallest-id vectors' sub-slices; squared-L2 assignment with first-min
-    (smallest cluster index) ties; empty clusters keep their previous
-    centroid.  Returns (m_sub, ksub, dsub) codebooks."""
-    cbs = _pq_seed_codebooks(ds, ksub, m_sub, id_col, emb_col)
-    m, k_, dsub = cbs.shape
-    for _ in range(iters):
-        ref = ray.put(cbs)
-        sums = np.zeros_like(cbs)
-        cnt = np.zeros((m, k_), dtype=np.int64)
-        for b in ds.map_batches(
-            _pq_fit_batch, fn_kwargs={"cb_ref": ref, "emb_col": emb_col}, batch_format="pyarrow"
-        ).iter_batches(batch_format="pyarrow"):
-            if not b.num_rows:
-                continue
-            sub = b.column("sub").to_numpy(zero_copy_only=False)
-            cl = b.column("cl").to_numpy(zero_copy_only=False)
-            sdim = b.column("sdim").to_numpy(zero_copy_only=False)
-            np.add.at(sums, (sub, cl, sdim), b.column("s").to_numpy(zero_copy_only=False))
-            first = sdim == 0
-            np.add.at(cnt, (sub[first], cl[first]), b.column("cnt").to_numpy(zero_copy_only=False)[first])
-        nz = cnt > 0
-        cbs = np.where(nz[:, :, None], sums / np.maximum(cnt, 1)[:, :, None], cbs)
-    return cbs
+    smallest-id vectors' sub-slices (the :func:`kmeans_assign` seed);
+    squared-L2 assignment with first-min (smallest cluster index) ties;
+    empty clusters keep their previous centroid.  Returns (m_sub, ksub,
+    dsub) codebooks."""
+    x = _as_matrix(_smallest_id_rows(ds, ksub, id_col, [id_col, emb_col], "pq").column(emb_col))
+    if x.shape[1] % m_sub:
+        raise ValueError(f"pq: dim {x.shape[1]} not divisible by m_sub={m_sub}")
+    dsub = x.shape[1] // m_sub
+    # (ksub, m_sub, dsub) -> (m_sub, ksub, dsub)
+    cbs = np.ascontiguousarray(x.reshape(x.shape[0], m_sub, dsub).transpose(1, 0, 2))
+    return _lloyd(ds, cbs, iters, emb_col)
 
 
 def pq_adc_topk(
@@ -909,81 +796,38 @@ def pq_adc_topk(
     asymmetric-distance LUTs (||q_sub − c||², m·k cells per query,
     broadcast once) — the block never materializes float distances per
     dim, just an m-way LUT gather.  Phase 1 keeps the global top
-    ``k·oversample`` per query by (adist asc, vec_id); phase 2 fetches
-    ONLY those candidates and re-ranks with the exact float L2.
+    ``k·oversample`` per query by (adist asc, vec_id); phase 2 re-ranks
+    them with the exact float L2.
 
     Returns (query_idx, rank, vec_id, adist, dist), rank ≤ k by
-    (-exact-dist asc, vec_id)."""
+    (exact dist asc, vec_id)."""
     cbs = pq_train(ds, m_sub, ksub, iters, id_col, emb_col)
-    m, k_, dsub = cbs.shape
     Q = np.asarray(queries, dtype=np.float64)
-    # per-query LUT: lut[qi, si, c] = ||q_sub - cbs[si, c]||^2
-    diff = Q.reshape(Q.shape[0], m, 1, dsub) - cbs[None, :, :, :]
-    lut = np.sum(diff * diff, axis=3)  # (nq, m, ksub)
-    state_ref = ray.put((cbs, lut))
-    kk_c = k * oversample
+    return _rescore_topk(ds, Q, _adc_scores, (cbs, _pq_lut(Q, cbs)), k, oversample, emb_col, id_col, l2=True)
 
-    def adc_batch(batch: pa.Table) -> pa.Table:
-        cb, lt = cached_ref(state_ref)
-        mm, kk_, ds_ = cb.shape
-        x = _as_matrix(batch.column(emb_col))
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        codes = np.empty((x.shape[0], mm), dtype=np.int64)
-        for si in range(mm):
-            codes[:, si], _ = _kmeans_dists(x[:, si * ds_ : (si + 1) * ds_], cb[si])
-        nq = lt.shape[0]
-        out_q, out_i, out_s = [], [], []
-        for qi in range(nq):
-            # adist accumulates subspace-by-subspace (the SQL sum order is
-            # per-vector over sub — same-code vectors tie exactly either way)
-            adist = np.zeros(x.shape[0], dtype=np.float64)
-            for si in range(mm):
-                adist += lt[qi, si, codes[:, si]]
-            part = _boundary_safe_topk(-adist, min(kk_c, ids.size))
-            out_q.append(np.full(part.size, qi))
-            out_i.append(ids[part])
-            out_s.append(-adist[part])  # negate: merge helpers rank DESC
-        return _partial_topk_table(np.concatenate(out_q), np.concatenate(out_i), np.concatenate(out_s))
 
-    partials = ds.map_batches(adc_batch, batch_format="pyarrow", batch_size=4096)
-    cand = (
-        partials.groupby("query_idx")
-        .map_groups(lambda g: _merge_topk_r9(g, kk_c), batch_format="pandas")
-        .to_pandas()
+def _moments(batch: pa.Table, emb_col: str) -> pa.Table:
+    """(n, Σx, ΣxxT) of one batch as one (i, j, v, cnt, d) table: d² rows
+    of the Gram matrix plus d rows with j == -1 carrying Σx at dim i and
+    the count in cnt.  Every row carries the embedding dim d, so the
+    driver needs no look at the data first; an empty batch emits no
+    rows."""
+    x = _as_matrix(batch.column(emb_col))
+    d = x.shape[1]
+    i = np.concatenate([np.repeat(np.arange(d, dtype=np.int64), d), np.arange(d, dtype=np.int64)])
+    j = np.concatenate([np.tile(np.arange(d, dtype=np.int64), d), np.full(d, -1, dtype=np.int64)])
+    vals = np.concatenate([(x.T @ x).ravel(), x.sum(axis=0)])
+    cnt = np.concatenate([np.zeros(d * d, dtype=np.int64), np.full(d, x.shape[0], dtype=np.int64)])
+    return pa.table(
+        {"i": pa.array(i), "j": pa.array(j), "v": pa.array(vals), "cnt": pa.array(cnt), "d": pa.array(np.full(i.size, d))}
     )
-    cand_ids = np.unique(cand["vec_id"].to_numpy())
-    ids_ref = ray.put(cand_ids)
 
-    def fetch(batch: pa.Table) -> pa.Table:
-        want = cached_ref(ids_ref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(want, ids)
-        pos = np.minimum(pos, max(want.size - 1, 0))
-        hit = (want[pos] == ids) if want.size else np.zeros(ids.size, bool)
-        return batch.filter(pa.array(hit)).select([id_col, emb_col])
 
-    got = ds.map_batches(fetch, batch_format="pyarrow").to_pandas()
-    by_id = dict(zip(got[id_col].to_numpy(), got[emb_col].to_numpy()))
-    E = np.stack([np.asarray(by_id[v], dtype=np.float64) for v in cand["vec_id"]])
-    qi = cand["query_idx"].to_numpy()
-    dif = E - Q[qi]
-    exact = np.sum(dif * dif, axis=1)
-    cand = cand.assign(adist=-cand["score"].to_numpy(), dist=exact)
-    out = []
-    for g_qi, g in cand.groupby("query_idx", sort=True):
-        g = g.assign(_rk=g["dist"].round(9)).sort_values(["_rk", "vec_id"], ascending=[True, True], kind="mergesort").head(k)
-        out.append(
-            pd.DataFrame(
-                {
-                    "query_idx": np.full(len(g), g_qi, dtype=np.int64),
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                    "vec_id": g["vec_id"].to_numpy(),
-                    "adist": g["adist"].to_numpy(),
-                    "dist": g["dist"].to_numpy(),
-                }
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+def _project(batch: pa.Table, mv_ref, id_col: str, emb_col: str) -> pa.Table:
+    mean, v = cached_ref(mv_ref)
+    x = _as_matrix(batch.column(emb_col))
+    pc1 = (x - mean) @ v if x.size else np.zeros(0, dtype=np.float64)
+    return pa.table({id_col: batch.column(id_col), "pc1": pa.array(pc1)})
 
 
 def pca_power_project(
@@ -1001,44 +845,30 @@ def pca_power_project(
     - ``iters`` power iterations on the TINY d×d driver matrix from
       v0 = 1/√d (deterministic — both sides replay the same 3 steps, so
       convergence is irrelevant to the contract);
-    - sign fixed by Σv > 0 (asserted away from 0 so fp can't flip it);
+    - sign fixed by Σv > 0 (a ``ValueError`` when |Σv| <= 1e-6, where fp
+      could flip it);
     - a second streaming pass projects each centered vector onto v.
 
     Returns (vec_id, pc1) — the embedding-whitening / curation axis a
-    training-data pipeline derives before stratifying by content spread."""
-    first = ds.take_batch(1, batch_format="pyarrow")
-    d = len(first[emb_col][0])
-
-    # (n, Σx, ΣxxT) ride one partial table: d rows of (dim, sx, n) plus
-    # d² rows of (i, j, g) would need two shapes — pack both as (i, j):
-    # j == -1 rows carry Σx at dim i and the count in g2.
-    def moments(batch: pa.Table) -> pa.Table:
-        x = _as_matrix(batch.column(emb_col))
-        if x.size == 0:
-            x = np.zeros((0, d), dtype=np.float64)
-        g = x.T @ x
-        i = np.concatenate([np.repeat(np.arange(d, dtype=np.int64), d), np.arange(d, dtype=np.int64)])
-        j = np.concatenate([np.tile(np.arange(d, dtype=np.int64), d), np.full(d, -1, dtype=np.int64)])
-        vals = np.concatenate([g.ravel(), x.sum(axis=0)])
-        cnt = np.concatenate([np.zeros(d * d, dtype=np.int64), np.full(d, x.shape[0], dtype=np.int64)])
-        return pa.table({"i": pa.array(i), "j": pa.array(j), "v": pa.array(vals), "cnt": pa.array(cnt)})
-
-    G = np.zeros((d, d), dtype=np.float64)
-    sx = np.zeros(d, dtype=np.float64)
+    training-data pipeline derives before stratifying by content spread;
+    an empty dataset gives an empty frame."""
+    G = sx = None
     n = 0
-    for b in ds.map_batches(moments, batch_format="pyarrow").iter_batches(batch_format="pyarrow"):
+    for b in ds.map_batches(_moments, fn_kwargs={"emb_col": emb_col}, batch_format="pyarrow").iter_batches(
+        batch_format="pyarrow", batch_size=None
+    ):
         if not b.num_rows:
             continue
-        bi = b.column("i").to_numpy(zero_copy_only=False)
-        bj = b.column("j").to_numpy(zero_copy_only=False)
-        bv = b.column("v").to_numpy(zero_copy_only=False)
+        if G is None:
+            d = int(b.column("d")[0].as_py())
+            G, sx = np.zeros((d, d), dtype=np.float64), np.zeros(d, dtype=np.float64)
+        bi, bj, bv = (b.column(c).to_numpy(zero_copy_only=False) for c in ("i", "j", "v"))
         mk = bj >= 0
         np.add.at(G, (bi[mk], bj[mk]), bv[mk])
         np.add.at(sx, bi[~mk], bv[~mk])
-        zero = ~mk & (bi == 0)
-        n += int(b.column("cnt").to_numpy(zero_copy_only=False)[zero].sum())
+        n += int(b.column("cnt").to_numpy(zero_copy_only=False)[~mk & (bi == 0)].sum())
     if n == 0:
-        return pd.DataFrame({"vec_id": pd.Series([], dtype=np.int64), "pc1": pd.Series([], dtype=np.float64)})
+        return _empty(vec_id=np.int64, pc1=np.float64)
     mean = sx / n
     C = G - n * np.outer(mean, mean)
     v = np.full(d, 1.0 / math.sqrt(d), dtype=np.float64)
@@ -1049,18 +879,15 @@ def pca_power_project(
             break
         v = w / nrm
     s = float(v.sum())
-    assert abs(s) > 1e-6, "pca sign rule degenerate (Σv ≈ 0) — pick another convention"
+    if not abs(s) > 1e-6:
+        raise ValueError(f"pca_power_project: sign rule degenerate (Σv = {s:.3g} ≈ 0)")
     if s < 0:
         v = -v
-    mv_ref = ray.put((mean, v))
-
-    def project(batch: pa.Table) -> pa.Table:
-        mn, vv = cached_ref(mv_ref)
-        x = _as_matrix(batch.column(emb_col))
-        pc1 = (x - mn) @ vv if x.size else np.zeros(0, dtype=np.float64)
-        return pa.table({id_col: batch.column(id_col), "pc1": pa.array(pc1)})
-
-    out = ds.map_batches(project, batch_format="pyarrow").to_pandas()
+    out = ds.map_batches(
+        _project,
+        fn_kwargs={"mv_ref": ray.put((mean, v)), "id_col": id_col, "emb_col": emb_col},
+        batch_format="pyarrow",
+    ).to_pandas()
     return out.sort_values(id_col, ignore_index=True)
 
 
@@ -1094,82 +921,11 @@ def ivfpq_topk(
         ds, k=n_clusters, iters=coarse_iters, id_col=id_col, emb_col=emb_col, return_centroids=True
     )
     cbs = pq_train(ds, m_sub, ksub, iters, id_col, emb_col)
-    m, k_, dsub = cbs.shape
     Q = np.asarray(queries, dtype=np.float64)
     # probe list per query: nprobe nearest coarse centroids, (dist, cl) ties
     probes = np.empty((Q.shape[0], nprobe), dtype=np.int64)
     for qi in range(Q.shape[0]):
         dd = np.sum((coarse_cent - Q[qi]) ** 2, axis=1)
         probes[qi] = np.lexsort((np.arange(dd.size), dd))[:nprobe]
-    diff = Q.reshape(Q.shape[0], m, 1, dsub) - cbs[None, :, :, :]
-    lut = np.sum(diff * diff, axis=3)
-    state_ref = ray.put((coarse_cent, cbs, lut, probes))
-    kk_c = k * oversample
-
-    def adc_probed(batch: pa.Table) -> pa.Table:
-        cc, cb, lt, pr = cached_ref(state_ref)
-        mm, kk_, ds_ = cb.shape
-        x = _as_matrix(batch.column(emb_col))
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        coarse, _ = _kmeans_dists(x, cc)
-        codes = np.empty((x.shape[0], mm), dtype=np.int64)
-        for si in range(mm):
-            codes[:, si], _ = _kmeans_dists(x[:, si * ds_ : (si + 1) * ds_], cb[si])
-        out_q, out_i, out_s = [], [], []
-        for qi in range(lt.shape[0]):
-            mask = np.isin(coarse, pr[qi])
-            if not mask.any():
-                continue
-            adist = np.zeros(int(mask.sum()), dtype=np.float64)
-            csel = codes[mask]
-            for si in range(mm):
-                adist += lt[qi, si, csel[:, si]]
-            part = _boundary_safe_topk(-adist, min(kk_c, adist.size))
-            out_q.append(np.full(part.size, qi))
-            out_i.append(ids[mask][part])
-            out_s.append(-adist[part])
-        if not out_q:
-            return _partial_topk_table(
-                np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.float64)
-            )
-        return _partial_topk_table(np.concatenate(out_q), np.concatenate(out_i), np.concatenate(out_s))
-
-    partials = ds.map_batches(adc_probed, batch_format="pyarrow", batch_size=4096)
-    cand = (
-        partials.groupby("query_idx")
-        .map_groups(lambda g: _merge_topk_r9(g, kk_c), batch_format="pandas")
-        .to_pandas()
-    )
-    cand_ids = np.unique(cand["vec_id"].to_numpy())
-    ids_ref = ray.put(cand_ids)
-
-    def fetch(batch: pa.Table) -> pa.Table:
-        want = cached_ref(ids_ref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(want, ids)
-        pos = np.minimum(pos, max(want.size - 1, 0))
-        hit = (want[pos] == ids) if want.size else np.zeros(ids.size, bool)
-        return batch.filter(pa.array(hit)).select([id_col, emb_col])
-
-    got = ds.map_batches(fetch, batch_format="pyarrow").to_pandas()
-    by_id = dict(zip(got[id_col].to_numpy(), got[emb_col].to_numpy()))
-    E = np.stack([np.asarray(by_id[v], dtype=np.float64) for v in cand["vec_id"]])
-    qi = cand["query_idx"].to_numpy()
-    dif = E - Q[qi]
-    exact = np.sum(dif * dif, axis=1)
-    cand = cand.assign(adist=-cand["score"].to_numpy(), dist=exact)
-    out = []
-    for g_qi, g in cand.groupby("query_idx", sort=True):
-        g = g.assign(_rk=g["dist"].round(9)).sort_values(["_rk", "vec_id"], ascending=[True, True], kind="mergesort").head(k)
-        out.append(
-            pd.DataFrame(
-                {
-                    "query_idx": np.full(len(g), g_qi, dtype=np.int64),
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                    "vec_id": g["vec_id"].to_numpy(),
-                    "adist": g["adist"].to_numpy(),
-                    "dist": g["dist"].to_numpy(),
-                }
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+    state = (coarse_cent, cbs, _pq_lut(Q, cbs), probes)
+    return _rescore_topk(ds, Q, _ivfpq_scores, state, k, oversample, emb_col, id_col, l2=True)

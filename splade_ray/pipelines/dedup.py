@@ -34,7 +34,7 @@ import ray
 from ray.data import Dataset
 
 from ..stages.encode import cached_ref
-from ..util import pool_size
+from ..util import block_tables, pool_size
 from ..functions.hashing import hash_strings, hash_tokens_to_u64, shingle_hashes, splitmix64
 from ..tokenizer import Tokenizer
 
@@ -475,7 +475,7 @@ def minhash_lsh_pairs(
     # time for 13k rows at npart=22 vs <2 s at npart=2)
     npart = max(2, min(pool_size(), n_pairs // 50_000 + 1))
     if n_pairs <= semi_broadcast_limit:
-        id_tables = [t for t in ray.get(pairs_ds.to_arrow_refs()) if t.num_rows]
+        id_tables = block_tables(pairs_ds)
         need = np.unique(
             np.concatenate(
                 [t.column("id_a").to_numpy(zero_copy_only=False) for t in id_tables]
@@ -530,7 +530,7 @@ def minhash_lsh_pairs(
     # two-join pipeline below.  160 MB of broadcast shingles ≈ 20M rows.
     n_sh_rows = shingles.count()
     if n_sh_rows <= csr_broadcast_limit:
-        sh_tabs = [t for t in ray.get(shingles.to_arrow_refs()) if t.num_rows]
+        sh_tabs = block_tables(shingles)
         if not sh_tabs:
             return empty
         all_ids = np.concatenate([t.column(id_col).to_numpy(zero_copy_only=False) for t in sh_tabs])

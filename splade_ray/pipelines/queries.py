@@ -2696,30 +2696,15 @@ def embedding_near_dups(sf_dir: str) -> pd.DataFrame:
 
 
 # ---------------------------------------------------------------- vectors
-def _smallest_ids(b: pa.Table, n: int) -> pa.Table:
-    """The ``n`` smallest-vec_id rows of one batch (all when it has fewer)."""
-    ids = b.column("vec_id").to_numpy(zero_copy_only=False)
-    if ids.size > n:
-        b = b.take(pa.array(np.sort(np.argpartition(ids, n - 1)[:n])))
-    return b
-
-
-def _first_vecs(ds: rd.Dataset, n: int) -> pd.DataFrame:
-    """The ``n`` smallest-vec_id rows (the oracle's ``ORDER BY vec_id
-    LIMIT n`` query set) WITHOUT a distributed sort: one streaming pass of
-    per-batch partial smallest-n + a driver merge over <= n rows per
-    block — the right shape for "fetch k query vectors" at any corpus
-    size."""
-    parts = ds.map_batches(_smallest_ids, fn_kwargs={"n": n}, batch_format="pyarrow").to_pandas()
-    return parts.sort_values("vec_id", ignore_index=True).head(n)
-
-
 def _knn_queries(sf_dir: str, n: int = 5) -> tuple[rd.Dataset, pd.DataFrame, np.ndarray]:
     """The kNN query set: (the embeddings dataset, its ``n`` smallest-vec_id
-    rows, their float64 query matrix)."""
+    rows — the oracle's ``ORDER BY vec_id LIMIT n`` — and their float64
+    query matrix)."""
+    from .ann import _as_matrix, _smallest_id_rows
+
     ds = _emb(sf_dir)
-    qrows = _first_vecs(ds, n)
-    return ds, qrows, np.stack([np.asarray(v, dtype=np.float64) for v in qrows["embedding"]])
+    rows = _smallest_id_rows(ds, n, what="the kNN query set")
+    return ds, rows.to_pandas(), _as_matrix(rows.column("embedding"))
 
 
 def _knn_frame(out: pd.DataFrame, qrows: pd.DataFrame, *scores: str) -> pd.DataFrame:

@@ -368,11 +368,15 @@ class TermIndexReader:
                 out.append((i, int(self.term_ptr[p]), int(self.term_ptr[p + 1]), int(p)))
         return out
 
+    def _require_doc_lengths(self) -> None:
+        if self.post_w is None:
+            raise RuntimeError("TermIndexReader: call set_doc_lengths (or load_doc_lengths) first")
+
     def zone_bounds(self, tids: np.ndarray, qw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """This reader's contribution to the per-zone score upper bound:
         Σ over its query terms of qw_t · zone_max_t[z].  Bounds from
         disjoint term ranges SUM to the exact global block-max bound."""
-        assert self.post_w is not None, "call set_doc_lengths first"
+        self._require_doc_lengths()
         slices = self._term_slices(tids)
         if not slices:
             return np.zeros(0, np.int64), np.zeros(0, np.float64)
@@ -449,7 +453,7 @@ class TermIndexReader:
     def score_partial_terms(self, tids: np.ndarray, qw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`score_partial` on ALREADY-parsed query terms — lets the
         WAND flatness fallback reuse the parse instead of re-tokenizing."""
-        assert self.post_w is not None, "call set_doc_lengths first"
+        self._require_doc_lengths()
         if tids.size == 0:
             return np.zeros(0, np.int64), np.zeros(0, np.float64)
         slices = self._term_slices(tids)
@@ -577,7 +581,7 @@ def score_pruned(reader: "TermIndexReader", text: str, fraction: float) -> tuple
     layout holds every term's postings contiguously (the doc-sharded
     layout cannot prune a term globally without a shuffle).  Returns the
     (candidates, scores) partial like :meth:`TermIndexReader.score_partial`."""
-    assert reader.post_w is not None, "call set_doc_lengths first"
+    reader._require_doc_lengths()
     tids, qw = reader._query_terms(text)
     if tids.size == 0:
         return np.zeros(0, np.int64), np.zeros(0, np.float64)

@@ -110,9 +110,8 @@ def compute_winners(input_paths, cfg, doc_id_base: int = 0):
     """
     import ray.data
 
-    import ray
-
     from ..functions.hashing import hash_strings
+    from ..util import block_tables
 
     # url hashing runs in the WORKERS during the read (one vectorized pass
     # serves both bucket assignment — hash % num_buckets, same function as
@@ -132,14 +131,11 @@ def compute_winners(input_paths, cfg, doc_id_base: int = 0):
             }
         )
 
-    refs = (
-        ray.data.read_parquet(input_paths, columns=["url", "warc_ts"])
-        .map_batches(key_batch, batch_format="pyarrow", batch_size=None)  # whole blocks
-        .to_arrow_refs()
+    tables = block_tables(
+        ray.data.read_parquet(input_paths, columns=["url", "warc_ts"]).map_batches(
+            key_batch, batch_format="pyarrow", batch_size=None  # whole blocks
+        )
     )
-    # zero-row blocks skip the map UDF entirely (Ray fast path) and arrive
-    # with the RAW read schema — drop them before concatenating
-    tables = [t for t in ray.get(refs) if t.num_rows]
     if not tables:
         return np.zeros(0, np.uint64), np.zeros(0, np.int64), np.zeros(0, np.int64)
     narrow = pa.concat_tables(tables)

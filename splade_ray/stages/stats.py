@@ -21,8 +21,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 from ray.data import Dataset
+
+from ..util import block_tables
 
 
 def df_partials(batch: pa.Table) -> pa.Table:
@@ -78,7 +79,7 @@ def compute_vocab(doc_terms: Dataset, distributed: bool = False) -> pd.DataFrame
         # final reduce in Arrow C++ end to end — partials are vocab × blocks
         # rows of strings, and routing them through pandas materializes a
         # Python object per term occurrence (measured ~3x the reduce time)
-        tabs = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
+        tabs = block_tables(partials)
         if not tabs:
             vocab = pd.DataFrame({"term": pd.Series(dtype=object), "df": pd.Series(dtype=np.int64)})
         else:
@@ -159,11 +160,7 @@ def compute_stats_fused(
         cols["sum_dl"] = pa.concat_arrays([pa.nulls(n, pa.int64()), pa.array([int(dl.sum())], type=pa.int64())])
         return pa.table(cols)
 
-    tabs = [
-        t
-        for t in ray.get(doc_terms.map_batches(partial, batch_format="pyarrow").to_arrow_refs())
-        if t.num_rows
-    ]
+    tabs = block_tables(doc_terms.map_batches(partial, batch_format="pyarrow"))
     cf_cols = ["cf"] if with_cf else []
     if not tabs:
         key_dtype = np.int64 if id_mode == "ids" else object

@@ -32,3 +32,15 @@ def sample_window(ds, key: str, skip: int, limit: int):
     if skip <= 0:
         return head
     return head.split_at_indices([skip])[1]
+
+
+def block_tables(ds) -> list:
+    """Every non-empty output block of ``ds`` as a pyarrow table, from ONE
+    execution.  ``Dataset.to_arrow_refs`` runs the plan and then calls
+    ``schema()``, which for a plan ending in a UDF re-runs it as a second,
+    ``limit(1)``-capped execution that cancels its pending map tasks on
+    exit: twice the reads, and an early stop racing the first execution's
+    block refs.  Zero-row blocks skip the map UDF (Ray fast path) and keep
+    the raw read schema, so they are dropped here."""
+    refs = [ref for bundle in ds.iter_internal_ref_bundles() for ref, _ in bundle.blocks]
+    return [t for t in ray.get(refs) if t.num_rows]

@@ -29,6 +29,16 @@ def test_frame_sha256_ignores_order_and_sees_1e6():
     assert contract_sweep.frame_sha256(contract_sweep._canon(moved)) != h
 
 
+def test_sweep_times_engine_and_oracle_apart(ray_session):
+    """Each query records the engine call and the DuckDB oracle apart;
+    both fit inside its wall time (all three are kept to 0.01 s)."""
+    report = contract_sweep.sweep(SF_DIR, only=["knn_cosine"])
+    rec = report["queries"]["knn_cosine"]
+    assert report["ok"] == 1 and rec["match"] is True
+    assert rec["engine_s"] >= 0 and rec["oracle_s"] >= 0
+    assert round(rec["engine_s"] + rec["oracle_s"], 2) <= rec["wall_s"]
+
+
 def test_multi_field_queries_with_empty_and_punctuation_docs(ray_session, tmp_path):
     """One doc cut to 5 tokens (its body field is empty) and one to
     punctuation only (both fields empty): every multi-field query still

@@ -621,7 +621,7 @@ def test_ccnet_kept_consistent_with_buckets(ray_session):
 
 def test_knn_radius_dense_reference(ray_session):
     """Radius matches == dense cosine threshold replay; self-match at 1.0."""
-    from splade_ray.pipelines.queries import KNN_RADIUS, knn_radius, _emb, _first_vecs
+    from splade_ray.pipelines.queries import KNN_RADIUS, knn_radius, _emb
 
     sf = "/root/testdata/sf0.001"
     got = knn_radius(sf)

@@ -136,3 +136,86 @@ def test_nested_ray_get_scan_sees_a_closure():
     src = "def outer(ref):\n    def kernel(batch):\n        return ray.get(ref)\n    return kernel\n"
     assert _nested_ray_gets(ast.parse(src)) == [(3, "kernel")]
     assert _nested_ray_gets(ast.parse("def f(ref):\n    return ray.get(ref)\n")) == []
+
+
+def _closure_kernels(tree):
+    """(line, kernel) of each ``map_batches`` / ``map_groups`` call whose
+    function is a lambda, a call (a closure factory) or a name bound by a
+    ``def`` nested in another function: each such call ships a fresh
+    function, and Ray counts every one as a new task type."""
+    nested = {
+        inner.name
+        for outer in ast.walk(tree)
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    out = []
+    for call in ast.walk(tree):
+        if not (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("map_batches", "map_groups")
+            and call.args
+        ):
+            continue
+        fn = call.args[0]
+        if isinstance(fn, (ast.Lambda, ast.Call)) or (isinstance(fn, ast.Name) and fn.id in nested):
+            out.append((call.lineno, ast.unparse(fn)[:40]))
+    return sorted(out)
+
+
+def test_ann_kernels_are_module_level():
+    """Every Ray Data kernel in ``pipelines/ann.py`` is a module-level
+    function; per-call values (a user's ``filter_expr`` included) travel
+    in ``fn_kwargs``."""
+    tree = dict(_parsed())["pipelines/ann.py"]
+    assert _closure_kernels(tree) == []
+
+
+def test_closure_kernel_scan_sees_closures():
+    src = (
+        "def f(ds, k):\n"
+        "    def kernel(b):\n"
+        "        return b\n"
+        "    ds.map_batches(kernel)\n"
+        "    ds.map_batches(lambda b: b)\n"
+        "    ds.groupby('q').map_groups(make(k))\n"
+        "    ds.map_batches(module_kernel, fn_kwargs={'k': k})\n"
+    )
+    assert [line for line, _ in _closure_kernels(ast.parse(src))] == [4, 5, 6]
+
+
+def test_no_to_arrow_refs():
+    """``Dataset.to_arrow_refs`` runs the plan, then re-runs it under a
+    ``limit(1)`` to read the schema; ``util.block_tables`` fetches the
+    blocks from one execution."""
+    found = [
+        (rel, call.lineno)
+        for rel, tree in _parsed()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "to_arrow_refs"
+    ]
+    assert not found, found
+
+
+def test_build_starts_no_limit_capped_execution(ray_session, small_cfg, tmp_path, monkeypatch):
+    """A build runs each of its plans once: no execution is a ``Limit``
+    copy that Ray Data starts to learn a schema and then stops early,
+    cancelling its pending map tasks."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    from splade_ray.fixtures import write_web_pages
+    from splade_ray.pipelines.build import build_index
+
+    roots = []
+    execute = ExecutionPlan.execute_to_iterator
+
+    def spy(self, *args, **kwargs):
+        roots.append(type(self._logical_plan.dag).__name__)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", spy)
+    write_web_pages(str(tmp_path / "web.parquet"), 300)
+    build_index(str(tmp_path / "web.parquet"), str(tmp_path / "idx"), small_cfg)
+    assert roots and "Limit" not in roots, roots

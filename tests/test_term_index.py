@@ -124,6 +124,25 @@ def test_term_index_negative_k_fails_loudly(term_index):
         assert full.search(q, 0, method=method) == []
 
 
+@pytest.mark.parametrize("call", ["zone_bounds", "score_partial_terms", "score_pruned"])
+def test_term_index_scoring_before_doc_lengths_raises(term_index, call):
+    """A reader opened without ``set_doc_lengths`` / ``load_doc_lengths``
+    has no posting weights: each scoring entry point raises (also under
+    ``python -O``) instead of failing later on a ``None``."""
+    from splade_ray.pipelines.term_index import score_pruned
+
+    full, _ = term_index
+    bare = TermIndexReader(full._tdir, full._stats_dir, full.cfg)
+    tids, qw = full._query_terms("w0001 w0093")
+    calls = {
+        "zone_bounds": lambda: bare.zone_bounds(tids, qw),
+        "score_partial_terms": lambda: bare.score_partial_terms(tids, qw),
+        "score_pruned": lambda: score_pruned(bare, "w0001 w0093", 0.5),
+    }
+    with pytest.raises(RuntimeError, match="call set_doc_lengths"):
+        calls[call]()
+
+
 def test_term_partitioned_wand_equals_exhaustive(term_index, built_index):
     """Distributed block-max over term-range readers: per-reader zone
     bounds sum to the exact global bound, so pruning stays rank-identical
