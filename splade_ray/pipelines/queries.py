@@ -2548,49 +2548,21 @@ def dedup_exact_kept(sf_dir: str) -> pd.DataFrame:
 
 
 def exact_dup_pairs(sf_dir: str) -> pd.DataFrame:
-    """(id_a, id_b) pairs of distinct docs with byte-identical text."""
-    from .dedup import add_content_hash
-
-    hashed = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
-        add_content_hash, batch_format="pyarrow"
-    )
-
-    # coarse-bucket exchange, NOT groupby(content_hash): hash groups are
-    # corpus-count and Ray finalizes each group in Python (see
-    # dedup._PAIR_BUCKETS).  Within a bucket, segment by hash with one
-    # argsort; only multi-row segments — actual duplicate texts — reach
-    # the (text-verified) pair-emit loop.
-    def bucket(batch: pa.Table) -> pa.Table:
-        h = batch.column("content_hash").to_numpy(zero_copy_only=False)
-        return batch.append_column("hash_bucket", pa.array((h % 1024).astype(np.int32)))
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        h = g["content_hash"].to_numpy()
-        order = np.argsort(h, kind="stable")
-        h = h[order]
-        bounds = np.r_[0, np.nonzero(np.diff(h))[0] + 1, np.int64(h.size)]
-        lens = np.diff(bounds)
-        out_a, out_b = [], []
-        for s, ln in zip(bounds[:-1][lens >= 2], lens[lens >= 2]):
-            seg = g.iloc[order[s : s + ln]]
-            for _, sub in seg.groupby("text", sort=False):  # hash-collision guard
-                ids = np.sort(sub["doc_id"].to_numpy())
-                if ids.size >= 2:
-                    a, b = np.triu_indices(ids.size, k=1)
-                    out_a.extend(ids[a].tolist())
-                    out_b.extend(ids[b].tolist())
-        return pd.DataFrame({"id_a": pd.Series(out_a, dtype=np.int64), "id_b": pd.Series(out_b, dtype=np.int64)})
+    """(id_a, id_b) pairs of distinct docs with byte-identical text: the
+    coarse content-hash bucket exchange of ``exact_dedup`` (never
+    groupby(content_hash), whose groups are corpus-count), then per bucket
+    the collision emitter over equal hashes, text-verified."""
+    from .ann import _empty
+    from .dedup import _content_bucket, _sorted_pairs, _text_dup_pairs
 
     out = (
-        hashed.map_batches(bucket, batch_format="pyarrow")
-        .groupby("hash_bucket")
-        .map_groups(pairs, batch_format="pandas")
+        _docs(sf_dir, columns=["doc_id", "text"])
+        .map_batches(_content_bucket, batch_format="pyarrow")
+        .groupby("dedup_bucket")
+        .map_groups(_text_dup_pairs, fn_kwargs={"text_col": "text", "id_col": "doc_id"}, batch_format="pyarrow")
         .to_pandas()
     )
-    if out.empty or "id_a" not in out.columns:
-        # all groups empty → Ray yields a column-less frame
-        return pd.DataFrame({"id_a": pd.Series(dtype=np.int64), "id_b": pd.Series(dtype=np.int64)})
-    return out.sort_values(["id_a", "id_b"], ignore_index=True)
+    return _sorted_pairs(out, _empty(id_a=np.int64, id_b=np.int64))
 
 
 # minhash_pairs and dedup_clusters consume the IDENTICAL pair set; memoize
@@ -2649,22 +2621,17 @@ def dedup_near_kept(sf_dir: str) -> pd.DataFrame:
     filtering map_batches over the corpus — at 100 TB this is exactly the
     tombstone-set shape (drop list ≪ corpus).  Returns (doc_id, lang,
     n_chars) of kept docs."""
-    from .dedup import connected_components
+    from .dedup import _member_filter, connected_components
 
     clusters = connected_components(_minhash_pairs_for(sf_dir))
     drop = np.sort(clusters.loc[clusters["doc_id"] != clusters["cluster_id"], "doc_id"].to_numpy(np.int64))
-    drop_ref = ray.put(drop)
-
-    def keep(batch: pa.Table) -> pa.Table:
-        d = cached_ref(drop_ref)
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(d, ids)
-        dropped = (pos < d.size) & (d[np.minimum(pos, max(d.size - 1, 0))] == ids) if d.size else np.zeros(ids.size, bool)
-        return batch.filter(pa.array(~dropped))
-
     out = (
         _docs(sf_dir, columns=["doc_id", "lang", "n_chars"])
-        .map_batches(keep, batch_format="pyarrow")
+        .map_batches(
+            _member_filter,
+            fn_kwargs={"col": "doc_id", "sorted_ref": ray.put(drop), "members": False},
+            batch_format="pyarrow",
+        )
         .to_pandas()
     )
     return out.sort_values("doc_id", ignore_index=True)
@@ -5922,21 +5889,17 @@ def mmr_rerank(sf_dir: str) -> pd.DataFrame:
     break on (round9 score DESC, vec_id ASC); all ten greedy steps unroll
     into the SQL oracle."""
     from .ann import brute_force_topk
+    from .dedup import _member_filter
 
     ds, qrows, Q = _knn_queries(sf_dir, MMR_QUERIES)
     cand = brute_force_topk(ds, Q, k=MMR_POOL)
 
     want = np.unique(cand["vec_id"].to_numpy())
-    want_ref = ray.put(want)
-
-    def pick(batch: pa.Table) -> pa.Table:
-        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        w = cached_ref(want_ref)
-        pos = np.searchsorted(w, ids)
-        mask = (pos < w.size) & (w[np.minimum(pos, w.size - 1)] == ids)
-        return batch.filter(pa.array(mask))
-
-    emb_df = ds.map_batches(pick, batch_format="pyarrow").to_pandas()
+    emb_df = ds.map_batches(
+        _member_filter,
+        fn_kwargs={"col": "vec_id", "sorted_ref": ray.put(want), "members": True},
+        batch_format="pyarrow",
+    ).to_pandas()
     vec_of = {}
     for r in emb_df.itertuples(index=False):
         v = np.asarray(r.embedding, dtype=np.float64)

@@ -142,7 +142,10 @@ def _closure_kernels(tree):
     """(line, kernel) of each ``map_batches`` / ``map_groups`` call whose
     function is a lambda, a call (a closure factory) or a name bound by a
     ``def`` nested in another function: each such call ships a fresh
-    function, and Ray counts every one as a new task type."""
+    function, and Ray counts every one as a new task type.  A constructed
+    instance of a class defined at module level in the same file is a
+    task stage, not a closure."""
+    classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
     nested = {
         inner.name
         for outer in ast.walk(tree)
@@ -160,17 +163,20 @@ def _closure_kernels(tree):
         ):
             continue
         fn = call.args[0]
+        if isinstance(fn, ast.Call) and isinstance(fn.func, ast.Name) and fn.func.id in classes:
+            continue
         if isinstance(fn, (ast.Lambda, ast.Call)) or (isinstance(fn, ast.Name) and fn.id in nested):
             out.append((call.lineno, ast.unparse(fn)[:40]))
     return sorted(out)
 
 
-def test_ann_kernels_are_module_level():
-    """Every Ray Data kernel in ``pipelines/ann.py`` is a module-level
-    function; per-call values (a user's ``filter_expr`` included) travel
-    in ``fn_kwargs``."""
-    tree = dict(_parsed())["pipelines/ann.py"]
-    assert _closure_kernels(tree) == []
+@pytest.mark.parametrize("rel", ["pipelines/ann.py", "pipelines/dedup.py"])
+def test_kernels_are_module_level(rel):
+    """Every Ray Data kernel in the kNN and dedup pipelines is a
+    module-level function (or a constructed module-level stage class);
+    per-call values (a user's ``filter_expr`` included) travel in
+    ``fn_kwargs``."""
+    assert _closure_kernels(dict(_parsed())[rel]) == []
 
 
 def test_closure_kernel_scan_sees_closures():
@@ -182,8 +188,15 @@ def test_closure_kernel_scan_sees_closures():
         "    ds.map_batches(lambda b: b)\n"
         "    ds.groupby('q').map_groups(make(k))\n"
         "    ds.map_batches(module_kernel, fn_kwargs={'k': k})\n"
+        "    ds.map_batches(Stage(k))\n"
+        "    ds.map_batches(Local(k))\n"
+        "    class Local:\n"
+        "        pass\n"
+        "class Stage:\n"
+        "    def __call__(self, b):\n"
+        "        return b\n"
     )
-    assert [line for line, _ in _closure_kernels(ast.parse(src))] == [4, 5, 6]
+    assert [line for line, _ in _closure_kernels(ast.parse(src))] == [4, 5, 6, 9]
 
 
 def test_no_to_arrow_refs():
@@ -218,4 +231,53 @@ def test_build_starts_no_limit_capped_execution(ray_session, small_cfg, tmp_path
     monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", spy)
     write_web_pages(str(tmp_path / "web.parquet"), 300)
     build_index(str(tmp_path / "web.parquet"), str(tmp_path / "idx"), small_cfg)
+    assert roots and "Limit" not in roots, roots
+
+
+def test_dedup_starts_no_limit_capped_execution(ray_session, monkeypatch):
+    """The near-dup pair functions and the distributed clustering run each
+    plan once: no ``take`` or schema lookup starts an early-stopped
+    ``Limit`` execution, on either MinHash verify path."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+    from ray.data._internal.plan import ExecutionPlan
+
+    from splade_ray.pipelines.dedup import (
+        connected_components_distributed,
+        embedding_near_dup_pairs,
+        minhash_lsh_pairs,
+    )
+
+    rng = np.random.default_rng(3)
+    words = [f"tok{i}" for i in range(40)]
+    texts = [" ".join(rng.choice(words, 30)) for _ in range(30)]
+    texts += texts[:6]
+    docs = rd.from_arrow(
+        pa.table({"doc_id": pa.array(np.arange(len(texts), dtype=np.int64)), "text": pa.array(texts)})
+    ).repartition(3)
+    vecs = rng.standard_normal((20, 8))
+    vecs = np.vstack([vecs, vecs[:4]])
+    emb = rd.from_arrow(
+        pa.table(
+            {
+                "vec_id": pa.array(np.arange(len(vecs), dtype=np.int64)),
+                "embedding": pa.array(list(vecs), type=pa.list_(pa.float64())),
+            }
+        )
+    )
+
+    roots = []
+    execute = ExecutionPlan.execute_to_iterator
+
+    def spy(self, *args, **kwargs):
+        roots.append(type(self._logical_plan.dag).__name__)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", spy)
+    fast = minhash_lsh_pairs(docs, threshold=0.5, bands=32)
+    slow = minhash_lsh_pairs(docs, threshold=0.5, bands=32, csr_broadcast_limit=0, semi_broadcast_limit=0)
+    near = embedding_near_dup_pairs(emb, threshold=0.99)
+    clusters = connected_components_distributed(rd.from_pandas(fast)).to_pandas()
+    assert len(fast) == len(slow) >= 6 and len(near) >= 4 and len(clusters) >= 12
     assert roots and "Limit" not in roots, roots
