@@ -230,13 +230,10 @@ def incremental_dedup(
     elect = {"text_col": text_col, "id_col": id_col}
 
     if mode == "broadcast":
-        fps = (
-            existing.map_batches(add_content_hash, fn_kwargs={"text_col": text_col}, batch_format="pyarrow")
-            .select_columns(["content_hash"])
-            .to_pandas()["content_hash"]
-            .to_numpy()
-        )
-        fp_ref = ray.put(np.sort(fps.astype(np.int64)))
+        # read per block: an empty side has no blocks and no columns
+        hashed = existing.map_batches(add_content_hash, fn_kwargs={"text_col": text_col}, batch_format="pyarrow")
+        fps = [t.column("content_hash").to_numpy() for t in block_tables(hashed.select_columns(["content_hash"]))]
+        fp_ref = ray.put(np.sort(np.concatenate([np.zeros(0, np.int64), *fps]).astype(np.int64)))
         return (
             new.map_batches(_content_bucket, fn_kwargs={"text_col": text_col, "nbuckets": nbuckets}, batch_format="pyarrow")
             .map_batches(
@@ -261,8 +258,9 @@ def incremental_dedup(
         mbits = 1 << max(10, int(np.ceil(np.log2(max(1, 16 * new.count())))))
         bloom = {"text_col": text_col, "mbits": mbits}
         bits = np.zeros(mbits // 64, dtype=np.uint64)
-        for blob in new.map_batches(_bloom_partial, fn_kwargs=bloom, batch_format="pyarrow").to_pandas()["bits"]:
-            bits |= np.frombuffer(blob, dtype=np.uint64)
+        for part in block_tables(new.map_batches(_bloom_partial, fn_kwargs=bloom, batch_format="pyarrow")):
+            for blob in part.column("bits").to_pylist():
+                bits |= np.frombuffer(blob, dtype=np.uint64)
         existing = existing.map_batches(
             _bloom_prefilter, fn_kwargs={**bloom, "bits_ref": ray.put(bits)}, batch_format="pyarrow"
         )

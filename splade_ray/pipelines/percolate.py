@@ -18,6 +18,7 @@ import pyarrow as pa
 
 from ..config import DEFAULT_CONFIG, EngineConfig
 from ..tokenizer import Tokenizer
+from .search import ranges
 
 
 @dataclass(frozen=True)
@@ -85,13 +86,9 @@ class PercolatorStage:
         lo = np.searchsorted(self.term_h, h, side="left")
         hi = np.searchsorted(self.term_h, h, side="right")
         runs = hi - lo
-        keep = runs > 0
-        lo, runs, r = lo[keep], runs[keep], r[keep]
-        tot = int(runs.sum())
-        if tot == 0:
+        idx = ranges(lo, runs)
+        if idx.size == 0:
             return _EMPTY
-        csum = np.cumsum(runs)
-        idx = np.arange(tot, dtype=np.int64) - np.repeat(csum - runs, runs) + np.repeat(lo, runs)
         qi = self.term_q[idx]
         di = np.repeat(r, runs)
         # (doc, query, term) triples are distinct by construction

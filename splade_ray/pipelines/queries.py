@@ -31,7 +31,7 @@ from ray.data.aggregate import Count, Mean, Min, Sum
 from ..config import EngineConfig
 from ..stages.encode import cached_ref
 from .build import build_index
-from .search import IndexReader, ShardedSearcher, select_topk
+from .search import IndexReader, ShardedSearcher, ranges, select_topk
 
 # root of every index and artifact the showcase caches across calls.  The
 # name carries the postings format: indexes here hold no stored zone-bound
@@ -1015,13 +1015,8 @@ def _field_text(batch: pa.Table, field: str) -> pa.Table:
     cut = np.minimum(offs[:-1] + _FIELD_TITLE_TOKS, offs[1:])
     starts, ends = (offs[:-1], cut) if field == "title" else (cut, offs[1:])
     lens = ends - starts
-    total = int(lens.sum())
-    if total:
-        csum = np.cumsum(lens)
-        idx = np.arange(total, dtype=np.int64) - np.repeat(csum - lens, lens) + np.repeat(starts, lens)
-        toks = vocab.take(pa.array(codes[idx])).cast(pa.string())
-    else:
-        toks = pa.array([], type=pa.string())
+    idx = ranges(starts, lens)
+    toks = vocab.take(pa.array(codes[idx])).cast(pa.string()) if idx.size else pa.array([], type=pa.string())
     loff = np.zeros(dls.size + 1, dtype=np.int64)
     np.cumsum(lens, out=loff[1:])
     lst = pa.LargeListArray.from_arrays(pa.array(loff, type=pa.int64()), toks)

@@ -98,6 +98,49 @@ def select_topk(keys: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarra
     return keys[order], scores[order]
 
 
+def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The int64 concatenation of ``arange(s, s + n)`` over the pairs of
+    ``starts`` and ``lens``: one flat gather index over ragged ranges."""
+    csum = np.cumsum(lens)
+    return np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(csum - lens, lens) + np.repeat(starts, lens)
+
+
+def _no_hits() -> tuple[np.ndarray, np.ndarray]:
+    """The (doc ids, scores) of a top-k that matched nothing."""
+    return np.zeros(0, np.int64), np.zeros(0, np.float64)
+
+
+# "no chain" in the span chain DP and the interval sweep
+_NEG = np.int64(-(1 << 62))
+
+
+def _span_chains(
+    pos: np.ndarray, base: np.ndarray, tok: np.ndarray, h_seq: np.ndarray, slop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered span-near chains over a merged occurrence list (global
+    stream ``pos`` ascending, candidate offsets ``base``, token hashes
+    ``tok``): per occurrence, the latest start of a chain of ``h_seq``
+    ending there (``_NEG``: none), and the mask of the chains whose span
+    is within ``slop`` extra positions.
+
+    For each occurrence of span term j, the latest admissible chain start
+    is the strict-prefix max of term j−1's chain starts within the same
+    candidate.  Global stream positions ascend across the occurrence
+    list, so the per-candidate reset is the ``base`` offset on a single
+    ``np.maximum.accumulate``: no per-candidate loop."""
+    m = int(h_seq.size)
+    chain = np.where(tok == h_seq[0], pos, _NEG)
+    for j in range(1, m):
+        v = np.where((tok == h_seq[j - 1]) & (chain > _NEG // 2), chain + base, _NEG)
+        acc = np.maximum.accumulate(v)
+        prev = np.empty_like(acc)
+        prev[0] = _NEG
+        prev[1:] = acc[:-1]  # strict: an earlier occurrence only
+        start = prev - base  # a leak from an earlier candidate goes < 0
+        chain = np.where((tok == h_seq[j]) & (prev > _NEG // 2) & (start >= 0), start, _NEG)
+    return chain, (chain > _NEG // 2) & (pos - chain <= np.int64(m - 1 + slop))
+
+
 def _n_postings(slices) -> int:
     """Σ slice lengths of :meth:`ShardIndex._term_slices` output."""
     return sum(e - s for _, s, e, _ in slices)
@@ -551,7 +594,7 @@ class ShardIndex:
         nonzero top-k filter stay exact."""
         slices = self._term_slices(qtids)
         if not slices:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
+            return _no_hits()
         ssum, _ = self.accumulate(slices, qweights)
         smax = np.zeros(self.n_local, dtype=np.float64)
         for i, s, e, _ in slices:  # a term holds each doc once: a plain gather-max
@@ -570,7 +613,7 @@ class ShardIndex:
         driver-side set needed — and never affects surviving docs' scores."""
         slices = self._term_slices(qtids)
         if not slices:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
+            return _no_hits()
         scores, _ = self.accumulate(slices, qweights)
         _, ex = self.accumulate(self._term_slices(ex_tids), counts=True)
         scores[ex > 0] = 0.0
@@ -586,7 +629,7 @@ class ShardIndex:
         N+1 never re-materializes pages 1..N on the driver."""
         slices = self._term_slices(qtids)
         if not slices:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
+            return _no_hits()
         scores, _ = self.accumulate(slices, qweights)
         keep = (scores < after_score) | ((scores == after_score) & (self.doc_ids > after_doc))
         scores = np.where(keep, scores, 0.0)
@@ -601,8 +644,6 @@ class ShardIndex:
         ``qtids``/``qweights`` are the phrase's UNIQUE term ids + counts;
         ``h_seq`` the md5 hash of each phrase token in order."""
         matched = self._phrase_match_locals(qtids, h_seq)
-        if matched.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
         return self._restricted_bag_topk(self._term_slices(qtids), qweights, matched, k)
 
     def _phrase_match_locals(self, qtids: np.ndarray, h_seq: np.ndarray) -> np.ndarray:
@@ -611,21 +652,14 @@ class ShardIndex:
         vectorized window-compare over the candidates' md5 streams.  The
         matching half of :meth:`phrase_topk`, shared with the
         query_string composer."""
-        if self.fwd_stream is None:
-            raise ValueError("phrase search requires an index built with store_forward=True")
-        slices = self._term_slices(qtids)
-        if len(slices) < qtids.size:  # a phrase term has no postings here
+        scope = self._and_scope("phrase", qtids)
+        if scope is None:
             return np.zeros(0, np.int64)
-        cand = self._and_candidates(slices, qtids.size)
-        if cand.size == 0:
-            return cand
+        cand = scope[1]
         # windows of length m over each candidate's stream, all at once
-        m = h_seq.size
-        starts, cidx = self._candidate_windows(cand, m)
-        if starts.size == 0:
-            return np.zeros(0, np.int64)
+        starts, cidx = self._candidate_windows(cand, h_seq.size)
         ok = self.fwd_stream[starts] == h_seq[0]
-        for j in range(1, m):
+        for j in range(1, h_seq.size):
             if not ok.any():
                 break
             ok &= self.fwd_stream[starts + j] == h_seq[j]
@@ -646,10 +680,7 @@ class ShardIndex:
         mask = np.zeros(self.n_local, dtype=bool)
         for qtids, h_seq in variants:
             mask[self._phrase_match_locals(qtids, h_seq)] = True
-        matched = np.flatnonzero(mask)
-        if matched.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        return self._restricted_bag_topk(self._term_slices(head_tids), head_qw, matched, k)
+        return self._restricted_bag_topk(self._term_slices(head_tids), head_qw, np.flatnonzero(mask), k)
 
     def _qs_clause(self, c: dict) -> tuple[np.ndarray, np.ndarray]:
         """(score vector, match mask) over local docs for ONE query_string
@@ -700,7 +731,7 @@ class ShardIndex:
         elif has_should:
             allow = should
         else:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
+            return _no_hits()
         if excl.any():
             allow = allow & ~excl
         return self._topk_from_scores(np.where(allow, scores, 0.0), k)
@@ -712,32 +743,73 @@ class ShardIndex:
         _, cnt = self.accumulate(slices, counts=True)  # tombstoned docs never match
         return np.flatnonzero(cnt == n_terms)
 
-    def _candidate_windows(self, cand: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def _and_scope(self, what: str, qtids: np.ndarray) -> tuple[list, np.ndarray] | None:
+        """The query terms' posting slices and the local ids of the docs
+        holding them all: the candidates of a positional ``what`` search.
+        None when a term has no postings here or no doc holds every term.
+        Raises ValueError on an index without forward streams."""
+        if self.fwd_stream is None:
+            raise ValueError(f"{what} search requires an index built with store_forward=True")
+        slices = self._term_slices(qtids)
+        if len(slices) < qtids.size:
+            return None
+        cand = self._and_candidates(slices, qtids.size)
+        return (slices, cand) if cand.size else None
+
+    def _occurrences(self, what: str, qtids: np.ndarray, hashes: np.ndarray) -> tuple | None:
+        """``(slices, cand, pos, cidx, tok)``: the :meth:`_and_scope` of a
+        positional ``what`` search, and every occurrence of a token hashed
+        in ``hashes`` in the candidates' forward streams — its global
+        stream position (ascending), candidate row and hash.  None when
+        there is no candidate or no such occurrence."""
+        scope = self._and_scope(what, qtids)
+        if scope is None:
+            return None
+        pos, cidx = self._candidate_windows(scope[1], 1)  # every token position
+        tok = self.fwd_stream[pos]
+        keep = np.isin(tok, hashes)
+        if not keep.any():
+            return None
+        return (*scope, pos[keep], cidx[keep], tok[keep])
+
+    def _candidate_windows(self, cand: np.ndarray, m: int, first: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(global stream positions of every length-``m`` window start in the
-        candidates' streams, owning candidate row) — one flat gather."""
-        lens = self.fwd_ptr[cand + 1] - self.fwd_ptr[cand]
-        nwin = np.maximum(lens - m + 1, 0)
-        tot = int(nwin.sum())
-        if tot == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
-        csum = np.cumsum(nwin)
-        starts = (
-            np.arange(tot, dtype=np.int64)
-            - np.repeat(csum - nwin, nwin)
-            + np.repeat(self.fwd_ptr[cand], nwin)
-        )
-        return starts, np.repeat(np.arange(cand.size, dtype=np.int64), nwin)
+        candidates' streams, owning candidate row) — one flat gather; with
+        ``first``, only each stream's first ``first`` window starts."""
+        nwin = np.maximum(self.fwd_ptr[cand + 1] - self.fwd_ptr[cand] - m + 1, 0)
+        if first is not None:
+            nwin = np.minimum(nwin, np.int64(first))
+        return ranges(self.fwd_ptr[cand], nwin), np.repeat(np.arange(cand.size, dtype=np.int64), nwin)
+
+    def _doc_term_runs(self, docs: np.ndarray, misuse: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The forward streams of the loaded docs among the doc ids
+        ``docs`` as runs of one (doc, token): each run's token hash, doc id
+        and length (the doc's tf of the token), in (doc, hash) order.
+        Raises ``ValueError(misuse)`` on an index without forward streams."""
+        if self.fwd_stream is None:
+            raise ValueError(misuse)
+        loc = np.flatnonzero(np.isin(self.doc_ids, docs))
+        pos, cidx = self._candidate_windows(loc, 1)
+        order = np.lexsort((self.fwd_stream[pos], cidx))
+        tok, ci = self.fwd_stream[pos][order], cidx[order]
+        first = np.ones(tok.size, dtype=bool)
+        first[1:] = (tok[1:] != tok[:-1]) | (ci[1:] != ci[:-1])
+        starts = np.flatnonzero(first)
+        return tok[starts], self.doc_ids[loc[ci[starts]]], np.diff(np.append(starts, tok.size))
+
+    def _top_local(self, local: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(doc ids, scores) of the top ``k`` of the local docs ``local``
+        scoring ``scores``, in (-score, doc_id) order."""
+        top, top_scores = select_topk(local, scores, k)
+        return self.doc_ids[top], top_scores
 
     def _restricted_bag_topk(self, slices, qweights: np.ndarray, matched: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """BM25 bag score over the query terms, restricted to ``matched``
         local docs; (-score, doc) tie-break."""
         if matched.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
+            return _no_hits()
         scores, _ = self.accumulate(slices, qweights)
-        mscores = scores[matched]
-        kk = min(k, matched.size)
-        order = np.lexsort((matched, -mscores))[:kk]
-        return self.doc_ids[matched[order]], mscores[order]
+        return self._top_local(matched, scores[matched], k)
 
     def near_topk(self, qtids: np.ndarray, qweights: np.ndarray, h_a: int, h_b: int, window: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Proximity (NEAR) top-k: docs where tokens ``h_a`` and ``h_b``
@@ -746,26 +818,15 @@ class ShardIndex:
         sets is always achieved by an adjacent pair in merged position
         order, so the verify is one diff over the candidates' merged
         occurrence lists."""
-        if self.fwd_stream is None:
-            raise ValueError("near search requires an index built with store_forward=True")
-        slices = self._term_slices(qtids)
-        if len(slices) < qtids.size:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        cand = self._and_candidates(slices, qtids.size)
-        if cand.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        pos, cidx = self._candidate_windows(cand, 1)  # every token position
-        tok = self.fwd_stream[pos]
-        keep = (tok == np.uint64(h_a)) | (tok == np.uint64(h_b))
-        pos, cidx, tok = pos[keep], cidx[keep], tok[keep]
-        if pos.size < 2:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
+        occ = self._occurrences("near", qtids, np.asarray([h_a, h_b], np.uint64))
+        if occ is None:
+            return _no_hits()
+        slices, cand, pos, cidx, tok = occ
         # pos ascends within each candidate by construction
         same = cidx[1:] == cidx[:-1]
         cross = tok[1:] != tok[:-1]
         near = same & cross & (pos[1:] - pos[:-1] <= window)
-        matched = cand[np.unique(cidx[:-1][near])]
-        return self._restricted_bag_topk(slices, qweights, matched, k)
+        return self._restricted_bag_topk(slices, qweights, cand[np.unique(cidx[:-1][near])], k)
 
     def sloppy_topk(
         self,
@@ -789,50 +850,34 @@ class ShardIndex:
         Vectorized: the AND-candidates' merged occurrence stream splits
         into the a/b position lists, two ``searchsorted`` probes bound
         each a-occurrence's admissible b-window, pairs expand by
-        repeat+arange, and a candidate-equality mask kills pairs that
+        :func:`ranges`, and a candidate-equality mask kills pairs that
         would cross a doc boundary (global stream positions are close
         across adjacent docs)."""
-        if self.fwd_stream is None:
-            raise ValueError("sloppy search requires an index built with store_forward=True")
-        slices = self._term_slices(qtids)
-        if len(slices) < qtids.size:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        cand = self._and_candidates(slices, qtids.size)
-        if cand.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        pos, cidx = self._candidate_windows(cand, 1)  # every token position
-        tok = self.fwd_stream[pos]
+        occ = self._occurrences("sloppy", qtids, np.asarray([h_a, h_b], np.uint64))
+        if occ is None:
+            return _no_hits()
+        _, cand, pos, cidx, tok = occ
         am = tok == np.uint64(h_a)
         bm = tok == np.uint64(h_b)
         apos, acid = pos[am], cidx[am]
         bpos, bcid = pos[bm], cidx[bm]
-        if apos.size == 0 or bpos.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
         # bpos ascends globally (stream order), so window probes are global
         lo = np.searchsorted(bpos, apos, side="right")
         hi = np.searchsorted(bpos, apos + np.int64(slop + 1), side="right")
         cnt = hi - lo
-        tot = int(cnt.sum())
-        if tot == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
         rep_a = np.repeat(np.arange(apos.size), cnt)
-        excl = np.r_[0, np.cumsum(cnt)[:-1]]
-        flat_b = np.repeat(lo, cnt) + (np.arange(tot) - np.repeat(excl, cnt))
+        flat_b = ranges(lo, cnt)
         ok = bcid[flat_b] == acid[rep_a]  # no cross-doc pairs
         rep_a, flat_b = rep_a[ok], flat_b[ok]
         if rep_a.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
+            return _no_hits()
         dist = (bpos[flat_b] - apos[rep_a]).astype(np.float64)
         sf = np.zeros(cand.size, dtype=np.float64)
         np.add.at(sf, acid[rep_a], 1.0 / dist)
         matched = np.flatnonzero(sf > 0)
         norm = (1.0 - b) + b * self.dl[cand[matched]] / avgdl
         sfm = sf[matched]
-        scores = idf_sum * sfm * (k1 + 1.0) / (sfm + k1 * norm)
-        kk = min(k, matched.size)
-        local = cand[matched]
-        order = np.lexsort((local, -scores))[:kk]
-        return self.doc_ids[local[order]], scores[order]
+        return self._top_local(cand[matched], idf_sum * sfm * (k1 + 1.0) / (sfm + k1 * norm), k)
 
     def span_near_topk(
         self, qtids: np.ndarray, qweights: np.ndarray, h_seq: np.ndarray, slop: int, k: int
@@ -842,47 +887,14 @@ class ShardIndex:
         engine-parity beyond it): docs containing the span terms at
         positions p1 < … < pm with (pm − p1) − (m−1) ≤ slop,
         BM25-bag-ranked like :meth:`phrase_topk` (slop=0 ≡ exact phrase on
-        repeat-free spans).
-
-        Vectorized chain DP over the candidates' merged occurrence
-        streams: for each occurrence of span term j, the latest admissible
-        chain start is the strict-prefix max of term j−1's chain starts
-        within the same candidate.  Global stream positions ascend across
-        the occurrence list, so the per-candidate reset is one
-        ``cidx·BIG`` offset on a single ``np.maximum.accumulate`` — no
-        per-candidate loop."""
-        if self.fwd_stream is None:
-            raise ValueError("span-near search requires an index built with store_forward=True")
-        m = int(h_seq.size)
-        slices = self._term_slices(qtids)
-        if len(slices) < qtids.size:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        cand = self._and_candidates(slices, qtids.size)
-        if cand.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        pos, cidx = self._candidate_windows(cand, 1)  # every token position
-        tok = self.fwd_stream[pos]
-        keep = np.isin(tok, h_seq)
-        pos, cidx, tok = pos[keep].astype(np.int64), cidx[keep], tok[keep]
-        if pos.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        NEG = np.int64(-(1 << 62))
-        BIG = np.int64(self.fwd_stream.size + 1)
-        base = cidx * BIG
-        # chain[i] = latest valid span start over chains ending at
-        # occurrence i of term j (NEG = no chain)
-        chain = np.where(tok == h_seq[0], pos, NEG)
-        for j in range(1, m):
-            v = np.where((tok == h_seq[j - 1]) & (chain > NEG // 2), chain + base, NEG)
-            acc = np.maximum.accumulate(v)
-            prev = np.empty_like(acc)
-            prev[0] = NEG
-            prev[1:] = acc[:-1]  # strict: an earlier occurrence only
-            start = prev - base  # a leak from an earlier candidate goes < 0
-            chain = np.where((tok == h_seq[j]) & (prev > NEG // 2) & (start >= 0), start, NEG)
-        ok = (chain > NEG // 2) & (pos - chain <= np.int64(m - 1 + slop))
-        matched = cand[np.unique(cidx[ok])]
-        return self._restricted_bag_topk(slices, qweights, matched, k)
+        repeat-free spans), matched by the :func:`_span_chains` DP over
+        the candidates' merged occurrence streams."""
+        occ = self._occurrences("span-near", qtids, h_seq)
+        if occ is None:
+            return _no_hits()
+        slices, cand, pos, cidx, tok = occ
+        _, ok = _span_chains(pos, cidx * np.int64(self.fwd_stream.size + 1), tok, h_seq, slop)
+        return self._restricted_bag_topk(slices, qweights, cand[np.unique(cidx[ok])], k)
 
     def span_first_topk(
         self, qtids: np.ndarray, qweights: np.ndarray, h_term: int, end: int, k: int
@@ -893,29 +905,13 @@ class ShardIndex:
         tie-break.  Candidates come from the inverted postings; the verify
         reads ONLY the first min(end, len) positions of each candidate's
         forward stream — one flat gather, no per-candidate loop."""
-        if self.fwd_stream is None:
-            raise ValueError("span-first search requires an index built with store_forward=True")
-        slices = self._term_slices(qtids)
-        if len(slices) < qtids.size:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        cand = self._and_candidates(slices, qtids.size)
-        if cand.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        lens = self.fwd_ptr[cand + 1] - self.fwd_ptr[cand]
-        nwin = np.minimum(lens, np.int64(end))
-        tot = int(nwin.sum())
-        if tot == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        csum = np.cumsum(nwin)
-        starts = (
-            np.arange(tot, dtype=np.int64)
-            - np.repeat(csum - nwin, nwin)
-            + np.repeat(self.fwd_ptr[cand], nwin)
-        )
-        cidx = np.repeat(np.arange(cand.size, dtype=np.int64), nwin)
-        ok = self.fwd_stream[starts] == np.uint64(h_term)
-        matched = cand[np.unique(cidx[ok])]
-        return self._restricted_bag_topk(slices, qweights, matched, k)
+        scope = self._and_scope("span-first", qtids)
+        if scope is None:
+            return _no_hits()
+        slices, cand = scope
+        pos, cidx = self._candidate_windows(cand, 1, end)
+        ok = self.fwd_stream[pos] == np.uint64(h_term)
+        return self._restricted_bag_topk(slices, qweights, cand[np.unique(cidx[ok])], k)
 
     def span_not_topk(
         self,
@@ -947,42 +943,20 @@ class ShardIndex:
         Lucene's ``SpanWithinQuery`` — the little span is returned (and
         scored) where it occurs inside a big span.
 
-        Same chain DP as :meth:`span_near_topk`, but instead of stopping at
-        "some chain completed", every completed span (start=chain, end=pos)
-        is checked against the candidate's exclude occurrences with two
-        ``np.searchsorted`` probes over the base-offset position keys — the
-        occurrence stream is globally ascending, so per-candidate ranges
-        never interleave and no per-span loop is needed."""
-        if self.fwd_stream is None:
-            raise ValueError("span-not search requires an index built with store_forward=True")
+        Same chain DP as :meth:`span_near_topk` (:func:`_span_chains`), but
+        instead of stopping at "some chain completed", every completed span
+        (start=chain, end=pos) is checked against the candidate's exclude
+        occurrences with two ``np.searchsorted`` probes over the
+        base-offset position keys — the occurrence stream is globally
+        ascending, so per-candidate ranges never interleave and no per-span
+        loop is needed."""
         m = int(h_seq.size)
-        slices = self._term_slices(qtids)
-        if len(slices) < qtids.size:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        cand = self._and_candidates(slices, qtids.size)
-        if cand.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        pos, cidx = self._candidate_windows(cand, 1)  # every token position
-        tok = self.fwd_stream[pos]
-        keep = np.isin(tok, np.append(h_seq, np.uint64(h_excl)))
-        pos, cidx, tok = pos[keep].astype(np.int64), cidx[keep], tok[keep]
-        if pos.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        NEG = np.int64(-(1 << 62))
-        BIG = np.int64(self.fwd_stream.size + 1)
-        base = cidx * BIG
-        chain = np.where(tok == h_seq[0], pos, NEG)
-        for j in range(1, m):
-            v = np.where((tok == h_seq[j - 1]) & (chain > NEG // 2), chain + base, NEG)
-            acc = np.maximum.accumulate(v)
-            prev = np.empty_like(acc)
-            prev[0] = NEG
-            prev[1:] = acc[:-1]  # strict: an earlier occurrence only
-            start = prev - base  # a leak from an earlier candidate goes < 0
-            chain = np.where((tok == h_seq[j]) & (prev > NEG // 2) & (start >= 0), start, NEG)
-        ok = (chain > NEG // 2) & (pos - chain <= np.int64(m - 1 + slop))
-        if not ok.any():
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
+        occ = self._occurrences("span-not", qtids, np.append(h_seq, np.uint64(h_excl)))
+        if occ is None:
+            return _no_hits()
+        slices, cand, pos, cidx, tok = occ
+        base = cidx * np.int64(self.fwd_stream.size + 1)
+        chain, ok = _span_chains(pos, base, tok, h_seq, slop)
         # exclude-overlap check: span survives iff no exclude occurrence has
         # a base-offset key in [start_key, end_key]
         ekeys = (pos + base)[tok == np.uint64(h_excl)]  # ascending by construction
@@ -1006,13 +980,11 @@ class ShardIndex:
                 ekeys, end_key, side="right"
             )
         matched = cand[np.unique(cidx[ok][clean])]
-        if matched.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
         if score_tids is not None:
-            sslices = self._term_slices(score_tids)
-            if len(sslices) < score_tids.size:
-                return np.zeros(0, np.int64), np.zeros(0, np.float64)
-            return self._restricted_bag_topk(sslices, score_weights, matched, k)
+            slices = self._term_slices(score_tids)
+            if len(slices) < score_tids.size:
+                return _no_hits()
+            qweights = score_weights
         return self._restricted_bag_topk(slices, qweights, matched, k)
 
     def intervals_topk(
@@ -1031,34 +1003,21 @@ class ShardIndex:
         [min_j last_j, pos]; a doc matches iff ANY ending position yields
         width − m ≤ max_gaps.  Same ``cidx·BIG`` offset trick as the span
         chain DP — no per-candidate loop."""
-        if self.fwd_stream is None:
-            raise ValueError("intervals search requires an index built with store_forward=True")
         m = int(h_terms.size)
         if np.unique(h_terms).size != m:
             raise ValueError("intervals contract covers distinct terms only")
-        slices = self._term_slices(qtids)
-        if len(slices) < qtids.size:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        cand = self._and_candidates(slices, qtids.size)
-        if cand.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        pos, cidx = self._candidate_windows(cand, 1)  # every token position
-        tok = self.fwd_stream[pos]
-        keep = np.isin(tok, h_terms)
-        pos, cidx, tok = pos[keep].astype(np.int64), cidx[keep], tok[keep]
-        if pos.size == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
-        NEG = np.int64(-(1 << 62))
-        BIG = np.int64(self.fwd_stream.size + 1)
-        base = cidx * BIG
+        occ = self._occurrences("intervals", qtids, h_terms)
+        if occ is None:
+            return _no_hits()
+        slices, cand, pos, cidx, tok = occ
+        base = cidx * np.int64(self.fwd_stream.size + 1)
         wmin: np.ndarray | None = None
         for j in range(m):
-            acc = np.maximum.accumulate(np.where(tok == h_terms[j], pos + base, NEG))
-            last = acc - base  # < 0 ⇒ latest occurrence is NEG or an earlier candidate's
+            acc = np.maximum.accumulate(np.where(tok == h_terms[j], pos + base, _NEG))
+            last = acc - base  # < 0 ⇒ latest occurrence is _NEG or an earlier candidate's
             wmin = last if wmin is None else np.minimum(wmin, last)
         ok = (wmin >= 0) & (pos - wmin + 1 - np.int64(m) <= np.int64(max_gaps))
-        matched = cand[np.unique(cidx[ok])]
-        return self._restricted_bag_topk(slices, qweights, matched, k)
+        return self._restricted_bag_topk(slices, qweights, cand[np.unique(cidx[ok])], k)
 
     def score_boosting(
         self,
@@ -1071,12 +1030,12 @@ class ShardIndex:
         """Lucene/ES ``boosting`` query: the positive clause's BM25 bag
         score, MULTIPLIED by ``negative_boost`` on docs that match ANY
         negative-clause term (demotion, not exclusion — contrast
-        :meth:`IndexReader.search_not`).  Multiplicative on a zero-safe
+        :meth:`QueryFront.search_not`).  Multiplicative on a zero-safe
         score vector, so tombstoned / unmatched docs stay out of the
         top-k."""
         slices = self._term_slices(qtids)
         if not slices:
-            return np.zeros(0, np.int64), np.zeros(0, np.float64)
+            return _no_hits()
         scores, _ = self.accumulate(slices, qweights)
         _, neg = self.accumulate(self._term_slices(neg_tids), counts=True)
         scores[neg > 0] *= float(negative_boost)
@@ -1237,11 +1196,13 @@ def _hits(cands) -> Hits:
     return Hits(*(np.concatenate(c) for c in zip(*cands)))
 
 
-def _check_k(k) -> None:
+def _check_k(k, name: str = "k") -> None:
     """Reject a ``k`` no top-k can honour: a negative one would flow into
-    ``np.partition`` and the ``[:k]`` slices and silently drop hits."""
+    ``np.partition`` and the ``[:k]`` slices and silently drop hits.  The
+    positional queries check their ``slop``, ``window``, ``max_gaps`` and
+    ``end`` (``name``) alike: a negative one would reach ``np.repeat``."""
     if not (type(k) is int or isinstance(k, np.integer)) or k < 0:  # bool is not int here
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
+        raise ValueError(f"{name} must be a non-negative integer, got {k!r}")
 
 
 def _topk_kernel(method: str) -> str:
@@ -1386,20 +1347,274 @@ class QueryFront:
             return []
         return self._topk(k, "score_dismax", qtids, qw, k, tie)
 
+    def search_not(
+        self, text: str, k: int = 10, exclude_terms: list[str] | None = None
+    ) -> list[tuple[int, float, str]]:
+        """Boolean must_not top-k (Lucene ``must`` ⊕ ``must_not``): BM25
+        over the query text, excluding every doc that contains ANY of
+        ``exclude_terms``.  Exclusion is resolved per shard from its own
+        postings (one unique over the excluded terms' doc lists) — no
+        attribute column, no driver-side doc set — and excluded terms
+        never contribute to scores (Lucene must_not is non-scoring)."""
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0:
+            return []
+        ex_tids, _ = self.reader.encode_query(" ".join(exclude_terms or []))
+        return self._topk(k, "score_excluding", qtids, qw, k, ex_tids)
+
+    def search_boosting(
+        self, positive: str, negative: str, negative_boost: float = 0.5, k: int = 10
+    ) -> list[tuple[int, float, str]]:
+        """Boosting-query top-k (Lucene ``BoostingQuery`` / ES
+        ``boosting``): docs matching the positive clause rank by its BM25
+        bag score, DEMOTED by ``negative_boost`` (multiplied, not
+        excluded) when they also match any negative-clause term.  An OOV
+        negative demotes nothing; tie-break (-score, doc_id) as always."""
+        qtids, qw = self.reader.encode_query(positive)
+        if qtids.size == 0:
+            return []
+        neg_tids, _ = self.reader.encode_query(negative)
+        return self._topk(k, "score_boosting", qtids, qw, neg_tids, negative_boost, k)
+
+    def search_bool_prefix(self, text: str, k: int = 10) -> list[tuple[int, float, str]]:
+        """``match_bool_prefix`` top-k (ES): every token but the LAST is a
+        should-clause term scored by the standard BM25 bag; the last token
+        becomes a PrefixQuery under Lucene's default constant-score
+        rewrite, adding exactly 1.0 to any doc containing a term with that
+        prefix (prefix-only docs still match).  Unlike
+        :meth:`search_phrase_prefix` there is NO position constraint —
+        the clauses are independent.  Tie-break (-score, doc_id)."""
+        toks = self.reader.tok.tokenize(text)
+        if not toks:
+            return []
+        qtids, qw = self.reader.encode_query(" ".join(toks[:-1]))
+        prefix_tids = self.reader.expand_prefix(toks[-1])
+        if qtids.size == 0 and prefix_tids.size == 0:
+            return []
+        return self._topk(k, "score_bool_prefix", qtids, qw, prefix_tids, k)
+
+    def more_like_this(
+        self, text: str, k: int = 10, max_terms: int = 5, exclude_url: str | None = None
+    ) -> list[tuple[int, float, str]]:
+        """More-like-this: the seed text reduces to its ``max_terms``
+        highest-tf·idf terms, which run as a unit-weight BoW query through
+        the unchanged BM25 kernels; ``exclude_url`` (normally the seed
+        itself) is dropped from the merged ranking (fetched k+1 deep so the
+        page stays full) — the Lucene MoreLikeThis serving shape."""
+        qtids = self.reader.mlt_terms(text, max_terms)
+        if qtids.size == 0:
+            return []
+        kk = k + (1 if exclude_url is not None else 0)
+        merged = self._topk(kk, "score_exhaustive", qtids, np.ones(qtids.size, np.float64), kk)
+        if exclude_url is not None:
+            merged = [r for r in merged if r[2] != exclude_url][:k]
+        return merged
+
+    # -- positional queries (store_forward=True builds): the query side
+    # is the tokens, their term ids and counts and one md5 hash per token
+
+    def _vocab_tokens(
+        self, text: str, misuse: str = "", min_toks: int = 0, distinct: str = ""
+    ) -> tuple[list[str], np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """``(tokens, term ids, counts, md5 hash per token)`` of ``text``;
+        the last three are None when a token is out of vocabulary, so no
+        doc can hold them all.  Raises ``ValueError(misuse)`` on fewer than
+        ``min_toks`` tokens and, when ``distinct`` is given,
+        ``ValueError(distinct)`` on a repeated token."""
+        from ..functions.hashing import md5_u64
+
+        toks = self.reader.tok.tokenize(text)
+        if len(toks) < min_toks:
+            raise ValueError(misuse)
+        if distinct and len(set(toks)) != len(toks):
+            raise ValueError(distinct)
+        qtids, qw = self.reader.encode_query(text)
+        if qtids.size == 0 or int(qw.sum()) != len(toks):
+            return toks, None, None, None
+        return toks, qtids, qw, md5_u64(toks)
+
+    def _one_token(self, text: str, misuse: str) -> tuple[str, int]:
+        """The one token ``text`` normalizes to and its md5 hash; raises
+        ``ValueError(misuse.format(tokens))`` on any other token count."""
+        from ..functions.hashing import md5_u64
+
+        toks = self.reader.tok.tokenize(text)
+        if len(toks) != 1:
+            raise ValueError(misuse.format(toks))
+        return toks[0], int(md5_u64(toks)[0])
+
     def search_phrase(self, text: str, k: int = 10) -> list[tuple[int, float, str]]:
         """Exact-phrase top-k (requires a ``store_forward=True`` build):
         docs whose token stream contains the query tokens CONSECUTIVELY,
         ranked by the same BM25 bag score / (-score, doc) tie-break as
         :meth:`search`.  An OOV phrase token ⇒ no match anywhere ⇒ []."""
+        _, qtids, qw, h_seq = self._vocab_tokens(text)
+        if qtids is None:
+            return []
+        return self._topk(k, "phrase_topk", qtids, qw, h_seq, k)
+
+    def search_phrase_prefix(
+        self, text: str, k: int = 10, max_expansions: int = 50
+    ) -> list[tuple[int, float, str]]:
+        """match_phrase_prefix (ES search-as-you-type): the LAST token is
+        a prefix; it expands to the first ``max_expansions`` vocab terms
+        with that prefix IN TERM ORDER (the ES cap), and a doc matches
+        when the head tokens + any expansion occur consecutively (forward
+        streams verify, per variant).  Matched docs rank by the BM25 bag
+        score of the HEAD terms — a deterministic scoring contract the
+        SQL oracle replays exactly (ES's own phrase-freq scoring is
+        expansion-dependent).  OOV head ⇒ no match anywhere ⇒ []."""
         from ..functions.hashing import md5_u64
 
         toks = self.reader.tok.tokenize(text)
-        if not toks:
+        if len(toks) < 2:
+            raise ValueError("phrase_prefix takes >= 1 head token + a prefix")
+        head = toks[:-1]
+        exp_tids = self.reader.expand_prefix(toks[-1])[:max_expansions]
+        if exp_tids.size == 0:
             return []
-        qtids, qw = self.reader.encode_query(text)
-        if qtids.size == 0 or int(qw.sum()) != len(toks):
-            return []  # at least one phrase token is OOV
-        return self._topk(k, "phrase_topk", qtids, qw, md5_u64(toks), k)
+        head_tids, head_qw = self.reader.encode_query(" ".join(head))
+        if head_tids.size == 0 or int(head_qw.sum()) != len(head):
+            return []  # an OOV head token can never match
+        variants = []
+        for tid in exp_tids:
+            seq = head + [str(self.reader.vocab_index[int(tid)])]
+            variants.append((self.reader.encode_query(" ".join(seq))[0], md5_u64(seq)))
+        return self._topk(k, "phrase_prefix_topk", variants, head_tids, head_qw, k)
+
+    def search_near(self, term_a: str, term_b: str, window: int, k: int = 10) -> list[tuple[int, float, str]]:
+        """Proximity top-k (requires ``store_forward=True``): docs where
+        the two (distinct, single-token) terms occur within ``window``
+        token positions, BM25-bag-ranked with the usual tie-break."""
+        _check_k(window, "window")
+        misuse = "near search takes two distinct single-token terms"
+        ta, h_a = self._one_token(term_a, misuse)
+        tb, h_b = self._one_token(term_b, misuse)
+        if ta == tb:
+            raise ValueError(misuse)
+        qtids, qw = self.reader.encode_query(f"{ta} {tb}")
+        if qtids.size < 2:
+            return []  # a term is OOV — no doc can satisfy the AND
+        return self._topk(k, "near_topk", qtids, qw, h_a, h_b, window, k)
+
+    def search_sloppy(self, term_a: str, term_b: str, slop: int, k: int = 10) -> list[tuple[int, float, str]]:
+        """Sloppy-phrase top-k (requires ``store_forward=True``): ordered
+        pairs ``a … b`` within ``slop`` insertions, each weighted by
+        1/distance into ONE saturated phrase frequency — the Lucene
+        ``PhraseQuery(slop)`` scoring shape, vs :meth:`search_near`'s
+        binary-match bag ranking.  idf is the summed per-term idf over
+        the reader's global stats."""
+        _check_k(slop, "slop")
+        misuse = "sloppy search takes two distinct single-token terms"
+        ta, h_a = self._one_token(term_a, misuse)
+        tb, h_b = self._one_token(term_b, misuse)
+        if ta == tb:
+            raise ValueError(misuse)
+        qtids, _ = self.reader.encode_query(f"{ta} {tb}")
+        if qtids.size < 2:
+            return []  # a term is OOV — no doc can satisfy the AND
+        r = self.reader
+        df = r.df[qtids].astype(np.float64)
+        idf_sum = float(np.log1p((r.n_docs - df + 0.5) / (df + 0.5)).sum())
+        return self._topk(k, "sloppy_topk", qtids, h_a, h_b, slop, k, idf_sum, r.avgdl, r.cfg.k1, r.cfg.b)
+
+    def search_span_near(self, text: str, slop: int, k: int = 10) -> list[tuple[int, float, str]]:
+        """Ordered span-near top-k (requires ``store_forward=True``): the
+        query tokens must appear IN ORDER with at most ``slop`` extra
+        positions across the whole span; BM25-bag-ranked with the usual
+        (-score, doc) tie-break.  ``slop=0`` ≡ :meth:`search_phrase` on
+        repeat-free spans; an OOV span token ⇒ no match anywhere ⇒ []."""
+        _check_k(slop, "slop")
+        _, qtids, qw, h_seq = self._vocab_tokens(text, "span-near search needs at least two tokens", 2)
+        if qtids is None:
+            return []  # at least one span token is OOV
+        return self._topk(k, "span_near_topk", qtids, qw, h_seq, slop, k)
+
+    def search_span_not(
+        self, text: str, exclude: str, slop: int, k: int = 10
+    ) -> list[tuple[int, float, str]]:
+        """Span-not top-k (Lucene ``SpanNotQuery``, requires
+        ``store_forward=True``): ordered span-near of the query tokens
+        (slop as :meth:`search_span_near`) with NO occurrence of the
+        (single-token) exclude term inside the matching span's positions;
+        BM25-bag-ranked over the include terms with the usual (-score, doc)
+        tie-break.  An OOV include token ⇒ no match anywhere ⇒ []; an OOV
+        exclude term excludes nothing (≡ plain span-near)."""
+        _check_k(slop, "slop")
+        toks, qtids, qw, h_seq = self._vocab_tokens(text, "span-not search needs at least two include tokens", 2)
+        etok, h_excl = self._one_token(exclude, "span-not takes one exclude term, got {!r}")
+        if etok in toks:
+            raise ValueError("exclude term must differ from every include token")
+        if qtids is None:
+            return []  # at least one include token is OOV
+        return self._topk(k, "span_not_topk", qtids, qw, h_seq, h_excl, slop, k)
+
+    def search_span_containing(
+        self, text: str, little: str, slop: int, k: int = 10
+    ) -> list[tuple[int, float, str]]:
+        """Span-containing top-k (Lucene ``SpanContainingQuery``): the BIG
+        span is the ordered span-near of the query tokens (slop as
+        :meth:`search_span_near`), and a doc matches iff at least one big
+        span HOLDS an occurrence of the (single-token) ``little`` term
+        inside its positions; BM25-bag-ranked over the big terms.  An OOV
+        little term can be contained nowhere ⇒ []."""
+        _check_k(slop, "slop")
+        toks, qtids, qw, h_seq = self._vocab_tokens(text, "span-containing needs at least two big tokens", 2)
+        ltok, h_little = self._one_token(little, "span-containing takes one little term, got {!r}")
+        if ltok in toks:
+            raise ValueError("little term must differ from every big token")
+        if qtids is None:
+            return []  # at least one big token is OOV
+        return self._topk(k, "span_not_topk", qtids, qw, h_seq, h_little, slop, k, True)
+
+    def search_span_within(
+        self, text: str, little: str, slop: int, k: int = 10
+    ) -> list[tuple[int, float, str]]:
+        """Span-within top-k (Lucene ``SpanWithinQuery``, the dual of
+        :meth:`search_span_containing`): the match set is docs where the
+        (single-token) ``little`` term occurs inside an ordered span-near
+        match of the big ``text`` tokens — identical to span-containing —
+        but the RETURNED query is the little span, so ranking is BM25 on
+        the little term (the big span is pure containment context).  OOV
+        little ⇒ []; OOV big token ⇒ no enclosing span ⇒ []."""
+        _check_k(slop, "slop")
+        toks, qtids, qw, h_seq = self._vocab_tokens(text, "span-within needs at least two big tokens", 2)
+        ltok, h_little = self._one_token(little, "span-within takes one little term, got {!r}")
+        if ltok in toks:
+            raise ValueError("little term must differ from every big token")
+        if qtids is None:
+            return []  # at least one big token is OOV
+        stids, sw = self.reader.encode_query(ltok)
+        if stids.size == 0:
+            return []  # OOV little term matches nowhere
+        return self._topk(k, "span_not_topk", qtids, qw, h_seq, h_little, slop, k, True, stids, sw)
+
+    def search_intervals(self, text: str, max_gaps: int, k: int = 10) -> list[tuple[int, float, str]]:
+        """Unordered interval top-k (ES ``intervals`` / ``all_of(ordered:
+        false, max_gaps)``, requires ``store_forward=True``): all query
+        tokens (distinct) within one window in any order, total internal
+        gaps ≤ ``max_gaps``; BM25-bag-ranked with the usual (-score, doc)
+        tie-break.  An OOV token ⇒ all_of can never match ⇒ []."""
+        _check_k(max_gaps, "max_gaps")
+        _, qtids, qw, h_terms = self._vocab_tokens(
+            text, "intervals search needs at least two tokens", 2, "intervals contract covers distinct terms only"
+        )
+        if qtids is None:
+            return []  # at least one interval token is OOV
+        return self._topk(k, "intervals_topk", qtids, qw, h_terms, max_gaps, k)
+
+    def search_span_first(self, term: str, end: int, k: int = 10) -> list[tuple[int, float, str]]:
+        """Span-first top-k (Lucene ``SpanFirstQuery``, requires
+        ``store_forward=True``): docs where the (single-token) term occurs
+        at a token position strictly below ``end`` — the "match in the
+        title / lead" restriction — BM25-ranked on the term with the usual
+        (-score, doc) tie-break.  OOV term ⇒ no match anywhere ⇒ []."""
+        _check_k(end, "end")
+        tok, h = self._one_token(term, "span-first takes one term, got {!r}")
+        qtids, qw = self.reader.encode_query(tok)
+        if qtids.size == 0:
+            return []
+        return self._topk(k, "span_first_topk", qtids, qw, h, int(end), k)
 
     def search_query_string(self, qstring: str, k: int = 10) -> list[tuple[int, float, str]]:
         """Lucene/ES ``query_string`` retrieval: ``+must``, ``-must_not``,
@@ -2168,7 +2383,7 @@ class IndexReader(QueryFront):
             windows.append((st, nh, " ".join(toks[st:en])))
         return Hits(d, s, windows, urls)
 
-    # -- query-side state and in-process-only queries
+    # -- query-side state and the queries only a reader serves
 
     def url_of(self, doc_id):
         """Url of one internal doc id, or the list of urls of an array of
@@ -2221,24 +2436,6 @@ class IndexReader(QueryFront):
             counts[tid] = counts.get(tid, 0) + 1
         tids = sorted(counts)
         return np.asarray(tids, np.int64), np.asarray([counts[t] for t in tids], np.float64)
-
-    def search_not(
-        self, text: str, k: int = 10, exclude_terms: list[str] | None = None
-    ) -> list[tuple[int, float, str]]:
-        """Boolean must_not top-k (Lucene ``must`` ⊕ ``must_not``): BM25
-        over the query text, excluding every doc that contains ANY of
-        ``exclude_terms``.  Exclusion is resolved per shard from its own
-        postings (one unique over the excluded terms' doc lists) — no
-        attribute column, no driver-side doc set — and excluded terms
-        never contribute to scores (Lucene must_not is non-scoring)."""
-        qtids, qw = self.encode_query(text)
-        if qtids.size == 0:
-            return []
-        ex_tids = np.zeros(0, np.int64)
-        if exclude_terms:
-            ex, _ = self.encode_query(" ".join(exclude_terms))
-            ex_tids = ex
-        return self._topk(k, "score_excluding", qtids, qw, k, ex_tids)
 
     def _expand_synonym_groups(
         self, groups: list[list[str]]
@@ -2470,27 +2667,6 @@ class IndexReader(QueryFront):
             return threshold, "gte", visited
         return total, "eq", visited
 
-    def search_bool_prefix(self, text: str, k: int = 10) -> list[tuple[int, float, str]]:
-        """``match_bool_prefix`` top-k (ES): every token but the LAST is a
-        should-clause term scored by the standard BM25 bag; the last token
-        becomes a PrefixQuery under Lucene's default constant-score
-        rewrite, adding exactly 1.0 to any doc containing a term with that
-        prefix (prefix-only docs still match).  Unlike
-        :meth:`search_phrase_prefix` there is NO position constraint —
-        the clauses are independent.  Tie-break (-score, doc_id)."""
-        toks = self.tok.tokenize(text)
-        if not toks:
-            return []
-        full, last = toks[:-1], toks[-1]
-        if full:
-            qtids, qw = self.encode_query(" ".join(full))
-        else:
-            qtids, qw = np.zeros(0, np.int64), np.zeros(0, np.float64)
-        prefix_tids = self.expand_prefix(last)
-        if qtids.size == 0 and prefix_tids.size == 0:
-            return []
-        return self._topk(k, "score_bool_prefix", qtids, qw, prefix_tids, k)
-
     def _vocab_codepoints(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted vocab as a padded (V, maxlen) uint32 codepoint matrix
         + per-term lengths, built ONCE per reader (numpy 'U' view — no
@@ -2660,20 +2836,6 @@ class IndexReader(QueryFront):
         hit = np.asarray(sl.str.contains(sub, regex=False), dtype=bool)
         return cand[hit].astype(np.int64)
 
-    def search_boosting(
-        self, positive: str, negative: str, negative_boost: float = 0.5, k: int = 10
-    ) -> list[tuple[int, float, str]]:
-        """Boosting-query top-k (Lucene ``BoostingQuery`` / ES
-        ``boosting``): docs matching the positive clause rank by its BM25
-        bag score, DEMOTED by ``negative_boost`` (multiplied, not
-        excluded) when they also match any negative-clause term.  An OOV
-        negative demotes nothing; tie-break (-score, doc_id) as always."""
-        qtids, qw = self.encode_query(positive)
-        if qtids.size == 0:
-            return []
-        neg_tids, _ = self.encode_query(negative)
-        return self._topk(k, "score_boosting", qtids, qw, neg_tids, negative_boost, k)
-
     def scores_for_docs(self, text: str, doc_ids) -> dict[int, float]:
         """Exact per-doc scores of ``text`` under THIS reader's similarity
         for an explicit doc set — the rescore primitive (ES ``rescore``
@@ -2758,27 +2920,10 @@ class IndexReader(QueryFront):
         hv_sorted, perm = self._vocab_hash_map()
         rows: list[tuple[int, str, int, int]] = []
         for sh in self.shards:
-            if sh.fwd_stream is None:
-                raise ValueError("term_vectors requires an index built with store_forward=True")
-            loc = np.flatnonzero(np.isin(sh.doc_ids, docs))
-            if loc.size == 0:
-                continue
-            pos, cidx = sh._candidate_windows(loc, 1)
-            if pos.size == 0:
-                continue
-            order = np.lexsort((sh.fwd_stream[pos], cidx))
-            tok, ci = sh.fwd_stream[pos][order], cidx[order]
-            first = np.ones(tok.size, dtype=bool)
-            first[1:] = (tok[1:] != tok[:-1]) | (ci[1:] != ci[:-1])
-            starts = np.flatnonzero(first)
-            tfs = np.diff(np.append(starts, tok.size))
-            utok, uci = tok[starts], ci[starts]
+            utok, udocs, tfs = sh._doc_term_runs(docs, "term_vectors requires an index built with store_forward=True")
             idx = np.minimum(np.searchsorted(hv_sorted, utok), hv_sorted.size - 1)
             known = hv_sorted[idx] == utok
-            tids = perm[idx[known]]
-            gdocs = sh.doc_ids[loc[uci[known]]]
-            gtfs = tfs[known]
-            for d, tid, tf in zip(gdocs, tids, gtfs):
+            for d, tid, tf in zip(udocs[known], perm[idx[known]], tfs[known]):
                 rows.append((int(d), str(self.vocab_index[int(tid)]), int(tf), int(self.df[int(tid)])))
         rows.sort(key=lambda r: (r[0], r[1]))
         return rows
@@ -2800,256 +2945,24 @@ class IndexReader(QueryFront):
         order = np.lexsort((uniq, -sc))[:max_terms]
         return np.sort(uniq[order]).astype(np.int64)
 
-    def more_like_this(
-        self, text: str, k: int = 10, max_terms: int = 5, exclude_url: str | None = None
-    ) -> list[tuple[int, float, str]]:
-        """More-like-this: the seed text reduces to its ``max_terms``
-        highest-tf·idf terms, which run as a unit-weight BoW query through
-        the unchanged BM25 kernels; ``exclude_url`` (normally the seed
-        itself) is dropped from the merged ranking (fetched k+1 deep so the
-        page stays full) — the Lucene MoreLikeThis serving shape."""
-        qtids = self.mlt_terms(text, max_terms)
-        if qtids.size == 0:
-            return []
-        qw = np.ones(qtids.size, np.float64)
-        kk = k + (1 if exclude_url is not None else 0)
-        merged = self._topk(kk, "score_exhaustive", qtids, qw, kk)
-        if exclude_url is not None:
-            merged = [r for r in merged if r[2] != exclude_url][:k]
-        return merged
-
     def build_query_string_spec(self, qstring: str) -> list[dict] | None:
         """Parse + vocab-encode a query_string into the shard kernels'
         clause spec (query-side state only — shared by the local and the
         scatter-gather serving paths).  None ⇔ the query can match nothing
         (an OOV must clause, or no scoring clause survives)."""
-        from ..functions.hashing import md5_u64
-
         spec = []
         for role, kind, text, boost in parse_query_string(qstring):
-            toks = self.tok.tokenize(text)
+            toks, qtids, qw, h_seq = self._vocab_tokens(text)
             if not toks:
                 continue
-            qtids, qw = self.encode_query(text)
-            known_all = qtids.size > 0 and int(qw.sum()) == len(toks)
-            if not known_all:
+            if qtids is None:
                 if role == "must":
                     return None  # an unmatchable must clause empties the query
                 continue  # OOV should never matches; OOV must_not excludes nothing
             spec.append(
-                {
-                    "role": role,
-                    "qtids": qtids,
-                    "qw": qw,
-                    "boost": boost,
-                    "h_seq": md5_u64(toks) if kind == "phrase" else None,
-                }
+                {"role": role, "qtids": qtids, "qw": qw, "boost": boost, "h_seq": h_seq if kind == "phrase" else None}
             )
         return spec if any(c["role"] != "not" for c in spec) else None
-
-    def search_phrase_prefix(
-        self, text: str, k: int = 10, max_expansions: int = 50
-    ) -> list[tuple[int, float, str]]:
-        """match_phrase_prefix (ES search-as-you-type): the LAST token is
-        a prefix; it expands to the first ``max_expansions`` vocab terms
-        with that prefix IN TERM ORDER (the ES cap), and a doc matches
-        when the head tokens + any expansion occur consecutively (forward
-        streams verify, per variant).  Matched docs rank by the BM25 bag
-        score of the HEAD terms — a deterministic scoring contract the
-        SQL oracle replays exactly (ES's own phrase-freq scoring is
-        expansion-dependent).  OOV head ⇒ no match anywhere ⇒ []."""
-        from ..functions.hashing import md5_u64
-
-        toks = self.tok.tokenize(text)
-        if len(toks) < 2:
-            raise ValueError("phrase_prefix takes >= 1 head token + a prefix")
-        head, pre = toks[:-1], toks[-1]
-        exp_tids = self.expand_prefix(pre)[:max_expansions]
-        if exp_tids.size == 0:
-            return []
-        head_tids, head_qw = self.encode_query(" ".join(head))
-        if head_tids.size == 0 or int(head_qw.sum()) != len(head):
-            return []  # an OOV head token can never match
-        variants = []
-        for tid in exp_tids:
-            term = str(self.vocab_index[int(tid)])
-            seq = head + [term]
-            qtids, _qw = self.encode_query(" ".join(seq))
-            variants.append((qtids, md5_u64(seq)))
-        return self._topk(k, "phrase_prefix_topk", variants, head_tids, head_qw, k)
-
-    def search_near(self, term_a: str, term_b: str, window: int, k: int = 10) -> list[tuple[int, float, str]]:
-        """Proximity top-k (requires ``store_forward=True``): docs where
-        the two (distinct, single-token) terms occur within ``window``
-        token positions, BM25-bag-ranked with the usual tie-break."""
-        from ..functions.hashing import md5_u64
-
-        ta, tb = self.tok.tokenize(term_a), self.tok.tokenize(term_b)
-        if len(ta) != 1 or len(tb) != 1 or ta[0] == tb[0]:
-            raise ValueError("near search takes two distinct single-token terms")
-        qtids, qw = self.encode_query(f"{ta[0]} {tb[0]}")
-        if qtids.size < 2:
-            return []  # a term is OOV — no doc can satisfy the AND
-        h = md5_u64([ta[0], tb[0]])
-        return self._topk(k, "near_topk", qtids, qw, int(h[0]), int(h[1]), window, k)
-
-    def search_sloppy(self, term_a: str, term_b: str, slop: int, k: int = 10) -> list[tuple[int, float, str]]:
-        """Sloppy-phrase top-k (requires ``store_forward=True``): ordered
-        pairs ``a … b`` within ``slop`` insertions, each weighted by
-        1/distance into ONE saturated phrase frequency — the Lucene
-        ``PhraseQuery(slop)`` scoring shape, vs :meth:`search_near`'s
-        binary-match bag ranking.  idf is the summed per-term idf over
-        the reader's global stats."""
-        from ..functions.hashing import md5_u64
-
-        ta, tb = self.tok.tokenize(term_a), self.tok.tokenize(term_b)
-        if len(ta) != 1 or len(tb) != 1 or ta[0] == tb[0]:
-            raise ValueError("sloppy search takes two distinct single-token terms")
-        qtids, _qw = self.encode_query(f"{ta[0]} {tb[0]}")
-        if qtids.size < 2:
-            return []  # a term is OOV — no doc can satisfy the AND
-        df = self.df[qtids].astype(np.float64)
-        idf_sum = float(np.log1p((self.n_docs - df + 0.5) / (df + 0.5)).sum())
-        h = md5_u64([ta[0], tb[0]])
-        return self._topk(
-            k, "sloppy_topk", qtids, int(h[0]), int(h[1]), slop, k, idf_sum, self.avgdl, self.cfg.k1, self.cfg.b
-        )
-
-    def search_span_near(self, text: str, slop: int, k: int = 10) -> list[tuple[int, float, str]]:
-        """Ordered span-near top-k (requires ``store_forward=True``): the
-        query tokens must appear IN ORDER with at most ``slop`` extra
-        positions across the whole span; BM25-bag-ranked with the usual
-        (-score, doc) tie-break.  ``slop=0`` ≡ :meth:`search_phrase` on
-        repeat-free spans; an OOV span token ⇒ no match anywhere ⇒ []."""
-        from ..functions.hashing import md5_u64
-
-        toks = self.tok.tokenize(text)
-        if len(toks) < 2:
-            raise ValueError("span-near search needs at least two tokens")
-        qtids, qw = self.encode_query(text)
-        if qtids.size == 0 or int(qw.sum()) != len(toks):
-            return []  # at least one span token is OOV
-        h_seq = md5_u64(toks)
-        return self._topk(k, "span_near_topk", qtids, qw, h_seq, slop, k)
-
-    def search_span_not(
-        self, text: str, exclude: str, slop: int, k: int = 10
-    ) -> list[tuple[int, float, str]]:
-        """Span-not top-k (Lucene ``SpanNotQuery``, requires
-        ``store_forward=True``): ordered span-near of the query tokens
-        (slop as :meth:`search_span_near`) with NO occurrence of the
-        (single-token) exclude term inside the matching span's positions;
-        BM25-bag-ranked over the include terms with the usual (-score, doc)
-        tie-break.  An OOV include token ⇒ no match anywhere ⇒ []; an OOV
-        exclude term excludes nothing (≡ plain span-near)."""
-        from ..functions.hashing import md5_u64
-
-        toks = self.tok.tokenize(text)
-        if len(toks) < 2:
-            raise ValueError("span-not search needs at least two include tokens")
-        etoks = self.tok.tokenize(exclude)
-        if len(etoks) != 1:
-            raise ValueError(f"span-not takes one exclude term, got {etoks!r}")
-        if etoks[0] in toks:
-            raise ValueError("exclude term must differ from every include token")
-        qtids, qw = self.encode_query(text)
-        if qtids.size == 0 or int(qw.sum()) != len(toks):
-            return []  # at least one include token is OOV
-        h_seq = md5_u64(toks)
-        h_excl = int(md5_u64(etoks)[0])
-        return self._topk(k, "span_not_topk", qtids, qw, h_seq, h_excl, slop, k)
-
-    def search_span_containing(
-        self, text: str, little: str, slop: int, k: int = 10
-    ) -> list[tuple[int, float, str]]:
-        """Span-containing top-k (Lucene ``SpanContainingQuery``): the BIG
-        span is the ordered span-near of the query tokens (slop as
-        :meth:`search_span_near`), and a doc matches iff at least one big
-        span HOLDS an occurrence of the (single-token) ``little`` term
-        inside its positions; BM25-bag-ranked over the big terms.  An OOV
-        little term can be contained nowhere ⇒ []."""
-        from ..functions.hashing import md5_u64
-
-        toks = self.tok.tokenize(text)
-        if len(toks) < 2:
-            raise ValueError("span-containing needs at least two big tokens")
-        ltoks = self.tok.tokenize(little)
-        if len(ltoks) != 1:
-            raise ValueError(f"span-containing takes one little term, got {ltoks!r}")
-        if ltoks[0] in toks:
-            raise ValueError("little term must differ from every big token")
-        qtids, qw = self.encode_query(text)
-        if qtids.size == 0 or int(qw.sum()) != len(toks):
-            return []  # at least one big token is OOV
-        h_seq = md5_u64(toks)
-        h_little = int(md5_u64(ltoks)[0])
-        return self._topk(k, "span_not_topk", qtids, qw, h_seq, h_little, slop, k, True)
-
-    def search_span_within(
-        self, text: str, little: str, slop: int, k: int = 10
-    ) -> list[tuple[int, float, str]]:
-        """Span-within top-k (Lucene ``SpanWithinQuery``, the dual of
-        :meth:`search_span_containing`): the match set is docs where the
-        (single-token) ``little`` term occurs inside an ordered span-near
-        match of the big ``text`` tokens — identical to span-containing —
-        but the RETURNED query is the little span, so ranking is BM25 on
-        the little term (the big span is pure containment context).  OOV
-        little ⇒ []; OOV big token ⇒ no enclosing span ⇒ []."""
-        from ..functions.hashing import md5_u64
-
-        toks = self.tok.tokenize(text)
-        if len(toks) < 2:
-            raise ValueError("span-within needs at least two big tokens")
-        ltoks = self.tok.tokenize(little)
-        if len(ltoks) != 1:
-            raise ValueError(f"span-within takes one little term, got {ltoks!r}")
-        if ltoks[0] in toks:
-            raise ValueError("little term must differ from every big token")
-        qtids, qw = self.encode_query(text)
-        if qtids.size == 0 or int(qw.sum()) != len(toks):
-            return []  # at least one big token is OOV
-        stids, sw = self.encode_query(ltoks[0])
-        if stids.size == 0:
-            return []  # OOV little term matches nowhere
-        h_seq = md5_u64(toks)
-        h_little = int(md5_u64(ltoks)[0])
-        return self._topk(k, "span_not_topk", qtids, qw, h_seq, h_little, slop, k, True, stids, sw)
-
-    def search_intervals(self, text: str, max_gaps: int, k: int = 10) -> list[tuple[int, float, str]]:
-        """Unordered interval top-k (ES ``intervals`` / ``all_of(ordered:
-        false, max_gaps)``, requires ``store_forward=True``): all query
-        tokens (distinct) within one window in any order, total internal
-        gaps ≤ ``max_gaps``; BM25-bag-ranked with the usual (-score, doc)
-        tie-break.  An OOV token ⇒ all_of can never match ⇒ []."""
-        from ..functions.hashing import md5_u64
-
-        toks = self.tok.tokenize(text)
-        if len(toks) < 2:
-            raise ValueError("intervals search needs at least two tokens")
-        if len(set(toks)) != len(toks):
-            raise ValueError("intervals contract covers distinct terms only")
-        qtids, qw = self.encode_query(text)
-        if qtids.size == 0 or int(qw.sum()) != len(toks):
-            return []  # at least one interval token is OOV
-        h_terms = md5_u64(toks)
-        return self._topk(k, "intervals_topk", qtids, qw, h_terms, max_gaps, k)
-
-    def search_span_first(self, term: str, end: int, k: int = 10) -> list[tuple[int, float, str]]:
-        """Span-first top-k (Lucene ``SpanFirstQuery``, requires
-        ``store_forward=True``): docs where the (single-token) term occurs
-        at a token position strictly below ``end`` — the "match in the
-        title / lead" restriction — BM25-ranked on the term with the usual
-        (-score, doc) tie-break.  OOV term ⇒ no match anywhere ⇒ []."""
-        from ..functions.hashing import md5_u64
-
-        toks = self.tok.tokenize(term)
-        if len(toks) != 1:
-            raise ValueError(f"span-first takes one term, got {toks!r}")
-        qtids, qw = self.encode_query(toks[0])
-        if qtids.size == 0:
-            return []
-        h = int(md5_u64(toks)[0])
-        return self._topk(k, "span_first_topk", qtids, qw, h, int(end), k)
 
     def significant_terms(
         self, text: str, k_docs: int = 50, k_terms: int = 10
@@ -3095,25 +3008,12 @@ class IndexReader(QueryFront):
         if not top:
             return None
         docs = np.asarray(sorted(d for d, _s, _u in top), dtype=np.int64)
-        parts = []
-        for sh in self.shards:
-            if sh.fwd_stream is None:
-                raise ValueError("sampled term aggregations require an index built with store_forward=True")
-            loc = np.flatnonzero(np.isin(sh.doc_ids, docs))
-            if loc.size == 0:
-                continue
-            pos, cidx = sh._candidate_windows(loc, 1)
-            if pos.size == 0:
-                continue
-            # distinct (doc, hash) pairs only: fg_df counts DOCS, not tokens
-            order = np.lexsort((sh.fwd_stream[pos], cidx))
-            tok, ci = sh.fwd_stream[pos][order], cidx[order]
-            first = np.ones(tok.size, dtype=bool)
-            first[1:] = (tok[1:] != tok[:-1]) | (ci[1:] != ci[:-1])
-            parts.append(tok[first])
-        if not parts:
+        # one hash per (doc, token) run: fg_df counts DOCS, not tokens
+        misuse = "sampled term aggregations require an index built with store_forward=True"
+        parts = [sh._doc_term_runs(docs, misuse)[0] for sh in self.shards]
+        hashes, fg_df = np.unique(np.concatenate([np.zeros(0, np.uint64), *parts]), return_counts=True)
+        if hashes.size == 0:
             return None
-        hashes, fg_df = np.unique(np.concatenate(parts), return_counts=True)
         hv_sorted, perm = self._vocab_hash_map()
         idx = np.minimum(np.searchsorted(hv_sorted, hashes), hv_sorted.size - 1)
         known = hv_sorted[idx] == hashes

@@ -43,7 +43,7 @@ from ..functions.hashing import splitmix64
 from ..oracle import bm25_idf
 from ..state.lineage import atomic_write_json, read_json
 from ..tokenizer import Tokenizer
-from .search import select_topk, zone_maxima
+from .search import ranges, select_topk, zone_maxima
 
 
 def _salt_counts(df: np.ndarray, cfg_block: int, max_salts: int) -> np.ndarray:
@@ -399,13 +399,9 @@ class TermIndexReader:
         for i, s, e, _p in slices:
             seg = self.post_doc[s:e]
             lo = np.searchsorted(seg, lo_doc) + s
-            hi = np.searchsorted(seg, hi_doc) + s
-            lens = hi - lo
-            tot = int(lens.sum())
-            if tot == 0:
+            idx = ranges(lo, np.searchsorted(seg, hi_doc) + s - lo)
+            if idx.size == 0:
                 continue
-            csum = np.cumsum(lens)
-            idx = np.arange(tot, dtype=np.int64) - np.repeat(csum - lens, lens) + np.repeat(lo, lens)
             ids_parts.append(self.post_doc[idx])
             w_parts.append(self.post_w[idx] * qw[i])
         if not ids_parts:

@@ -5,6 +5,7 @@
 import json
 import math
 import os
+import re
 import types
 
 import numpy as np
@@ -1193,7 +1194,8 @@ def test_select_stats_count_routes(built_index, reader, monkeypatch):
 def test_bad_k_fails_loudly(parity_env, bad):
     """A negative or non-integer k raises ValueError on both executors,
     for search, method="wand" and msearch, instead of returning a
-    truncated answer."""
+    truncated answer; so does a positional query's slop, window,
+    max_gaps or end, naming the parameter."""
     local, ss, texts = parity_env
     text = texts["in_vocab"]
     for front in (local, ss):
@@ -1203,6 +1205,18 @@ def test_bad_k_fails_loudly(parity_env, bad):
             lambda: front.msearch([text, texts["tail"]], bad),
         ):
             with pytest.raises(ValueError, match="k must be a non-negative integer"):
+                call()
+        for name, call in (
+            ("window", lambda: front.search_near("w0001", "w0002", bad)),
+            ("slop", lambda: front.search_sloppy("w0001", "w0002", bad)),
+            ("slop", lambda: front.search_span_near("w0001 w0002", bad)),
+            ("slop", lambda: front.search_span_not("w0001 w0002", "w0093", bad)),
+            ("slop", lambda: front.search_span_containing("w0001 w0002", "w0093", bad)),
+            ("slop", lambda: front.search_span_within("w0001 w0002", "w0093", bad)),
+            ("max_gaps", lambda: front.search_intervals(text, bad)),
+            ("end", lambda: front.search_span_first("w0001", bad)),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {re.escape(repr(bad))}$"):
                 call()
 
 
@@ -1283,7 +1297,25 @@ PARITY_QUERIES = {
     "facets": lambda ss, t: ss.facets(t, 1),
     "histogram": lambda ss, t: ss.histogram(t, "n_chars", 150, 1),
     "adjacency_matrix": lambda ss, t: ss.adjacency_matrix([("a", t, 1), ("b", "w0001 w0093", 1)]),
+    "search_not": lambda ss, t: ss.search_not(t, 10, exclude_terms=["w0093"]),
+    "search_bool_prefix": lambda ss, t: ss.search_bool_prefix(t, 10),
+    "search_boosting": lambda ss, t: ss.search_boosting(t, "w0093", 0.5, 10),
+    "more_like_this": lambda ss, t: ss.more_like_this(t, 10, 3),
+    "search_phrase_prefix": lambda ss, t: ss.search_phrase_prefix(f"{_words(t)[0]} w", 10),
+    "search_near": lambda ss, t: ss.search_near(*_words(t)[:2], 40, 10),
+    "search_sloppy": lambda ss, t: ss.search_sloppy(*_words(t)[:2], 40, 10),
+    "search_span_near": lambda ss, t: ss.search_span_near(" ".join(_words(t)[:2]), 40, 10),
+    "search_span_not": lambda ss, t: ss.search_span_not(" ".join(_words(t)[:2]), "w0093", 40, 10),
+    "search_span_containing": lambda ss, t: ss.search_span_containing(" ".join(_words(t)[:2]), "w0093", 80, 10),
+    "search_span_within": lambda ss, t: ss.search_span_within(" ".join(_words(t)[:2]), "w0093", 80, 10),
+    "search_intervals": lambda ss, t: ss.search_intervals(t, 80, 10),
+    "search_span_first": lambda ss, t: ss.search_span_first(_words(t)[0], 40, 10),
 }
+
+
+def _words(t: str) -> list[str]:
+    """The query text's words, or the text itself twice when it has none."""
+    return t.split() or [t, t]
 
 
 @pytest.fixture(scope="module")

@@ -72,3 +72,29 @@ def test_empty_edge_dataset_gives_no_clusters(ray_session):
 
     edges = rd.from_arrow(pa.table({"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())}))
     assert connected_components(edges).count() == 0
+
+
+def _side(rows):
+    import ray.data as rd
+
+    ids, texts = zip(*rows) if rows else ((), ())
+    return rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.int64()), "text": pa.array(texts, pa.string())}))
+
+
+SIDE = [(0, "alpha beta"), (1, "gamma"), (2, "alpha beta"), (3, "delta")]
+
+
+@pytest.mark.parametrize("empty", ["existing", "new"])
+@pytest.mark.parametrize("mode", ["broadcast", "shuffle", "bloom"])
+def test_incremental_dedup_empty_side(ray_session, mode, empty):
+    """Against an empty existing side every mode keeps new's min-id
+    holders, and from an empty new side nothing, as shuffle mode does."""
+    from splade_ray.pipelines.dedup import incremental_dedup
+
+    def kept(m):
+        existing, new = (_side([]), _side(SIDE)) if empty == "existing" else (_side(SIDE), _side([]))
+        return sorted(r["doc_id"] for r in incremental_dedup(existing, new, mode=m).take_all())
+
+    want = kept("shuffle")
+    assert want == ([0, 1, 3] if empty == "existing" else [])
+    assert kept(mode) == want

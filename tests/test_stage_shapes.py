@@ -170,12 +170,21 @@ def _closure_kernels(tree):
     return sorted(out)
 
 
-@pytest.mark.parametrize("rel", ["pipelines/ann.py", "pipelines/dedup.py"])
+@pytest.mark.parametrize(
+    "rel",
+    [
+        "pipelines/ann.py",
+        "pipelines/dedup.py",
+        "pipelines/merge.py",
+        "pipelines/multimodal.py",
+        "pipelines/percolate.py",
+        "pipelines/term_index.py",
+    ],
+)
 def test_kernels_are_module_level(rel):
-    """Every Ray Data kernel in the kNN and dedup pipelines is a
-    module-level function (or a constructed module-level stage class);
-    per-call values (a user's ``filter_expr`` included) travel in
-    ``fn_kwargs``."""
+    """Every Ray Data kernel in these pipelines is a module-level function
+    (or a constructed module-level stage class); per-call values (a
+    user's ``filter_expr`` included) travel in ``fn_kwargs``."""
     assert _closure_kernels(dict(_parsed())[rel]) == []
 
 
