@@ -31,6 +31,7 @@ from ray.data.aggregate import Count, Mean, Min, Sum
 from ..config import EngineConfig
 from ..stages.encode import cached_ref
 from .build import build_index
+from .graph import _bucket, _build_vertex_table, _read, hits_top, label_propagation_table, pagerank_top
 from .search import IndexReader, ShardedSearcher, ranges, select_topk
 
 # root of every index and artifact the showcase caches across calls.  The
@@ -64,6 +65,11 @@ DOCS_CFG = EngineConfig(shard_size=2000, num_buckets=1)
 
 def _docs(sf_dir: str, columns=None) -> rd.Dataset:
     return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=columns)
+
+
+def _n_docs(sf_dir: str) -> int:
+    """The corpus' doc count, from the parquet footer."""
+    return int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
 
 
 def _emb(sf_dir: str) -> rd.Dataset:
@@ -1977,7 +1983,7 @@ def incremental_dedup_kept(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
     from .dedup import incremental_dedup
     from ..config import DEFAULT_CONFIG
 
-    n_total = pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows
+    n_total = _n_docs(sf_dir)
     cut = int(n_total * INCR_DEDUP_CUT_FRAC)
 
     out = incremental_dedup(
@@ -2028,7 +2034,7 @@ def incremental_ingest_topk(sf_dir: str) -> pd.DataFrame:
             [int(u.removeprefix("doc://")) for u in corpus.column("url").to_pylist()],
             dtype=np.int64,
         )
-        n_total = pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows
+        n_total = _n_docs(sf_dir)
         cut = int(n_total * INCR_DEDUP_CUT_FRAC)
         os.makedirs(out, exist_ok=True)
         a_path, b_path = os.path.join(out, "a.parquet"), os.path.join(out, "b.parquet")
@@ -2816,7 +2822,7 @@ def bigram_pmi(sf_dir: str) -> pd.DataFrame:
 
     from .textops import bigram_pmi_top
 
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
+    n_docs = _n_docs(sf_dir)
     width = None if n_docs > 100_000 else max(8, n_docs // 10_000)
     out = bigram_pmi_top(_docs(sf_dir, columns=["doc_id", "text"]), k=30, min_count=3, shuffle_width=width)
     out["pmi"] = out["pmi"].round(6)
@@ -2831,7 +2837,7 @@ def textrank_keywords(sf_dir: str) -> pd.DataFrame:
 
     from .textops import textrank_keywords as tr
 
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
+    n_docs = _n_docs(sf_dir)
     width = None if n_docs > 100_000 else max(8, n_docs // 10_000)
     return tr(_docs(sf_dir, columns=["doc_id", "text"]), k=30, shuffle_width=width)
 
@@ -2846,7 +2852,7 @@ def packed_bins(sf_dir: str) -> pd.DataFrame:
 
     counts = token_stats(_docs(sf_dir, columns=["doc_id", "text"])).select_columns(["doc_id", "n_tokens"])
     # data-proportional sort width (the scan's one all-to-all)
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
+    n_docs = _n_docs(sf_dir)
     if n_docs <= 100_000:
         counts = counts.repartition(max(8, n_docs // 10_000))
     out = pack_bins(counts, "n_tokens", "doc_id", capacity=256).to_pandas()
@@ -2876,7 +2882,7 @@ def dup_spans(sf_dir: str) -> pd.DataFrame:
     # data-proportional sort-exchange width (footer row count — the
     # all-to-all costs O(width²) tasks, pure overhead at small inputs);
     # past ~100k docs the natural block count is already right
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
+    n_docs = _n_docs(sf_dir)
     width = None if n_docs > 100_000 else max(8, n_docs // 10_000)
     out = duplicate_spans(_docs(sf_dir, columns=["doc_id", "text"]), window=5, shuffle_width=width).to_pandas()
     out["dup_frac"] = out["dup_frac"].round(6)
@@ -2892,7 +2898,7 @@ def dedup_cut_spans(sf_dir: str) -> pd.DataFrame:
 
     from .textops import cut_duplicate_spans
 
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
+    n_docs = _n_docs(sf_dir)
     width = None if n_docs > 100_000 else max(8, n_docs // 10_000)
     out = cut_duplicate_spans(
         _docs(sf_dir, columns=["doc_id", "text"]), window=5, shuffle_width=width
@@ -4996,7 +5002,7 @@ def stopword_discovery(sf_dir: str) -> pd.DataFrame:
     batch, then a vocab-bounded combine) — the same A1 stats discipline as
     the index build's df pass."""
     vocab = _corpus_vocab(sf_dir)
-    n_docs = int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
+    n_docs = _n_docs(sf_dir)
     frac = vocab["df"] / n_docs
     out = pd.DataFrame(
         {
@@ -5012,22 +5018,6 @@ def stopword_discovery(sf_dir: str) -> pd.DataFrame:
 # (i*7+2) % N (self-links dropped) — the web-graph fixture both sides derive
 PAGERANK_DAMPING: float = 0.85
 PAGERANK_ITERS: int = 3
-
-
-# graph-mode auto-switch (the resolve_dedup_mode discipline): the dense
-# driver-vector path is exact and cheap while rank vectors fit one heap;
-# past this node count the vertex-partitioned engine (pipelines/graph.py,
-# rank as a node-hash-bucketed Dataset co-partitioned with edges) takes
-# over — nothing node- or edge-scale touches the driver there
-GRAPH_DENSE_MAX_NODES: int = 2_000_000
-
-
-def _resolve_graph_mode(mode: str, n_nodes: int) -> str:
-    if mode == "auto":
-        return "dense" if n_nodes <= GRAPH_DENSE_MAX_NODES else "vertex"
-    if mode not in ("dense", "vertex"):
-        raise ValueError(f"unknown graph mode {mode!r}")
-    return mode
 
 
 def _link_edges(batch: pa.Table, n_docs: int) -> pa.Table:
@@ -5048,89 +5038,65 @@ def _link_fixture_edges(sf_dir: str, n_docs: int) -> "rd.Dataset":
     )
 
 
+def _restart_rows(batch: pa.Table, lang: str | None = None) -> pa.Table:
+    """(node, r0) restart weights of a doc batch: 1 on every doc, or only
+    on the docs of ``lang``."""
+    r0 = np.ones(batch.num_rows)
+    if lang is not None:
+        r0[~pc.fill_null(pc.equal(batch.column("lang"), lang), False).to_numpy(zero_copy_only=False)] = 0.0
+    return pa.table({"node": batch.column("doc_id"), "r0": r0})
+
+
+def _restart_weights(sf_dir: str, lang: str | None = None) -> "rd.Dataset":
+    """(node, r0) over every doc: the uniform teleport vector, or the one
+    concentrated on the docs of ``lang`` (the graph engine normalizes it)."""
+    columns = ["doc_id"] if lang is None else ["doc_id", "lang"]
+    return _docs(sf_dir, columns=columns).map_batches(_restart_rows, fn_kwargs={"lang": lang}, batch_format="pyarrow")
+
+
+def _doc_nodes(sf_dir: str) -> "rd.Dataset":
+    return _docs(sf_dir, columns=["doc_id"]).rename_columns({"doc_id": "node"})
+
+
+def _node_frame(top: pd.DataFrame, **scores: str) -> pd.DataFrame:
+    """(doc_id, score_r...) of a graph top-k frame, each ``out=col`` score
+    rounded to 6 decimals."""
+    return pd.DataFrame(
+        {
+            "doc_id": top["node"].to_numpy(np.int64),
+            **{out: np.round(top[col].to_numpy(np.float64), 6) for out, col in scores.items()},
+        }
+    )
+
+
 def link_pagerank(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
     """(doc_id, pr_r) — web-graph PageRank over a deterministic link
     fixture, 3 power iterations at damping 0.85 from the uniform start
     (every doc has out-degree >= 1, so no dangling-mass term).  Exactly
     :data:`PAGERANK_ITERS` iterations unroll into the SQL oracle's CTE
     chain (the ``kmeans_clusters`` discipline).  Returns the top 50 docs
-    by (pr DESC, doc_id ASC).
+    by (round-6 pr DESC, doc_id ASC), so the boundary is fp-stable
+    against the SQL oracle.
 
-    ``mode="dense"``: each iteration is ONE contribution shuffle
-    (rank/outdeg ships along edges, sums per destination) but the rank
-    vector itself is a driver-resident n-float array — fine to
-    :data:`GRAPH_DENSE_MAX_NODES`.  ``mode="vertex"``: the rank lives as
-    a node-hash-bucketed (node, rank) Dataset co-partitioned with the
-    edge list (:func:`splade_ray.pipelines.graph.pagerank_table`) — two
-    bucket exchanges per iteration, only the bounded top-k partials reach
-    the driver; the 10^10-node shape.  ``auto`` switches on node count;
-    dense == vertex is pinned by tests/test_graph.py."""
-    n_docs = int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
-    edges = _link_fixture_edges(sf_dir, n_docs)
-
-    if _resolve_graph_mode(mode, n_docs) == "vertex":
-        from .graph import pagerank_table, topk_by_score
-
-        inv_n = 1.0 / n_docs
-
-        def node_rows(batch: pa.Table) -> pa.Table:
-            ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {"node": pa.array(ids), "r0": pa.array(np.full(ids.size, inv_n))}
-            )
-
-        nodes = _docs(sf_dir, columns=["doc_id"]).map_batches(node_rows, batch_format="pyarrow")
-        vertex = pagerank_table(
-            nodes, edges, iters=PAGERANK_ITERS, damping=PAGERANK_DAMPING
-        )
-        top = topk_by_score(vertex, "rank", 50, decimals=6)
-        return (
-            pd.DataFrame(
-                {
-                    "doc_id": top["node"].to_numpy(np.int64),
-                    "pr_r": np.round(top["rank"].to_numpy(), 6),
-                }
-            )
-            .sort_values(["doc_id"], ignore_index=True)
-        )
-
-    # out-degree: one count exchange (bounded combiner partials per batch)
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        s, c = np.unique(batch.column("src").to_numpy(zero_copy_only=False), return_counts=True)
-        return pa.table({"src": pa.array(s), "c": pa.array(c.astype(np.int64))})
-
-    deg = (
-        edges.map_batches(deg_partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("src", sort=True)["c"]
-        .sum()
+    ``mode`` picks the executor of
+    :func:`splade_ray.pipelines.graph.pagerank_top`: ``"dense"`` keeps the
+    rank vector on the driver (one contribution pass per iteration),
+    ``"vertex"`` keeps it as a node-hash-bucketed Dataset co-partitioned
+    with the edge list (two bucket exchanges per iteration; the 10^10-node
+    shape), ``"auto"`` switches on node count.  dense == vertex is pinned
+    by tests/test_graph.py."""
+    n_docs = _n_docs(sf_dir)
+    top = pagerank_top(
+        _restart_weights(sf_dir),
+        _link_fixture_edges(sf_dir, n_docs),
+        n_docs,
+        50,
+        decimals=6,
+        iters=PAGERANK_ITERS,
+        damping=PAGERANK_DAMPING,
+        mode=mode,
     )
-    outdeg = np.zeros(n_docs, dtype=np.float64)
-    outdeg[deg.index.to_numpy()] = deg.to_numpy()
-    rank = np.full(n_docs, 1.0 / n_docs)
-    for _ in range(PAGERANK_ITERS):
-        rank_ref = ray.put(rank / np.maximum(outdeg, 1.0))
-
-        def contrib(batch: pa.Table) -> pa.Table:
-            w = cached_ref(rank_ref)
-            src = batch.column("src").to_numpy(zero_copy_only=False)
-            dst = batch.column("dst").to_numpy(zero_copy_only=False)
-            d, inv = np.unique(dst, return_inverse=True)
-            s = np.bincount(inv, weights=w[src])
-            return pa.table({"dst": pa.array(d), "s": pa.array(s)})
-
-        parts = edges.map_batches(contrib, batch_format="pyarrow").to_pandas()
-        acc = parts.groupby("dst", sort=True)["s"].sum()
-        nxt = np.full(n_docs, (1.0 - PAGERANK_DAMPING) / n_docs)
-        nxt[acc.index.to_numpy()] += PAGERANK_DAMPING * acc.to_numpy()
-        rank = nxt
-
-    # select on 6-decimal-rounded ranks with doc-id tie-break so the
-    # boundary is fp-stable against the SQL oracle
-    order = np.lexsort((np.arange(n_docs), -np.round(rank, 6)))[:50]
-    return pd.DataFrame(
-        {"doc_id": order.astype(np.int64), "pr_r": np.round(rank[order], 6)}
-    ).sort_values(["doc_id"], ignore_index=True)
+    return _node_frame(top, pr_r="rank").sort_values(["doc_id"], ignore_index=True)
 
 
 # data-stream fixture: 5 daily backing indices; the range query touches
@@ -5154,7 +5120,7 @@ def _ensure_datastream_segments(sf_dir: str) -> list[str]:
             [int(u.removeprefix("doc://")) for u in corpus.column("url").to_pylist()],
             dtype=np.int64,
         )
-        n = int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
+        n = _n_docs(sf_dir)
         day = ids * DATASTREAM_DAYS // n
         os.makedirs(out, exist_ok=True)
         base = 0
@@ -5729,81 +5695,27 @@ def hits_scores(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
     """(doc_id, auth_r, hub_r) — HITS hubs & authorities (Kleinberg) over
     the deterministic link fixture shared with :func:`link_pagerank`,
     3 iterations with L1 normalization after each half-step from the
-    all-ones hub start.  Top 30 by (auth DESC, doc_id).
+    all-ones hub start.  Top 30 by (round-9 auth DESC, doc_id).
 
-    ``mode="dense"``: each half-step is ONE edge-stream pass with the
-    n-bounded score vector broadcast via ``ray.put``.  ``mode="vertex"``:
-    both score vectors live as a node-hash-bucketed Dataset
-    (:func:`splade_ray.pipelines.graph.hits_table`); the L1 divisor is
-    the only driver state (one scalar per half-step) and is folded into
-    the next gather so each element divides exactly once — the dense
-    arithmetic replayed distributively.  dense == vertex pinned by
-    tests/test_graph.py."""
-    n_docs = int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
-    edges = _link_fixture_edges(sf_dir, n_docs)
-
-    if _resolve_graph_mode(mode, n_docs) == "vertex":
-        from .graph import hits_table, topk_by_score
-
-        nodes = _docs(sf_dir, columns=["doc_id"]).map_batches(
-            lambda b: pa.table({"node": b.column("doc_id")}), batch_format="pyarrow"
-        )
-        vertex = hits_table(nodes, edges, iters=HITS_ITERS).materialize()
-        top = topk_by_score(vertex, "auth", HITS_TOP, decimals=9)
-        want = np.sort(top["node"].to_numpy(np.int64))
-        sel = (
-            vertex.map_batches(
-                lambda b: b.filter(
-                    pa.array(np.isin(b.column("node").to_numpy(zero_copy_only=False), want))
-                ),
-                batch_format="pyarrow",
-            )
-            .to_pandas()
-            .sort_values("node", ignore_index=True)
-        )
-        return pd.DataFrame(
-            {
-                "doc_id": sel["node"].to_numpy(np.int64),
-                "auth_r": np.round(sel["auth"].to_numpy(), 6),
-                "hub_r": np.round(sel["hub"].to_numpy(), 6),
-            }
-        )
-
-    def sweep(vec: np.ndarray, key_in: str, key_out: str) -> np.ndarray:
-        """One half-step: sum vec[key_in] into key_out endpoints, L1-norm."""
-        ref = ray.put(vec)
-
-        def contrib(batch: pa.Table) -> pa.Table:
-            w = cached_ref(ref)
-            a = batch.column(key_in).to_numpy(zero_copy_only=False)
-            b = batch.column(key_out).to_numpy(zero_copy_only=False)
-            d, inv = np.unique(b, return_inverse=True)
-            s = np.bincount(inv, weights=w[a])
-            return pa.table({"k": pa.array(d), "s": pa.array(s)})
-
-        parts = edges.map_batches(contrib, batch_format="pyarrow").to_pandas()
-        acc = parts.groupby("k", sort=True)["s"].sum()
-        out = np.zeros(n_docs, dtype=np.float64)
-        out[acc.index.to_numpy()] = acc.to_numpy()
-        tot = out.sum()
-        return out / tot if tot > 0 else out
-
-    hub = np.ones(n_docs, dtype=np.float64)
-    auth = np.zeros(n_docs, dtype=np.float64)
-    for _ in range(HITS_ITERS):
-        auth = sweep(hub, "src", "dst")   # a <- A^T h
-        hub = sweep(auth, "dst", "src")   # h <- A a
-    order = np.lexsort((np.arange(n_docs), -np.round(auth, 9)))[:HITS_TOP]
-    return (
-        pd.DataFrame(
-            {
-                "doc_id": order.astype(np.int64),
-                "auth_r": np.round(auth[order], 6),
-                "hub_r": np.round(hub[order], 6),
-            }
-        )
-        .sort_values(["doc_id"], ignore_index=True)
+    ``mode`` picks the executor of
+    :func:`splade_ray.pipelines.graph.hits_top`: ``"dense"`` makes each
+    half-step ONE edge-stream pass with the n-bounded score vector
+    broadcast via ``ray.put``; ``"vertex"`` keeps both score vectors in a
+    node-hash-bucketed Dataset, the L1 divisor (one scalar per half-step)
+    the only driver state, folded into the next gather so each element
+    divides exactly once — the dense arithmetic replayed distributively.
+    dense == vertex pinned by tests/test_graph.py."""
+    n_docs = _n_docs(sf_dir)
+    top = hits_top(
+        _doc_nodes(sf_dir),
+        _link_fixture_edges(sf_dir, n_docs),
+        n_docs,
+        HITS_TOP,
+        decimals=9,
+        iters=HITS_ITERS,
+        mode=mode,
     )
+    return _node_frame(top, auth_r="auth", hub_r="hub").sort_values(["doc_id"], ignore_index=True)
 
 
 # BPE vocabulary training: K merges over the corpus word-frequency table
@@ -6251,7 +6163,7 @@ def vocab_growth(sf_dir: str) -> pd.DataFrame:
     from ..stages.encode import term_count_table
     from ..tokenizer import Tokenizer
 
-    n_docs = int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
+    n_docs = _n_docs(sf_dir)
 
     def first_seen(batch: pa.Table) -> pa.Table:
         terms, _tfs, _dls = term_count_table(batch.column("text").to_pylist(), Tokenizer())
@@ -6449,6 +6361,65 @@ def weighted_sample(sf_dir: str) -> pd.DataFrame:
     return cand[["doc_id", "lang", "n_chars", "key_r"]].reset_index(drop=True)
 
 
+_TRIANGLE_SCHEMA = pa.schema([("n_edges", pa.int64()), ("n_wedges", pa.int64()), ("n_triangles", pa.int64())])
+
+
+def _canonical_edges(batch: pa.Table, nbuckets: int) -> pa.Table:
+    """A fixture batch's links in the canonical a < b orientation,
+    bucketed on the smaller endpoint."""
+    src = batch.column("src").to_numpy(zero_copy_only=False)
+    dst = batch.column("dst").to_numpy(zero_copy_only=False)
+    a = np.minimum(src, dst)
+    return pa.table({"a": a, "b": np.maximum(src, dst), "bucket": _bucket(a, nbuckets)})
+
+
+def _wedge_rows(g: pa.Table, n_docs: int, nbuckets: int) -> pa.Table:
+    """One a-bucket's distinct canonical edges (side 0) plus the wedges
+    (x, y) at each a (side 1), every row bucketed on x for the closure
+    probe."""
+    a = g.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
+    b = g.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
+    pair = np.unique(a * np.int64(n_docs) + b)
+    a, b = pair // n_docs, pair % n_docs
+    # wedges at the smallest vertex: all neighbor pairs (x < y) of a.
+    # adjacency is (a, b-sorted) segments; pairs come from OFFSET
+    # shifts (≤ max-degree iterations, not a per-node loop)
+    starts = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+    deg = np.diff(np.r_[starts, a.size])
+    out_x, out_y = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for off in range(1, int(deg.max()) if deg.size else 0):
+        idx = np.arange(a.size - off)
+        same = a[idx] == a[idx + off]
+        out_x.append(b[idx][same])
+        out_y.append(b[idx + off][same])
+    wx, wy = np.concatenate(out_x), np.concatenate(out_y)
+    x = np.r_[a, wx]
+    return pa.table(
+        {
+            "side": np.r_[np.zeros(a.size, np.int8), np.ones(wx.size, np.int8)],
+            "x": x,
+            "y": np.r_[b, wy],
+            "bucket": _bucket(x, nbuckets),
+            "n_edges": np.r_[np.ones(a.size, np.int64), np.zeros(wx.size, np.int64)],
+        }
+    )
+
+
+def _closed_wedges(g: pa.Table, n_docs: int) -> pa.Table:
+    """One x-bucket's (edge, wedge, triangle) counts: a wedge (x, y) closes
+    when (x, y) is an edge — one searchsorted membership probe."""
+    side = g.column("side").to_numpy(zero_copy_only=False)
+    x = g.column("x").to_numpy(zero_copy_only=False).astype(np.int64)
+    y = g.column("y").to_numpy(zero_copy_only=False).astype(np.int64)
+    e = side == 0
+    ekeys = np.sort(x[e] * np.int64(n_docs) + y[e])
+    wkeys = x[~e] * np.int64(n_docs) + y[~e]
+    pos = np.minimum(np.searchsorted(ekeys, wkeys), max(ekeys.size - 1, 0))
+    hit = (ekeys[pos] == wkeys) if ekeys.size else np.zeros(wkeys.size, bool)
+    n_edges = int(g.column("n_edges").to_numpy(zero_copy_only=False).sum())
+    return pa.table([[n_edges], [int(wkeys.size)], [int(hit.sum())]], schema=_TRIANGLE_SCHEMA)
+
+
 def link_triangles(sf_dir: str) -> pd.DataFrame:
     """(n_edges, n_wedges, n_triangles) — distributed triangle counting
     over the deterministic link fixture (the web-graph structure metric;
@@ -6461,90 +6432,19 @@ def link_triangles(sf_dir: str) -> pd.DataFrame:
     per-bucket closure check is one searchsorted membership probe —
     wedge volume is Σ deg(a)², degree-bounded by the fixture, and the
     full edge list is never driver-resident."""
-    from ..functions.hashing import splitmix64
-
     nb = 64
-    n_docs = int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
-
-    def edges_of(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        src = np.concatenate([ids, ids])
-        dst = np.concatenate([(ids * 3 + 1) % n_docs, (ids * 7 + 2) % n_docs])
-        keep = src != dst
-        a = np.minimum(src[keep], dst[keep])
-        b = np.maximum(src[keep], dst[keep])
-        return pa.table(
-            {
-                "a": pa.array(a),
-                "b": pa.array(b),
-                "bucket": pa.array((splitmix64(a.astype(np.uint64)) % np.uint64(nb)).astype(np.int32)),
-            }
-        )
-
-    edges = _docs(sf_dir, columns=["doc_id"]).map_batches(edges_of, batch_format="pyarrow")
-
-    def dedup_and_wedges(g: pa.Table) -> pa.Table:
-        a = g.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = g.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
-        pair = np.unique(a * np.int64(n_docs) + b)
-        a, b = pair // n_docs, pair % n_docs
-        # wedges at the smallest vertex: all neighbor pairs (x < y) of a.
-        # adjacency is (a, b-sorted) segments; pairs come from OFFSET
-        # shifts (≤ max-degree iterations, not a per-node loop)
-        starts = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
-        deg = np.diff(np.r_[starts, a.size])
-        out_a, out_x, out_y = [], [], []
-        for off in range(1, int(deg.max()) if deg.size else 0):
-            idx = np.arange(a.size - off)
-            same = a[idx] == a[idx + off]
-            out_a.append(a[idx][same])
-            out_x.append(b[idx][same])
-            out_y.append(b[idx + off][same])
-        if out_a:
-            wa = np.concatenate(out_a); wx = np.concatenate(out_x); wy = np.concatenate(out_y)
-        else:
-            wa = wx = wy = np.zeros(0, np.int64)
-        # tag+union: edge rows (side 0, keyed on a) and wedge rows
-        # (side 1, keyed on x) meet in the x-bucket for the closure probe
-        return pa.table(
-            {
-                "side": pa.array(np.r_[np.zeros(a.size, np.int8), np.ones(wa.size, np.int8)]),
-                "x": pa.array(np.r_[a, wx]),
-                "y": pa.array(np.r_[b, wy]),
-                "bucket": pa.array(
-                    (splitmix64(np.r_[a, wx].astype(np.uint64)) % np.uint64(nb)).astype(np.int32)
-                ),
-                "n_edges": pa.array(np.r_[np.ones(a.size, np.int64), np.zeros(wa.size, np.int64)]),
-            }
-        )
-
-    tagged = edges.groupby("bucket").map_groups(dedup_and_wedges, batch_format="pyarrow")
-
-    def close(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        x = g.column("x").to_numpy(zero_copy_only=False).astype(np.int64)
-        y = g.column("y").to_numpy(zero_copy_only=False).astype(np.int64)
-        e = side == 0
-        ekeys = np.sort(x[e] * np.int64(n_docs) + y[e])
-        wkeys = x[~e] * np.int64(n_docs) + y[~e]
-        pos = np.minimum(np.searchsorted(ekeys, wkeys), max(ekeys.size - 1, 0))
-        hit = (ekeys[pos] == wkeys) if ekeys.size else np.zeros(wkeys.size, bool)
-        return pa.table(
-            {
-                "n_edges": pa.array([int(g.column("n_edges").to_numpy(zero_copy_only=False).sum())]),
-                "n_wedges": pa.array([int(wkeys.size)]),
-                "n_triangles": pa.array([int(hit.sum())]),
-            }
-        )
-
-    parts = tagged.groupby("bucket").map_groups(close, batch_format="pyarrow").to_pandas()
-    return pd.DataFrame(
-        {
-            "n_edges": [int(parts["n_edges"].sum())],
-            "n_wedges": [int(parts["n_wedges"].sum())],
-            "n_triangles": [int(parts["n_triangles"].sum())],
-        }
+    n_docs = _n_docs(sf_dir)
+    edges = _link_fixture_edges(sf_dir, n_docs).map_batches(
+        _canonical_edges, fn_kwargs={"nbuckets": nb}, batch_format="pyarrow"
     )
+    tagged = edges.groupby("bucket").map_groups(
+        _wedge_rows, fn_kwargs={"n_docs": n_docs, "nbuckets": nb}, batch_format="pyarrow"
+    )
+    counts = _read(
+        tagged.groupby("bucket").map_groups(_closed_wedges, fn_kwargs={"n_docs": n_docs}, batch_format="pyarrow"),
+        _TRIANGLE_SCHEMA,
+    )
+    return pd.DataFrame({c: [int(pc.sum(counts.column(c)).as_py() or 0)] for c in _TRIANGLE_SCHEMA.names})
 
 
 def winnowing_fps(sf_dir: str) -> pd.DataFrame:
@@ -6705,132 +6605,34 @@ PPR_RESTART: float = 0.15
 PPR_ITERS: int = 3
 
 
-def _no_ppr_seeds() -> pd.DataFrame:
-    """With no lang='en' doc there is no restart distribution to
-    personalize on: the ranking is empty (not a division by zero)."""
-    return pd.DataFrame({"doc_id": np.zeros(0, np.int64), "ppr_r": np.zeros(0, np.float64)})
-
-
 def personalized_pagerank(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
     """(doc_id, ppr_r) — PERSONALIZED PageRank over the deterministic link
     fixture: the restart vector concentrates on the lang='en' seed set
     (uniform over seeds) instead of all nodes, 3 power iterations at
     damping 0.85 from the restart vector itself.  All iterations unroll
-    into the SQL oracle.  Top 50 by (ppr DESC, doc_id ASC).
+    into the SQL oracle.  Top 50 by (round-9 ppr DESC, doc_id ASC).
 
-    ``mode="dense"``: edge-partitioned contribution shuffle with a
-    driver-resident rank vector.  ``mode="vertex"``: the restart vector
-    is a COLUMN of the bucketed vertex table (r0 = 1/|seeds| on seeds,
-    built at tag time from the lang column — no dense seed array), and
-    :func:`splade_ray.pipelines.graph.pagerank_table` iterates with the
-    restart mass added per bucket.  Only |seeds| (a scalar) and the
-    bounded top-k reach the driver.  dense == vertex pinned by
-    tests/test_graph.py."""
-    n_docs = int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
-    edges = _link_fixture_edges(sf_dir, n_docs)
-
-    if _resolve_graph_mode(mode, n_docs) == "vertex":
-        from .graph import pagerank_table, topk_by_score
-
-        # |seeds| via per-batch count partials — one scalar to the driver
-        cnt_parts = (
-            _docs(sf_dir, columns=["lang"])
-            .map_batches(
-                lambda b: pa.table(
-                    {"c": pa.array([int(pc.sum(pc.equal(b.column("lang"), "en")).as_py() or 0)])}
-                ),
-                batch_format="pyarrow",
-            )
-            .to_pandas()
-        )
-        n_seeds = float(cnt_parts["c"].sum())
-        if n_seeds == 0:
-            return _no_ppr_seeds()
-        inv_s = 1.0 / n_seeds
-
-        def node_rows(batch: pa.Table) -> pa.Table:
-            ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-            is_seed = pc.equal(batch.column("lang"), "en").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {"node": pa.array(ids), "r0": pa.array(np.where(is_seed, inv_s, 0.0))}
-            )
-
-        nodes = _docs(sf_dir, columns=["doc_id", "lang"]).map_batches(
-            node_rows, batch_format="pyarrow"
-        )
-        vertex = pagerank_table(
-            nodes,
-            edges,
-            iters=PPR_ITERS,
-            damping=1.0 - PPR_RESTART,
-            restart=PPR_RESTART,
-        )
-        top = topk_by_score(vertex, "rank", 50, decimals=9)
-        return pd.DataFrame(
-            {
-                "doc_id": top["node"].to_numpy(np.int64),
-                "ppr_r": np.round(top["rank"].to_numpy(), 6),
-            }
-        )
-
-    seeds = (
-        _docs(sf_dir, columns=["doc_id", "lang"])
-        .map_batches(
-            lambda b: b.filter(pc.equal(b.column("lang"), "en")).select(["doc_id"]),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
+    The restart vector is a (node, r0) table built at tag time from the
+    lang column (uniform over the seeds once the engine normalizes it; no
+    seed means no ranking, not a division by zero); ``mode`` picks the
+    executor of :func:`splade_ray.pipelines.graph.pagerank_top` — a
+    driver-resident rank vector (``"dense"``) or r0 as a COLUMN of the
+    bucketed vertex table with the restart mass added per bucket
+    (``"vertex"``, where |seeds| is the one scalar the driver sees).
+    dense == vertex pinned by tests/test_graph.py."""
+    n_docs = _n_docs(sf_dir)
+    top = pagerank_top(
+        _restart_weights(sf_dir, "en"),
+        _link_fixture_edges(sf_dir, n_docs),
+        n_docs,
+        50,
+        decimals=9,
+        iters=PPR_ITERS,
+        damping=1.0 - PPR_RESTART,
+        restart=PPR_RESTART,
+        mode=mode,
     )
-    if seeds.empty:  # no rows, so no doc_id column either
-        return _no_ppr_seeds()
-    seed_set = np.sort(seeds["doc_id"].to_numpy())
-    n_seeds = float(seed_set.size)
-    d = 1.0 - PPR_RESTART
-
-    # restart vector r0: 1/|seeds| on seeds, else 0 (broadcast once)
-    r0 = np.zeros(n_docs, dtype=np.float64)
-    r0[seed_set] = 1.0 / n_seeds
-
-    # out-degrees (bounded combiner partials)
-    deg_parts = edges.map_batches(
-        lambda b: pa.table(
-            {
-                "node": pa.array(np.unique(b.column("src").to_numpy(zero_copy_only=False))),
-                "c": pa.array(
-                    np.unique(b.column("src").to_numpy(zero_copy_only=False), return_counts=True)[1]
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    ).to_pandas()
-    deg = np.zeros(n_docs, dtype=np.float64)
-    dg = deg_parts.groupby("node")["c"].sum()
-    deg[dg.index.to_numpy()] = dg.to_numpy()
-
-    pr = r0.copy()
-    for _ in range(PPR_ITERS):
-        share_ref = ray.put(np.divide(pr, deg, out=np.zeros_like(pr), where=deg > 0))
-
-        def contrib(batch: pa.Table, _ref=share_ref) -> pa.Table:
-            share = cached_ref(_ref)
-            dst = batch.column("dst").to_numpy(zero_copy_only=False)
-            src = batch.column("src").to_numpy(zero_copy_only=False)
-            ud, inv = np.unique(dst, return_inverse=True)
-            return pa.table(
-                {
-                    "node": pa.array(ud),
-                    "mass": pa.array(np.bincount(inv, weights=share[src])),
-                }
-            )
-
-        parts = edges.map_batches(contrib, batch_format="pyarrow").to_pandas()
-        mass = np.zeros(n_docs, dtype=np.float64)
-        mg = parts.groupby("node")["mass"].sum()
-        mass[mg.index.to_numpy()] = mg.to_numpy()
-        pr = PPR_RESTART * r0 + d * mass
-
-    order = np.lexsort((np.arange(n_docs), -np.round(pr, 9)))[:50]
-    return pd.DataFrame({"doc_id": order.astype(np.int64), "ppr_r": np.round(pr[order], 6)})
+    return _node_frame(top, ppr_r="rank")
 
 
 def serial_diff_events(sf_dir: str) -> pd.DataFrame:
@@ -7513,7 +7315,7 @@ def trending_terms(sf_dir: str) -> pd.DataFrame:
     from ..stages.encode import term_count_table
     from ..tokenizer import Tokenizer
 
-    n_docs = int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
+    n_docs = _n_docs(sf_dir)
     half = n_docs // 2  # docs 0..half-1 early, half.. late
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -7867,42 +7669,45 @@ def zipf_slope(sf_dir: str) -> pd.DataFrame:
     )
 
 
+_DEGREE_COUNT_SCHEMA = pa.schema([("indeg", pa.int64()), ("c", pa.int64())])
+
+
+def _degree_counts(batch: pa.Table) -> pa.Table:
+    d, c = np.unique(batch.column("outdeg").to_numpy(zero_copy_only=False).astype(np.int64), return_counts=True)
+    return pa.table([d, c.astype(np.int64)], schema=_DEGREE_COUNT_SCHEMA)
+
+
 def degree_hist(sf_dir: str) -> pd.DataFrame:
     """(indeg, n_nodes) — in-degree distribution of the deterministic
     link fixture (the first sanity plot of any web-graph build; nodes
     with no in-links are counted at indeg 0).  Reuses the graph engine's
-    vertex-table construction with REVERSED edges — one coarse-bucket
-    exchange joins per-batch degree combiner partials to the node
-    universe — then per-block (degree, count) histogram partials reduce
-    on the driver (bounded by the number of DISTINCT degree values, not
-    nodes)."""
-    from .graph import _build_vertex_table
-
-    n_docs = int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
-    edges = _link_fixture_edges(sf_dir, n_docs).map_batches(
-        lambda b: pa.table({"src": b.column("dst"), "dst": b.column("src")}),
-        batch_format="pyarrow",
-    )
-    nodes = _docs(sf_dir, columns=["doc_id"]).map_batches(
-        lambda b: pa.table(
-            {"node": b.column("doc_id"), "r0": pa.array(np.zeros(b.num_rows, dtype=np.float64))}
-        ),
-        batch_format="pyarrow",
-    )
-    vertex = _build_vertex_table(nodes, edges.materialize(), 8)
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        deg = batch.column("outdeg").to_numpy(zero_copy_only=False).astype(np.int64)
-        d, c = np.unique(deg, return_counts=True)
-        return pa.table({"indeg": pa.array(d), "c": pa.array(c.astype(np.int64))})
-
-    parts = vertex.map_batches(hist_partial, batch_format="pyarrow").to_pandas()
-    out = parts.groupby("indeg", sort=True)["c"].sum().reset_index(name="n_nodes")
+    vertex-table construction keyed on the DESTINATION endpoint — one
+    coarse-bucket exchange joins per-batch degree combiner partials to
+    the node universe — then per-block (degree, count) histogram partials
+    reduce on the driver (bounded by the number of DISTINCT degree
+    values, not nodes)."""
+    n_docs = _n_docs(sf_dir)
+    vertex = _build_vertex_table(_restart_weights(sf_dir), _link_fixture_edges(sf_dir, n_docs), 8, key="dst")
+    parts = _read(vertex.map_batches(_degree_counts, batch_format="pyarrow"), _DEGREE_COUNT_SCHEMA)
+    out = parts.to_pandas().groupby("indeg", sort=True)["c"].sum().reset_index(name="n_nodes")
     return out.astype({"indeg": np.int64, "n_nodes": np.int64})
 
 
 LPA_ITERS: int = 3
 LPA_TOP: int = 20
+_LABEL_COUNT_SCHEMA = pa.schema([("label", pa.int64()), ("c", pa.int64())])
+
+
+def _label_counts(batch: pa.Table, nbuckets: int) -> pa.Table:
+    label, c = np.unique(batch.column("label").to_numpy(zero_copy_only=False).astype(np.int64), return_counts=True)
+    return pa.table({"bkt": _bucket(label, nbuckets), "label": label, "c": c.astype(np.int64)})
+
+
+def _top_labels(g: pa.Table, k: int) -> pa.Table:
+    """One label-bucket's top-k communities by (size DESC, label ASC)."""
+    df = g.to_pandas().groupby("label", as_index=False)["c"].sum()
+    df = df.sort_values(["c", "label"], ascending=[False, True], kind="mergesort").head(k)
+    return pa.table([df["label"].to_numpy(np.int64), df["c"].to_numpy(np.int64)], schema=_LABEL_COUNT_SCHEMA)
 
 
 def label_propagation(sf_dir: str) -> pd.DataFrame:
@@ -7917,42 +7722,24 @@ def label_propagation(sf_dir: str) -> pd.DataFrame:
     the bucket.  Community sizes reduce through one label-bucket
     exchange with per-bucket top-20 partials — the driver sees ≤
     20·buckets rows.  Top 20 communities by (size DESC, label ASC)."""
-    from .graph import _bucket, label_propagation_table
-
-    n_docs = int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
-    edges = _link_fixture_edges(sf_dir, n_docs)
-    nodes = _docs(sf_dir, columns=["doc_id"]).map_batches(
-        lambda b: pa.table({"node": b.column("doc_id")}), batch_format="pyarrow"
-    )
-    labels = label_propagation_table(nodes, edges, iters=LPA_ITERS)
-    nb = 8
-
-    def part(batch: pa.Table) -> pa.Table:
-        lab = batch.column("label").to_numpy(zero_copy_only=False)
-        ul, c = np.unique(lab, return_counts=True)
-        return pa.table(
-            {
-                "bkt": pa.array(_bucket(ul.astype(np.int64), nb)),
-                "label": pa.array(ul.astype(np.int64)),
-                "c": pa.array(c.astype(np.int64)),
-            }
-        )
-
-    def bucket_top(g: pa.Table) -> pa.Table:
-        df = g.to_pandas().groupby("label", as_index=False)["c"].sum()
-        df = df.sort_values(["c", "label"], ascending=[False, True], kind="mergesort").head(LPA_TOP)
-        return pa.table({"label": pa.array(df["label"].to_numpy(np.int64)), "c": pa.array(df["c"].to_numpy(np.int64))})
-
-    cand = (
-        labels.map_batches(part, batch_format="pyarrow")
+    n_docs = _n_docs(sf_dir)
+    labels = label_propagation_table(_doc_nodes(sf_dir), _link_fixture_edges(sf_dir, n_docs), iters=LPA_ITERS)
+    cand = _read(
+        labels.map_batches(_label_counts, fn_kwargs={"nbuckets": 8}, batch_format="pyarrow")
         .groupby("bkt")
-        .map_groups(bucket_top, batch_format="pyarrow")
-        .to_pandas()
-    )
+        .map_groups(_top_labels, fn_kwargs={"k": LPA_TOP}, batch_format="pyarrow"),
+        _LABEL_COUNT_SCHEMA,
+    ).to_pandas()
     top = cand.sort_values(["c", "label"], ascending=[False, True], kind="mergesort").head(LPA_TOP)
     return pd.DataFrame(
         {"label": top["label"].to_numpy(np.int64), "n_members": top["c"].to_numpy(np.int64)}
     ).reset_index(drop=True)
+
+
+def _edge_weights(batch: pa.Table) -> pa.Table:
+    """The fixture's deterministic link weights w = 1 + (src + dst) mod 3."""
+    s = pc.add(batch.column("src"), batch.column("dst")).to_numpy(zero_copy_only=False)
+    return batch.append_column("w", pa.array((1 + s % 3).astype(np.float64)))
 
 
 def weighted_pagerank(sf_dir: str) -> pd.DataFrame:
@@ -7966,42 +7753,16 @@ def weighted_pagerank(sf_dir: str) -> pd.DataFrame:
     exchange), so this query keeps the distributed path in the driver's
     correctness gate at every scale.  3 iterations at damping 0.85,
     uniform start and restart; top 50 by (round-9 pr DESC, doc_id)."""
-    from .graph import pagerank_table, topk_by_score
-
-    n_docs = int(pq.ParquetFile(os.path.join(sf_dir, "documents.parquet")).metadata.num_rows)
-
-    def edges_of(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        src = np.concatenate([ids, ids])
-        dst = np.concatenate([(ids * 3 + 1) % n_docs, (ids * 7 + 2) % n_docs])
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        return pa.table(
-            {
-                "src": pa.array(src),
-                "dst": pa.array(dst),
-                "w": pa.array((1 + (src + dst) % 3).astype(np.float64)),
-            }
-        )
-
-    edges = _docs(sf_dir, columns=["doc_id"]).map_batches(edges_of, batch_format="pyarrow")
-    inv_n = 1.0 / n_docs
-    nodes = _docs(sf_dir, columns=["doc_id"]).map_batches(
-        lambda b: pa.table(
-            {"node": b.column("doc_id"), "r0": pa.array(np.full(b.num_rows, inv_n))}
-        ),
-        batch_format="pyarrow",
+    n_docs = _n_docs(sf_dir)
+    top = pagerank_top(
+        _restart_weights(sf_dir),
+        _link_fixture_edges(sf_dir, n_docs).map_batches(_edge_weights, batch_format="pyarrow"),
+        n_docs,
+        50,
+        decimals=9,
+        iters=PAGERANK_ITERS,
+        damping=PAGERANK_DAMPING,
+        weight_col="w",
+        mode="vertex",
     )
-    vertex = pagerank_table(
-        nodes, edges, iters=PAGERANK_ITERS, damping=PAGERANK_DAMPING, weight_col="w"
-    )
-    top = topk_by_score(vertex, "rank", 50, decimals=9)
-    return (
-        pd.DataFrame(
-            {
-                "doc_id": top["node"].to_numpy(np.int64),
-                "pr_r": np.round(top["rank"].to_numpy(), 6),
-            }
-        )
-        .sort_values(["doc_id"], ignore_index=True)
-    )
+    return _node_frame(top, pr_r="rank").sort_values(["doc_id"], ignore_index=True)

@@ -213,6 +213,28 @@ def test_query_modes_agree(ray_session, name):
     pd.testing.assert_frame_equal(a, b, check_exact=False, atol=1e-9)
 
 
+def test_pagerank_top_executors_agree_weighted(ray_session):
+    """Both executors of pagerank_top normalize the restart weights and
+    apply the edge weights the same way (the weighted reference above);
+    all-zero weights give an empty ranking on both."""
+    from splade_ray.pipelines.graph import pagerank_top
+
+    n = 120
+    src, dst = _random_graph(17, n, 700)
+    w = (1 + (src + dst) % 3).astype(np.float64)
+    edges = rd.from_arrow(pa.table({"src": pa.array(src), "dst": pa.array(dst), "w": pa.array(w)}))
+    seeds = (np.arange(n) % 4 == 0).astype(np.float64)
+    nodes = rd.from_arrow(pa.table({"node": pa.array(np.arange(n, dtype=np.int64)), "r0": pa.array(seeds)}))
+    kw = dict(decimals=9, iters=3, damping=0.85, restart=0.15, weight_col="w")
+    dense = pagerank_top(nodes, edges, n, 20, mode="dense", **kw)
+    vertex = pagerank_top(nodes, edges, n, 20, mode="vertex", **kw)
+    assert dense["node"].tolist() == vertex["node"].tolist()
+    np.testing.assert_allclose(dense["rank"], vertex["rank"], atol=1e-12)
+    zero = rd.from_arrow(pa.table({"node": pa.array(np.arange(n, dtype=np.int64)), "r0": pa.array(np.zeros(n))}))
+    for mode in ("dense", "vertex"):
+        assert len(pagerank_top(zero, edges, n, 20, mode=mode, **kw)) == 0
+
+
 def test_pagerank_table_million_edges(ray_session):
     """Scale smoke: 1M edges / 400k nodes through the vertex engine —
     exercises real multi-bucket exchanges (nbuckets from the size
@@ -237,7 +259,7 @@ def test_pagerank_table_million_edges(ray_session):
 
 
 def test_auto_mode_resolution():
-    from splade_ray.pipelines.queries import GRAPH_DENSE_MAX_NODES, _resolve_graph_mode
+    from splade_ray.pipelines.graph import GRAPH_DENSE_MAX_NODES, _resolve_graph_mode
 
     assert _resolve_graph_mode("auto", 1000) == "dense"
     assert _resolve_graph_mode("auto", GRAPH_DENSE_MAX_NODES + 1) == "vertex"

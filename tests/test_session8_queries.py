@@ -188,9 +188,10 @@ def test_bpe_merge_shrinks_symbol_stream(ray_session, tmp_path):
         assert before - after == row.pair_n
 
 
-def test_hits_scores_matches_dense_power_iterations(ray_session, tmp_path):
+@pytest.mark.parametrize("mode", ["dense", "vertex"])
+def test_hits_scores_matches_dense_power_iterations(ray_session, tmp_path, mode):
     """hits_scores equals a dense-matrix HITS with the same L1-normalized
-    half-steps on the same synthetic link graph."""
+    half-steps on the same synthetic link graph, on both executors."""
     from splade_ray.pipelines.queries import HITS_ITERS, HITS_TOP, hits_scores
 
     n = 97
@@ -198,7 +199,7 @@ def test_hits_scores_matches_dense_power_iterations(ray_session, tmp_path):
         {"doc_id": pa.array(np.arange(n, dtype=np.int64)), "text": pa.array(["x"] * n)}
     )
     pq.write_table(tbl, str(tmp_path / "documents.parquet"))
-    got = hits_scores(str(tmp_path))
+    got = hits_scores(str(tmp_path), mode=mode)
 
     A = np.zeros((n, n))
     ids = np.arange(n)

@@ -476,9 +476,10 @@ def test_bigram_perplexity_brute_force(ray_session, tmp_path):
         assert abs(row["cross_entropy_r"] - round(ce, 6)) <= 1e-6
 
 
-def test_personalized_pagerank_dense_reference(ray_session, tmp_path):
+@pytest.mark.parametrize("mode", ["dense", "vertex"])
+def test_personalized_pagerank_dense_reference(ray_session, tmp_path, mode):
     """3 power iterations with a seed-restart vector vs a dense numpy
-    replay on a small fixture."""
+    replay on a small fixture, on both executors."""
     import pyarrow.parquet as pq
 
     from splade_ray.pipelines.queries import PPR_ITERS, PPR_RESTART, personalized_pagerank
@@ -495,7 +496,7 @@ def test_personalized_pagerank_dense_reference(ray_session, tmp_path):
         }
     )
     pq.write_table(tbl, str(tmp_path / "documents.parquet"))
-    got = personalized_pagerank(str(tmp_path))
+    got = personalized_pagerank(str(tmp_path), mode=mode)
     # dense replay
     import collections
 
@@ -934,6 +935,48 @@ def test_personalized_pagerank_without_seeds_is_empty(ray_session, tmp_path, mod
     )
     got = personalized_pagerank(str(tmp_path), mode=mode)
     assert list(got.columns) == ["doc_id", "ppr_r"] and len(got) == 0
+
+
+@pytest.mark.parametrize(
+    "name,mode",
+    [
+        ("link_pagerank", "dense"),
+        ("link_pagerank", "vertex"),
+        ("personalized_pagerank", "dense"),
+        ("personalized_pagerank", "vertex"),
+        ("hits_scores", "dense"),
+        ("hits_scores", "vertex"),
+        ("weighted_pagerank", None),
+        ("label_propagation", None),
+        ("degree_hist", None),
+        ("link_triangles", None),
+    ],
+)
+def test_graph_queries_on_an_empty_corpus(ray_session, tmp_path, name, mode):
+    """An empty corpus is a graph with no nodes: the ranked queries and
+    the degree histogram return zero typed rows, the triangle count
+    returns one all-zero row (the empty-group semantics of an aggregate
+    with no GROUP BY)."""
+    import pyarrow.parquet as pq
+
+    from splade_ray.pipelines import queries as q
+
+    src = pq.read_table("/root/testdata/sf0.001/documents.parquet")
+    pq.write_table(src.slice(0, 0), str(tmp_path / "documents.parquet"))
+    fn = getattr(q, name)
+    got = fn(str(tmp_path), mode=mode) if mode else fn(str(tmp_path))
+    if name == "link_triangles":
+        assert got.to_dict("records") == [{"n_edges": 0, "n_wedges": 0, "n_triangles": 0}]
+        return
+    want = {
+        "link_pagerank": {"doc_id": "int64", "pr_r": "float64"},
+        "personalized_pagerank": {"doc_id": "int64", "ppr_r": "float64"},
+        "hits_scores": {"doc_id": "int64", "auth_r": "float64", "hub_r": "float64"},
+        "weighted_pagerank": {"doc_id": "int64", "pr_r": "float64"},
+        "label_propagation": {"label": "int64", "n_members": "int64"},
+        "degree_hist": {"indeg": "int64", "n_nodes": "int64"},
+    }[name]
+    assert len(got) == 0 and got.dtypes.astype(str).to_dict() == want
 
 
 def test_err_at10_duplicate_qrels(monkeypatch):

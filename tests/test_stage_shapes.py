@@ -175,6 +175,7 @@ def _closure_kernels(tree):
     [
         "pipelines/ann.py",
         "pipelines/dedup.py",
+        "pipelines/graph.py",
         "pipelines/merge.py",
         "pipelines/multimodal.py",
         "pipelines/percolate.py",
@@ -186,6 +187,19 @@ def test_kernels_are_module_level(rel):
     (or a constructed module-level stage class); per-call values (a
     user's ``filter_expr`` included) travel in ``fn_kwargs``."""
     assert _closure_kernels(dict(_parsed())[rel]) == []
+
+
+def test_graph_queries_kernels_are_module_level():
+    """The seven graph queries in ``queries.py`` hand only module-level
+    kernels to Ray Data, like ``pipelines/graph.py`` itself."""
+    names = {
+        "link_pagerank", "personalized_pagerank", "hits_scores", "weighted_pagerank",
+        "label_propagation", "degree_hist", "link_triangles",
+    }
+    tree = dict(_parsed())["pipelines/queries.py"]
+    fns = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
+    assert len(fns) == len(names)
+    assert [(f.name, _closure_kernels(f)) for f in fns if _closure_kernels(f)] == []
 
 
 def test_closure_kernel_scan_sees_closures():
